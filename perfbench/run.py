@@ -2,19 +2,23 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload layer-p2-refine --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload layer-p2-refine --seed 0 --seconds 60 --trace 0
 
 Each op is one in-process call to ``svplab.runner.run(config, seed=SEED)``;
 ``--seed`` is passed through as that run seed.  A pass runs the workload's
-ops one after another; passes repeat while one more still fits in
-``--seconds`` (at least one pass runs), and times are medians over passes.
-Every op's output goes through the gate in ``workloads.py``.
+ops one after another; ops repeat in turn while one more still fits in
+``--seconds`` (every op runs at least once).  Every op's output goes through
+the gate in ``workloads.py``.
 
-``--trace 0`` reports the end-to-end metrics: ``wall_s`` (median pass time),
-``setup_s`` (median over fresh processes of the time from process start to
-the first op: importing svplab, numpy and scipy and loading the configs),
-``peak_rss_mb``, ``ok_ratio`` (1 - fail_ratio: ops that neither raised nor
-exited 3, over ops attempted) and ``oracle_rel_err``.
+``--trace 0`` reports the end-to-end metrics: ``wall_s`` (mean pass time:
+the sum over ops of each op's mean time in the run; on a shared host the
+speed of one op swings by up to half, in spells of a second to minutes, and
+the mean over the whole run averages those spells out better than the median
+or the fastest run does), ``setup_s`` (median over fresh processes of the
+time from process start to the first op: importing svplab, numpy and scipy
+and loading the configs), ``peak_rss_mb``, ``ok_ratio`` (1 - fail_ratio,
+the share of an op's runs that raised or exited 3, averaged over the ops)
+and ``oracle_rel_err``.
 
 ``--trace 1`` alternates untraced and traced passes and reports per-layer
 self times and counts (see ``tracing.py``), the tracing overhead and the
@@ -41,6 +45,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = str(BLAS_THREADS)
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import glob  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -60,8 +65,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_ROOT = ROOT / ".perfbench_out"
-SETUP_PER_PASS = 1
-SETUP_MIN = 5
+SETUP_SAMPLES = 5
 PROBE_TIMEOUT_S = 60
 
 END_TO_END_UNITS = {
@@ -126,27 +130,29 @@ def setup_sample(config_paths):
 
 # --- passes ---------------------------------------------------------------------
 
+def run_op(svplab, op, config, seed, out_dir, oracle_tol):
+    """One op through the gate; returns its outcome and report bytes."""
+    op_dir = out_dir / op.name
+    op_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
+    try:
+        result = svplab.runner.run(config, out_dir=str(op_dir), seed=seed)
+    except Exception as exc:  # an op that raises is recorded, not fatal
+        seconds = time.perf_counter() - start
+        traceback.print_exc(file=sys.stderr)
+        return OpOutcome(op.name, None, seconds, math.nan,
+                         [f"raised {type(exc).__name__}: {exc}"]), None
+    seconds = time.perf_counter() - start
+    err, errors = gate(op, result.exit_code, result.report, oracle_tol)
+    return (OpOutcome(op.name, result.exit_code, seconds, err, errors),
+            (op_dir / "report.json").read_bytes())
+
+
 def run_pass(svplab, workload, configs, seed, out_dir, oracle_tol):
     """One pass over the workload's ops; returns outcomes and report bytes."""
-    outcomes, reports = [], []
-    for op, config in zip(workload.ops, configs):
-        op_dir = out_dir / op.name
-        op_dir.mkdir(parents=True, exist_ok=True)
-        start = time.perf_counter()
-        try:
-            result = svplab.runner.run(config, out_dir=str(op_dir), seed=seed)
-        except Exception as exc:  # an op that raises is recorded, not fatal
-            seconds = time.perf_counter() - start
-            traceback.print_exc(file=sys.stderr)
-            outcomes.append(OpOutcome(op.name, None, seconds, math.nan,
-                                      [f"raised {type(exc).__name__}: {exc}"]))
-            reports.append(None)
-            continue
-        seconds = time.perf_counter() - start
-        err, errors = gate(op, result.exit_code, result.report, oracle_tol)
-        outcomes.append(OpOutcome(op.name, result.exit_code, seconds, err, errors))
-        reports.append((op_dir / "report.json").read_bytes())
-    return outcomes, reports
+    done = [run_op(svplab, op, config, seed, out_dir, oracle_tol)
+            for op, config in zip(workload.ops, configs)]
+    return [d[0] for d in done], [d[1] for d in done]
 
 
 def pass_wall(outcomes):
@@ -156,8 +162,8 @@ def pass_wall(outcomes):
 def time_left(start, seconds, laps):
     """True while another lap, as long as the median one so far, still fits.
 
-    The first lap always runs, so a run measures at least one pass even
-    when a pass is longer than --seconds.
+    With no laps yet it is true, so every op (and in a traced run, every
+    pass) runs at least once even when it is longer than --seconds.
     """
     if not laps:
         return True
@@ -165,32 +171,42 @@ def time_left(start, seconds, laps):
 
 
 def measure(svplab, workload, config_paths, args, out_dir, tol):
-    """Untraced passes until the run's time is up; end-to-end metrics.
+    """Untraced ops, in turn, until the run's time is up; end-to-end metrics.
 
-    Set-up samples are taken between passes rather than all at the start,
-    so that they see the same stretch of host time as the passes.
+    The ops run round-robin and the run stops at the first op that no longer
+    fits, so a workload of long ops still uses nearly all of ``--seconds``;
+    every op runs at least once.  A pass's time is the sum over ops of each
+    op's mean time.  Set-up samples are spread over the run rather than all
+    taken at the start, so that they see the same stretch of host time as
+    the ops.
     """
     configs = load_configs(svplab, config_paths)
-    passes, laps, setups = [], [], []
+    by_op = [[] for _ in workload.ops]
+    setups = []
     start = time.perf_counter()
-    while time_left(start, args.seconds, laps):
-        lap = time.perf_counter()
-        passes.append(run_pass(svplab, workload, configs, args.seed, out_dir, tol)[0])
-        setups.extend(setup_sample(config_paths) for _ in range(SETUP_PER_PASS))
-        laps.append(time.perf_counter() - lap)
-    while len(setups) < SETUP_MIN:
+    for i in itertools.cycle(range(len(workload.ops))):
+        times = [o.seconds for o in by_op[i]]
+        if not time_left(start, args.seconds, times):
+            break
+        by_op[i].append(run_op(svplab, workload.ops[i], configs[i], args.seed, out_dir, tol)[0])
+        due = len(setups) * args.seconds / SETUP_SAMPLES
+        if len(setups) < SETUP_SAMPLES and time.perf_counter() - start >= due:
+            setups.append(setup_sample(config_paths))
+    while len(setups) < SETUP_SAMPLES:
         setups.append(setup_sample(config_paths))
-    walls = [pass_wall(p) for p in passes]
-    outcomes = [o for p in passes for o in p]
+    outcomes = [o for runs in by_op for o in runs]
     errs = [o.oracle_rel_err for o in outcomes if not math.isnan(o.oracle_rel_err)]
     metrics = {
-        "wall_s": statistics.median(walls),
+        "wall_s": sum(statistics.mean(o.seconds for o in runs) for runs in by_op),
         "setup_s": statistics.median(setups),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "ok_ratio": 1.0 - sum(o.failed for o in outcomes) / len(outcomes),
+        # per op, so that a last partial pass does not tilt it
+        "ok_ratio": 1.0 - statistics.mean(sum(o.failed for o in runs) / len(runs)
+                                          for runs in by_op),
         "oracle_rel_err": max(errs, default=math.nan),
     }
-    print(f"passes: {len(passes)}; pass wall_s: " + ", ".join(f"{w:.3f}" for w in walls))
+    for op, runs in zip(workload.ops, by_op):
+        print(f"{op.name}: {len(runs)} runs, s: " + ", ".join(f"{o.seconds:.3f}" for o in runs))
     print("setup_s samples: " + ", ".join(f"{t:.4f}" for t in setups))
     print(f"fail_ratio: {1.0 - metrics['ok_ratio']:.4g} ratio")
     return metrics, outcomes, []
@@ -328,7 +344,7 @@ def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, default=60.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--smoke", action="store_true",
                     help="run every op at a coarse h (the benchmark's own tests)")
