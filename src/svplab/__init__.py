@@ -50,7 +50,6 @@ from .geometry import (
     cross_section,
     interval_section,
     rectangle_section,
-    slab,
 )
 from .runner import RunResult, run, run_structure_check
 from .solver import (
@@ -58,7 +57,6 @@ from .solver import (
     FluxResult,
     ScalarField,
     SolverError,
-    SolverSettings,
     WeakResidualReport,
     flux_integral,
     solve,

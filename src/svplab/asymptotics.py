@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 from scipy.special import logsumexp
 
 from .energetics import energy, rate_profile
 from .frequency import SECOND, THIRD, frequency_profile, optimal_constant
 from .geometry import LAYER, build_mesh
-from .solver import section_quad_trace, solve
+from .solver import SolverError, section_quad_trace, solve
 
 STAR_NEUMANN = "starI"
 STAR_DIRICHLET_SUBSET = "starII"
@@ -61,13 +60,10 @@ def section_mass(field_, C, stations):
     Deviations below the rounding level of the nodal data are treated as
     exact zeros, so constant fields degenerate cleanly.
     """
-    mesh = field_.mesh
-    tol = mesh.snap_tolerance()
     scale = max(abs(C), float(np.max(np.abs(field_.values))), 1e-300)
     floor = 16.0 * np.finfo(float).eps * scale
     vals = []
     for tau in stations:
-        mesh.station_index(tau, snap_tol=tol)
         _, w, fvals, _ = section_quad_trace(field_, tau)
         dev = np.abs(fvals - C)
         dev[dev <= floor] = 0.0
@@ -85,7 +81,6 @@ class CutoffResult:
     value: float               # A = [int m^(1/(1-p))]^(1-p), 0 when degenerate
     stations: np.ndarray
     psi: np.ndarray            # realizing cutoff, psi(tau1) = 1, psi(tau2) = 0
-    numeric_value: float       # piecewise-linear minimization cross-check
     degenerate: bool
 
 
@@ -108,8 +103,7 @@ def optimal_cutoff(mass, tau1, tau2, p):
     A = [trapezoid of m^(1/(1-p))]^(1-p), evaluated in log space so
     exponents 1/(1-p) far from -1 cannot overflow; psi decreases from 1
     to 0 with slope proportional to -m^(1/(1-p)).  A vanishing mass at a
-    station degenerates the bound to 0 (flagged).  The numeric cross-check
-    minimizes the discrete cutoff functional over piecewise-linear psi.
+    station degenerates the bound to 0 (flagged).
     """
     if p <= 1.0:
         raise ValueError("p must be > 1")
@@ -117,7 +111,7 @@ def optimal_cutoff(mass, tau1, tau2, p):
     n = st.size
     if np.any(m <= 0.0):
         psi = np.linspace(1.0, 0.0, n)
-        return CutoffResult(0.0, st, psi, 0.0, True)
+        return CutoffResult(0.0, st, psi, True)
 
     expo = 1.0 / (1.0 - p)
     logm = np.log(m)
@@ -134,37 +128,7 @@ def optimal_cutoff(mass, tau1, tau2, p):
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(st))])
     psi = 1.0 - cum / cum[-1]
     psi[-1] = 0.0
-
-    numeric = _numeric_cutoff_minimum(st, m, p)
-    return CutoffResult(value, st, psi, numeric, False)
-
-
-def _numeric_cutoff_minimum(st, m, p):
-    """min over piecewise-linear psi of sum |psi'|^p int m, by L-BFGS-B."""
-    dt = np.diff(st)
-    mbar = 0.5 * (m[1:] + m[:-1]) * dt  # per-interval mass integral
-
-    def split(interior):
-        psi = np.concatenate([[1.0], interior, [0.0]])
-        return psi
-
-    def fun(interior):
-        psi = split(interior)
-        slope = np.diff(psi) / dt
-        val = float(np.sum(np.abs(slope) ** p * mbar))
-        dval_dslope = p * np.abs(slope) ** (p - 2.0) * slope * mbar / dt
-        grad = dval_dslope[:-1] - dval_dslope[1:]
-        return val, grad
-
-    x0 = np.linspace(1.0, 0.0, st.size)[1:-1]
-    if x0.size == 0:
-        slope = -1.0 / dt
-        return float(np.sum(np.abs(slope) ** p * mbar))
-    res = scipy.optimize.minimize(
-        fun, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
-    )
-    return float(res.fun)
+    return CutoffResult(value, st, psi, False)
 
 
 @dataclass(frozen=True)
@@ -281,15 +245,13 @@ def _window_stations(mesh, lo, hi):
 
 def _layer_rate(mesh, p, form, seed):
     """Station-independent layer rate for the matched decay factor."""
-    stations = [mesh.stations[0], 0.0, mesh.stations[-1]]
     kind = SECOND if form == STAR_NEUMANN else THIRD
     prof = frequency_profile(mesh, p, kind, [0.0], seed=seed)
     value = prof[0][1].value
     return value ** (1.0 / p)
 
 
-def pl_check(domain, op, bc, truncations, form, h, tau_inner=1.0, window=1.0,
-             settings=None, seed=0):
+def pl_check(domain, op, bc, truncations, form, h, tau_inner=1.0, window=1.0, seed=0):
     """Growth-alternative trend over a family of increasing truncations.
 
     Layer forms solve on centered bands of half-width T for each
@@ -314,9 +276,9 @@ def pl_check(domain, op, bc, truncations, form, h, tau_inner=1.0, window=1.0,
         else:
             dom_t = replace(domain, beta=T)
         mesh = build_mesh(dom_t, h)
-        field_ = solve(dom_t, mesh, op, bc, settings)
+        field_ = solve(dom_t, mesh, op, bc)
         if not field_.diagnostics.converged:
-            raise RuntimeError(f"solver did not converge at truncation {T}")
+            raise SolverError(f"solver did not converge at truncation {T}")
         rows.append(_evaluate_truncation(field_, form, tau_inner, window, seed))
     tau2s = np.asarray([r.tau2 for r in rows])
     rhss = np.asarray([r.rhs for r in rows])
@@ -345,8 +307,8 @@ def _evaluate_truncation(field_, form, tau_inner, window, seed):
         right = _window_stations(mesh, tau2, tau2 + window)
         left = _window_stations(mesh, -tau2 - window, -tau2)
         if form == STAR_NEUMANN:
-            vals_r, w_r = _window_quad_values(field_, right)
-            vals_l, w_l = _window_quad_values(field_, left)
+            vals_r, w_r = field_.slab_values(right[0], right[-1])
+            vals_l, w_l = field_.slab_values(left[0], left[-1])
             c = optimal_constant(np.concatenate([vals_l, vals_r]),
                                  np.concatenate([w_l, w_r]), p)
         else:
@@ -374,8 +336,7 @@ def _evaluate_truncation(field_, form, tau_inner, window, seed):
             raise ValueError("truncation too short for the requested windows")
         win = _window_stations(mesh, tau1, tau2)
         if form == ONE_SIDED_NEUMANN:
-            vals, w = _window_quad_values(field_, win)
-            c = optimal_constant(vals, w, p)
+            c = optimal_constant(*field_.slab_values(win[0], win[-1]), p)
             kind = SECOND
         else:
             c = 0.0
@@ -393,12 +354,3 @@ def _evaluate_truncation(field_, form, tau_inner, window, seed):
         inner_energy=float(inner_energy), bracket=float(bracket),
         damping=float(damping), rhs=float(bracket * damping), constant=float(c),
     )
-
-
-def _window_quad_values(field_, stations):
-    """Field values and weights over the slab spanned by window stations."""
-    mesh = field_.mesh
-    elems = mesh.slab_elements(stations[0], stations[-1])
-    vals = mesh.grid.vals_at_quads(field_.values)[elems].ravel()
-    w = mesh.grid.quad_weights[elems].ravel()
-    return vals, w

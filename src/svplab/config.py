@@ -43,9 +43,6 @@ class RunConfig:
     tasks: tuple
     source: str
 
-    def lateral(self):
-        return self.domain.lateral_bc
-
 
 def _parse_blocks(text):
     blocks = []
@@ -187,7 +184,7 @@ def _build_bc(block, domain):
 
 _TASK_KEYS = {
     "solve": {"snapshot"},
-    "frequencies": {"kinds", "stations", "seed_offset"},
+    "frequencies": {"kinds", "stations"},
     "svp": {"t", "stations", "pairs", "fit_window", "corrupt"},
     "zones": {"norms", "s_values", "tau_outer", "C5", "C6"},
     "cutoff": {"C", "tau1", "tau2"},

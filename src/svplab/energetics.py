@@ -109,11 +109,7 @@ def energy(field_, t, tau):
     tol = mesh.snap_tolerance()
     mesh.station_index(t, snap_tol=tol)
     mesh.station_index(tau, snap_tol=tol)
-    elems = mesh.slab_elements(t, tau)
-    g = mesh.grid.grads_at_quads(field_.values)[elems]
-    s = np.sum(g**2, axis=-1)
-    w = mesh.grid.quad_weights[elems]
-    return float(np.sum(w * s ** (0.5 * field_.op.p)))
+    return float(np.sum(field_.energy_density[mesh.slab_elements(t, tau)]))
 
 
 def section_energy(field_, tau):
@@ -127,7 +123,7 @@ def section_energy(field_, tau):
         sides.append("above")
     vals = []
     for side in sides:
-        _, w, _, gr = section_quad_trace(field_, mesh.stations[j], side=side)
+        _, w, _, gr = field_.trace(j, side)
         s = np.sum(gr**2, axis=-1)
         vals.append(float(np.sum(w * s ** (0.5 * field_.op.p))))
     return float(np.mean(vals))

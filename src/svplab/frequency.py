@@ -23,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import TensorGrid
+from .structure import guarded_power
 
 FIRST = "first"
 SECOND = "second"
@@ -74,11 +75,7 @@ def optimal_constant(values, weights, p):
         d = v - c
         if p == 2.0:
             return -float(np.sum(w * d))
-        ad = np.abs(d)
-        fac = np.zeros_like(ad)
-        pos = ad > 0
-        fac[pos] = ad[pos] ** (p - 2.0)
-        return -float(np.sum(w * fac * d))
+        return -float(np.sum(w * guarded_power(np.abs(d), p - 2.0) * d))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -155,17 +152,10 @@ class _Quotient:
         """
         p = self.p
         g = self.grid.grads_at_quads(u)
-        s = np.sum(g**2, axis=-1)
-        fac = np.zeros_like(s)
-        pos = s > 0
-        fac[pos] = s[pos] ** (0.5 * (p - 2.0))
+        fac = guarded_power(np.sum(g**2, axis=-1), 0.5 * (p - 2.0))
         gn = p * self.grid.assemble_gradient_form(fac[..., None] * g)
         vq = self.grid.vals_at_quads(u) - c
-        av = np.abs(vq)
-        dfac = np.zeros_like(av)
-        pos = av > 0
-        dfac[pos] = av[pos] ** (p - 2.0)
-        gd = p * self.grid.assemble_scalar_form(dfac * vq)
+        gd = p * self.grid.assemble_scalar_form(guarded_power(np.abs(vq), p - 2.0) * vq)
         return gn - q * gd
 
 

@@ -80,9 +80,15 @@ class TensorGrid:
         # local multilinear basis on [-1, 1]^dim at tensor Gauss-2 points
         qpts = list(product(_GAUSS, repeat=self.dim))
         self.n_quad = len(qpts)
-        vals = np.empty((self.n_quad, self.n_local))
-        grads = np.empty((self.n_quad, self.dim, self.n_local))
-        for q, xi in enumerate(qpts):
+        self.basis_vals, self.basis_grads = self.basis_tables(qpts)
+        self._quad_local = np.asarray(qpts)
+
+    def basis_tables(self, points):
+        """Local basis values (Q, m) and physical gradients (Q, dim, m) at
+        reference points of [-1, 1]^dim."""
+        vals = np.empty((len(points), self.n_local))
+        grads = np.empty((len(points), self.dim, self.n_local))
+        for q, xi in enumerate(points):
             for m, off in enumerate(self._corners):
                 factors = [0.5 * (1.0 + (2 * off[ax] - 1) * xi[ax]) for ax in range(self.dim)]
                 vals[q, m] = np.prod(factors)
@@ -91,9 +97,7 @@ class TensorGrid:
                     dfac[ax] = 0.5 * (2 * off[ax] - 1)
                     # physical gradient: chain rule 2/h per axis
                     grads[q, ax, m] = np.prod(dfac) * 2.0 / self.spacing[ax]
-        self.basis_vals = vals
-        self.basis_grads = grads
-        self._quad_local = np.asarray(qpts)
+        return vals, grads
 
     @cached_property
     def nodes(self):
@@ -128,13 +132,6 @@ class TensorGrid:
     def grads_at_quads(self, u):
         ue = np.asarray(u)[self.elem_nodes]
         return np.einsum("em,qdm->eqd", ue, self.basis_grads)
-
-    def integrate(self, density, elems=None):
-        """Integrate a per-quad-point density (n_elems, n_quad) array."""
-        w = self.quad_weights
-        if elems is not None:
-            return float(np.sum(w[elems] * density[elems] if density.shape == w.shape else density))
-        return float(np.sum(w * density))
 
     def stiffness(self, coeff=None, elems=None):
         """Assemble the weighted stiffness matrix sum_q w c grad(phi_i).grad(phi_j)."""
@@ -427,18 +424,7 @@ class Mesh:
         d = self.grid.dim
         base_q = list(product(_GAUSS, repeat=d - 1))
         nq = len(base_q)
-        m = self.grid.n_local
-        vals = np.empty((nq, m))
-        grads = np.empty((nq, d, m))
-        for q, xib in enumerate(base_q):
-            xi = list(xib) + [xi_ax]
-            for mm, off in enumerate(self.grid._corners):
-                factors = [0.5 * (1.0 + (2 * off[ax] - 1) * xi[ax]) for ax in range(d)]
-                vals[q, mm] = np.prod(factors)
-                for ax in range(d):
-                    dfac = factors.copy()
-                    dfac[ax] = 0.5 * (2 * off[ax] - 1)
-                    grads[q, ax, mm] = np.prod(dfac) * 2.0 / self.grid.spacing[ax]
+        vals, grads = self.grid.basis_tables([xib + (xi_ax,) for xib in base_q])
         # physical points: tensor over base cells
         base_cells = self.grid.cell_shape[:-1]
         cell_idx = np.indices(base_cells).reshape(d - 1, -1)
@@ -538,11 +524,6 @@ def cross_section(mesh, tau):
         trace_grid=trace,
         dirichlet_ids=dir_ids,
     )
-
-
-def slab(mesh, t, tau):
-    """Element ids of the axial slab between t and tau (both snapped)."""
-    return mesh.slab_elements(t, tau)
 
 
 def interval_section(length, cells, dirichlet="both"):

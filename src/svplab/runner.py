@@ -31,7 +31,7 @@ from .energetics import (
 )
 from .frequency import FIRST, SECOND, THIRD, frequency_profile
 from .geometry import DIRICHLET0, LAYER, build_mesh
-from .solver import BoundarySpec, SolverError, solve
+from .solver import TOL_ENERGY, BoundarySpec, SolverError, solve
 from .structure import check_structure
 from .zones import lp_zone, sup_zone, w1p_zone
 
@@ -232,8 +232,8 @@ def _run_zones(config, mesh, field_, task, seed):
     return out
 
 
-def _check_key(chk):
-    return (chk.name, tuple(sorted(chk.params.items())))
+def _entry_key(entry):
+    return (entry["name"], tuple(sorted(entry["params"].items())))
 
 
 def _tol_cap(chk):
@@ -243,14 +243,24 @@ def _tol_cap(chk):
     return 0.25 * max(abs(chk.lhs), abs(chk.rhs), 1e-300)
 
 
-def _calibrate(checks_h, checks_h2):
-    lookup = {_check_key(c): c for c in checks_h2}
-    out = []
-    for chk in checks_h:
-        other = lookup.get(_check_key(chk))
+def _calibrated_entries(found, found_h2):
+    """Report entries of checks or cutoff bounds.
+
+    An entry matched at h/2 gets tol_disc = twice the margin drift (capped)
+    and its refined margin; an unmatched one keeps tol_disc = 0.
+    """
+    refined = {_entry_key(r.as_dict()): r for r in found_h2}
+    entries = []
+    for chk in found:
+        entry = chk.as_dict()
+        other = refined.get(_entry_key(entry))
         tol = min(2.0 * abs(chk.margin - other.margin), _tol_cap(chk)) if other is not None else 0.0
-        out.append((chk, tol, other.margin if other is not None else None))
-    return out
+        entry["tol_disc"] = tol
+        entry["passed"] = bool(chk.margin >= -tol)
+        if other is not None:
+            entry["margin_refined"] = other.margin
+        entries.append(entry)
+    return entries
 
 
 def run(config, out_dir=None, seed=0, refine=None):
@@ -275,34 +285,10 @@ def run(config, out_dir=None, seed=0, refine=None):
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"task setup failed: {exc}") from exc
 
-    margins = []
-    calibrated = _calibrate(results["checks"], results2["checks"]) if results2 else [
-        (c, 0.0, None) for c in results["checks"]
-    ]
-    checks_payload = []
-    for chk, tol, margin_h2 in calibrated:
-        entry = chk.as_dict()
-        entry["tol_disc"] = tol
-        entry["passed"] = bool(chk.margin >= -tol)
-        if margin_h2 is not None:
-            entry["margin_refined"] = margin_h2
-        checks_payload.append(entry)
-        margins.append(entry["passed"])
-
-    cutoff_payload = []
-    cut2 = {} if results2 is None else {(r.tau1, r.tau2): r for r in results2["cutoff"]}
-    for r in results["cutoff"]:
-        entry = r.as_dict()
-        other = cut2.get((r.tau1, r.tau2)) if results2 else None
-        tol = min(2.0 * abs(r.margin - other.margin), _tol_cap(r)) if other else 0.0
-        entry["tol_disc"] = tol
-        entry["passed"] = bool(r.margin >= -tol)
-        if other:
-            entry["margin_refined"] = other.margin
-        cutoff_payload.append(entry)
-        margins.append(entry["passed"])
-
-    exit_code = EXIT_OK if all(margins) else EXIT_CHECK_FAILED
+    checks_payload = _calibrated_entries(results["checks"], results2["checks"] if results2 else ())
+    cutoff_payload = _calibrated_entries(results["cutoff"], results2["cutoff"] if results2 else ())
+    passed = all(entry["passed"] for entry in checks_payload + cutoff_payload)
+    exit_code = EXIT_OK if passed else EXIT_CHECK_FAILED
 
     payload = _build_payload(config, seed, results, results2, checks_payload,
                              cutoff_payload, exit_code)
@@ -322,7 +308,7 @@ def _build_payload(config, seed, results, results2, checks_payload, cutoff_paylo
             "h_refined": results2["h"] if results2 else None,
             "spacings": list(mesh.spacings),
             "eps_reg": results["solver"].eps_reg if results["solver"] else None,
-            "tol_energy": 1e-10,
+            "tol_energy": TOL_ENERGY,
         },
         "mesh": {
             "nodes": mesh.n_nodes,
@@ -368,7 +354,7 @@ def _write_artifacts(config, out_dir, results, payload):
     fmts = config.formats
     mesh = results["mesh"]
     if "csv" in fmts and results.get("field") is not None and any(
-        t.name == "solve" for t in config.tasks
+        t.name == "solve" and t.params.get("snapshot") for t in config.tasks
     ):
         files.append(
             rep.write_field_csv(os.path.join(out_dir, "field.csv"), mesh,

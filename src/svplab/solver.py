@@ -12,12 +12,21 @@ energy increase, keeps the iteration monotone for large p.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import DIRICHLET0, Mesh
+from .structure import guarded_power
+
+EPS_REG_REL = 1e-8        # gradient regularization, relative to max(cap-data scale, 1)
+TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below this
+MAX_OUTER = 200
+DIRECT_LIMIT = 20000      # direct factorization up to this many unknowns, CG beyond
+CG_RTOL = 1e-12
+CG_MAXITER_PER_UNKNOWN = 40
 
 
 class SolverError(RuntimeError):
@@ -41,25 +50,6 @@ class BoundarySpec:
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    eps_reg: float = None          # default 1e-8 x cap-data scale
-    tol_energy: float = 1e-10
-    max_outer: int = 200
-    damping: float = 1.0
-    direct_limit: int = 20000      # direct factorization below this many unknowns
-    cg_rtol: float = 1e-12
-    cg_maxiter: int = None
-
-    def __post_init__(self):
-        if self.eps_reg is not None and self.eps_reg < 0:
-            raise ValueError("eps_reg must be >= 0")
-        if self.tol_energy <= 0:
-            raise ValueError("tol_energy must be positive")
-        if not (0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class SolverDiagnostics:
     outer_iterations: int
     converged: bool
@@ -72,7 +62,16 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Nodal solution with its boundary data and solver diagnostics."""
+    """Nodal solution with its boundary data and solver diagnostics.
+
+    The field also keeps a quadrature ledger: whole-mesh values, gradients
+    and the weighted |grad f|^p density at every quadrature point, plus
+    each one-sided station trace.  Each is built on first read, so slab
+    and section integrals slice these arrays instead of re-evaluating the
+    field on the whole mesh.  The ledger arrays are read-only, and values
+    must not change in place once the ledger is read: with_values starts
+    a fresh ledger.
+    """
 
     mesh: Mesh
     values: np.ndarray
@@ -82,6 +81,47 @@ class ScalarField:
 
     def with_values(self, values):
         return replace(self, values=np.asarray(values, dtype=float))
+
+    @cached_property
+    def quad_values(self):
+        """Values at every quadrature point, shape (n_elems, n_quad)."""
+        return _read_only(self.mesh.grid.vals_at_quads(self.values))
+
+    @cached_property
+    def quad_grads(self):
+        """Gradients at every quadrature point, shape (n_elems, n_quad, dim)."""
+        return _read_only(self.mesh.grid.grads_at_quads(self.values))
+
+    @cached_property
+    def energy_density(self):
+        """Quadrature weight times |grad f|^p, shape (n_elems, n_quad)."""
+        s = np.sum(self.quad_grads**2, axis=-1)
+        return _read_only(self.mesh.grid.quad_weights * s ** (0.5 * self.op.p))
+
+    @cached_property
+    def _traces(self):
+        return {}
+
+    def slab_values(self, t, tau):
+        """Quadrature values and weights over the slab between t < tau."""
+        elems = self.mesh.slab_elements(t, tau)
+        return self.quad_values[elems], self.mesh.grid.quad_weights[elems]
+
+    def trace(self, j, side):
+        """One-sided (points, weights, f, grad f) on station j from 'below' or 'above'."""
+        key = (j, side)
+        if key not in self._traces:
+            elem_ids, pts, w, vals_tab, grads_tab = self.mesh.station_edge_tables(j, side)
+            ue = self.values[self.mesh.grid.elem_nodes[elem_ids]]
+            self._traces[key] = tuple(_read_only(a) for a in (
+                pts, w, np.einsum("em,qm->eq", ue, vals_tab),
+                np.einsum("em,qdm->eqd", ue, grads_tab)))
+        return self._traces[key]
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def dirichlet_data(mesh, bc):
@@ -107,14 +147,14 @@ def dirichlet_data(mesh, bc):
     return mask, vals
 
 
-def _linear_solve(K, mask, vals, settings):
+def _linear_solve(K, mask, vals):
     free = ~mask
     n_free = int(free.sum())
     Kff = K[free][:, free].tocsc()
     rhs = -K[free][:, mask] @ vals[mask]
     if n_free == 0:
         return vals.copy(), "none"
-    if n_free <= settings.direct_limit:
+    if n_free <= DIRECT_LIMIT:
         try:
             lu = spla.splu(Kff)
         except RuntimeError as exc:
@@ -126,8 +166,8 @@ def _linear_solve(K, mask, vals, settings):
         if np.any(diag <= 0):
             raise SolverError("singular inner system: nonpositive diagonal")
         M = sp.diags(1.0 / diag)
-        maxiter = settings.cg_maxiter or 40 * n_free
-        xf, info = spla.cg(Kff, rhs, rtol=settings.cg_rtol, atol=0.0, maxiter=maxiter, M=M)
+        xf, info = spla.cg(Kff, rhs, rtol=CG_RTOL, atol=0.0,
+                           maxiter=CG_MAXITER_PER_UNKNOWN * n_free, M=M)
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
         method = "cg-jacobi"
@@ -143,7 +183,7 @@ def _regularized_energy(mesh, op, values, eps):
     return float(np.sum(mesh.grid.quad_weights * a * s ** (0.5 * op.p) / op.p))
 
 
-def solve(domain, mesh, op, bc, settings=None):
+def solve(domain, mesh, op, bc):
     """Minimize the p-Dirichlet energy for the given caps and laterals.
 
     Returns a ScalarField; non-convergence is reported through the
@@ -152,24 +192,23 @@ def solve(domain, mesh, op, bc, settings=None):
     """
     if mesh.domain is not domain and mesh.domain != domain:
         raise ValueError("mesh was built on a different domain")
-    settings = settings or SolverSettings()
     mask, vals = dirichlet_data(mesh, bc)
     scale = float(np.max(np.abs(vals))) if mask.any() else 0.0
-    eps = settings.eps_reg if settings.eps_reg is not None else 1e-8 * max(scale, 1.0)
+    eps = EPS_REG_REL * max(scale, 1.0)
 
     a_q = op.a(mesh.pk_at_quads())
-    f, method = _linear_solve(mesh.grid.stiffness(coeff=a_q), mask, vals, settings)
+    f, method = _linear_solve(mesh.grid.stiffness(coeff=a_q), mask, vals)
     energy = _regularized_energy(mesh, op, f, eps)
-    theta = settings.damping
+    theta = 1.0
     converged = op.p == 2.0
     iters = 1
     decrease = 0.0
 
-    while not converged and iters < settings.max_outer:
+    while not converged and iters < MAX_OUTER:
         g = mesh.grid.grads_at_quads(f)
         s = np.sum(g**2, axis=-1) + eps**2
         coeff = a_q * s ** (0.5 * (op.p - 2.0))
-        f_hat, method = _linear_solve(mesh.grid.stiffness(coeff=coeff), mask, vals, settings)
+        f_hat, method = _linear_solve(mesh.grid.stiffness(coeff=coeff), mask, vals)
         while True:
             f_new = f + theta * (f_hat - f)
             e_new = _regularized_energy(mesh, op, f_new, eps)
@@ -179,7 +218,7 @@ def solve(domain, mesh, op, bc, settings=None):
         decrease = (energy - e_new) / max(abs(energy), 1e-300)
         f, energy = f_new, e_new
         iters += 1
-        if decrease < settings.tol_energy:
+        if decrease < TOL_ENERGY:
             converged = True
 
     diag = SolverDiagnostics(
@@ -217,13 +256,11 @@ def weak_residual(field, t, tau):
     jtau, _ = mesh.station_index(tau)
 
     grid = mesh.grid
-    g = grid.grads_at_quads(field.values)[elems]
-    fq = grid.vals_at_quads(field.values)[elems]
+    g = field.quad_grads[elems]
+    fq = field.quad_values[elems]
     a = field.op.a(mesh.pk_at_quads())[elems]
     s = np.sum(g**2, axis=-1)
-    fac = np.zeros_like(s)
-    pos = s > 0
-    fac[pos] = s[pos] ** (0.5 * (field.op.p - 2.0))
+    fac = guarded_power(s, 0.5 * (field.op.p - 2.0))
     flux = (a * fac)[..., None] * g          # A(x, grad f) at slab quadrature points
     flux_norm = a * fac * np.sqrt(s)
 
@@ -283,14 +320,14 @@ class FluxResult:
     weight: str
 
 
-def _section_trace(field, j, side):
-    """One-sided values and gradients of the field on station j."""
+def _station(field, tau, side):
+    """Station index of tau and the resolved side; 'auto' faces the axial midpoint."""
     mesh = field.mesh
-    elem_ids, pts, w, vals_tab, grads_tab = mesh.station_edge_tables(j, side)
-    ue = field.values[mesh.grid.elem_nodes[elem_ids]]
-    fvals = np.einsum("em,qm->eq", ue, vals_tab)
-    fgrads = np.einsum("em,qdm->eqd", ue, grads_tab)
-    return pts, w, fvals, fgrads
+    j, _ = mesh.station_index(tau, snap_tol=mesh.snap_tolerance())
+    if side == "auto":
+        mid = 0.5 * (mesh.stations[0] + mesh.stations[-1])
+        side = "above" if mesh.stations[j] <= mid else "below"
+    return j, side
 
 
 def flux_integral(field, tau, weight="one", side="auto", C=0.0):
@@ -303,16 +340,10 @@ def flux_integral(field, tau, weight="one", side="auto", C=0.0):
     side facing the axial midpoint) and the side used is recorded.
     """
     mesh = field.mesh
-    j, _ = mesh.station_index(tau, snap_tol=mesh.snap_tolerance())
-    if side == "auto":
-        mid = 0.5 * (mesh.stations[0] + mesh.stations[-1])
-        side = "above" if mesh.stations[j] <= mid else "below"
-    pts, w, fvals, fgrads = _section_trace(field, j, side)
+    j, side = _station(field, tau, side)
+    pts, w, fvals, fgrads = field.trace(j, side)
     a = field.op.a(mesh.domain.pk_of_axial(pts[..., -1]))
-    s = np.sum(fgrads**2, axis=-1)
-    fac = np.zeros_like(s)
-    pos = s > 0
-    fac[pos] = s[pos] ** (0.5 * (field.op.p - 2.0))
+    fac = guarded_power(np.sum(fgrads**2, axis=-1), 0.5 * (field.op.p - 2.0))
     axial_flux = a * fac * fgrads[..., -1]
     if weight == "one":
         wf = np.ones_like(fvals)
@@ -326,17 +357,6 @@ def flux_integral(field, tau, weight="one", side="auto", C=0.0):
     return FluxResult(value=value, tau=float(mesh.stations[j]), side=side, weight=weight)
 
 
-def section_values(field, tau):
-    """Nodal trace of the field on the section nearest tau."""
-    sec = field.mesh.cross_section(tau)
-    return sec, field.values[sec.volume_node_ids]
-
-
 def section_quad_trace(field, tau, side="auto"):
     """Section quadrature (points, weights, f, grad f) with one-sided gradients."""
-    mesh = field.mesh
-    j, _ = mesh.station_index(tau, snap_tol=mesh.snap_tolerance())
-    if side == "auto":
-        mid = 0.5 * (mesh.stations[0] + mesh.stations[-1])
-        side = "above" if mesh.stations[j] <= mid else "below"
-    return _section_trace(field, j, side)
+    return field.trace(*_station(field, tau, side))

@@ -74,13 +74,18 @@ def constant_operator(p, a=1.0, nu1=None, nu2=None):
     return StructureOperator(p=p, nu1=nu1, nu2=nu2, coefficient=Coefficient("constant", (a,), nu1, nu2))
 
 
+def guarded_power(x, e):
+    """x^e where x > 0 and 0 elsewhere: the zero guard of |xi|^(p-2) xi-type fluxes."""
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = x[pos] ** e
+    return out
+
+
 def _gradient_factor(p, xi):
     """|xi|^(p-2) with the continuous extension 0 at xi = 0 for p > 1."""
     s = np.sum(np.asarray(xi, dtype=float) ** 2, axis=-1)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = s[pos] ** (0.5 * (p - 2.0))
-    return out
+    return guarded_power(s, 0.5 * (p - 2.0))
 
 
 def evaluate(op, pk, xi):

@@ -74,20 +74,12 @@ def _largest_true(stations, predicate):
     return float(stations[lo]), False
 
 
-def _slab_values(field_, tau):
-    mesh = field_.mesh
-    elems = mesh.slab_elements(-tau, tau)
-    vals = mesh.grid.vals_at_quads(field_.values)[elems]
-    w = mesh.grid.quad_weights[elems]
-    return vals, w
-
-
 def _slab_node_values(field_, tau):
     """Nodal values on the closed band, including the band-edge sections."""
-    mesh = field_.mesh
-    ax = mesh.grid.nodes[:, -1]
-    tol = 1e-12 * max(1.0, float(mesh.stations[-1]))
-    return field_.values[np.abs(ax) <= tau + tol]
+    st = field_.mesh.stations
+    tol = 1e-12 * max(1.0, float(st[-1]))
+    # nodes are C-ordered with the axial index last
+    return field_.values.reshape(-1, st.size)[:, np.abs(st) <= tau + tol]
 
 
 def _require_layer(field_):
@@ -129,7 +121,7 @@ def lp_zone(field_, s, C5=None, rate_profile=None, tau_outer=None):
     consts = {}
 
     def deviation(t):
-        vals, w = _slab_values(field_, t)
+        vals, w = field_.slab_values(-t, t)
         c = optimal_constant(vals, w, p)
         consts[t] = c
         return float(np.sum(w * np.abs(vals - c) ** p))

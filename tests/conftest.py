@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from svplab import geometry as geo
 from svplab import solver as sv
@@ -53,6 +54,31 @@ def cosh_section_energy(tau, beta_star=BS):
 def cosh_section_mass(tau, beta_star=BS):
     """Closed form of the section integral of |f|^2 (C = 0) for cosh modes."""
     return 0.5 * math.cosh(math.pi * tau) ** 2 / math.cosh(math.pi * beta_star) ** 2
+
+
+def numeric_cutoff_minimum(mass, tau1, tau2, p):
+    """Reference for optimal_cutoff: min over piecewise-linear psi with
+    psi(tau1) = 1, psi(tau2) = 0 of sum |psi'|^p int m, by L-BFGS-B."""
+    sel = (mass.stations >= tau1) & (mass.stations <= tau2)
+    st_, m = mass.stations[sel], mass.values[sel]
+    dt = np.diff(st_)
+    mbar = 0.5 * (m[1:] + m[:-1]) * dt  # per-interval mass integral
+
+    def fun(interior):
+        psi = np.concatenate([[1.0], interior, [0.0]])
+        slope = np.diff(psi) / dt
+        val = float(np.sum(np.abs(slope) ** p * mbar))
+        dval_dslope = p * np.abs(slope) ** (p - 2.0) * slope * mbar / dt
+        return val, dval_dslope[:-1] - dval_dslope[1:]
+
+    x0 = np.linspace(1.0, 0.0, st_.size)[1:-1]
+    if x0.size == 0:
+        return float(np.sum(np.abs(-1.0 / dt) ** p * mbar))
+    res = scipy.optimize.minimize(
+        fun, x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
+    )
+    return float(res.fun)
 
 
 @pytest.fixture(scope="session")

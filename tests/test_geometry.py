@@ -132,34 +132,34 @@ class TestCrossSection:
 class TestSlab:
     def test_whole_range(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
-        assert geo.slab(mesh, -1.0, 1.0).size == mesh.n_elems
+        assert mesh.slab_elements(-1.0, 1.0).size == mesh.n_elems
 
     def test_counting(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
-        assert geo.slab(mesh, 0.0, 0.5).size == 2
+        assert mesh.slab_elements(0.0, 0.5).size == 2
 
     def test_empty_interval(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
         with pytest.raises(ValueError):
-            geo.slab(mesh, 0.2, 0.2)
+            mesh.slab_elements(0.2, 0.2)
 
     def test_partition(self):
         mesh = geo.build_mesh(strip_domain(), 0.25)
-        whole = set(geo.slab(mesh, -1.0, 1.0).tolist())
-        left = set(geo.slab(mesh, -1.0, 0.25).tolist())
-        right = set(geo.slab(mesh, 0.25, 1.0).tolist())
+        whole = set(mesh.slab_elements(-1.0, 1.0).tolist())
+        left = set(mesh.slab_elements(-1.0, 0.25).tolist())
+        right = set(mesh.slab_elements(0.25, 1.0).tolist())
         assert left | right == whole
         assert not (left & right)
 
     def test_measure_layer(self):
         mesh = geo.build_mesh(strip_domain(), 0.25)
-        w = mesh.grid.quad_weights[geo.slab(mesh, -0.5, 0.75)]
+        w = mesh.grid.quad_weights[mesh.slab_elements(-0.5, 0.75)]
         assert np.sum(w) == pytest.approx(1.0 * 1.25, rel=1e-13)
 
     def test_measure_radial(self):
         mesh = geo.build_mesh(radial_domain(L=0.5), 0.125)
         t, tau = 1.5, 2.5
-        w = mesh.grid.quad_weights[geo.slab(mesh, t, tau)]
+        w = mesh.grid.quad_weights[mesh.slab_elements(t, tau)]
         expected = 2.0 * math.pi * 0.5 * (tau**2 - t**2) / 2.0
         assert np.sum(w) == pytest.approx(expected, rel=1e-13)
 

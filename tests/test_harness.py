@@ -50,6 +50,13 @@ fit_window = 0.25 0.875
 """
 
 
+PL_TASK = """
+[task pl]
+form = starDirichlet
+truncations = 2 2.5 3
+"""
+
+
 class TestConfigParsing:
     def test_valid_config(self):
         cfg = parse_config(BASE_CONFIG + SVP_TASK)
@@ -86,6 +93,14 @@ class TestConfigParsing:
     def test_duplicate_block_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(BASE_CONFIG + "\n[mesh]\nh = 0.25\n")
+
+    def test_seed_offset_rejected(self, tmp_path):
+        text = BASE_CONFIG + "\n[task frequencies]\nkinds = second\nstations = 0\nseed_offset = 1\n"
+        with pytest.raises(ConfigError, match="seed_offset"):
+            parse_config(text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_comments_ignored(self):
         cfg = parse_config(BASE_CONFIG.replace("h = 0.125", "h = 0.125  # spacing") + SVP_TASK)
@@ -131,6 +146,13 @@ class TestRunner:
         run(cfg, out_dir=str(tmp_path / "b"), seed=3)
         for name in ("report.json", "svp.csv", "field.csv", "svp.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_snapshot_false_writes_no_field_csv(self, tmp_path):
+        cfg = parse_config(BASE_CONFIG + SVP_TASK.replace("snapshot = true", "snapshot = false"))
+        result = run(cfg, out_dir=str(tmp_path), seed=0)
+        assert result.exit_code == 0
+        assert (tmp_path / "svp.csv").exists()
+        assert not (tmp_path / "field.csv").exists()
 
     def test_off_grid_station_is_config_error(self, tmp_path):
         bad = BASE_CONFIG + SVP_TASK.replace("0.125 0.25", "0.13 0.25")
@@ -203,6 +225,28 @@ class TestSolverFailurePath:
         assert result.exit_code == 3
         report = json.load(open(tmp_path / "report.json"))
         assert "did not converge" in report["error"]
+
+
+    def test_truncation_nonconvergence_exits_three(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import svplab.asymptotics as asym_mod
+
+        solve = asym_mod.solve
+
+        def unconverged_solve(*args, **kwargs):
+            f = solve(*args, **kwargs)
+            diag = dataclasses.replace(f.diagnostics, converged=False)
+            return dataclasses.replace(f, diagnostics=diag)
+
+        monkeypatch.setattr(asym_mod, "solve", unconverged_solve)
+        text = BASE_CONFIG + PL_TASK
+        result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        assert result.exit_code == 3
+        assert "did not converge at truncation" in result.report["error"]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
 
 
 class TestCli:

@@ -66,7 +66,7 @@ class TestMeasuredZones:
         rep = zn.sup_zone(cosh_dirichlet_16, s)
         tau = rep.tau_meas
         measure = 2.0 * tau  # |D0| = 1
-        vals, w = zn._slab_values(cosh_dirichlet_16, tau)
+        vals, w = cosh_dirichlet_16.slab_values(-tau, tau)
         c = 0.5 * (vals.max() + vals.min())
         lp_dev = float(np.sum(w * np.abs(vals - c) ** 2)) ** 0.5
         assert lp_dev < s * measure ** 0.5 + 1e-12
