@@ -11,6 +11,12 @@ Armijo backtracking, starting from the corresponding p = 2 eigenvector
 (computed by deflated inverse iteration); for p = 2 that start is
 already the discrete minimizer.  Seeded random restarts guard the
 general-p runs against local minima.
+
+``frequency_profile`` computes each distinct section of a mesh once and
+keeps the results on the mesh: every layer section is the same section,
+and a radial section is fixed by its radius.  The best constant
+min_C |u - C|_p^p is the weighted mean at p = 2 and a one-dimensional
+convex search otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import TensorGrid
+from .geometry import LAYER, TensorGrid
+from .solver import SolverError
 from .structure import guarded_power
 
 FIRST = "first"
@@ -54,7 +61,9 @@ class FrequencyResult:
 def optimal_constant(values, weights, p):
     """argmin over C of sum_i w_i |v_i - C|^p on the bracket [min v, max v].
 
-    Golden-section on the convex objective narrows the bracket; because
+    At p = 2 the minimizer is the weighted mean sum w v / sum w, clamped
+    to the bracket against rounding.  Otherwise golden-section on the
+    convex objective narrows the bracket; because
     comparison-based search stalls at sqrt(eps) on the flat quadratic
     bottom, the minimizer is then polished by bisection on the monotone
     derivative -p sum w |v - C|^(p-2) (v - C) down to 1e-13 of the value
@@ -65,6 +74,8 @@ def optimal_constant(values, weights, p):
     v = np.asarray(values, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
     lo, hi = float(v.min()), float(v.max())
+    if p == 2.0:
+        return min(max(float(np.sum(w * v) / np.sum(w)), lo), hi)
     if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)):
         return 0.5 * (lo + hi)
 
@@ -73,8 +84,6 @@ def optimal_constant(values, weights, p):
 
     def slope(c):
         d = v - c
-        if p == 2.0:
-            return -float(np.sum(w * d))
         return -float(np.sum(w * guarded_power(np.abs(d), p - 2.0) * d))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -159,19 +168,23 @@ class _Quotient:
         return gn - q * gd
 
 
-def _stiffness_mass(grid):
-    return grid.stiffness(), grid.mass()
+def _factor(A):
+    """Sparse LU; a singular section matrix is a numerical failure, not bad input."""
+    try:
+        return spla.splu(A)
+    except RuntimeError as exc:
+        raise SolverError(f"singular section system: {exc}") from exc
 
 
-def _p2_eigenpair(grid, pinned, neumann, tol=1e-14, max_iter=400):
+def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
     """Smallest nontrivial p = 2 eigenpair by deflated inverse iteration.
 
     Dirichlet case: smallest eigenvalue of the pinned pencil (K, M).
     Neumann case: smallest nonzero eigenvalue, deflating constants in the
     M-inner product each sweep; the factorization uses a small mass shift
-    to keep the singular stiffness SPD.
+    to keep the singular stiffness SPD.  K and M are the section's
+    stiffness and mass matrices.
     """
-    K, M = _stiffness_mass(grid)
     n = grid.n_nodes
     free = np.ones(n, dtype=bool)
     free[pinned] = False
@@ -179,9 +192,9 @@ def _p2_eigenpair(grid, pinned, neumann, tol=1e-14, max_iter=400):
     Mff = M[free][:, free].tocsr()
     if neumann:
         shift = 1e-6 * float(Kff.diagonal().max())
-        lu = spla.splu((Kff + shift * Mff).tocsc())
+        lu = _factor((Kff + shift * Mff).tocsc())
     else:
-        lu = spla.splu(Kff)
+        lu = _factor(Kff)
     rng = np.random.default_rng(12345)
     if neumann:
         # coordinate ramp: nonzero overlap with the lowest nonconstant mode
@@ -224,20 +237,19 @@ def _p2_eigenpair(grid, pinned, neumann, tol=1e-14, max_iter=400):
     return lam, out
 
 
-def _descent(grid, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_iter=2000):
+def _descent(grid, K, M, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_iter=2000):
     """Preconditioned projected descent on the quotient with Armijo steps."""
     quot = _Quotient(grid, p, recenter)
-    K, M = _stiffness_mass(grid)
     n = grid.n_nodes
     free = np.ones(n, dtype=bool)
     free[pinned] = False
     if recenter:
         P = (K + M).tocsc()
-        lu = spla.splu(P)
+        lu = _factor(P)
         solve_p = lu.solve
     else:
         Kff = K[free][:, free].tocsc()
-        lu = spla.splu(Kff)
+        lu = _factor(Kff)
 
         def solve_p(gf):
             return lu.solve(gf)
@@ -314,11 +326,12 @@ def _descent(grid, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_iter=
 
 def _pinned_result(section, p, pinned, kind, seed, restarts, tol, max_iter):
     grid = section.grid
-    lam2, u0 = _p2_eigenpair(grid, pinned, neumann=False)
+    K, M = grid.stiffness(), grid.mass()
+    _, u0 = _p2_eigenpair(grid, K, M, pinned, neumann=False)
     if np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
     q, u, _, res, iters = _descent(
-        grid, p, pinned, u0, recenter=False,
+        grid, K, M, p, pinned, u0, recenter=False,
         seed=seed, restarts=restarts, tol=tol, max_iter=max_iter,
     )
     return FrequencyResult(
@@ -365,14 +378,16 @@ def second_frequency(section, p, seed=0, restarts=3, tol=1e-12, max_iter=2000):
     if p <= 1.0:
         raise ValueError("p must be > 1")
     grid = section.grid
-    _, u0 = _p2_eigenpair(grid, np.empty(0, dtype=np.int64), neumann=True)
+    K, M = grid.stiffness(), grid.mass()
+    unpinned = np.empty(0, dtype=np.int64)
+    _, u0 = _p2_eigenpair(grid, K, M, unpinned, neumann=True)
     q, u, c, res, iters = _descent(
-        grid, p, np.empty(0, dtype=np.int64), u0, recenter=True,
+        grid, K, M, p, unpinned, u0, recenter=True,
         seed=seed, restarts=restarts, tol=tol, max_iter=max_iter,
     )
     return FrequencyResult(
         kind=SECOND, value=q, minimizer=u, optimal_c=c,
-        dirichlet_ids=np.empty(0, dtype=np.int64), residual=res, iterations=iters,
+        dirichlet_ids=unpinned, residual=res, iterations=iters,
     )
 
 
@@ -389,16 +404,24 @@ def compute_frequency(section, p, kind, pinned=None, seed=0, restarts=3):
 def frequency_profile(mesh, p, kind, stations, seed=0, restarts=3):
     """Frequency of the requested kind on the section at each station.
 
-    Returns a list of (tau, FrequencyResult).  Layer sections are
-    identical so the profile is constant; radial sections vary with the
-    station radius.
+    Returns a list of (tau, FrequencyResult), tau the snapped station.
+    Each distinct section is computed once per mesh and the result is
+    kept in ``mesh.frequency_memo``: layer sections are identical, so a
+    layer profile is constant and costs one computation; radial sections
+    vary with the station radius and are keyed on it.
     """
     out = []
     tol = mesh.snap_tolerance()
+    memo = mesh.frequency_memo
+    layer = mesh.domain.axial_kind == LAYER
     for tau in stations:
-        mesh.station_index(tau, snap_tol=tol)
-        sec = mesh.cross_section(tau)
-        out.append((sec.tau, compute_frequency(sec, p, kind, seed=seed, restarts=restarts)))
+        j, _ = mesh.station_index(tau, snap_tol=tol)
+        tau_snapped = float(mesh.stations[j])
+        key = (kind, p, seed, restarts, None if layer else tau_snapped)
+        if key not in memo:
+            sec = mesh.cross_section(tau_snapped)
+            memo[key] = compute_frequency(sec, p, kind, seed=seed, restarts=restarts)
+        out.append((tau_snapped, memo[key]))
     return out
 
 

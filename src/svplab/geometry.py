@@ -339,6 +339,11 @@ class Mesh:
         cells = np.indices(self.grid.cell_shape).reshape(self.grid.dim, -1)
         return cells[-1]
 
+    @cached_property
+    def frequency_memo(self):
+        """Section frequency results of this mesh, filled by frequency_profile."""
+        return {}
+
     def pk_at_quads(self):
         return self.domain.pk_of_axial(self.grid.quad_points[..., -1])
 

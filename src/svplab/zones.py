@@ -93,11 +93,17 @@ def w1p_zone(field_, s, rate_profile=None, tau_outer=None):
     if s <= 0:
         raise ValueError("deviation s must be positive")
     stations = _positive_stations(field_.mesh)
-    tau, full = _largest_true(stations, lambda t: energy(field_, -t, t) < s)
+    energies = {}
+
+    def band_energy(t):
+        energies[t] = energy(field_, -t, t)
+        return energies[t]
+
+    tau, full = _largest_true(stations, lambda t: band_energy(t) < s)
     report = ZoneReport(
         kind="w1p", s=s, tau_meas=tau, full_band=full, constant=0.0,
         verdict="full-band" if full else "measured",
-        extra={"energy_at_zone": energy(field_, -tau, tau) if tau > 0 else 0.0},
+        extra={"energy_at_zone": energies[tau] if tau > 0 else 0.0},
     )
     if rate_profile is not None and tau_outer is not None and not full:
         report = _attach_prediction(report, field_, rate_profile, tau_outer,
@@ -119,21 +125,23 @@ def lp_zone(field_, s, C5=None, rate_profile=None, tau_outer=None):
     p = field_.op.p
     stations = _positive_stations(field_.mesh)
     consts = {}
+    devs = {}
 
     def deviation(t):
         vals, w = field_.slab_values(-t, t)
         c = optimal_constant(vals, w, p)
         consts[t] = c
-        return float(np.sum(w * np.abs(vals - c) ** p))
+        devs[t] = float(np.sum(w * np.abs(vals - c) ** p))
+        return devs[t]
 
     tau, full = _largest_true(stations, lambda t: deviation(t) < s)
-    c_used = consts.get(tau, 0.0) if tau > 0 else 0.0
+    c_used = consts[tau] if tau > 0 else 0.0
     report = ZoneReport(
         kind="lp", s=s, tau_meas=tau, full_band=full, constant=c_used,
         embedding_constant=C5,
         verdict="full-band" if full else "measured",
         extra={
-            "deviation_pth_power": deviation(tau) if tau > 0 else 0.0,
+            "deviation_pth_power": devs[tau] if tau > 0 else 0.0,
             "deviation_readings": {"as_s": s, "as_s_pth_root": s ** (1.0 / p)},
         },
     )
@@ -156,6 +164,7 @@ def sup_zone(field_, s, C6=None, rate_profile=None, tau_outer=None):
         raise ValueError("deviation s must be positive")
     stations = _positive_stations(field_.mesh)
     consts = {}
+    devs = {}
 
     def deviation(t):
         # sup norm over the closed band: the piecewise-multilinear maximum
@@ -163,15 +172,16 @@ def sup_zone(field_, s, C6=None, rate_profile=None, tau_outer=None):
         vals = _slab_node_values(field_, t)
         c = 0.5 * (float(vals.max()) + float(vals.min()))
         consts[t] = c
-        return float(np.max(np.abs(vals - c)))
+        devs[t] = float(np.max(np.abs(vals - c)))
+        return devs[t]
 
     tau, full = _largest_true(stations, lambda t: deviation(t) < s)
-    c_used = consts.get(tau, 0.0) if tau > 0 else 0.0
+    c_used = consts[tau] if tau > 0 else 0.0
     report = ZoneReport(
         kind="sup", s=s, tau_meas=tau, full_band=full, constant=c_used,
         embedding_constant=C6,
         verdict="full-band" if full else "measured",
-        extra={"deviation": deviation(tau) if tau > 0 else 0.0},
+        extra={"deviation": devs[tau] if tau > 0 else 0.0},
     )
     if C6 is not None and rate_profile is not None and tau_outer is not None and not full:
         p = field_.op.p

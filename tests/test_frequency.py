@@ -213,6 +213,22 @@ class TestOptimalConstant:
         c = fr.optimal_constant([0.0, 1.0], [3.0, 1.0], 2.0)
         assert c == pytest.approx(0.25, abs=1e-11)
 
+    def test_p2_closed_form(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            v = rng.normal(size=500) * 10.0 ** rng.uniform(-3, 3)
+            w = rng.uniform(0.1, 2.0, size=500)
+            c = fr.optimal_constant(v, w, 2.0)
+            mean = float(np.sum(w * v) / np.sum(w))
+            assert abs(c - mean) <= 1e-15 * abs(mean)
+            assert v.min() <= c <= v.max()
+
+    def test_p2_clamped_to_range(self):
+        # the weighted mean of a constant rounds off; the clamp returns it exactly
+        v = np.full(7, 0.1)
+        w = np.array([0.3, 1.7, 0.2, 2.9, 0.7, 1.1, 0.13])
+        assert fr.optimal_constant(v, w, 2.0) == 0.1
+
 
 class TestFrequencyProfile:
     def test_layer_profile_constant(self):
@@ -237,6 +253,107 @@ class TestFrequencyProfile:
         pairs = fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.0])
         assert len(pairs) == 1
         assert pairs[0][0] == 0.0
+
+
+def same_result(a, b):
+    return (a.kind == b.kind and a.value == b.value and a.optimal_c == b.optimal_c
+            and a.residual == b.residual and a.iterations == b.iterations
+            and a.degenerate == b.degenerate
+            and np.array_equal(a.minimizer, b.minimizer)
+            and np.array_equal(a.dirichlet_ids, b.dirichlet_ids))
+
+
+def count_compute_calls(monkeypatch):
+    calls = []
+    compute = fr.compute_frequency
+
+    def counting(section, p, kind, **kwargs):
+        calls.append((kind, section.tau))
+        return compute(section, p, kind, **kwargs)
+
+    monkeypatch.setattr(fr, "compute_frequency", counting)
+    return calls
+
+
+def layer_mesh(h=0.25):
+    dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
+                              alpha=1.0, beta=3.0, lateral_bc=("dirichlet0", "neumann"))
+    return geo.build_mesh(dom, h)
+
+
+def radial_mesh():
+    dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                              alpha=1.0, beta=3.0, lateral_bc=("neumann", "neumann"))
+    return geo.build_mesh(dom, 1 / 4)
+
+
+class TestFrequencyMemo:
+    def test_layer_profile_computes_once_per_kind(self, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        mesh = layer_mesh()
+        stations = [-0.75, -0.25, 0.0, 0.5, 1.0]
+        for kind in (fr.FIRST, fr.SECOND, fr.THIRD):
+            pairs = fr.frequency_profile(mesh, 2.0, kind, stations)
+            assert [t for t, _ in pairs] == stations
+            assert len({id(r) for _, r in pairs}) == 1
+        fr.frequency_profile(mesh, 2.0, fr.SECOND, [0.25, 0.75])
+        assert sorted(k for k, _ in calls) == [fr.FIRST, fr.SECOND, fr.THIRD]
+
+    def test_layer_memo_keyed_on_p_seed_restarts(self, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        mesh = layer_mesh()
+        fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.0, 0.5])
+        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0, 0.5])
+        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0], seed=1)
+        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0], seed=1, restarts=0)
+        assert len(calls) == 4
+
+    def test_layer_memo_matches_fresh_computation(self):
+        mesh = layer_mesh()
+        for kind in (fr.FIRST, fr.SECOND, fr.THIRD):
+            for tau, res in fr.frequency_profile(mesh, 1.5, kind, [0.0, 0.75]):
+                fresh = fr.compute_frequency(mesh.cross_section(tau), 1.5, kind)
+                assert same_result(res, fresh)
+
+    def test_radial_radii_not_collapsed(self, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        mesh = radial_mesh()
+        radii = [1.5, 2.0, 2.5, 2.0]
+        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, radii)
+        assert [t for t, _ in pairs] == radii
+        assert sorted(t for _, t in calls) == [1.5, 2.0, 2.5]
+        assert pairs[1][1] is pairs[3][1]
+        assert len({r.value for _, r in pairs}) == 3
+        for tau, res in pairs:
+            fresh = fr.compute_frequency(mesh.cross_section(tau), 2.0, fr.SECOND)
+            assert same_result(res, fresh)
+
+    def test_new_mesh_recomputes(self, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        a, b = layer_mesh(), layer_mesh()
+        ra = fr.frequency_profile(a, 2.0, fr.SECOND, [0.0])[0][1]
+        rb = fr.frequency_profile(b, 2.0, fr.SECOND, [0.0])[0][1]
+        assert len(calls) == 2
+        assert ra is not rb
+        assert a.frequency_memo is not b.frequency_memo
+        assert same_result(ra, rb)
+
+    def test_off_grid_station_rejected(self):
+        with pytest.raises(ValueError):
+            fr.frequency_profile(layer_mesh(), 2.0, fr.FIRST, [0.1])
+
+
+class TestIntervalOracleOrder:
+    """First p-eigenvalue of the unit interval, (p - 1) pi_p^p with
+    pi_p = 2 pi / (p sin(pi / p)), approached at second order in h."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_second_order(self, p):
+        exact = (p - 1.0) * (2.0 * math.pi / (p * math.sin(math.pi / p))) ** p
+        errs = [abs(fr.first_frequency(geo.interval_section(1.0, n), p).value - exact)
+                for n in (16, 32, 64)]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert all(1.8 <= r <= 2.2 for r in orders), orders
 
 
 class TestDescentRobustness:

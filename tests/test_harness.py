@@ -56,6 +56,12 @@ form = starDirichlet
 truncations = 2 2.5 3
 """
 
+FREQ_TASK = """
+[task frequencies]
+kinds = first second
+stations = 0 0.5
+"""
+
 
 class TestConfigParsing:
     def test_valid_config(self):
@@ -244,6 +250,21 @@ class TestSolverFailurePath:
         result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
         assert result.exit_code == 3
         assert "did not converge at truncation" in result.report["error"]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
+
+    def test_frequency_factorization_failure_exits_three(self, tmp_path, monkeypatch):
+        import svplab.frequency as fr_mod
+
+        def failing_splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fr_mod.spla, "splu", failing_splu)
+        text = BASE_CONFIG + FREQ_TASK
+        result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        assert result.exit_code == 3
+        assert "singular section system" in result.report["error"]
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
