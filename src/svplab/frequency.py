@@ -25,16 +25,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import LAYER, TensorGrid
-from .solver import SolverError
+from .solver import factor_spd
 from .structure import guarded_power
 
 FIRST = "first"
 SECOND = "second"
 THIRD = "third"
+SECTION_SYSTEM = "section system"
 
 
 @dataclass(frozen=True)
@@ -168,14 +167,6 @@ class _Quotient:
         return gn - q * gd
 
 
-def _factor(A):
-    """Sparse LU; a singular section matrix is a numerical failure, not bad input."""
-    try:
-        return spla.splu(A)
-    except RuntimeError as exc:
-        raise SolverError(f"singular section system: {exc}") from exc
-
-
 def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
     """Smallest nontrivial p = 2 eigenpair by deflated inverse iteration.
 
@@ -183,7 +174,9 @@ def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
     Neumann case: smallest nonzero eigenvalue, deflating constants in the
     M-inner product each sweep; the factorization uses a small mass shift
     to keep the singular stiffness SPD.  K and M are the section's
-    stiffness and mass matrices.
+    stiffness and mass matrices.  Returns the eigenvalue, the nodal
+    eigenvector and the factorization, which in the Dirichlet case is the
+    pinned stiffness's.
     """
     n = grid.n_nodes
     free = np.ones(n, dtype=bool)
@@ -192,9 +185,9 @@ def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
     Mff = M[free][:, free].tocsr()
     if neumann:
         shift = 1e-6 * float(Kff.diagonal().max())
-        lu = _factor((Kff + shift * Mff).tocsc())
+        lu = factor_spd((Kff + shift * Mff).tocsc(), SECTION_SYSTEM)
     else:
-        lu = _factor(Kff)
+        lu = factor_spd(Kff, SECTION_SYSTEM)
     rng = np.random.default_rng(12345)
     if neumann:
         # coordinate ramp: nonzero overlap with the lowest nonconstant mode
@@ -234,25 +227,19 @@ def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
         lam = lam_new
     out = np.zeros(n)
     out[free] = x
-    return lam, out
+    return lam, out, lu
 
 
-def _descent(grid, K, M, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_iter=2000):
-    """Preconditioned projected descent on the quotient with Armijo steps."""
+def _descent(grid, lu, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_iter=2000):
+    """Preconditioned projected descent on the quotient with Armijo steps.
+
+    lu factors the preconditioner on the unpinned nodes: the pinned
+    stiffness, or stiffness plus mass when recentering.
+    """
     quot = _Quotient(grid, p, recenter)
     n = grid.n_nodes
     free = np.ones(n, dtype=bool)
     free[pinned] = False
-    if recenter:
-        P = (K + M).tocsc()
-        lu = _factor(P)
-        solve_p = lu.solve
-    else:
-        Kff = K[free][:, free].tocsc()
-        lu = _factor(Kff)
-
-        def solve_p(gf):
-            return lu.solve(gf)
 
     def normalize(u):
         if recenter:
@@ -279,15 +266,8 @@ def _descent(grid, K, M, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max
         g = quot.gradient(u, c, q)
         iters = 0
         for _ in range(max_iter):
-            gf = g[free]
-            if recenter:
-                full = np.zeros(n)
-                full[free] = gf
-                d = -solve_p(full)
-                d[pinned] = 0.0
-            else:
-                d = np.zeros(n)
-                d[free] = -solve_p(gf)
+            d = np.zeros(n)
+            d[free] = -lu.solve(g[free])
             slope = float(g @ d)
             if slope >= 0.0:
                 break
@@ -326,12 +306,11 @@ def _descent(grid, K, M, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max
 
 def _pinned_result(section, p, pinned, kind, seed, restarts, tol, max_iter):
     grid = section.grid
-    K, M = grid.stiffness(), grid.mass()
-    _, u0 = _p2_eigenpair(grid, K, M, pinned, neumann=False)
+    _, u0, lu = _p2_eigenpair(grid, grid.stiffness(), grid.mass(), pinned, neumann=False)
     if np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
     q, u, _, res, iters = _descent(
-        grid, K, M, p, pinned, u0, recenter=False,
+        grid, lu, p, pinned, u0, recenter=False,
         seed=seed, restarts=restarts, tol=tol, max_iter=max_iter,
     )
     return FrequencyResult(
@@ -380,9 +359,10 @@ def second_frequency(section, p, seed=0, restarts=3, tol=1e-12, max_iter=2000):
     grid = section.grid
     K, M = grid.stiffness(), grid.mass()
     unpinned = np.empty(0, dtype=np.int64)
-    _, u0 = _p2_eigenpair(grid, K, M, unpinned, neumann=True)
+    _, u0, _ = _p2_eigenpair(grid, K, M, unpinned, neumann=True)
+    lu = factor_spd((K + M).tocsc(), SECTION_SYSTEM)
     q, u, c, res, iters = _descent(
-        grid, K, M, p, unpinned, u0, recenter=True,
+        grid, lu, p, unpinned, u0, recenter=True,
         seed=seed, restarts=restarts, tol=tol, max_iter=max_iter,
     )
     return FrequencyResult(

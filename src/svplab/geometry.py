@@ -27,6 +27,11 @@ NEUMANN = "neumann"
 DIRICHLET0 = "dirichlet0"
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 class TensorGrid:
     """Uniform tensor-product grid of multilinear elements.
 
@@ -82,6 +87,11 @@ class TensorGrid:
         self.n_quad = len(qpts)
         self.basis_vals, self.basis_grads = self.basis_tables(qpts)
         self._quad_local = np.asarray(qpts)
+        # local matrix entries (i, j), flattened row-major, per quadrature point
+        self._stiffness_table = np.einsum(
+            "qdi,qdj->qij", self.basis_grads, self.basis_grads).reshape(self.n_quad, -1)
+        self._mass_table = np.einsum(
+            "qi,qj->qij", self.basis_vals, self.basis_vals).reshape(self.n_quad, -1)
 
     def basis_tables(self, points):
         """Local basis values (Q, m) and physical gradients (Q, dim, m) at
@@ -133,37 +143,47 @@ class TensorGrid:
         ue = np.asarray(u)[self.elem_nodes]
         return np.einsum("em,qdm->eqd", ue, self.basis_grads)
 
+    @cached_property
+    def csr_pattern(self):
+        """Sparsity pattern shared by the grid's nodal matrices, built once.
+
+        Returns (indptr, indices, slots): the CSR pattern with sorted
+        columns, and the int32 map slots (n_elems, m*m) from each local
+        entry (i, j), flattened row-major, to its position in the CSR data.
+        The arrays are read-only because every assembled matrix shares them.
+        """
+        n, m = self.n_nodes, self.n_local
+        conn = self.elem_nodes
+        keys = (conn[:, :, None] * n + conn[:, None, :]).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        slots = np.empty(order.size, dtype=np.int32)
+        slots[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order
+        rows, cols = np.divmod(keys[first], n)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return tuple(_read_only(a) for a in (
+            indptr, cols.astype(np.int32), slots.reshape(self.n_elems, m * m)))
+
     def stiffness(self, coeff=None, elems=None):
         """Assemble the weighted stiffness matrix sum_q w c grad(phi_i).grad(phi_j)."""
-        w = self.quad_weights
-        if coeff is not None:
-            w = w * coeff
-        if elems is not None:
-            w = w[elems]
-            conn = self.elem_nodes[elems]
-        else:
-            conn = self.elem_nodes
-        ke = np.einsum("eq,qdi,qdj->eij", w, self.basis_grads, self.basis_grads)
-        return self._scatter(ke, conn)
+        w = self.quad_weights if coeff is None else self.quad_weights * coeff
+        return self._assemble(self._stiffness_table, w, elems)
 
     def mass(self, elems=None):
-        w = self.quad_weights
-        if elems is not None:
-            w = w[elems]
-            conn = self.elem_nodes[elems]
-        else:
-            conn = self.elem_nodes
-        me = np.einsum("eq,qi,qj->eij", w, self.basis_vals, self.basis_vals)
-        return self._scatter(me, conn)
+        return self._assemble(self._mass_table, self.quad_weights, elems)
 
-    def _scatter(self, local, conn):
-        m = conn.shape[1]
-        rows = np.repeat(conn, m, axis=1).ravel()
-        cols = np.tile(conn, (1, m)).ravel()
-        mat = sp.coo_matrix(
-            (local.ravel(), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
-        )
-        return mat.tocsr()
+    def _assemble(self, table, w, elems):
+        """CSR matrix on csr_pattern: one product w @ table, one bincount into the data."""
+        indptr, indices, slots = self.csr_pattern
+        if elems is not None:
+            w, slots = w[elems], slots[elems]
+        data = np.bincount(slots.ravel(), weights=(w @ table).ravel(), minlength=indices.size)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n_nodes, self.n_nodes))
 
     def assemble_gradient_form(self, flux, elems=None, weights=None):
         """Nodal vector R_i = sum_q w <flux, grad phi_i> for a field flux (E, Q, dim)."""

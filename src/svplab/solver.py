@@ -6,7 +6,21 @@ or pinned to zero.  The outer loop is a Kacanov (lagged-coefficient)
 fixed point: each step freezes the diffusivity
 a(x) (|grad f|^2 + eps^2)^((p-2)/2) from the previous iterate and solves
 one symmetric positive-definite system.  A damping factor, halved on
-energy increase, keeps the iteration monotone for large p.
+energy increase, keeps the iteration monotone for large p; a step that
+still raises the energy at damping 2^-30 is rejected, and the solve stops
+unconverged at the previous iterate.
+
+Every inner system is assembled on the grid's fixed sparsity pattern
+(TensorGrid.csr_pattern), and its free-node block is read out of the
+assembled data through a slot map fixed once per solve.  The linear
+method depends only on the grid's dimension and the unknown count: a
+3-D grid always uses conjugate gradients with a Jacobi preconditioner,
+and a 2-D grid a sparse LU up to DIRECT_LIMIT unknowns and CG beyond.
+The LU (factor_spd, shared with the section frequencies) uses SuperLU's
+symmetric mode with a minimum-degree ordering of A + A^T, since every
+system is SPD, and one step of iterative refinement.  Inside the outer
+loop CG starts from the current iterate.  The method used is reported as
+linear_solver: 'direct', 'cg-jacobi', or 'none' without free nodes.
 """
 
 from __future__ import annotations
@@ -18,13 +32,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import DIRICHLET0, Mesh
+from .geometry import DIRICHLET0, Mesh, _read_only
 from .structure import guarded_power
 
 EPS_REG_REL = 1e-8        # gradient regularization, relative to max(cap-data scale, 1)
 TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below this
 MAX_OUTER = 200
-DIRECT_LIMIT = 20000      # direct factorization up to this many unknowns, CG beyond
+DIRECT_LIMIT = 20000      # 2-D grids: sparse LU up to this many unknowns, CG beyond
 CG_RTOL = 1e-12
 CG_MAXITER_PER_UNKNOWN = 40
 
@@ -119,11 +133,6 @@ class ScalarField:
         return self._traces[key]
 
 
-def _read_only(a):
-    a.setflags(write=False)
-    return a
-
-
 def dirichlet_data(mesh, bc):
     """Boolean Dirichlet mask and prescribed values (zero elsewhere)."""
     if tuple(bc.lateral) != tuple(mesh.domain.lateral_bc):
@@ -147,33 +156,71 @@ def dirichlet_data(mesh, bc):
     return mask, vals
 
 
-def _linear_solve(K, mask, vals):
-    free = ~mask
-    n_free = int(free.sum())
-    Kff = K[free][:, free].tocsc()
-    rhs = -K[free][:, mask] @ vals[mask]
-    if n_free == 0:
-        return vals.copy(), "none"
-    if n_free <= DIRECT_LIMIT:
-        try:
-            lu = spla.splu(Kff)
-        except RuntimeError as exc:
-            raise SolverError(f"singular inner system: {exc}") from exc
-        xf = lu.solve(rhs)
-        method = "direct"
-    else:
-        diag = Kff.diagonal()
+def factor_spd(A, what):
+    """Sparse LU of a symmetric positive-definite CSC matrix.
+
+    SuperLU runs in symmetric mode with a minimum-degree ordering of
+    A + A^T, which keeps the fill of an SPD matrix close to a Cholesky
+    factor's.  A singular factor is a numerical failure, not bad input.
+    """
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"singular {what}: {exc}") from exc
+
+
+class _FreeSystem:
+    """Free-node system K_ff x = -K_fc g of one Dirichlet split of a grid.
+
+    K_ff is read out of the data of a matrix assembled on grid.csr_pattern
+    through a slot map fixed here, so an outer step makes no submatrix
+    copies; K_ff is symmetric, so its CSR arrays are also its CSC arrays.
+    The method depends only on the grid and the unknown count: a 3-D grid
+    uses Jacobi-preconditioned CG, a 2-D grid a sparse LU up to
+    DIRECT_LIMIT unknowns and CG beyond.
+    """
+
+    def __init__(self, grid, mask, vals):
+        indptr, indices, _ = grid.csr_pattern
+        slot_ids = sp.csr_matrix((np.arange(indices.size), indices, indptr),
+                                 shape=(grid.n_nodes,) * 2)
+        self.free = ~mask
+        self.ff = slot_ids[self.free][:, self.free]
+        self.vals = vals
+        n_free = self.ff.shape[0]
+        if n_free == 0:
+            self.method = "none"
+        elif grid.dim >= 3 or n_free > DIRECT_LIMIT:
+            self.method = "cg-jacobi"
+        else:
+            self.method = "direct"
+
+    def solve(self, K, x0=None):
+        """Nodal solution for the stiffness K; CG starts from x0[free] when given."""
+        out = self.vals.copy()
+        if self.method == "none":
+            return out
+        rhs = -(K @ self.vals)[self.free]  # vals vanish on free nodes: -K_fc g
+        kff = (K.data[self.ff.data], self.ff.indices, self.ff.indptr)
+        if self.method == "direct":
+            A = sp.csc_matrix(kff, shape=self.ff.shape)
+            lu = factor_spd(A, "inner system")
+            xf = lu.solve(rhs)
+            # one refinement step leaves the roundoff of the residual, not
+            # that of the factor's ordering
+            out[self.free] = xf + lu.solve(rhs - A @ xf)
+            return out
+        A = sp.csr_matrix(kff, shape=self.ff.shape)
+        diag = A.diagonal()
         if np.any(diag <= 0):
             raise SolverError("singular inner system: nonpositive diagonal")
-        M = sp.diags(1.0 / diag)
-        xf, info = spla.cg(Kff, rhs, rtol=CG_RTOL, atol=0.0,
-                           maxiter=CG_MAXITER_PER_UNKNOWN * n_free, M=M)
+        xf, info = spla.cg(A, rhs, x0=None if x0 is None else x0[self.free],
+                           rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_PER_UNKNOWN * rhs.size,
+                           M=sp.diags(1.0 / diag))
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
-        method = "cg-jacobi"
-    out = vals.copy()
-    out[free] = xf
-    return out, method
+        out[self.free] = xf
+        return out
 
 
 def _regularized_energy(mesh, op, values, eps):
@@ -197,7 +244,8 @@ def solve(domain, mesh, op, bc):
     eps = EPS_REG_REL * max(scale, 1.0)
 
     a_q = op.a(mesh.pk_at_quads())
-    f, method = _linear_solve(mesh.grid.stiffness(coeff=a_q), mask, vals)
+    system = _FreeSystem(mesh.grid, mask, vals)
+    f = system.solve(mesh.grid.stiffness(coeff=a_q))
     energy = _regularized_energy(mesh, op, f, eps)
     theta = 1.0
     converged = op.p == 2.0
@@ -208,16 +256,18 @@ def solve(domain, mesh, op, bc):
         g = mesh.grid.grads_at_quads(f)
         s = np.sum(g**2, axis=-1) + eps**2
         coeff = a_q * s ** (0.5 * (op.p - 2.0))
-        f_hat, method = _linear_solve(mesh.grid.stiffness(coeff=coeff), mask, vals)
+        f_hat = system.solve(mesh.grid.stiffness(coeff=coeff), x0=f)
+        iters += 1
         while True:
             f_new = f + theta * (f_hat - f)
             e_new = _regularized_energy(mesh, op, f_new, eps)
             if e_new <= energy or theta <= 2**-30:
                 break
             theta *= 0.5
+        if e_new > energy:
+            break  # no damping lowers the energy: keep f, not converged
         decrease = (energy - e_new) / max(abs(energy), 1e-300)
         f, energy = f_new, e_new
-        iters += 1
         if decrease < TOL_ENERGY:
             converged = True
 
@@ -228,7 +278,7 @@ def solve(domain, mesh, op, bc):
         last_decrease=decrease,
         eps_reg=eps,
         damping_final=theta,
-        linear_solver=method,
+        linear_solver=system.method,
     )
     return ScalarField(mesh=mesh, values=f, op=op, bc=bc, diagnostics=diag)
 

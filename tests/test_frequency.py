@@ -7,6 +7,7 @@ import scipy.optimize
 
 from svplab import frequency as fr
 from svplab import geometry as geo
+from svplab import solver as sv
 
 PI2 = math.pi**2
 
@@ -341,6 +342,32 @@ class TestFrequencyMemo:
     def test_off_grid_station_rejected(self):
         with pytest.raises(ValueError):
             fr.frequency_profile(layer_mesh(), 2.0, fr.FIRST, [0.1])
+
+
+def readme_mesh(h):
+    dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
+                              alpha=1.0, beta=7.0, lateral_bc=("dirichlet0", "dirichlet0"))
+    return geo.build_mesh(dom, h)
+
+
+class TestFactorOnce:
+    """The pinned kinds reuse the eigenpair's factor of the pinned stiffness
+    as the descent's preconditioner; the second kind factors the shifted
+    pencil and stiffness plus mass, two different matrices."""
+
+    @pytest.mark.parametrize("kind, factors", [(fr.FIRST, 1), (fr.THIRD, 1), (fr.SECOND, 2)])
+    def test_factorizations_per_section(self, monkeypatch, kind, factors):
+        shapes = []
+        splu = sv.spla.splu
+
+        def counting(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(sv.spla, "splu", counting)
+        for h in (1 / 32, 1 / 64):  # the two meshes of a README refine run
+            fr.frequency_profile(readme_mesh(h), 2.0, kind, [0.0, 1.0, 2.0])
+        assert len(shapes) == 2 * factors
 
 
 class TestIntervalOracleOrder:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from svplab import geometry as geo
 
@@ -175,3 +176,75 @@ class TestSliceIndex:
         for j in range(mesh.stations.size):
             seen[mesh.station_node_ids(j)] += 1
         assert np.all(seen == 1)
+
+
+def coo_reference(grid, local, elems=None):
+    """Scatter element matrices (E, m, m) through COO -> CSR."""
+    conn = grid.elem_nodes if elems is None else grid.elem_nodes[elems]
+    m = conn.shape[1]
+    rows = np.repeat(conn, m, axis=1).ravel()
+    cols = np.tile(conn, (1, m)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
+
+
+def reference_stiffness(grid, coeff=None, elems=None):
+    w = grid.quad_weights if coeff is None else grid.quad_weights * coeff
+    w = w if elems is None else w[elems]
+    return coo_reference(grid, np.einsum("eq,qdi,qdj->eij", w, grid.basis_grads, grid.basis_grads),
+                         elems)
+
+
+def reference_mass(grid, elems=None):
+    w = grid.quad_weights if elems is None else grid.quad_weights[elems]
+    return coo_reference(grid, np.einsum("eq,qi,qj->eij", w, grid.basis_vals, grid.basis_vals),
+                         elems)
+
+
+def pattern_grids():
+    k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 2.0)), axial_kind="layer",
+                             alpha=1.0, beta=2.0, lateral_bc=("dirichlet0",) * 4)
+    radial = geo.build_mesh(radial_domain(), 1 / 4)
+    return {
+        "1d": geo.interval_section(1.0, 7).grid,
+        "2d": geo.build_mesh(strip_domain(), 1 / 4).grid,
+        "3d": geo.build_mesh(k2, 1 / 4).grid,
+        "radial-volume": radial.grid,
+        "periodic-section": radial.cross_section(2.0).grid,
+    }
+
+
+class TestFixedPatternAssembly:
+    @pytest.fixture(scope="class")
+    def grids(self):
+        return pattern_grids()
+
+    @staticmethod
+    def assert_matches(K, ref):
+        assert K.shape == ref.shape
+        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["1d", "2d", "3d", "radial-volume", "periodic-section"])
+    def test_stiffness_and_mass_match_coo(self, grids, name):
+        grid = grids[name]
+        rng = np.random.default_rng(3)
+        coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
+        elems = rng.choice(grid.n_elems, size=max(1, grid.n_elems // 3), replace=False)
+        self.assert_matches(grid.stiffness(), reference_stiffness(grid))
+        self.assert_matches(grid.stiffness(coeff=coeff), reference_stiffness(grid, coeff))
+        self.assert_matches(grid.stiffness(coeff=coeff, elems=elems),
+                            reference_stiffness(grid, coeff, elems))
+        self.assert_matches(grid.mass(), reference_mass(grid))
+        self.assert_matches(grid.mass(elems=elems), reference_mass(grid, elems))
+
+    @pytest.mark.parametrize("name", ["2d", "periodic-section"])
+    def test_pattern_is_canonical_and_shared(self, grids, name):
+        grid = grids[name]
+        indptr, indices, slots = grid.csr_pattern
+        assert slots.dtype == np.int32 and slots.shape == (grid.n_elems, grid.n_local**2)
+        K = grid.stiffness()
+        assert K.has_canonical_format
+        for a, b in ((K.indices, indices), (K.indptr, indptr), (grid.mass().indices, indices)):
+            assert np.shares_memory(a, b)
+        assert K.nnz == reference_stiffness(grid).nnz
+        with pytest.raises(ValueError):
+            indices[0] = 0

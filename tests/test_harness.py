@@ -50,6 +50,34 @@ fit_window = 0.25 0.875
 """
 
 
+LAYER3D_CONFIG = """\
+schema 1
+
+[domain]
+n = 3
+k = 2
+base = 0 1 0 1
+axial = layer
+alpha = 1
+beta = 3
+lateral = dirichlet0 dirichlet0 dirichlet0 dirichlet0
+
+[operator]
+p = 2
+nu1 = 1
+nu2 = 1
+
+[bc]
+g_low = sin(pi*x1)*sin(pi*x2)
+g_high = sin(pi*x1)*sin(pi*x2)
+
+[mesh]
+h = 0.25
+
+[output]
+formats = json
+"""
+
 PL_TASK = """
 [task pl]
 form = starDirichlet
@@ -255,12 +283,12 @@ class TestSolverFailurePath:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
 
     def test_frequency_factorization_failure_exits_three(self, tmp_path, monkeypatch):
-        import svplab.frequency as fr_mod
+        import svplab.solver as sv_mod
 
         def failing_splu(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(fr_mod.spla, "splu", failing_splu)
+        monkeypatch.setattr(sv_mod.spla, "splu", failing_splu)
         text = BASE_CONFIG + FREQ_TASK
         result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
         assert result.exit_code == 3
@@ -268,6 +296,18 @@ class TestSolverFailurePath:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
+
+
+    def test_cg_failure_exits_three(self, tmp_path, monkeypatch):
+        import svplab.solver as sv_mod
+
+        cg = sv_mod.spla.cg
+        monkeypatch.setattr(sv_mod.spla, "cg",
+                            lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 2}))
+        text = LAYER3D_CONFIG + "\n[task solve]\nsnapshot = false\n"
+        result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        assert result.exit_code == 3
+        assert "conjugate gradient did not converge" in result.report["error"]
 
 
 class TestCli:

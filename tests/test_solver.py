@@ -214,3 +214,101 @@ class TestRadialSolve:
             exact = np.log(mesh.grid.nodes[:, 1]) / math.log(2.0)
             errs.append(np.max(np.abs(f.values - exact)))
         assert errs[1] <= 0.3 * errs[0]
+
+
+def layer3d(h, beta_star=1.0):
+    """k = 2 layer over (0,1)^2 with caps sin(pi x) sin(pi y) and zero laterals."""
+    lateral = ("dirichlet0",) * 4
+    dom = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 1.0)), axial_kind="layer",
+                              alpha=1.0, beta=1.0 + 2.0 * beta_star, lateral_bc=lateral)
+    mesh = geo.build_mesh(dom, h)
+    g = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    bc = sv.BoundarySpec(g_low=g, g_high=g, lateral=lateral)
+    return dom, mesh, st.constant_operator(2.0), bc
+
+
+def general_p_problem(p, h=1 / 8):
+    dom = strip(("dirichlet0", "dirichlet0"))
+    mesh = geo.build_mesh(dom, h)
+    g = lambda x: np.sin(np.pi * x[:, 0])
+    bc = sv.BoundarySpec(g_low=g, g_high=g, lateral=("dirichlet0", "dirichlet0"))
+    return dom, mesh, st.constant_operator(p), bc
+
+
+class TestCoshMode3D:
+    def test_energy_order(self):
+        # f = sin(pi x) sin(pi y) cosh(k z) / cosh(k beta*), k = sqrt2 pi, beta* = 1
+        k = math.sqrt(2.0) * math.pi
+        exact = k / 4.0 * math.tanh(k)
+        hs = (1 / 8, 1 / 16, 1 / 24)
+        errs = []
+        for h in hs:
+            f = sv.solve(*layer3d(h))
+            assert f.diagnostics.linear_solver == "cg-jacobi"
+            errs.append(abs(f.diagnostics.energy - exact))
+        orders = [math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1]) for i in range(2)]
+        assert all(1.8 <= r <= 2.2 for r in orders), orders
+
+
+class TestLinearLayer:
+    def test_dispatch_by_dimension(self):
+        assert sv.solve(*layer3d(1 / 4)).diagnostics.linear_solver == "cg-jacobi"
+        assert sv.solve(*cosh_problem(1 / 8)).diagnostics.linear_solver == "direct"
+
+    def test_direct_and_cg_agree(self, monkeypatch):
+        problem = cosh_problem(1 / 16)
+        direct = sv.solve(*problem)
+        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+        cg = sv.solve(*problem)
+        assert (direct.diagnostics.linear_solver, cg.diagnostics.linear_solver) == \
+            ("direct", "cg-jacobi")
+        assert np.max(np.abs(cg.values - direct.values)) <= 1e-10
+
+    def test_warm_and_cold_cg_agree(self, monkeypatch):
+        problem = general_p_problem(3.0)
+        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+        cg = sv.spla.cg
+        warm_starts = []
+
+        def recording(A, b, x0=None, **kwargs):
+            warm_starts.append(x0 is not None)
+            return cg(A, b, x0=x0, **kwargs)
+
+        monkeypatch.setattr(sv.spla, "cg", recording)
+        warm = sv.solve(*problem)
+        assert warm_starts[0] is False and all(warm_starts[1:]) and len(warm_starts) > 1
+        monkeypatch.setattr(sv.spla, "cg", lambda A, b, x0=None, **kwargs: cg(A, b, **kwargs))
+        cold = sv.solve(*problem)
+        assert warm.diagnostics.converged and cold.diagnostics.converged
+        assert warm.diagnostics.outer_iterations == cold.diagnostics.outer_iterations
+        assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
+
+    def test_cg_out_of_iterations_raises(self, monkeypatch):
+        cg = sv.spla.cg
+        monkeypatch.setattr(sv.spla, "cg",
+                            lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 2}))
+        with pytest.raises(sv.SolverError, match="conjugate gradient did not converge"):
+            sv.solve(*layer3d(1 / 4))
+
+
+class TestRejectedStep:
+    def test_rejected_step_keeps_iterate_and_is_not_convergence(self, monkeypatch):
+        dom, mesh, op, bc = general_p_problem(3.0)
+        # the first iterate solves with the p = 2 coefficient
+        first = sv.solve(dom, mesh, st.constant_operator(2.0), bc)
+        energy = sv._regularized_energy
+        calls = []
+
+        def rising(*args):
+            calls.append(args)
+            return energy(*args) + len(calls)  # every later evaluation is higher
+
+        monkeypatch.setattr(sv, "_regularized_energy", rising)
+        f = sv.solve(dom, mesh, op, bc)
+        d = f.diagnostics
+        assert not d.converged
+        assert d.damping_final == 2.0**-30
+        assert len(calls) == 32  # the first iterate, then theta = 1, 1/2, ..., 2^-30
+        assert d.outer_iterations == 2
+        assert np.array_equal(f.values, first.values)
+        assert d.energy == energy(mesh, op, first.values, d.eps_reg) + 1
