@@ -177,12 +177,27 @@ class TensorGrid:
     def mass(self, elems=None):
         return self._assemble(self._mass_table, self.quad_weights, elems)
 
+    def directional_stiffness(self, direction):
+        """Assemble sum_q w (v.grad(phi_i)) (v.grad(phi_j)) for directions v (E, Q, dim).
+
+        Each element's entries are a Gram matrix of sqrt(w) v.grad(phi_i),
+        so the matrix is symmetric to the last bit.
+        """
+        u = np.einsum("eqd,qdm->eqm", direction, self.basis_grads)
+        u *= np.sqrt(self.quad_weights)[..., None]
+        return self._on_pattern(self.csr_pattern[2], np.einsum("eqi,eqj->eij", u, u))
+
     def _assemble(self, table, w, elems):
         """CSR matrix on csr_pattern: one product w @ table, one bincount into the data."""
-        indptr, indices, slots = self.csr_pattern
+        slots = self.csr_pattern[2]
         if elems is not None:
             w, slots = w[elems], slots[elems]
-        data = np.bincount(slots.ravel(), weights=(w @ table).ravel(), minlength=indices.size)
+        return self._on_pattern(slots, w @ table)
+
+    def _on_pattern(self, slots, local):
+        """Sum local entries, laid out like slots, into a CSR matrix on csr_pattern."""
+        indptr, indices, _ = self.csr_pattern
+        data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
         return sp.csr_matrix((data, indices, indptr), shape=(self.n_nodes, self.n_nodes))
 
     def assemble_gradient_form(self, flux, elems=None, weights=None):

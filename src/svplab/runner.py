@@ -6,7 +6,8 @@ flag the margin-producing pipeline is repeated at h/2 and each check's
 discretization tolerance is calibrated as twice the margin drift between
 the two resolutions.  Exit codes: 0 all checks pass, 1 at least one
 inequality violated beyond tolerance, 2 config error, 3 solver
-non-convergence.
+failure: non-convergence or any numerical error (RuntimeError, numpy
+LinAlgError, FloatingPointError); any other ValueError is a config error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILED = 3
+
+# errors raised by numerics rather than by the config: exit 3, not 2;
+# LinAlgError is a ValueError, so it must be caught first
+_NUMERICAL_FAILURES = (RuntimeError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass
@@ -272,17 +277,17 @@ def run(config, out_dir=None, seed=0, refine=None):
     try:
         results = _execute(config, config.h, seed)
         results2 = _execute(config, config.h / 2.0, seed) if do_refine else None
-    except SolverError as exc:
+    except _NUMERICAL_FAILURES as exc:
         payload = {
             "schema": 1,
             "seed": seed,
             "exit_code": EXIT_SOLVER_FAILED,
-            "error": str(exc),
+            "error": str(exc) if isinstance(exc, SolverError) else f"{type(exc).__name__}: {exc}",
             "config_echo": config.source.splitlines(),
         }
         files.append(rep.write_json(os.path.join(out_dir, "report.json"), payload))
         return RunResult(EXIT_SOLVER_FAILED, payload, files)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"task setup failed: {exc}") from exc
 
     checks_payload = _calibrated_entries(results["checks"], results2["checks"] if results2 else ())

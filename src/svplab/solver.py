@@ -2,20 +2,31 @@
 
 The solver minimizes sum_q w a(x) |grad f|^p / p over nodal fields
 matching Dirichlet cap data, with lateral faces either natural (Neumann)
-or pinned to zero.  The outer loop is a Kacanov (lagged-coefficient)
-fixed point: each step freezes the diffusivity
-a(x) (|grad f|^2 + eps^2)^((p-2)/2) from the previous iterate and solves
-one symmetric positive-definite system.  A damping factor, halved on
-energy increase, keeps the iteration monotone for large p; a step that
-still raises the energy at damping 2^-30 is rejected, and the solve stops
-unconverged at the previous iterate.
+or pinned to zero.  It starts from the solve with the coefficient a(x)
+alone (exact for p = 2); each outer step then solves one symmetric
+positive-definite system built from c = a(x) s^((p-2)/2), s = |grad f|^2
++ eps^2, at the current iterate:
 
-Every inner system is assembled on the grid's fixed sparsity pattern
-(TensorGrid.csr_pattern), and its free-node block is read out of the
-assembled data through a slot map fixed once per solve.  The linear
-method depends only on the grid's dimension and the unknown count: a
-3-D grid always uses conjugate gradients with a Jacobi preconditioner,
-and a 2-D grid a sparse LU up to DIRECT_LIMIT unknowns and CG beyond.
+* p <= 2: the Kacanov (lagged-coefficient) matrix K(c), which majorizes
+  the Hessian of the regularized energy, so the step lowers the energy;
+* p > 2: the Hessian K(c) + (p-2) R of the regularized energy, with
+  R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad phi_j), so the
+  step is a Newton step.  Kacanov stalls here, because K(c) alone
+  underestimates the curvature.
+
+Each step starts at damping theta = 1 and halves theta until the energy
+does not rise.  A step that still raises the energy at theta = 2^-30, or
+gives a non-finite energy, is rejected, and the solve stops unconverged
+at the previous iterate.  The solve has converged once the relative
+energy decrease of a step falls below TOL_ENERGY.
+
+Every inner system (K(c), with R added to its data for p > 2) is
+assembled on the grid's fixed sparsity pattern (TensorGrid.csr_pattern),
+and its free-node block is read out of the assembled data through a slot
+map fixed once per solve.  The linear method depends only on the grid's
+dimension and the unknown count: a 3-D grid always uses conjugate
+gradients with a Jacobi preconditioner, and a 2-D grid a sparse LU up to
+DIRECT_LIMIT unknowns and CG beyond.
 The LU (factor_spd, shared with the section frequencies) uses SuperLU's
 symmetric mode with a minimum-degree ordering of A + A^T, since every
 system is SPD, and one step of iterative refinement.  Inside the outer
@@ -170,7 +181,8 @@ def factor_spd(A, what):
 
 
 class _FreeSystem:
-    """Free-node system K_ff x = -K_fc g of one Dirichlet split of a grid.
+    """Free-node system K_ff x = -K_fc g + b_f of one Dirichlet split of a
+    grid, with an optional nodal load b.
 
     K_ff is read out of the data of a matrix assembled on grid.csr_pattern
     through a slot map fixed here, so an outer step makes no submatrix
@@ -195,12 +207,15 @@ class _FreeSystem:
         else:
             self.method = "direct"
 
-    def solve(self, K, x0=None):
-        """Nodal solution for the stiffness K; CG starts from x0[free] when given."""
+    def solve(self, K, x0=None, load=None):
+        """Nodal solution for the matrix K and an optional nodal load added to
+        the right-hand side; CG starts from x0[free] when given."""
         out = self.vals.copy()
         if self.method == "none":
             return out
         rhs = -(K @ self.vals)[self.free]  # vals vanish on free nodes: -K_fc g
+        if load is not None:
+            rhs += load[self.free]
         kff = (K.data[self.ff.data], self.ff.indices, self.ff.indptr)
         if self.method == "direct":
             A = sp.csc_matrix(kff, shape=self.ff.shape)
@@ -230,6 +245,28 @@ def _regularized_energy(mesh, op, values, eps):
     return float(np.sum(mesh.grid.quad_weights * a * s ** (0.5 * op.p) / op.p))
 
 
+def _step_system(grid, a_q, f, p, eps):
+    """Matrix and extra load of one outer step at the iterate f.
+
+    With c = a s^((p-2)/2) and s = |grad f|^2 + eps^2, K(c) f is the
+    gradient of the regularized energy.  For p <= 2 the matrix is the
+    Kacanov matrix K(c) and there is no load.  For p > 2 it is the Hessian
+    K(c) + (p-2) R, R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad
+    phi_j), on the same pattern, and the load (p-2) R f makes the solve
+    return the Newton iterate f - H_ff^-1 (K(c) f)_f.
+    """
+    g = grid.grads_at_quads(f)
+    s = np.sum(g**2, axis=-1) + eps**2
+    coeff = a_q * s ** (0.5 * (p - 2.0))
+    H = grid.stiffness(coeff=coeff)
+    if p <= 2.0:
+        return H, None
+    # (p-2) R is the directional stiffness along sqrt((p-2) c/s) grad f
+    pR = grid.directional_stiffness(g * np.sqrt((p - 2.0) * coeff / s)[..., None])
+    H.data += pR.data
+    return H, pR @ f
+
+
 def solve(domain, mesh, op, bc):
     """Minimize the p-Dirichlet energy for the given caps and laterals.
 
@@ -253,19 +290,18 @@ def solve(domain, mesh, op, bc):
     decrease = 0.0
 
     while not converged and iters < MAX_OUTER:
-        g = mesh.grid.grads_at_quads(f)
-        s = np.sum(g**2, axis=-1) + eps**2
-        coeff = a_q * s ** (0.5 * (op.p - 2.0))
-        f_hat = system.solve(mesh.grid.stiffness(coeff=coeff), x0=f)
+        H, load = _step_system(mesh.grid, a_q, f, op.p, eps)
+        f_hat = system.solve(H, x0=f, load=load)
         iters += 1
+        theta = 1.0
         while True:
             f_new = f + theta * (f_hat - f)
             e_new = _regularized_energy(mesh, op, f_new, eps)
             if e_new <= energy or theta <= 2**-30:
                 break
             theta *= 0.5
-        if e_new > energy:
-            break  # no damping lowers the energy: keep f, not converged
+        if not e_new <= energy:
+            break  # no damping lowers the energy, or it is not finite: keep f, not converged
         decrease = (energy - e_new) / max(abs(energy), 1e-300)
         f, energy = f_new, e_new
         if decrease < TOL_ENERGY:

@@ -56,6 +56,22 @@ def cosh_section_mass(tau, beta_star=BS):
     return 0.5 * math.cosh(math.pi * tau) ** 2 / math.cosh(math.pi * beta_star) ** 2
 
 
+def pattern_grids():
+    """One small grid of each kind, named for the assembly tests."""
+    k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 2.0)), axial_kind="layer",
+                             alpha=1.0, beta=2.0, lateral_bc=("dirichlet0",) * 4)
+    radial = geo.build_mesh(
+        geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial", alpha=1.0,
+                            beta=3.0, lateral_bc=("neumann", "neumann")), 1 / 4)
+    return {
+        "1d": geo.interval_section(1.0, 7).grid,
+        "2d": geo.build_mesh(make_strip(("neumann", "neumann"), 1.0), 1 / 4).grid,
+        "3d": geo.build_mesh(k2, 1 / 4).grid,
+        "radial-volume": radial.grid,
+        "periodic-section": radial.cross_section(2.0).grid,
+    }
+
+
 def numeric_cutoff_minimum(mass, tau1, tau2, p):
     """Reference for optimal_cutoff: min over piecewise-linear psi with
     psi(tau1) = 1, psi(tau2) = 0 of sum |psi'|^p int m, by L-BFGS-B."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import pattern_grids
 from svplab import geometry as geo
 
 
@@ -198,19 +199,6 @@ def reference_mass(grid, elems=None):
     w = grid.quad_weights if elems is None else grid.quad_weights[elems]
     return coo_reference(grid, np.einsum("eq,qi,qj->eij", w, grid.basis_vals, grid.basis_vals),
                          elems)
-
-
-def pattern_grids():
-    k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 2.0)), axial_kind="layer",
-                             alpha=1.0, beta=2.0, lateral_bc=("dirichlet0",) * 4)
-    radial = geo.build_mesh(radial_domain(), 1 / 4)
-    return {
-        "1d": geo.interval_section(1.0, 7).grid,
-        "2d": geo.build_mesh(strip_domain(), 1 / 4).grid,
-        "3d": geo.build_mesh(k2, 1 / 4).grid,
-        "radial-volume": radial.grid,
-        "periodic-section": radial.cross_section(2.0).grid,
-    }
 
 
 class TestFixedPatternAssembly:

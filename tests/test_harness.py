@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +299,42 @@ class TestSolverFailurePath:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
 
 
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("iteration diverged"),
+        np.linalg.LinAlgError("Singular matrix"),
+        FloatingPointError("overflow encountered in power"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_numerical_error_exits_three(self, tmp_path, monkeypatch, exc):
+        import svplab.runner as runner_mod
+
+        def raising_solve(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(runner_mod, "solve", raising_solve)
+        text = BASE_CONFIG + SVP_TASK
+        result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        assert result.exit_code == 3
+        report = json.load(open(tmp_path / "run" / "report.json"))
+        assert report["exit_code"] == 3
+        assert report["error"] == f"{type(exc).__name__}: {exc}"
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
+
+    def test_plain_value_error_is_config_error(self, tmp_path, monkeypatch):
+        import svplab.runner as runner_mod
+
+        def raising_solve(*args, **kwargs):
+            raise ValueError("mesh was built on a different domain")
+
+        monkeypatch.setattr(runner_mod, "solve", raising_solve)
+        text = BASE_CONFIG + SVP_TASK
+        with pytest.raises(ConfigError, match="task setup failed"):
+            run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
+
     def test_cg_failure_exits_three(self, tmp_path, monkeypatch):
         import svplab.solver as sv_mod
 
@@ -308,6 +345,29 @@ class TestSolverFailurePath:
         result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
         assert result.exit_code == 3
         assert "conjugate gradient did not converge" in result.report["error"]
+
+
+def readme_config(p, h):
+    """The README example config at another p and h, without refine."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    for old, new in (("p = 2\n", f"p = {p}\n"), ("h = 0.015625\n", f"h = {h}\n"),
+                     ("refine = true\n", "refine = false\n")):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+class TestReadmeAboveTwo:
+    def test_p3_exits_zero(self, tmp_path):
+        text = readme_config(3, 0.0625)
+        result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        assert result.exit_code == 0
+        solver = result.report["solver"]
+        assert solver["converged"] and solver["outer_iterations"] <= 8
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 0
 
 
 class TestCli:

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pattern_grids
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
+from svplab.config import parse_config
+from svplab.runner import run
 
 BS = 3.0  # band half-width of the cosh-mode strip
 
@@ -75,7 +78,7 @@ class TestCoshMode:
 
 
 class TestGeneralP:
-    def test_kacanov_converges_and_decreases(self):
+    def test_newton_converges_and_decreases(self):
         dom = strip(("dirichlet0", "dirichlet0"))
         mesh = geo.build_mesh(dom, 1 / 8)
         g = lambda x: np.sin(np.pi * x[:, 0])
@@ -291,6 +294,47 @@ class TestLinearLayer:
             sv.solve(*layer3d(1 / 4))
 
 
+# the README domain and caps (beta = 7, sin(pi x1)), solve only
+README_SOLVE = """\
+schema 1
+
+[domain]
+n = 2
+k = 1
+base = 0 1
+axial = layer
+alpha = 1
+beta = 7
+lateral = dirichlet0 dirichlet0
+
+[operator]
+p = {p}
+nu1 = 1
+nu2 = 1
+
+[bc]
+g_low = sin(pi*x1)
+g_high = sin(pi*x1)
+
+[mesh]
+h = {h}
+
+[output]
+formats = json
+
+[task solve]
+snapshot = false
+"""
+
+
+def readme_problem(p, h):
+    dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
+                              alpha=1.0, beta=7.0, lateral_bc=("dirichlet0", "dirichlet0"))
+    g = lambda x: np.sin(np.pi * x[:, 0])
+    bc = sv.BoundarySpec(g_low=g, g_high=g, lateral=("dirichlet0", "dirichlet0"))
+    return dom, geo.build_mesh(dom, h), st.constant_operator(p), bc
+
+
 class TestRejectedStep:
     def test_rejected_step_keeps_iterate_and_is_not_convergence(self, monkeypatch):
         dom, mesh, op, bc = general_p_problem(3.0)
@@ -312,3 +356,103 @@ class TestRejectedStep:
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
         assert d.energy == energy(mesh, op, first.values, d.eps_reg) + 1
+
+    def test_nonfinite_energy_is_rejected(self, monkeypatch, tmp_path):
+        dom, mesh, op, bc = general_p_problem(3.0)
+        first = sv.solve(dom, mesh, st.constant_operator(2.0), bc)
+        energy = sv._regularized_energy
+        calls = []
+
+        def nan_after_first(*args):
+            calls.append(args)
+            return energy(*args) if len(calls) == 1 else math.nan
+
+        monkeypatch.setattr(sv, "_regularized_energy", nan_after_first)
+        f = sv.solve(dom, mesh, op, bc)
+        d = f.diagnostics
+        assert not d.converged
+        assert d.outer_iterations == 2
+        assert np.array_equal(f.values, first.values)
+        assert d.energy == energy(mesh, op, first.values, d.eps_reg)
+        calls.clear()
+        result = run(parse_config(README_SOLVE.format(p=3, h=0.125)), out_dir=str(tmp_path), seed=0)
+        assert result.exit_code == 3
+        assert "did not converge" in result.report["error"]
+
+
+class TestNewtonHessian:
+    """The p > 2 step matrix is the Hessian of the regularized energy."""
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        return pattern_grids()
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("name", ["1d", "2d", "3d", "radial-volume", "periodic-section"])
+    def test_hessian_matches_gradient_difference(self, grids, name, p):
+        grid = grids[name]
+        rng = np.random.default_rng(7)
+        f = rng.normal(size=grid.n_nodes)
+        a_q = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
+        eps = 0.1
+
+        def gradient(u):  # K(c(u)) u, the gradient of the regularized energy
+            s = np.sum(grid.grads_at_quads(u) ** 2, axis=-1) + eps**2
+            return grid.stiffness(coeff=a_q * s ** (0.5 * (p - 2.0))) @ u
+
+        H, load = sv._step_system(grid, a_q, f, p, eps)
+        step = 1e-5
+        fd = np.empty((grid.n_nodes,) * 2)
+        for j in range(grid.n_nodes):
+            e = np.zeros(grid.n_nodes)
+            e[j] = step
+            fd[:, j] = (gradient(f + e) - gradient(f - e)) / (2.0 * step)
+        Hd = H.toarray()
+        scale = np.max(np.abs(Hd))
+        assert np.max(np.abs(Hd - fd)) <= 1e-6 * scale
+        assert np.array_equal(Hd, Hd.T)
+        # the load makes the solve a Newton step: load = H f - gradient
+        assert np.max(np.abs(load - (H @ f - gradient(f)))) <= 1e-12 * np.max(np.abs(H @ f))
+
+
+class TestNewtonConvergence:
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_readme_domain_converges_undamped(self, p, h):
+        d = sv.solve(*readme_problem(p, h)).diagnostics
+        assert d.converged
+        assert d.damping_final == 1.0
+        assert d.outer_iterations <= 12
+
+
+def kacanov_reference(dom, mesh, op, bc):
+    """The undamped Kacanov loop: each step solves with K(a s^((p-2)/2))."""
+    mask, vals = sv.dirichlet_data(mesh, bc)
+    eps = sv.EPS_REG_REL * max(float(np.max(np.abs(vals))), 1.0)
+    a_q = op.a(mesh.pk_at_quads())
+    system = sv._FreeSystem(mesh.grid, mask, vals)
+    f = system.solve(mesh.grid.stiffness(coeff=a_q))
+    energy = sv._regularized_energy(mesh, op, f, eps)
+    for _ in range(sv.MAX_OUTER - 1):
+        g = mesh.grid.grads_at_quads(f)
+        s = np.sum(g**2, axis=-1) + eps**2
+        f_hat = system.solve(mesh.grid.stiffness(coeff=a_q * s ** (0.5 * (op.p - 2.0))), x0=f)
+        f_new = f + 1.0 * (f_hat - f)
+        e_new = sv._regularized_energy(mesh, op, f_new, eps)
+        assert e_new <= energy  # K(c) majorizes the Hessian for p < 2
+        decrease = (energy - e_new) / abs(energy)
+        f, energy = f_new, e_new
+        if decrease < sv.TOL_ENERGY:
+            return f
+    raise AssertionError("reference Kacanov loop did not converge")
+
+
+class TestKacanovUnchanged:
+    @pytest.mark.parametrize("direct_limit", [sv.DIRECT_LIMIT, 0])
+    def test_p_below_two_is_plain_kacanov(self, monkeypatch, direct_limit):
+        monkeypatch.setattr(sv, "DIRECT_LIMIT", direct_limit)
+        problem = readme_problem(1.5, 1 / 16)
+        f = sv.solve(*problem)
+        assert f.diagnostics.linear_solver == ("direct" if direct_limit else "cg-jacobi")
+        assert f.diagnostics.converged and f.diagnostics.damping_final == 1.0
+        assert np.array_equal(f.values, kacanov_reference(*problem))
