@@ -25,13 +25,22 @@ assembled on the grid's fixed sparsity pattern (TensorGrid.csr_pattern),
 and its free-node block is read out of the assembled data through a slot
 map fixed once per solve.  The linear method depends only on the grid's
 dimension and the unknown count: a 3-D grid always uses conjugate
-gradients with a Jacobi preconditioner, and a 2-D grid a sparse LU up to
-DIRECT_LIMIT unknowns and CG beyond.
+gradients, and a 2-D grid a sparse LU up to DIRECT_LIMIT unknowns and CG
+beyond.
 The LU (factor_spd, shared with the section frequencies) uses SuperLU's
 symmetric mode with a minimum-degree ordering of A + A^T, since every
-system is SPD, and one step of iterative refinement.  Inside the outer
-loop CG starts from the current iterate.  The method used is reported as
-linear_solver: 'direct', 'cg-jacobi', or 'none' without free nodes.
+system is SPD, and one step of iterative refinement.  CG is
+preconditioned by a symmetric geometric-multigrid V-cycle (Briggs,
+Henson & McCormick, A Multigrid Tutorial, 2000).  Its hierarchy is fixed
+once per solve from the tensor grid: per axis, linear interpolation
+coarsens by 2 where the cell count is even and is the identity
+elsewhere; the axes combine as a Kronecker product, restricted to free
+nodes, until at most MG_COARSEST unknowns are left.  Each outer step
+forms the Galerkin operators P^T A P of its matrix, smooths with damped
+Jacobi and factors the coarsest level.  Inside the outer loop CG starts
+from the current iterate.  The method used is reported as linear_solver:
+'direct', 'cg-mg', or 'none' without free nodes, and the CG iterations
+of each solve as linear_iterations (0 for a direct solve).
 """
 
 from __future__ import annotations
@@ -52,6 +61,9 @@ MAX_OUTER = 200
 DIRECT_LIMIT = 20000      # 2-D grids: sparse LU up to this many unknowns, CG beyond
 CG_RTOL = 1e-12
 CG_MAXITER_PER_UNKNOWN = 40
+MG_JACOBI_WEIGHT = 0.6    # damped-Jacobi smoothing weight of the V-cycle
+MG_SWEEPS = 2             # smoothing sweeps before and after each coarse correction
+MG_COARSEST = 1000        # coarsen until at most this many unknowns, then factor
 
 
 class SolverError(RuntimeError):
@@ -83,6 +95,7 @@ class SolverDiagnostics:
     eps_reg: float
     damping_final: float
     linear_solver: str
+    linear_iterations: tuple  # CG iterations of each linear solve, 0 when direct
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,107 @@ def factor_spd(A, what):
         raise SolverError(f"singular {what}: {exc}") from exc
 
 
+def _interpolation_1d(n):
+    """Linear interpolation onto one axis of n nodes, as two (column,
+    weight) pairs per fine node, and the coarse node count: a factor-2
+    coarsening when the cell count n - 1 is even, the identity otherwise."""
+    i = np.arange(n)
+    if (n - 1) % 2:
+        return np.stack([i, i], axis=1), np.tile([1.0, 0.0], (n, 1)), n
+    odd = i % 2
+    cols = np.stack([i // 2, i // 2 + odd], axis=1)
+    weights = np.where(odd[:, None] == 1, 0.5, [1.0, 0.0])
+    return cols, weights, n // 2 + 1
+
+
+def _coarsen(shape, free):
+    """One coarsening step of the free nodes of a tensor grid of node shape
+    `shape`: the prolongation P from the coarse level to this one.
+
+    P is the Kronecker product, in C order, of the per-axis
+    interpolations, restricted to free fine rows and free coarse columns;
+    a coarse node is free when its injected fine twin is.  Its CSR arrays
+    are built straight from the 2^dim (column, weight) choices of each
+    fine node.  Returns (P, coarse shape, coarse free mask), or None when
+    no axis coarsens.
+    """
+    dim = len(shape)
+    axes = [_interpolation_1d(n) for n in shape]
+    coarse_shape = tuple(m for _, _, m in axes)
+    if coarse_shape == tuple(shape):
+        return None
+    strides = np.cumprod((1,) + coarse_shape[:0:-1])[::-1]
+    cols = np.zeros(tuple(shape) + (2,) * dim, dtype=np.int32)
+    weights = np.ones(cols.shape)
+    for ax, (c, w, _) in enumerate(axes):
+        view = [1] * (2 * dim)
+        view[ax], view[dim + ax] = shape[ax], 2
+        cols += (c * strides[ax]).reshape(view)
+        weights *= w.reshape(view)
+    twins = tuple(slice(None, None, 2) if m < n else slice(None)
+                  for n, m in zip(shape, coarse_shape))
+    coarse_free = free.reshape(shape)[twins].ravel()
+    coarse_ids = np.cumsum(coarse_free, dtype=np.int32) - 1
+    coarse_ids[~coarse_free] = -1
+    cols = coarse_ids[cols.reshape(free.size, -1)[free]]
+    weights = weights.reshape(free.size, -1)[free]
+    keep = (weights != 0.0) & (cols >= 0)
+    indptr = np.zeros(cols.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    P = sp.csr_matrix((weights[keep], cols[keep], indptr),
+                      shape=(cols.shape[0], int(np.count_nonzero(coarse_free))))
+    return P, coarse_shape, coarse_free
+
+
+def _prolongations(grid, free):
+    """Prolongations of the multigrid hierarchy of the grid's free nodes,
+    finest first: coarsen until at most MG_COARSEST unknowns are left or
+    no axis coarsens."""
+    out = []
+    shape = grid.shape
+    while np.count_nonzero(free) > MG_COARSEST:
+        level = _coarsen(shape, free)
+        if level is None:
+            break
+        P, shape, free = level
+        out.append(P)
+    return out
+
+
+class _VCycle:
+    """Symmetric geometric-multigrid V-cycle for one SPD free-node matrix.
+
+    Each level below the finest is the Galerkin operator P^T A P of the
+    level above; every level but the coarsest runs MG_SWEEPS damped-Jacobi
+    sweeps (weight MG_JACOBI_WEIGHT) before and after its coarse
+    correction, so the cycle is a symmetric positive-definite
+    preconditioner, and the coarsest level is solved through factor_spd.
+    """
+
+    def __init__(self, A, prolongations):
+        self.levels = []
+        for P in prolongations:
+            self.levels.append((A, MG_JACOBI_WEIGHT / A.diagonal(), P))
+            # the transpose of (AP)^T P is P^T A P; only P is converted to CSC
+            A = ((A @ P).T @ P).T
+        self.coarse = factor_spd(A.tocsc(), "coarse multigrid system")
+
+    def __call__(self, r):
+        return self._cycle(0, np.asarray(r).ravel())
+
+    def _cycle(self, level, r):
+        if level == len(self.levels):
+            return self.coarse.solve(r)
+        A, wdinv, P = self.levels[level]
+        x = wdinv * r
+        for _ in range(MG_SWEEPS - 1):
+            x += wdinv * (r - A @ x)
+        x += P @ self._cycle(level + 1, P.T @ (r - A @ x))
+        for _ in range(MG_SWEEPS):
+            x += wdinv * (r - A @ x)
+        return x
+
+
 class _FreeSystem:
     """Free-node system K_ff x = -K_fc g + b_f of one Dirichlet split of a
     grid, with an optional nodal load b.
@@ -188,8 +302,11 @@ class _FreeSystem:
     through a slot map fixed here, so an outer step makes no submatrix
     copies; K_ff is symmetric, so its CSR arrays are also its CSC arrays.
     The method depends only on the grid and the unknown count: a 3-D grid
-    uses Jacobi-preconditioned CG, a 2-D grid a sparse LU up to
-    DIRECT_LIMIT unknowns and CG beyond.
+    uses CG preconditioned by a multigrid V-cycle, a 2-D grid a sparse LU
+    up to DIRECT_LIMIT unknowns and the same CG beyond.  The multigrid
+    prolongations depend only on the grid and the split, so they are
+    built once, at the first CG solve.  Each solve appends its CG iteration count (0 for a
+    direct solve) to linear_iterations.
     """
 
     def __init__(self, grid, mask, vals):
@@ -199,13 +316,25 @@ class _FreeSystem:
         self.free = ~mask
         self.ff = slot_ids[self.free][:, self.free]
         self.vals = vals
+        self.linear_iterations = []
         n_free = self.ff.shape[0]
         if n_free == 0:
             self.method = "none"
         elif grid.dim >= 3 or n_free > DIRECT_LIMIT:
-            self.method = "cg-jacobi"
+            self.method = "cg-mg"
+            self.grid = grid
         else:
             self.method = "direct"
+
+    @cached_property
+    def prolongations(self):
+        # built at the first CG solve, after the first assembly
+        return _prolongations(self.grid, self.free)
+
+    def block(self, K):
+        """The free-node block K_ff, as CSR, of a matrix K on grid.csr_pattern."""
+        return sp.csr_matrix((K.data[self.ff.data], self.ff.indices, self.ff.indptr),
+                             shape=self.ff.shape)
 
     def solve(self, K, x0=None, load=None):
         """Nodal solution for the matrix K and an optional nodal load added to
@@ -216,22 +345,29 @@ class _FreeSystem:
         rhs = -(K @ self.vals)[self.free]  # vals vanish on free nodes: -K_fc g
         if load is not None:
             rhs += load[self.free]
-        kff = (K.data[self.ff.data], self.ff.indices, self.ff.indptr)
+        A = self.block(K)
         if self.method == "direct":
-            A = sp.csc_matrix(kff, shape=self.ff.shape)
+            A = A.T  # the same arrays read as CSC, which is A again
             lu = factor_spd(A, "inner system")
             xf = lu.solve(rhs)
             # one refinement step leaves the roundoff of the residual, not
             # that of the factor's ordering
             out[self.free] = xf + lu.solve(rhs - A @ xf)
+            self.linear_iterations.append(0)
             return out
-        A = sp.csr_matrix(kff, shape=self.ff.shape)
-        diag = A.diagonal()
-        if np.any(diag <= 0):
+        if np.any(A.diagonal() <= 0):
             raise SolverError("singular inner system: nonpositive diagonal")
+        M = spla.LinearOperator(A.shape, matvec=_VCycle(A, self.prolongations), dtype=float)
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
         xf, info = spla.cg(A, rhs, x0=None if x0 is None else x0[self.free],
                            rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_PER_UNKNOWN * rhs.size,
-                           M=sp.diags(1.0 / diag))
+                           M=M, callback=count)
+        self.linear_iterations.append(iterations)
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
         out[self.free] = xf
@@ -315,6 +451,7 @@ def solve(domain, mesh, op, bc):
         eps_reg=eps,
         damping_final=theta,
         linear_solver=system.method,
+        linear_iterations=tuple(system.linear_iterations),
     )
     return ScalarField(mesh=mesh, values=f, op=op, bc=bc, diagnostics=diag)
 

@@ -2,9 +2,10 @@
 
 A zone is the largest symmetric band (-tau, tau) of axial grid stations
 on which the field deviates from its best constant by less than s in the
-chosen norm.  Measurement is direct; predictions invert the energy-decay
-bound (and, for the L^p/sup kinds, route it through user-supplied
-embedding constants, which are never computed here).
+chosen norm, by more than a roundoff guard (TIE_RTOL).  Measurement is
+direct; predictions invert the energy-decay bound (and, for the L^p/sup
+kinds, route it through user-supplied embedding constants, which are
+never computed here).
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import numpy as np
 from .energetics import energy
 from .frequency import optimal_constant
 from .geometry import LAYER
+
+# a deviation within this relative distance of s is a tie with s, and a
+# tie is not below s: roundoff in the field or the integrals must not
+# decide the zone edge
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,20 +60,27 @@ def _positive_stations(mesh):
     return pos
 
 
-def _largest_true(stations, predicate):
-    """Bisection for the largest station satisfying a monotone predicate.
+def _largest_below(stations, deviation, s):
+    """Bisection for the largest station whose deviation is below s.
 
-    Returns (tau, full_band): tau = 0.0 when the predicate already fails
-    at the smallest station, full_band when it holds at the largest.
+    The deviation must be nondecreasing in the station.  It counts as
+    below s only when it is below s by more than TIE_RTOL relative, so
+    an exact tie (deviation == s in exact arithmetic) fails whatever the
+    sign of its roundoff.  Returns (tau, full_band): tau = 0.0 when the
+    test already fails at the smallest station, full_band when it holds
+    at the largest.
     """
+    def below(t):
+        return deviation(t) < s * (1.0 - TIE_RTOL)
+
     lo, hi = 0, stations.size - 1
-    if predicate(stations[hi]):
+    if below(stations[hi]):
         return float(stations[hi]), True
-    if not predicate(stations[lo]):
+    if not below(stations[lo]):
         return 0.0, False
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if predicate(stations[mid]):
+        if below(stations[mid]):
             lo = mid
         else:
             hi = mid
@@ -99,7 +112,7 @@ def w1p_zone(field_, s, rate_profile=None, tau_outer=None):
         energies[t] = energy(field_, -t, t)
         return energies[t]
 
-    tau, full = _largest_true(stations, lambda t: band_energy(t) < s)
+    tau, full = _largest_below(stations, band_energy, s)
     report = ZoneReport(
         kind="w1p", s=s, tau_meas=tau, full_band=full, constant=0.0,
         verdict="full-band" if full else "measured",
@@ -134,7 +147,7 @@ def lp_zone(field_, s, C5=None, rate_profile=None, tau_outer=None):
         devs[t] = float(np.sum(w * np.abs(vals - c) ** p))
         return devs[t]
 
-    tau, full = _largest_true(stations, lambda t: deviation(t) < s)
+    tau, full = _largest_below(stations, deviation, s)
     c_used = consts[tau] if tau > 0 else 0.0
     report = ZoneReport(
         kind="lp", s=s, tau_meas=tau, full_band=full, constant=c_used,
@@ -175,7 +188,7 @@ def sup_zone(field_, s, C6=None, rate_profile=None, tau_outer=None):
         devs[t] = float(np.max(np.abs(vals - c)))
         return devs[t]
 
-    tau, full = _largest_true(stations, lambda t: deviation(t) < s)
+    tau, full = _largest_below(stations, deviation, s)
     c_used = consts[tau] if tau > 0 else 0.0
     report = ZoneReport(
         kind="sup", s=s, tau_meas=tau, full_band=full, constant=c_used,

@@ -72,6 +72,20 @@ def pattern_grids():
     }
 
 
+@pytest.fixture
+def vcycle_levels(monkeypatch):
+    """Coarse-level count of every multigrid V-cycle built during the test."""
+    levels = []
+
+    class Recording(sv._VCycle):
+        def __init__(self, A, prolongations):
+            super().__init__(A, prolongations)
+            levels.append(len(self.levels))
+
+    monkeypatch.setattr(sv, "_VCycle", Recording)
+    return levels
+
+
 def numeric_cutoff_minimum(mass, tau1, tau2, p):
     """Reference for optimal_cutoff: min over piecewise-linear psi with
     psi(tau1) = 1, psi(tau2) = 0 of sum |psi'|^p int m, by L-BFGS-B."""

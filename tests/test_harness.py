@@ -335,16 +335,20 @@ class TestSolverFailurePath:
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
 
-    def test_cg_failure_exits_three(self, tmp_path, monkeypatch):
+    def test_cg_failure_exits_three(self, tmp_path, monkeypatch, vcycle_levels):
         import svplab.solver as sv_mod
 
         cg = sv_mod.spla.cg
         monkeypatch.setattr(sv_mod.spla, "cg",
                             lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 2}))
-        text = LAYER3D_CONFIG + "\n[task solve]\nsnapshot = false\n"
+        # at h = 1/16 the V-cycle has a coarse level, so it is not an exact
+        # solve and CG needs more than two iterations
+        text = LAYER3D_CONFIG.replace("h = 0.25\n", "h = 0.0625\n")
+        text += "\n[task solve]\nsnapshot = false\n"
         result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
         assert result.exit_code == 3
         assert "conjugate gradient did not converge" in result.report["error"]
+        assert vcycle_levels and min(vcycle_levels) >= 1
 
 
 def readme_config(p, h):

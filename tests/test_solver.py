@@ -247,7 +247,7 @@ class TestCoshMode3D:
         errs = []
         for h in hs:
             f = sv.solve(*layer3d(h))
-            assert f.diagnostics.linear_solver == "cg-jacobi"
+            assert f.diagnostics.linear_solver == "cg-mg"
             errs.append(abs(f.diagnostics.energy - exact))
         orders = [math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1]) for i in range(2)]
         assert all(1.8 <= r <= 2.2 for r in orders), orders
@@ -255,7 +255,7 @@ class TestCoshMode3D:
 
 class TestLinearLayer:
     def test_dispatch_by_dimension(self):
-        assert sv.solve(*layer3d(1 / 4)).diagnostics.linear_solver == "cg-jacobi"
+        assert sv.solve(*layer3d(1 / 4)).diagnostics.linear_solver == "cg-mg"
         assert sv.solve(*cosh_problem(1 / 8)).diagnostics.linear_solver == "direct"
 
     def test_direct_and_cg_agree(self, monkeypatch):
@@ -264,7 +264,10 @@ class TestLinearLayer:
         monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
         cg = sv.solve(*problem)
         assert (direct.diagnostics.linear_solver, cg.diagnostics.linear_solver) == \
-            ("direct", "cg-jacobi")
+            ("direct", "cg-mg")
+        assert direct.diagnostics.linear_iterations == (0,)
+        assert len(cg.diagnostics.linear_iterations) == 1
+        assert 0 < cg.diagnostics.linear_iterations[0] <= 12
         assert np.max(np.abs(cg.values - direct.values)) <= 1e-10
 
     def test_warm_and_cold_cg_agree(self, monkeypatch):
@@ -286,12 +289,15 @@ class TestLinearLayer:
         assert warm.diagnostics.outer_iterations == cold.diagnostics.outer_iterations
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
 
-    def test_cg_out_of_iterations_raises(self, monkeypatch):
+    def test_cg_out_of_iterations_raises(self, monkeypatch, vcycle_levels):
         cg = sv.spla.cg
         monkeypatch.setattr(sv.spla, "cg",
                             lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 2}))
+        # at h = 1/16 the V-cycle has a coarse level, so it is not an exact
+        # solve and CG needs more than two iterations
         with pytest.raises(sv.SolverError, match="conjugate gradient did not converge"):
-            sv.solve(*layer3d(1 / 4))
+            sv.solve(*layer3d(1 / 16))
+        assert vcycle_levels and min(vcycle_levels) >= 1
 
 
 # the README domain and caps (beta = 7, sin(pi x1)), solve only
@@ -453,6 +459,77 @@ class TestKacanovUnchanged:
         monkeypatch.setattr(sv, "DIRECT_LIMIT", direct_limit)
         problem = readme_problem(1.5, 1 / 16)
         f = sv.solve(*problem)
-        assert f.diagnostics.linear_solver == ("direct" if direct_limit else "cg-jacobi")
+        assert f.diagnostics.linear_solver == ("direct" if direct_limit else "cg-mg")
         assert f.diagnostics.converged and f.diagnostics.damping_final == 1.0
         assert np.array_equal(f.values, kacanov_reference(*problem))
+
+
+class TestMultigrid:
+    def test_prolongation_is_restricted_kronecker(self):
+        # axes of 5, 4 (odd cell count: identity) and 9 nodes, with a
+        # Dirichlet face on axis 0 and one scattered Dirichlet node
+        grid = geo.TensorGrid([np.linspace(0, 1, 5), np.linspace(0, 1, 4), np.linspace(0, 2, 9)])
+        mask = np.zeros(grid.n_nodes, dtype=bool)
+        mask[grid.boundary_node_ids(0, "low")] = True
+        mask[np.ravel_multi_index((2, 1, 4), grid.shape)] = True
+        P, coarse_shape, coarse_free = sv._coarsen(grid.shape, ~mask)
+        assert coarse_shape == (3, 4, 5)
+
+        def interp(n):
+            if (n - 1) % 2:
+                return np.eye(n)
+            out = np.zeros((n, n // 2 + 1))
+            for i in range(n):
+                out[i, i // 2] += 0.5 if i % 2 else 1.0
+                if i % 2:
+                    out[i, i // 2 + 1] += 0.5
+            return out
+
+        full = np.kron(np.kron(interp(5), interp(4)), interp(9))
+        twins = (~mask).reshape(grid.shape)[::2, :, ::2].ravel()
+        assert np.array_equal(coarse_free, twins)
+        assert np.array_equal(P.toarray(), full[~mask][:, twins])
+        assert P.has_sorted_indices
+
+    @pytest.mark.parametrize("problem", [lambda: readme_problem(2.0, 1 / 32),
+                                         lambda: layer3d(1 / 24)], ids=["2d", "3d"])
+    def test_vcycle_symmetric_positive_definite(self, problem):
+        dom, mesh, op, bc = problem()
+        system = sv._FreeSystem(mesh.grid, *sv.dirichlet_data(mesh, bc))
+        prolongations = sv._prolongations(mesh.grid, system.free)
+        assert len(prolongations) >= 2
+        rng = np.random.default_rng(7)
+        # a rough positive coefficient, spanning four decades
+        coeff = 10.0 ** rng.uniform(-2.0, 2.0, mesh.grid.quad_weights.shape)
+        A = system.block(mesh.grid.stiffness(coeff=coeff))
+        M = sv._VCycle(A, prolongations)
+        n = A.shape[0]
+        axial = mesh.grid.nodes[system.free, -1]
+        probes = [rng.standard_normal(n) for _ in range(4)]
+        probes += [np.ones(n), np.cos(3.0 * axial), (-1.0) ** np.arange(n)]
+        for x in probes:
+            assert x @ M(x) > 0
+            for y in probes:
+                My = M(y)
+                assert abs(x @ My - y @ M(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(My)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_iterations_flat_under_refinement_2d(self, monkeypatch, p):
+        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+        worst = []
+        for h in (1 / 16, 1 / 32, 1 / 64):
+            d = sv.solve(*readme_problem(p, h)).diagnostics
+            assert d.converged and d.linear_solver == "cg-mg"
+            assert len(d.linear_iterations) == d.outer_iterations
+            assert min(d.linear_iterations) > 0
+            worst.append(max(d.linear_iterations))
+        assert max(worst) <= 12 and worst[-1] <= worst[0] + 2, worst
+
+    def test_iterations_flat_under_refinement_3d(self):
+        worst = []
+        for h in (1 / 8, 1 / 16, 1 / 24):
+            d = sv.solve(*layer3d(h)).diagnostics
+            assert d.linear_solver == "cg-mg" and len(d.linear_iterations) == 1
+            worst.append(d.linear_iterations[0])
+        # h = 1/8 is small enough to factor whole: one iteration
+        assert max(worst) <= 12 and worst[-1] <= worst[1] + 2, worst

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import solve_linear
 from svplab import energetics as en
+from svplab import solver as sv
 from svplab import zones as zn
 
 PI = math.pi
@@ -43,11 +45,40 @@ class TestMeasuredZones:
         assert rep.tau_meas == pytest.approx(0.25 - 1 / 16, rel=1e-12)
 
     def test_predicate_boundary(self, linear_16):
+        # below s means below it by more than the tie guard
         rep = zn.w1p_zone(linear_16, 0.5)
         h = 1 / 16
-        assert en.energy(linear_16, -rep.tau_meas, rep.tau_meas) < 0.5
+        below = 0.5 * (1.0 - zn.TIE_RTOL)
+        assert en.energy(linear_16, -rep.tau_meas, rep.tau_meas) < below
         nxt = rep.tau_meas + h
-        assert en.energy(linear_16, -nxt, nxt) >= 0.5
+        assert en.energy(linear_16, -nxt, nxt) >= below
+
+    @pytest.mark.parametrize("nudge", ["up", "down", "toward_zero", "away_from_zero"])
+    @pytest.mark.parametrize("base", ["solved", "exact"])
+    def test_one_ulp_leaves_tied_stations(self, linear_16, base, nudge):
+        # each s below ties with the deviation at a station (0.25 or 1.0) in
+        # exact arithmetic, and a tie is not below s, whatever its roundoff;
+        # the solve reproduces the linear field to a few ulps, and its exact
+        # nodal values sit on the ties themselves
+        v = linear_16.values if base == "solved" else linear_16.mesh.grid.nodes[:, -1]
+        target = {"up": np.inf, "down": -np.inf, "toward_zero": 0.0,
+                  "away_from_zero": np.copysign(np.inf, v)}[nudge]
+        nudged = linear_16.with_values(np.nextafter(v, target))
+        h = 1 / 16
+        for fn, s, tau in ((zn.w1p_zone, 0.5, 0.25 - h), (zn.lp_zone, 2.0 / 3.0, 1.0 - h),
+                           (zn.sup_zone, 0.25, 0.25 - h)):
+            assert fn(nudged, s).tau_meas == fn(linear_16, s).tau_meas
+            assert fn(nudged, s).tau_meas == pytest.approx(tau, rel=1e-12)
+
+    def test_tied_stations_under_cg(self, monkeypatch):
+        # the CG solve lands on the other side of the ties than the LU
+        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+        lin = solve_linear(1 / 16)
+        assert lin.diagnostics.linear_solver == "cg-mg"
+        h = 1 / 16
+        assert zn.w1p_zone(lin, 0.5).tau_meas == pytest.approx(0.25 - h, rel=1e-12)
+        assert zn.lp_zone(lin, 2.0 / 3.0).tau_meas == pytest.approx(1.0 - h, rel=1e-12)
+        assert zn.sup_zone(lin, 0.25).tau_meas == pytest.approx(0.25 - h, rel=1e-12)
 
     def test_monotone_in_s(self, cosh_dirichlet_16):
         sweep = np.logspace(-7, -2, 10)
