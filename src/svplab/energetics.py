@@ -23,6 +23,7 @@ import numpy as np
 from .frequency import optimal_constant
 from .geometry import DIRICHLET0, LAYER, NEUMANN
 from .solver import flux_integral, section_quad_trace
+from .structure import squared_norm
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,7 @@ def section_energy(field_, tau):
     vals = []
     for side in sides:
         _, w, _, gr = field_.trace(j, side)
-        s = np.sum(gr**2, axis=-1)
-        vals.append(float(np.sum(w * s ** (0.5 * field_.op.p))))
+        vals.append(float(np.sum(w * squared_norm(gr) ** (0.5 * field_.op.p))))
     return float(np.mean(vals))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import LAYER, TensorGrid
 from .solver import factor_spd
-from .structure import guarded_power
+from .structure import guarded_power, squared_norm
 
 FIRST = "first"
 SECOND = "second"
@@ -131,8 +131,7 @@ class _Quotient:
         self.w = grid.quad_weights
 
     def numerator(self, u):
-        g = self.grid.grads_at_quads(u)
-        s = np.sum(g**2, axis=-1)
+        s = squared_norm(self.grid.grads_at_quads(u))
         return float(np.sum(self.w * s ** (0.5 * self.p)))
 
     def center(self, u):
@@ -160,7 +159,7 @@ class _Quotient:
         """
         p = self.p
         g = self.grid.grads_at_quads(u)
-        fac = guarded_power(np.sum(g**2, axis=-1), 0.5 * (p - 2.0))
+        fac = guarded_power(squared_norm(g), 0.5 * (p - 2.0))
         gn = p * self.grid.assemble_gradient_form(fac[..., None] * g)
         vq = self.grid.vals_at_quads(u) - c
         gd = p * self.grid.assemble_scalar_form(guarded_power(np.abs(vq), p - 2.0) * vq)

@@ -32,6 +32,28 @@ def _read_only(a):
     return a
 
 
+def _axis_pattern(n, periodic):
+    """The 1-D pattern of an axis of n nodes, padded to three entries a row.
+
+    Returns nbr (n, 3), each node's neighbour node ids in ascending order;
+    ok (n, 3), which of them are entries (not padding, nor a repeat from
+    the wrap of a periodic axis of 2 nodes); count (n,), each node's entry
+    count; ends (cells, 2), the nodes of each cell; and rank (cells, 2, 2),
+    the rank of end b among the entries of end a.
+    """
+    nbr = np.arange(n, dtype=np.int32)[:, None] + np.array([-1, 0, 1], dtype=np.int32)
+    if periodic:
+        nbr = np.sort(nbr % np.int32(n), axis=1)
+        ok = np.ones(nbr.shape, dtype=bool)
+        np.not_equal(nbr[:, 1:], nbr[:, :-1], out=ok[:, 1:])
+    else:
+        ok = (nbr >= 0) & (nbr < n)
+    ends = (np.arange(n if periodic else n - 1)[:, None] + np.arange(2)) % n
+    below = (nbr[ends][:, :, None, :] < ends[:, None, :, None]) & ok[ends][:, :, None, :]
+    return (nbr, ok, np.count_nonzero(ok, axis=1).astype(np.int32), ends,
+            np.count_nonzero(below, axis=-1).astype(np.int32))
+
+
 class TensorGrid:
     """Uniform tensor-product grid of multilinear elements.
 
@@ -151,23 +173,59 @@ class TensorGrid:
         columns, and the int32 map slots (n_elems, m*m) from each local
         entry (i, j), flattened row-major, to its position in the CSR data.
         The arrays are read-only because every assembled matrix shares them.
+
+        Two nodes share an element exactly when they do on every axis, so
+        the pattern is the tensor product of the 1-D patterns, and it is
+        built without sorting the element entries.  A row's columns are the
+        C-order product of its sorted 1-D neighbour lists, so indices is the
+        product of the padded 1-D lists with the padding dropped.  An
+        entry's slot is indptr[row] plus its rank inside the row: a
+        mixed-radix number whose digits are the 1-D ranks and whose radices
+        are the row's 1-D entry counts.
         """
-        n, m = self.n_nodes, self.n_local
-        conn = self.elem_nodes
-        keys = (conn[:, :, None] * n + conn[:, None, :]).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        slots = np.empty(order.size, dtype=np.int32)
-        slots[order] = np.cumsum(first, dtype=np.int32) - 1
-        del order
-        rows, cols = np.divmod(keys[first], n)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return tuple(_read_only(a) for a in (
-            indptr, cols.astype(np.int32), slots.reshape(self.n_elems, m * m)))
+        m, k = self.n_local, 3**self.dim
+        # C-order digits of the padded neighbours of a row, and of the row
+        # and column corners of an element's local entries
+        pad = np.asarray(list(product(range(3), repeat=self.dim)))
+        row_corner = np.repeat(np.asarray(self._corners), m, axis=0)
+        col_corner = np.tile(np.asarray(self._corners), (m, 1))
+        axes = [_axis_pattern(n, per) for n, per in zip(self.shape, self.periodic)]
+
+        def per_digit(table, *digits):
+            # table[:, digits] in C order, so that the arrays built from it,
+            # slots among them, are C-contiguous: assembly ravels slots
+            return np.ascontiguousarray(table[(slice(None),) + digits])
+
+        # the padded pattern, shaped (nodes..., k)
+        counts = np.ones((), dtype=np.int32)
+        cols = np.zeros(k, dtype=np.int32)
+        valid = np.ones(k, dtype=bool)
+        for ax, (n, (nbr, ok, count, _, _)) in enumerate(zip(self.shape, axes)):
+            counts = np.multiply.outer(counts, count)
+            cols = cols[..., None, :] * np.int32(n) + per_digit(nbr, pad[:, ax])
+            valid = valid[..., None, :] & per_digit(ok, pad[:, ax])
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(counts.ravel(), out=indptr[1:])
+        indices = cols[valid]
+        del cols, valid
+        # slots, shaped (cells..., m * m), by Horner's rule over the axes:
+        # start = indptr[row] counts the entries of the rows before; prefix
+        # is the product of the row's 1-D counts on the axes so far
+        start = np.zeros(m * m, dtype=np.int32)
+        rank = np.zeros(m * m, dtype=np.int32)
+        prefix = np.ones(m * m, dtype=np.int32)
+        for ax, (_, _, count, ends, rank_1d) in enumerate(axes):
+            row = per_digit(ends, row_corner[:, ax])
+            before = np.cumsum(count, dtype=np.int32) - count
+            start = (start[..., None, :] * np.int32(count.sum())
+                     + prefix[..., None, :] * before[row])
+            rank = (rank[..., None, :] * count[row]
+                    + per_digit(rank_1d, row_corner[:, ax], col_corner[:, ax]))
+            if ax < self.dim - 1:
+                prefix = prefix[..., None, :] * count[row]
+        start += rank
+        slots = start.reshape(self.n_elems, m * m)
+        return tuple(_read_only(a) for a in (indptr, indices, slots))
 
     def stiffness(self, coeff=None, elems=None):
         """Assemble the weighted stiffness matrix sum_q w c grad(phi_i).grad(phi_j)."""
@@ -380,7 +438,15 @@ class Mesh:
         return {}
 
     def pk_at_quads(self):
-        return self.domain.pk_of_axial(self.grid.quad_points[..., -1])
+        """p_k at every quadrature point, shape (n_elems, n_quad).
+
+        Only the axial coordinate is formed, with the arithmetic of
+        grid.quad_points[..., -1], so the (E, Q, dim) points are not built.
+        """
+        grid = self.grid
+        half = grid.spacing[-1] / 2.0
+        centers = grid.axes[-1][self.elem_axial_cell] + half
+        return self.domain.pk_of_axial(centers[:, None] + grid._quad_local[:, -1] * half)
 
     def station_index(self, tau, snap_tol=None):
         """Nearest axial grid line index and the snap distance."""

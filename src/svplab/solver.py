@@ -53,7 +53,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import DIRICHLET0, Mesh, _read_only
-from .structure import guarded_power
+from .structure import guarded_power, squared_norm
 
 EPS_REG_REL = 1e-8        # gradient regularization, relative to max(cap-data scale, 1)
 TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below this
@@ -133,7 +133,7 @@ class ScalarField:
     @cached_property
     def energy_density(self):
         """Quadrature weight times |grad f|^p, shape (n_elems, n_quad)."""
-        s = np.sum(self.quad_grads**2, axis=-1)
+        s = squared_norm(self.quad_grads)
         return _read_only(self.mesh.grid.quad_weights * s ** (0.5 * self.op.p))
 
     @cached_property
@@ -311,7 +311,7 @@ class _FreeSystem:
 
     def __init__(self, grid, mask, vals):
         indptr, indices, _ = grid.csr_pattern
-        slot_ids = sp.csr_matrix((np.arange(indices.size), indices, indptr),
+        slot_ids = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr),
                                  shape=(grid.n_nodes,) * 2)
         self.free = ~mask
         self.ff = slot_ids[self.free][:, self.free]
@@ -374,11 +374,13 @@ class _FreeSystem:
         return out
 
 
-def _regularized_energy(mesh, op, values, eps):
-    g = mesh.grid.grads_at_quads(values)
-    s = np.sum(g**2, axis=-1) + eps**2
-    a = op.a(mesh.pk_at_quads())
-    return float(np.sum(mesh.grid.quad_weights * a * s ** (0.5 * op.p) / op.p))
+def _regularized_energy(mesh, op, values, eps, a_q=None):
+    """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p; a_q is a at the quadrature
+    points, evaluated here when not given."""
+    if a_q is None:
+        a_q = op.a(mesh.pk_at_quads())
+    s = squared_norm(mesh.grid.grads_at_quads(values)) + eps**2
+    return float(np.sum(mesh.grid.quad_weights * a_q * s ** (0.5 * op.p) / op.p))
 
 
 def _step_system(grid, a_q, f, p, eps):
@@ -392,7 +394,7 @@ def _step_system(grid, a_q, f, p, eps):
     return the Newton iterate f - H_ff^-1 (K(c) f)_f.
     """
     g = grid.grads_at_quads(f)
-    s = np.sum(g**2, axis=-1) + eps**2
+    s = squared_norm(g) + eps**2
     coeff = a_q * s ** (0.5 * (p - 2.0))
     H = grid.stiffness(coeff=coeff)
     if p <= 2.0:
@@ -419,7 +421,7 @@ def solve(domain, mesh, op, bc):
     a_q = op.a(mesh.pk_at_quads())
     system = _FreeSystem(mesh.grid, mask, vals)
     f = system.solve(mesh.grid.stiffness(coeff=a_q))
-    energy = _regularized_energy(mesh, op, f, eps)
+    energy = _regularized_energy(mesh, op, f, eps, a_q)
     theta = 1.0
     converged = op.p == 2.0
     iters = 1
@@ -432,7 +434,7 @@ def solve(domain, mesh, op, bc):
         theta = 1.0
         while True:
             f_new = f + theta * (f_hat - f)
-            e_new = _regularized_energy(mesh, op, f_new, eps)
+            e_new = _regularized_energy(mesh, op, f_new, eps, a_q)
             if e_new <= energy or theta <= 2**-30:
                 break
             theta *= 0.5
@@ -482,7 +484,7 @@ def weak_residual(field, t, tau):
     g = field.quad_grads[elems]
     fq = field.quad_values[elems]
     a = field.op.a(mesh.pk_at_quads())[elems]
-    s = np.sum(g**2, axis=-1)
+    s = squared_norm(g)
     fac = guarded_power(s, 0.5 * (field.op.p - 2.0))
     flux = (a * fac)[..., None] * g          # A(x, grad f) at slab quadrature points
     flux_norm = a * fac * np.sqrt(s)
@@ -566,7 +568,7 @@ def flux_integral(field, tau, weight="one", side="auto", C=0.0):
     j, side = _station(field, tau, side)
     pts, w, fvals, fgrads = field.trace(j, side)
     a = field.op.a(mesh.domain.pk_of_axial(pts[..., -1]))
-    fac = guarded_power(np.sum(fgrads**2, axis=-1), 0.5 * (field.op.p - 2.0))
+    fac = guarded_power(squared_norm(fgrads), 0.5 * (field.op.p - 2.0))
     axial_flux = a * fac * fgrads[..., -1]
     if weight == "one":
         wf = np.ones_like(fvals)

@@ -82,6 +82,18 @@ def guarded_power(x, e):
     return out
 
 
+def squared_norm(x):
+    """|x|^2 over the last axis, adding the squares in axis order.
+
+    For the 1 to 3 axes of a mesh this equals np.sum(x**2, axis=-1) to
+    the bit, and it is several times faster on a short last axis.
+    """
+    out = x[..., 0] ** 2
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] ** 2
+    return out
+
+
 def _gradient_factor(p, xi):
     """|xi|^(p-2) with the continuous extension 0 at xi = 0 for p > 1."""
     s = np.sum(np.asarray(xi, dtype=float) ** 2, axis=-1)

@@ -56,6 +56,25 @@ def cosh_section_mass(tau, beta_star=BS):
     return 0.5 * math.cosh(math.pi * tau) ** 2 / math.cosh(math.pi * beta_star) ** 2
 
 
+def reference_csr_pattern(grid):
+    """(indptr, indices, slots) of grid.csr_pattern, built by one stable
+    argsort of the element entries' (row, col) keys."""
+    n, m = grid.n_nodes, grid.n_local
+    conn = grid.elem_nodes
+    keys = (conn[:, :, None] * n + conn[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slots = np.empty(order.size, dtype=np.int32)
+    slots[order] = np.cumsum(first, dtype=np.int32) - 1
+    rows, cols = np.divmod(keys[first], n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols.astype(np.int32), slots.reshape(grid.n_elems, m * m)
+
+
 def pattern_grids():
     """One small grid of each kind, named for the assembly tests."""
     k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 2.0)), axial_kind="layer",
@@ -69,6 +88,10 @@ def pattern_grids():
         "3d": geo.build_mesh(k2, 1 / 4).grid,
         "radial-volume": radial.grid,
         "periodic-section": radial.cross_section(2.0).grid,
+        # an odd cell count, and periodic axes whose wrap repeats entries
+        "short-periodic": geo.TensorGrid(
+            [np.linspace(0.0, 1.0, 4), np.arange(2.0), np.arange(3.0)],
+            periodic=(False, True, True)),
     }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import pattern_grids
+from conftest import pattern_grids, reference_csr_pattern
 from svplab import geometry as geo
 
 
@@ -82,6 +82,15 @@ class TestBuildMesh:
         j, snap = mesh.station_index(0.25)
         assert snap == 0.0
         assert mesh.stations[j] == 0.25
+
+    @pytest.mark.parametrize("domain", [strip_domain(beta=3.7), radial_domain(beta=3.3)],
+                             ids=["layer", "radial"])
+    def test_pk_at_quads_is_the_axial_quad_coordinate(self, domain):
+        mesh = geo.build_mesh(domain, 0.15)
+        pk = mesh.pk_at_quads()
+        ref = domain.pk_of_axial(mesh.grid.quad_points[..., -1])
+        assert pk.shape == ref.shape and pk.dtype == ref.dtype
+        assert pk.tobytes() == ref.tobytes()
 
 
 class TestCrossSection:
@@ -211,7 +220,7 @@ class TestFixedPatternAssembly:
         assert K.shape == ref.shape
         assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
 
-    @pytest.mark.parametrize("name", ["1d", "2d", "3d", "radial-volume", "periodic-section"])
+    @pytest.mark.parametrize("name", list(pattern_grids()))
     def test_stiffness_and_mass_match_coo(self, grids, name):
         grid = grids[name]
         rng = np.random.default_rng(3)
@@ -224,11 +233,14 @@ class TestFixedPatternAssembly:
         self.assert_matches(grid.mass(), reference_mass(grid))
         self.assert_matches(grid.mass(elems=elems), reference_mass(grid, elems))
 
-    @pytest.mark.parametrize("name", ["2d", "periodic-section"])
+    @pytest.mark.parametrize("name", list(pattern_grids()))
     def test_pattern_is_canonical_and_shared(self, grids, name):
         grid = grids[name]
         indptr, indices, slots = grid.csr_pattern
         assert slots.dtype == np.int32 and slots.shape == (grid.n_elems, grid.n_local**2)
+        assert slots.flags.c_contiguous  # assembly ravels it on every call
+        for a, ref in zip((indptr, indices, slots), reference_csr_pattern(grid)):
+            assert a.dtype == np.int32 and np.array_equal(a, ref)
         K = grid.stiffness()
         assert K.has_canonical_format
         for a, b in ((K.indices, indices), (K.indptr, indptr), (grid.mass().indices, indices)):

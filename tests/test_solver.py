@@ -341,6 +341,36 @@ def readme_problem(p, h):
     return dom, geo.build_mesh(dom, h), st.constant_operator(p), bc
 
 
+class TestOuterLoopGeometry:
+    """The outer loop evaluates a(x) once and never forms quadrature points."""
+
+    @staticmethod
+    def oscillating_problem(p):
+        dom, mesh, _, bc = readme_problem(p, 1 / 8)
+        coeff = st.Coefficient("oscillation", (2.0,), 1.0, 2.0)
+        return dom, mesh, st.StructureOperator(p=p, nu1=1.0, nu2=2.0, coefficient=coeff), bc
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_layer_solve_builds_no_quad_points(self, monkeypatch, p):
+        problem = self.oscillating_problem(p)
+        calls = []
+        evaluate = st.Coefficient.__call__
+        monkeypatch.setattr(st.Coefficient, "__call__",
+                            lambda self, pk: calls.append(pk) or evaluate(self, pk))
+        field = sv.solve(*problem)
+        assert field.diagnostics.outer_iterations > 1
+        assert "quad_points" not in field.mesh.grid.__dict__
+        assert len(calls) == 1  # a(x) once per solve
+
+    def test_energy_with_given_coefficient(self):
+        dom, mesh, op, bc = self.oscillating_problem(1.5)
+        f = sv.solve(dom, mesh, op, bc)
+        a_q = op.a(mesh.pk_at_quads())
+        eps = f.diagnostics.eps_reg
+        assert sv._regularized_energy(mesh, op, f.values, eps, a_q) \
+            == sv._regularized_energy(mesh, op, f.values, eps) == f.diagnostics.energy
+
+
 class TestRejectedStep:
     def test_rejected_step_keeps_iterate_and_is_not_convergence(self, monkeypatch):
         dom, mesh, op, bc = general_p_problem(3.0)

@@ -22,6 +22,20 @@ class TestEvaluate:
             st.evaluate(st.constant_operator(2.0), 0.0, np.array([np.inf, 0.0]))
 
 
+class TestSquaredNorm:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_equal_to_numpy_sum(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(400, 4, d))
+        x[200:] *= 10.0 ** rng.uniform(-170, 150, size=(200, 4, d))
+        x[0] = 0.0
+        x[1, :, 0] = -0.0
+        out = st.squared_norm(x)
+        ref = np.sum(x**2, axis=-1)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
+
 class TestPotential:
     def test_p2(self):
         assert st.potential(st.constant_operator(2.0), 0.0, np.array([3.0, 4.0])) == pytest.approx(12.5)
