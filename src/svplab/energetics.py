@@ -110,7 +110,7 @@ def energy(field_, t, tau):
     tol = mesh.snap_tolerance()
     mesh.station_index(t, snap_tol=tol)
     mesh.station_index(tau, snap_tol=tol)
-    return float(np.sum(field_.energy_density[mesh.slab_elements(t, tau)]))
+    return float(np.sum(mesh.slab_rows(field_.energy_density, t, tau)))
 
 
 def section_energy(field_, tau):

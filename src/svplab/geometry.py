@@ -472,16 +472,33 @@ class Mesh:
         grids = np.meshgrid(*idx, indexing="ij")
         return np.ravel_multi_index([g.ravel() for g in grids], self.grid.shape)
 
-    def slab_elements(self, t, tau):
-        """Element ids of the slab between the grid lines nearest t < tau."""
+    def _slab_cells(self, t, tau):
+        """Axial cell range [jt, jtau) of the slab between the grid lines nearest t < tau."""
         if t >= tau:
             raise ValueError("need t < tau")
         jt, _ = self.station_index(t)
         jtau, _ = self.station_index(tau)
         if jt >= jtau:
             raise ValueError("slab bounds snap to the same grid line")
-        mask = (self.elem_axial_cell >= jt) & (self.elem_axial_cell < jtau)
-        return np.flatnonzero(mask)
+        return jt, jtau
+
+    def slab_rows(self, x, t, tau):
+        """Rows of a per-element array x over the slab between t < tau.
+
+        Elements are numbered in C order over the cell shape with the axial
+        cell last, so the slab is an axial slice of x viewed as (base cells,
+        axial cells, ...).  The result is a fresh C-contiguous array equal,
+        byte for byte and in order, to x[self.slab_elements(t, tau)].
+        """
+        jt, jtau = self._slab_cells(t, tau)
+        x = np.asarray(x)
+        tail = x.shape[1:]
+        layers = x.reshape((-1, self.grid.cell_shape[-1]) + tail)
+        return np.array(layers[:, jt:jtau], order="C").reshape((-1,) + tail)
+
+    def slab_elements(self, t, tau):
+        """Element ids of the slab between the grid lines nearest t < tau."""
+        return self.slab_rows(np.arange(self.n_elems), t, tau)
 
     def cap_node_ids(self, which):
         """Node ids of the low/high axial cap."""
@@ -504,6 +521,34 @@ class Mesh:
     def cross_section(self, tau):
         return cross_section(self, tau)
 
+    @cached_property
+    def _section_tables(self):
+        """Section quadrature shared by every station, built once.
+
+        Returns ({side: (vals_table, grads_table)}, base_points, w0): the
+        volume basis on the upper ('below') and lower ('above') face of an
+        element layer, the base-quadrature points (base cells, Qb, dim - 1)
+        and the unweighted section quadrature weight.
+        """
+        grid = self.grid
+        d = grid.dim
+        base_q = list(product(_GAUSS, repeat=d - 1))
+        nq = len(base_q)
+        tables = {
+            side: tuple(_read_only(a) for a in grid.basis_tables(
+                [xib + (xi_ax,) for xib in base_q]))
+            for side, xi_ax in (("below", 1.0), ("above", -1.0))
+        }
+        # physical points: tensor over base cells
+        cell_idx = np.indices(grid.cell_shape[:-1]).reshape(d - 1, -1)
+        lows = np.stack([grid.axes[ax][cell_idx[ax]] for ax in range(d - 1)], axis=-1)
+        half = np.asarray(grid.spacing[: d - 1]) / 2.0
+        centers = lows + half
+        qb = np.asarray(base_q).reshape(nq, d - 1)
+        pts_base = _read_only(centers[:, None, :] + qb[None, :, :] * half[None, None, :])
+        w0 = np.prod(grid.spacing[: d - 1]) / nq if d > 1 else 1.0
+        return tables, pts_base, w0
+
     def station_edge_tables(self, j, side):
         """One-sided trace data at axial grid line j.
 
@@ -513,43 +558,27 @@ class Mesh:
         points/weights are the section quadrature (weights carry the
         radial measure factor in radial mode); vals_table (Qb, m) and
         grads_table (Qb, dim, m) evaluate the volume basis on the edge.
+        The tables are shared by every station of the mesh and read-only.
         """
         n_ax_cells = self.grid.cell_shape[-1]
         if side == "below":
             c = j - 1
-            xi_ax = 1.0
         elif side == "above":
             c = j
-            xi_ax = -1.0
         else:
             raise ValueError("side must be 'below' or 'above'")
         if c < 0 or c >= n_ax_cells:
             raise ValueError(f"no element layer on side {side!r} of station {j}")
-        elem_ids = np.flatnonzero(self.elem_axial_cell == c)
-        # base-quadrature points on the section
-        d = self.grid.dim
-        base_q = list(product(_GAUSS, repeat=d - 1))
-        nq = len(base_q)
-        vals, grads = self.grid.basis_tables([xib + (xi_ax,) for xib in base_q])
-        # physical points: tensor over base cells
-        base_cells = self.grid.cell_shape[:-1]
-        cell_idx = np.indices(base_cells).reshape(d - 1, -1)
-        lows = np.stack(
-            [self.grid.axes[ax][cell_idx[ax]] for ax in range(d - 1)], axis=-1
-        )
-        half = np.asarray(self.grid.spacing[: d - 1]) / 2.0
-        centers = lows + half
-        qb = np.asarray(base_q).reshape(nq, d - 1)
-        pts_base = centers[:, None, :] + qb[None, :, :] * half[None, None, :]
+        tables, pts_base, w0 = self._section_tables
+        elem_ids = np.arange(c, self.n_elems, n_ax_cells)
         tau = self.stations[j]
         pts = np.concatenate(
             [pts_base, np.full(pts_base.shape[:-1] + (1,), tau)], axis=-1
         )
-        w0 = np.prod(self.grid.spacing[: d - 1]) / nq if d > 1 else 1.0
         w = np.full(pts.shape[:-1], w0)
         if self.domain.axial_kind == RADIAL:
             w = w * (2.0 * math.pi * tau)
-        return elem_ids, pts, w, vals, grads
+        return (elem_ids, pts, w) + tables[side]
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,11 @@ def write_csv(path, header, rows, comments=()):
     lines = [f"# {c}" for c in comments]
     lines.append(header)
     for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+        if all(type(v) is float and math.isfinite(v) for v in row):
+            lines.append(",".join(map(repr, row)))  # fmt(v) is repr(v) for finite floats
+        else:
+            lines.append(",".join(fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
+                                  for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -68,7 +72,7 @@ def write_csv(path, header, rows, comments=()):
 def write_field_csv(path, mesh, values):
     d = mesh.grid.dim
     header = ",".join(f"x{i + 1}" for i in range(d)) + ",value"
-    rows = [tuple(pt) + (v,) for pt, v in zip(mesh.grid.nodes, values)]
+    rows = np.column_stack((mesh.grid.nodes, values)).tolist()
     return write_csv(
         path, header, rows,
         comments=[

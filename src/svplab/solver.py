@@ -142,8 +142,9 @@ class ScalarField:
 
     def slab_values(self, t, tau):
         """Quadrature values and weights over the slab between t < tau."""
-        elems = self.mesh.slab_elements(t, tau)
-        return self.quad_values[elems], self.mesh.grid.quad_weights[elems]
+        mesh = self.mesh
+        return (mesh.slab_rows(self.quad_values, t, tau),
+                mesh.slab_rows(mesh.grid.quad_weights, t, tau))
 
     def trace(self, j, side):
         """One-sided (points, weights, f, grad f) on station j from 'below' or 'above'."""
@@ -476,21 +477,22 @@ class WeakResidualReport:
 def weak_residual(field, t, tau):
     """Interior weak residuals of the field over the slab between t and tau."""
     mesh = field.mesh
-    elems = mesh.slab_elements(t, tau)
-    jt, _ = mesh.station_index(t)
-    jtau, _ = mesh.station_index(tau)
+    jt, jtau = mesh._slab_cells(t, tau)
+
+    def slab(x):
+        return mesh.slab_rows(x, t, tau)
 
     grid = mesh.grid
-    g = field.quad_grads[elems]
-    fq = field.quad_values[elems]
-    a = field.op.a(mesh.pk_at_quads())[elems]
+    g = slab(field.quad_grads)
+    fq = slab(field.quad_values)
+    a = field.op.a(slab(mesh.pk_at_quads()))
     s = squared_norm(g)
     fac = guarded_power(s, 0.5 * (field.op.p - 2.0))
     flux = (a * fac)[..., None] * g          # A(x, grad f) at slab quadrature points
     flux_norm = a * fac * np.sqrt(s)
 
-    w = grid.quad_weights[elems]
-    conn = grid.elem_nodes[elems]
+    w = slab(grid.quad_weights)
+    conn = slab(grid.elem_nodes)
     gb = grid.basis_grads                    # (Q, d, m)
     vb = grid.basis_vals                     # (Q, m)
     grad_abs = np.sqrt(np.einsum("qdm,qdm->qm", gb, gb))

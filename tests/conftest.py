@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -93,6 +94,98 @@ def pattern_grids():
             [np.linspace(0.0, 1.0, 4), np.arange(2.0), np.arange(3.0)],
             periodic=(False, True, True)),
     }
+
+
+def slab_meshes():
+    """A 2-D layer, a 3-D k = 2 layer and a radial mesh, for the slab and
+    section tests."""
+    k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 0.5)), axial_kind="layer",
+                             alpha=1.0, beta=2.0, lateral_bc=("dirichlet0",) * 4)
+    radial = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                                 alpha=1.0, beta=3.0, lateral_bc=("neumann", "neumann"))
+    return {
+        "layer-2d": geo.build_mesh(make_strip(("neumann", "neumann"), 1.0), 1 / 4),
+        "layer-3d": geo.build_mesh(k2, 1 / 4),
+        "radial": geo.build_mesh(radial, 1 / 4),
+    }
+
+
+def reference_slab_elements(mesh, t, tau):
+    """Slab element ids by a mask over every element's axial cell."""
+    jt, _ = mesh.station_index(t)
+    jtau, _ = mesh.station_index(tau)
+    cell = np.indices(mesh.grid.cell_shape).reshape(mesh.grid.dim, -1)[-1]
+    return np.flatnonzero((cell >= jt) & (cell < jtau))
+
+
+def reference_station_edge_tables(mesh, j, side):
+    """Mesh.station_edge_tables built from scratch for station j alone."""
+    grid = mesh.grid
+    c, xi_ax = (j - 1, 1.0) if side == "below" else (j, -1.0)
+    elem_ids = np.flatnonzero(
+        np.indices(grid.cell_shape).reshape(grid.dim, -1)[-1] == c)
+    d = grid.dim
+    base_q = list(itertools.product(geo._GAUSS, repeat=d - 1))
+    vals, grads = grid.basis_tables([xib + (xi_ax,) for xib in base_q])
+    cell_idx = np.indices(grid.cell_shape[:-1]).reshape(d - 1, -1)
+    lows = np.stack([grid.axes[ax][cell_idx[ax]] for ax in range(d - 1)], axis=-1)
+    half = np.asarray(grid.spacing[: d - 1]) / 2.0
+    qb = np.asarray(base_q).reshape(len(base_q), d - 1)
+    pts_base = (lows + half)[:, None, :] + qb[None, :, :] * half[None, None, :]
+    tau = mesh.stations[j]
+    pts = np.concatenate([pts_base, np.full(pts_base.shape[:-1] + (1,), tau)], axis=-1)
+    w = np.full(pts.shape[:-1], np.prod(grid.spacing[: d - 1]) / len(base_q))
+    if mesh.domain.axial_kind == geo.RADIAL:
+        w = w * (2.0 * math.pi * tau)
+    return elem_ids, pts, w, vals, grads
+
+
+def reference_weak_residual(field, t, tau):
+    """solver.weak_residual with a(x) evaluated on the whole mesh and the
+    slab taken by fancy indexing afterwards."""
+    mesh, grid, p = field.mesh, field.mesh.grid, field.op.p
+    elems = reference_slab_elements(mesh, t, tau)
+    jt, _ = mesh.station_index(t)
+    jtau, _ = mesh.station_index(tau)
+    g = field.quad_grads[elems]
+    fq = field.quad_values[elems]
+    a = field.op.a(mesh.pk_at_quads())[elems]
+    s = st.squared_norm(g)
+    fac = st.guarded_power(s, 0.5 * (p - 2.0))
+    flux = (a * fac)[..., None] * g
+    flux_norm = a * fac * np.sqrt(s)
+    w = grid.quad_weights[elems]
+    conn = grid.elem_nodes[elems]
+    gb, vb = grid.basis_grads, grid.basis_vals
+    grad_abs = np.sqrt(np.einsum("qdm,qdm->qm", gb, gb))
+
+    def scatter(local):
+        out = np.zeros(grid.n_nodes)
+        np.add.at(out, conn, local)
+        return out
+
+    r1 = scatter(np.einsum("eq,eqd,qdm->em", w, flux, gb))
+    n1 = scatter(np.einsum("eq,eq,qm->em", w, flux_norm, grad_abs))
+    pairing = np.einsum("eqd,eqd->eq", flux, g)
+    r2 = scatter(np.einsum("eq,eq,eqd,qdm->em", w, fq, flux, gb)
+                 + np.einsum("eq,eq,qm->em", w, pairing, vb))
+    n2 = scatter(np.einsum("eq,eq,eq,qm->em", w, np.abs(fq), flux_norm, grad_abs)
+                 + np.einsum("eq,eq,qm->em", w, np.abs(pairing), vb))
+    admissible = np.zeros(grid.n_nodes, dtype=bool)
+    for j in range(jt + 1, jtau):
+        admissible[mesh.station_node_ids(j)] = True
+    admissible &= ~sv.dirichlet_data(mesh, field.bc)[0]
+    ids = np.flatnonzero(admissible)
+    if ids.size == 0:
+        return sv.WeakResidualReport(0.0, 0.0, 0)
+
+    def normalized(r, n):
+        out = np.zeros(ids.size)
+        nz = n[ids] > 0
+        out[nz] = np.abs(r[ids][nz]) / n[ids][nz]
+        return float(out.max())
+
+    return sv.WeakResidualReport(normalized(r1, n1), normalized(r2, n2), int(ids.size))
 
 
 @pytest.fixture

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import pattern_grids, reference_csr_pattern
+from conftest import (pattern_grids, reference_csr_pattern, reference_slab_elements,
+                      reference_station_edge_tables, slab_meshes)
 from svplab import geometry as geo
+from svplab import solver as sv
+from svplab import structure as st
 
 
 def strip_domain(lateral=("neumann", "neumann"), alpha=1.0, beta=3.0):
@@ -177,6 +180,74 @@ class TestSlab:
     def test_radial_weights_positive(self):
         mesh = geo.build_mesh(radial_domain(), 0.25)
         assert np.all(mesh.grid.quad_weights > 0)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["layer-2d", "layer-3d", "radial"])
+class TestAxialSlabsAndSections:
+    """Slab slices and shared section tables against from-scratch builds."""
+
+    def test_slab_rows_equal_fancy_indexing(self, name):
+        mesh = slab_meshes()[name]
+        rng = np.random.default_rng(0)
+        arrays = (mesh.grid.quad_weights, mesh.grid.elem_nodes,
+                  rng.normal(size=(mesh.n_elems, mesh.grid.n_quad, mesh.grid.dim)))
+        stations = mesh.stations
+        for i, t in enumerate(stations):
+            for tau in stations[i + 1:]:
+                elems = reference_slab_elements(mesh, t, tau)
+                assert same_bytes(mesh.slab_elements(t, tau), elems)
+                for x in arrays:
+                    rows = mesh.slab_rows(x, t, tau)
+                    assert rows.flags.c_contiguous and rows.flags.writeable
+                    assert same_bytes(rows, x[elems])
+
+    def test_slab_rows_errors(self, name):
+        mesh = slab_meshes()[name]
+        x = mesh.grid.quad_weights
+        mid = mesh.stations[mesh.stations.size // 2]
+        with pytest.raises(ValueError, match="t < tau"):
+            mesh.slab_rows(x, mid, mid)
+        with pytest.raises(ValueError, match="same grid line"):
+            mesh.slab_rows(x, mid, mid + 1e-3 * mesh.spacings[-1])
+        with pytest.raises(ValueError, match="outside meshed range"):
+            mesh.slab_rows(x, mid, mesh.stations[-1] + 1.0)
+
+    def test_station_edge_tables_equal_per_station_build(self, name):
+        mesh = slab_meshes()[name]
+        last = mesh.stations.size - 1
+        for j in range(last + 1):
+            for side in ("below", "above"):
+                if (side, j) in (("below", 0), ("above", last)):
+                    with pytest.raises(ValueError, match="no element layer"):
+                        mesh.station_edge_tables(j, side)
+                    continue
+                got = mesh.station_edge_tables(j, side)
+                want = reference_station_edge_tables(mesh, j, side)
+                assert all(same_bytes(a, b) for a, b in zip(got, want))
+        with pytest.raises(ValueError, match="side must be"):
+            mesh.station_edge_tables(1, "left")
+
+    def test_tracing_every_station_builds_section_tables_once(self, name, monkeypatch):
+        mesh = slab_meshes()[name]
+        calls = []
+        tables = geo.TensorGrid.basis_tables
+        monkeypatch.setattr(geo.TensorGrid, "basis_tables",
+                            lambda self, points: calls.append(self) or tables(self, points))
+        values = np.random.default_rng(1).normal(size=mesh.n_nodes)
+        field = sv.ScalarField(mesh=mesh, values=values, op=st.constant_operator(2.0),
+                               bc=None, diagnostics=None)
+        last = mesh.stations.size - 1
+        for j in range(last + 1):
+            for side, has_layer in (("below", j > 0), ("above", j < last)):
+                if has_layer:
+                    field.trace(j, side)
+        assert len(field._traces) == 2 * last
+        assert len(calls) <= 2
 
 
 class TestSliceIndex:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from svplab import cli
+from svplab import geometry as geo
 from svplab.config import ConfigError, parse_config
-from svplab.report import SVP_CSV_HEADER
+from svplab.report import SVP_CSV_HEADER, write_csv, write_field_csv
 from svplab.runner import run, run_structure_check
 from svplab.structure import constant_operator
 
@@ -89,6 +90,15 @@ FREQ_TASK = """
 [task frequencies]
 kinds = first second
 stations = 0 0.5
+"""
+
+ZONES_TASK = """
+[task zones]
+norms = w1p lp sup
+s_values = 0.001 0.01
+tau_outer = 0.75
+C5 = 1
+C6 = 1
 """
 
 
@@ -176,10 +186,14 @@ class TestRunner:
         assert result.exit_code == 1
 
     def test_determinism_byte_identical(self, tmp_path):
-        cfg = parse_config(BASE_CONFIG + SVP_TASK)
-        run(cfg, out_dir=str(tmp_path / "a"), seed=3)
-        run(cfg, out_dir=str(tmp_path / "b"), seed=3)
-        for name in ("report.json", "svp.csv", "field.csv", "svp.svg"):
+        cfg = parse_config(BASE_CONFIG + SVP_TASK + FREQ_TASK + ZONES_TASK)
+        a = run(cfg, out_dir=str(tmp_path / "a"), seed=3)
+        b = run(cfg, out_dir=str(tmp_path / "b"), seed=3)
+        names = sorted(Path(f).name for f in a.files)
+        assert names == sorted(Path(f).name for f in b.files)
+        assert {"report.json", "field.csv", "svp.csv", "svp.svg", "zones.csv",
+                "frequencies_first.csv", "frequencies_second.csv"} <= set(names)
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_snapshot_false_writes_no_field_csv(self, tmp_path):
@@ -211,14 +225,7 @@ stations = 0 0.5
         assert report["frequencies"]["first"][0]["value"] == pytest.approx(math.pi**2, rel=0.02)
 
     def test_zones_task(self, tmp_path):
-        cfg = parse_config(BASE_CONFIG + SVP_TASK + """
-[task zones]
-norms = w1p lp sup
-s_values = 0.001 0.01
-tau_outer = 0.75
-C5 = 1
-C6 = 1
-""")
+        cfg = parse_config(BASE_CONFIG + SVP_TASK + ZONES_TASK)
         result = run(cfg, out_dir=str(tmp_path), seed=0)
         assert result.exit_code == 0
         report = json.load(open(tmp_path / "report.json"))
@@ -237,6 +244,39 @@ tau2 = 0.75
         assert result.exit_code == 0
         assert report["cutoff"][0]["C7"] == 8.0
         assert report["cutoff"][0]["passed"]
+
+
+class TestCsvWriter:
+    @staticmethod
+    def body(path):
+        """The data rows: every line after the comments and the header."""
+        return [ln for ln in path.read_text(encoding="utf-8").splitlines()
+                if not ln.startswith("#")][1:]
+
+    def test_non_finite_int_and_str_cells(self, tmp_path):
+        rows = [
+            (0.1, 2.0, -3e-300),
+            (1.5, float("nan"), float("inf"), -float("inf")),
+            (np.float64("nan"), np.float64(np.inf), np.float64(-np.inf), np.float64(0.1)),
+            (3, "first", 0.25, np.int64(7)),
+        ]
+        write_csv(tmp_path / "t.csv", "a,b,c,d", rows, comments=["c"])
+        assert self.body(tmp_path / "t.csv") == [
+            "0.1,2.0,-3e-300",
+            "1.5,nan,inf,-inf",
+            "nan,inf,-inf,0.1",
+            "3.0,first,0.25,7",
+        ]
+
+    def test_field_csv_matches_per_value_rows(self, tmp_path):
+        mesh = geo.build_mesh(geo.CanonicalDomain(
+            n=2, k=1, base=((0.0, 1.0),), axial_kind="layer", alpha=1.0, beta=3.0,
+            lateral_bc=("neumann", "neumann")), 1 / 8)
+        values = np.random.default_rng(0).normal(size=mesh.n_nodes)
+        write_field_csv(tmp_path / "field.csv", mesh, values)
+        write_csv(tmp_path / "ref.csv", "x1,x2,value",
+                  [tuple(pt) + (v,) for pt, v in zip(mesh.grid.nodes, values)])
+        assert self.body(tmp_path / "field.csv") == self.body(tmp_path / "ref.csv")
 
 
 class TestStructureRunner:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pattern_grids
+from conftest import pattern_grids, reference_weak_residual
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -116,6 +116,18 @@ class TestWeakResidual:
         f = sv.solve(dom, mesh, op, bc)
         with pytest.raises(ValueError):
             sv.weak_residual(f, 0.5, 0.5)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_slab_coefficient_leaves_readme_report_unchanged(self, p):
+        # a(x) is now evaluated on the slab only; the report must not move
+        f = sv.solve(*readme_problem(p, 1 / 16))
+        for t, tau in ((-3.0, 3.0), (-0.5, 0.5), (2.0, 3.0), (-3.0, -2.9375)):
+            assert sv.weak_residual(f, t, tau) == reference_weak_residual(f, t, tau)
+
+    def test_slab_coefficient_leaves_oscillating_report_unchanged(self):
+        f = sv.solve(*TestOuterLoopGeometry.oscillating_problem(1.5))
+        for t, tau in ((-3.0, 3.0), (-0.5, 0.75)):
+            assert sv.weak_residual(f, t, tau) == reference_weak_residual(f, t, tau)
 
 
 class TestFluxIntegral:
