@@ -107,10 +107,8 @@ class InequalityCheck:
 def energy(field_, t, tau):
     """Slab energy integral of |grad f|^p between grid-aligned t < tau."""
     mesh = field_.mesh
-    tol = mesh.snap_tolerance()
-    mesh.station_index(t, snap_tol=tol)
-    mesh.station_index(tau, snap_tol=tol)
-    return float(np.sum(mesh.slab_rows(field_.energy_density, t, tau)))
+    rows = mesh.slab_rows(field_.energy_density, t, tau, snap_tol=mesh.snap_tolerance())
+    return float(np.sum(rows))
 
 
 def section_energy(field_, tau):

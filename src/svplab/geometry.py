@@ -472,25 +472,27 @@ class Mesh:
         grids = np.meshgrid(*idx, indexing="ij")
         return np.ravel_multi_index([g.ravel() for g in grids], self.grid.shape)
 
-    def _slab_cells(self, t, tau):
-        """Axial cell range [jt, jtau) of the slab between the grid lines nearest t < tau."""
+    def _slab_cells(self, t, tau, snap_tol=None):
+        """Axial cell range [jt, jtau) of the slab between the grid lines nearest
+        t < tau; with snap_tol, a bound off-grid by more than it is rejected."""
         if t >= tau:
             raise ValueError("need t < tau")
-        jt, _ = self.station_index(t)
-        jtau, _ = self.station_index(tau)
+        jt, _ = self.station_index(t, snap_tol)
+        jtau, _ = self.station_index(tau, snap_tol)
         if jt >= jtau:
             raise ValueError("slab bounds snap to the same grid line")
         return jt, jtau
 
-    def slab_rows(self, x, t, tau):
-        """Rows of a per-element array x over the slab between t < tau.
+    def slab_rows(self, x, t, tau, snap_tol=None):
+        """Rows of a per-element array x over the slab between t < tau (bounds
+        checked against snap_tol as in _slab_cells).
 
         Elements are numbered in C order over the cell shape with the axial
         cell last, so the slab is an axial slice of x viewed as (base cells,
         axial cells, ...).  The result is a fresh C-contiguous array equal,
         byte for byte and in order, to x[self.slab_elements(t, tau)].
         """
-        jt, jtau = self._slab_cells(t, tau)
+        jt, jtau = self._slab_cells(t, tau, snap_tol)
         x = np.asarray(x)
         tail = x.shape[1:]
         layers = x.reshape((-1, self.grid.cell_shape[-1]) + tail)

@@ -18,7 +18,9 @@ Each step starts at damping theta = 1 and halves theta until the energy
 does not rise.  A step that still raises the energy at theta = 2^-30, or
 gives a non-finite energy, is rejected, and the solve stops unconverged
 at the previous iterate.  The solve has converged once the relative
-energy decrease of a step falls below TOL_ENERGY.
+energy decrease of a step falls below TOL_ENERGY.  The gradient and s
+that an accepted iterate's energy is computed from also build the next
+step's matrix, so each iterate's gradient is formed once.
 
 Every inner system (K(c), with R added to its data for p > 2) is
 assembled on the grid's fixed sparsity pattern (TensorGrid.csr_pattern),
@@ -37,8 +39,16 @@ coarsens by 2 where the cell count is even and is the identity
 elsewhere; the axes combine as a Kronecker product, restricted to free
 nodes, until at most MG_COARSEST unknowns are left.  Each outer step
 forms the Galerkin operators P^T A P of its matrix, smooths with damped
-Jacobi and factors the coarsest level.  Inside the outer loop CG starts
-from the current iterate.  The method used is reported as linear_solver:
+Jacobi and factors the coarsest level.  A cold CG solve (the first
+solve, and every p = 2 solve) stops at CG_RTOL of the right-hand side.
+Inside the outer loop CG starts from the current iterate, where its
+residual is the free-node gradient of the regularized energy, and stops
+once that residual is cut by CG_FORCING (an inexact-Newton forcing
+term, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), or at CG_RTOL
+if that is looser: about 2 iterations per step.  A Kacanov step stays a
+descent step, since CG from the iterate lowers the quadratic majorant
+monotonically; a Newton step keeps the energy line search.  The method
+used is reported as linear_solver:
 'direct', 'cg-mg', or 'none' without free nodes, and the CG iterations
 of each solve as linear_iterations (0 for a direct solve).
 """
@@ -60,6 +70,7 @@ TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below t
 MAX_OUTER = 200
 DIRECT_LIMIT = 20000      # 2-D grids: sparse LU up to this many unknowns, CG beyond
 CG_RTOL = 1e-12
+CG_FORCING = 1e-2         # warm CG stops once its initial residual is cut by this factor
 CG_MAXITER_PER_UNKNOWN = 40
 MG_JACOBI_WEIGHT = 0.6    # damped-Jacobi smoothing weight of the V-cycle
 MG_SWEEPS = 2             # smoothing sweeps before and after each coarse correction
@@ -215,8 +226,10 @@ def _coarsen(shape, free):
     interpolations, restricted to free fine rows and free coarse columns;
     a coarse node is free when its injected fine twin is.  Its CSR arrays
     are built straight from the 2^dim (column, weight) choices of each
-    fine node.  Returns (P, coarse shape, coarse free mask), or None when
-    no axis coarsens.
+    fine node, with the choice axes leading so that the broadcasts run
+    over the long node axes; the free nodes' rows are transposed out at
+    the end.  Returns (P, coarse shape, coarse free mask), or None when no
+    axis coarsens.
     """
     dim = len(shape)
     axes = [_interpolation_1d(n) for n in shape]
@@ -224,20 +237,20 @@ def _coarsen(shape, free):
     if coarse_shape == tuple(shape):
         return None
     strides = np.cumprod((1,) + coarse_shape[:0:-1])[::-1]
-    cols = np.zeros(tuple(shape) + (2,) * dim, dtype=np.int32)
+    cols = np.zeros((2,) * dim + tuple(shape), dtype=np.int32)
     weights = np.ones(cols.shape)
     for ax, (c, w, _) in enumerate(axes):
         view = [1] * (2 * dim)
-        view[ax], view[dim + ax] = shape[ax], 2
-        cols += (c * strides[ax]).reshape(view)
-        weights *= w.reshape(view)
+        view[ax], view[dim + ax] = 2, shape[ax]
+        cols += (c.T * strides[ax]).reshape(view)
+        weights *= w.T.reshape(view)
     twins = tuple(slice(None, None, 2) if m < n else slice(None)
                   for n, m in zip(shape, coarse_shape))
     coarse_free = free.reshape(shape)[twins].ravel()
     coarse_ids = np.cumsum(coarse_free, dtype=np.int32) - 1
     coarse_ids[~coarse_free] = -1
-    cols = coarse_ids[cols.reshape(free.size, -1)[free]]
-    weights = weights.reshape(free.size, -1)[free]
+    cols = coarse_ids[cols.reshape(2**dim, -1)[:, free].T]
+    weights = weights.reshape(2**dim, -1)[:, free].T
     keep = (weights != 0.0) & (cols >= 0)
     indptr = np.zeros(cols.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
@@ -339,7 +352,9 @@ class _FreeSystem:
 
     def solve(self, K, x0=None, load=None):
         """Nodal solution for the matrix K and an optional nodal load added to
-        the right-hand side; CG starts from x0[free] when given."""
+        the right-hand side.  CG starts from x0[free] when given and then
+        stops once its initial residual is cut by CG_FORCING, or at CG_RTOL
+        of the right-hand side if that is looser."""
         out = self.vals.copy()
         if self.method == "none":
             return out
@@ -365,9 +380,16 @@ class _FreeSystem:
             nonlocal iterations
             iterations += 1
 
-        xf, info = spla.cg(A, rhs, x0=None if x0 is None else x0[self.free],
-                           rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_PER_UNKNOWN * rhs.size,
-                           M=M, callback=count)
+        if x0 is None:
+            xf0, atol = None, 0.0
+        else:
+            # inexact inner solve: the warm start's residual is the free-node
+            # gradient of the regularized energy at the iterate, and CG only
+            # cuts it by CG_FORCING
+            xf0 = x0[self.free]
+            atol = CG_FORCING * float(np.linalg.norm(rhs - A @ xf0))
+        xf, info = spla.cg(A, rhs, x0=xf0, rtol=CG_RTOL, atol=atol,
+                           maxiter=CG_MAXITER_PER_UNKNOWN * rhs.size, M=M, callback=count)
         self.linear_iterations.append(iterations)
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
@@ -375,16 +397,23 @@ class _FreeSystem:
         return out
 
 
-def _regularized_energy(mesh, op, values, eps, a_q=None):
-    """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p; a_q is a at the quadrature
-    points, evaluated here when not given."""
+def _gradient_terms(grid, values, eps):
+    """grad f and s = |grad f|^2 + eps^2 at every quadrature point."""
+    g = grid.grads_at_quads(values)
+    return g, squared_norm(g) + eps**2
+
+
+def _regularized_energy(mesh, op, values, eps, a_q=None, s=None):
+    """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p; a_q is a and s is |grad
+    f|^2 + eps^2 at the quadrature points, each formed here when not given."""
     if a_q is None:
         a_q = op.a(mesh.pk_at_quads())
-    s = squared_norm(mesh.grid.grads_at_quads(values)) + eps**2
+    if s is None:
+        _, s = _gradient_terms(mesh.grid, values, eps)
     return float(np.sum(mesh.grid.quad_weights * a_q * s ** (0.5 * op.p) / op.p))
 
 
-def _step_system(grid, a_q, f, p, eps):
+def _step_system(grid, a_q, f, p, eps, terms=None):
     """Matrix and extra load of one outer step at the iterate f.
 
     With c = a s^((p-2)/2) and s = |grad f|^2 + eps^2, K(c) f is the
@@ -392,10 +421,10 @@ def _step_system(grid, a_q, f, p, eps):
     Kacanov matrix K(c) and there is no load.  For p > 2 it is the Hessian
     K(c) + (p-2) R, R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad
     phi_j), on the same pattern, and the load (p-2) R f makes the solve
-    return the Newton iterate f - H_ff^-1 (K(c) f)_f.
+    return the Newton iterate f - H_ff^-1 (K(c) f)_f.  terms is (grad f,
+    s) at f, formed here when not given.
     """
-    g = grid.grads_at_quads(f)
-    s = squared_norm(g) + eps**2
+    g, s = _gradient_terms(grid, f, eps) if terms is None else terms
     coeff = a_q * s ** (0.5 * (p - 2.0))
     H = grid.stiffness(coeff=coeff)
     if p <= 2.0:
@@ -422,27 +451,31 @@ def solve(domain, mesh, op, bc):
     a_q = op.a(mesh.pk_at_quads())
     system = _FreeSystem(mesh.grid, mask, vals)
     f = system.solve(mesh.grid.stiffness(coeff=a_q))
-    energy = _regularized_energy(mesh, op, f, eps, a_q)
+    # grad f and s of each energy evaluation; those of the accepted iterate
+    # build the next step's matrix
+    terms = _gradient_terms(mesh.grid, f, eps)
+    energy = _regularized_energy(mesh, op, f, eps, a_q, terms[1])
     theta = 1.0
     converged = op.p == 2.0
     iters = 1
     decrease = 0.0
 
     while not converged and iters < MAX_OUTER:
-        H, load = _step_system(mesh.grid, a_q, f, op.p, eps)
+        H, load = _step_system(mesh.grid, a_q, f, op.p, eps, terms)
         f_hat = system.solve(H, x0=f, load=load)
         iters += 1
         theta = 1.0
         while True:
             f_new = f + theta * (f_hat - f)
-            e_new = _regularized_energy(mesh, op, f_new, eps, a_q)
+            terms_new = _gradient_terms(mesh.grid, f_new, eps)
+            e_new = _regularized_energy(mesh, op, f_new, eps, a_q, terms_new[1])
             if e_new <= energy or theta <= 2**-30:
                 break
             theta *= 0.5
         if not e_new <= energy:
             break  # no damping lowers the energy, or it is not finite: keep f, not converged
         decrease = (energy - e_new) / max(abs(energy), 1e-300)
-        f, energy = f_new, e_new
+        f, energy, terms = f_new, e_new, terms_new
         if decrease < TOL_ENERGY:
             converged = True
 

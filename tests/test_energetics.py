@@ -44,6 +44,26 @@ class TestEnergy:
         with pytest.raises(ValueError):
             en.energy(linear_16, 0.013, 0.5)
 
+    def test_bounds_snapped_once(self, linear_16, monkeypatch):
+        calls = []
+        index = geo.Mesh.station_index
+        monkeypatch.setattr(geo.Mesh, "station_index",
+                            lambda self, *args, **kwargs: calls.append(args) or index(self, *args, **kwargs))
+        assert en.energy(linear_16, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("t, tau, message", [
+        (0.013, 0.5, "off-grid by"),
+        (0.0, 0.513, "off-grid by"),
+        (-0.5, 1.5, "outside meshed range"),
+        (0.5, 0.5, "need t < tau"),
+        (0.75, 0.25, "need t < tau"),
+        (0.5, 0.5 + 1e-12, "same grid line"),
+    ])
+    def test_bad_bounds_rejected(self, linear_16, t, tau, message):
+        with pytest.raises(ValueError, match=message):
+            en.energy(linear_16, t, tau)
+
     def test_additivity_exact(self, cosh_dirichlet_16):
         f = cosh_dirichlet_16
         total = en.energy(f, -2.0, 2.5)

@@ -506,6 +506,88 @@ class TestKacanovUnchanged:
         assert np.array_equal(f.values, kacanov_reference(*problem))
 
 
+def global_residual(field):
+    """max |K(c) f| over max (|K(c)| |f|) on the free nodes: the
+    Euler-Lagrange residual of the regularized energy at the field."""
+    mesh, op = field.mesh, field.op
+    mask, _ = sv.dirichlet_data(mesh, field.bc)
+    s = np.sum(mesh.grid.grads_at_quads(field.values) ** 2, axis=-1) \
+        + field.diagnostics.eps_reg**2
+    K = mesh.grid.stiffness(coeff=op.a(mesh.pk_at_quads()) * s ** (0.5 * (op.p - 2.0)))
+    r = (K @ field.values)[~mask]
+    return np.max(np.abs(r)) / np.max((abs(K) @ np.abs(field.values))[~mask])
+
+
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """Keyword arguments of every spla.cg call made during the test."""
+    cg = sv.spla.cg
+    calls = []
+
+    def recording(A, b, **kwargs):
+        calls.append(kwargs)
+        return cg(A, b, **kwargs)
+
+    monkeypatch.setattr(sv.spla, "cg", recording)
+    return calls
+
+
+class TestInexactInnerSolve:
+    """Warm CG solves stop at CG_FORCING times their initial residual."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_forcing_keeps_the_solution(self, monkeypatch, cg_calls, p):
+        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+        problem = readme_problem(p, 1 / 32)
+        inexact = sv.solve(*problem)
+        cold, *warm = cg_calls
+        assert cold["x0"] is None and cold["atol"] == 0.0 and cold["rtol"] == sv.CG_RTOL
+        assert warm and all(c["x0"] is not None and c["atol"] > 0.0 for c in warm)
+        monkeypatch.setattr(sv, "CG_FORCING", 0.0)
+        exact = sv.solve(*problem)
+        di, de = inexact.diagnostics, exact.diagnostics
+        assert di.converged and de.converged
+        assert di.linear_solver == de.linear_solver == "cg-mg"
+        assert di.outer_iterations == de.outer_iterations
+        assert di.linear_iterations[0] == de.linear_iterations[0]  # the cold solve
+        assert 2 * sum(di.linear_iterations[1:]) <= sum(de.linear_iterations[1:])
+        assert abs(di.energy - de.energy) <= 1e-12 * abs(de.energy)
+        assert np.max(np.abs(inexact.values - exact.values)) <= 1e-6
+        assert global_residual(inexact) <= 1.5 * global_residual(exact)
+
+    def test_warm_stop_is_forcing_times_initial_residual(self, monkeypatch, cg_calls):
+        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+        dom, mesh, op, bc = readme_problem(1.5, 1 / 16)
+        mask, vals = sv.dirichlet_data(mesh, bc)
+        system = sv._FreeSystem(mesh.grid, mask, vals)
+        a_q = op.a(mesh.pk_at_quads())
+        f = system.solve(mesh.grid.stiffness(coeff=a_q))
+        H, _ = sv._step_system(mesh.grid, a_q, f, op.p, sv.EPS_REG_REL)
+        cg_calls.clear()
+        f_hat = system.solve(H, x0=f)
+        gradient = (H @ f)[system.free]  # K(c) f, the energy gradient at f
+        atol = cg_calls[0]["atol"]
+        assert atol == pytest.approx(sv.CG_FORCING * np.linalg.norm(gradient), rel=1e-12)
+        assert np.linalg.norm((H @ f_hat)[system.free]) < atol
+
+
+class TestGradientOncePerIterate:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_one_gradient_per_energy_evaluation(self, monkeypatch, p):
+        problem = readme_problem(p, 1 / 16)
+        grads, energies = [], []
+        grads_at_quads = geo.TensorGrid.grads_at_quads
+        energy = sv._regularized_energy
+        monkeypatch.setattr(geo.TensorGrid, "grads_at_quads",
+                            lambda self, u: grads.append(1) or grads_at_quads(self, u))
+        monkeypatch.setattr(sv, "_regularized_energy",
+                            lambda *args: energies.append(1) or energy(*args))
+        d = sv.solve(*problem).diagnostics
+        assert d.converged and d.outer_iterations > 2
+        assert len(energies) >= d.outer_iterations
+        assert len(grads) == len(energies)
+
+
 class TestMultigrid:
     def test_prolongation_is_restricted_kronecker(self):
         # axes of 5, 4 (odd cell count: identity) and 9 nodes, with a
