@@ -25,32 +25,28 @@ step's matrix, so each iterate's gradient is formed once.
 Every inner system (K(c), with R added to its data for p > 2) is
 assembled on the grid's fixed sparsity pattern (TensorGrid.csr_pattern),
 and its free-node block is read out of the assembled data through a slot
-map fixed once per solve.  The linear method depends only on the grid's
-dimension and the unknown count: a 3-D grid always uses conjugate
-gradients, and a 2-D grid a sparse LU up to DIRECT_LIMIT unknowns and CG
-beyond.
-The LU (factor_spd, shared with the section frequencies) uses SuperLU's
-symmetric mode with a minimum-degree ordering of A + A^T, since every
-system is SPD, and one step of iterative refinement.  CG is
-preconditioned by a symmetric geometric-multigrid V-cycle (Briggs,
-Henson & McCormick, A Multigrid Tutorial, 2000).  Its hierarchy is fixed
-once per solve from the tensor grid: per axis, linear interpolation
-coarsens by 2 where the cell count is even and is the identity
-elsewhere; the axes combine as a Kronecker product, restricted to free
-nodes, until at most MG_COARSEST unknowns are left.  Each outer step
-forms the Galerkin operators P^T A P of its matrix, smooths with damped
-Jacobi and factors the coarsest level.  A cold CG solve (the first
-solve, and every p = 2 solve) stops at CG_RTOL of the right-hand side.
-Inside the outer loop CG starts from the current iterate, where its
-residual is the free-node gradient of the regularized energy, and stops
-once that residual is cut by CG_FORCING (an inexact-Newton forcing
-term, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), or at CG_RTOL
-if that is looser: about 2 iterations per step.  A Kacanov step stays a
-descent step, since CG from the iterate lowers the quadratic majorant
-monotonically; a Newton step keeps the energy line search.  The method
-used is reported as linear_solver:
-'direct', 'cg-mg', or 'none' without free nodes, and the CG iterations
-of each solve as linear_iterations (0 for a direct solve).
+map fixed once per solve.  Every system with free nodes is solved by
+conjugate gradients preconditioned by a symmetric geometric-multigrid
+V-cycle (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Its
+hierarchy is fixed once per solve from the tensor grid: per axis, linear
+interpolation coarsens by 2 where the cell count is even and is the
+identity elsewhere; the axes combine as a Kronecker product, restricted
+to free nodes, until at most MG_COARSEST unknowns are left.  Each outer
+step forms the Galerkin operators P^T A P of its matrix, smooths with
+damped Jacobi and factors the coarsest level through factor_spd; on a
+grid of at most MG_COARSEST free nodes the hierarchy is empty, the
+V-cycle is that factor's solve, and CG takes one iteration.  A cold CG
+solve (the first solve, and every p = 2 solve) stops at CG_RTOL of the
+right-hand side.  Inside the outer loop CG starts from the current
+iterate, where its residual is the free-node gradient of the regularized
+energy, and stops once that residual is cut by CG_FORCING (an
+inexact-Newton forcing term, Eisenstat & Walker, SIAM J. Sci. Comput.
+17, 1996), or at CG_RTOL if that is looser: about 2 iterations per step.
+A Kacanov step stays a descent step, since CG from the iterate lowers
+the quadratic majorant monotonically; a Newton step keeps the energy
+line search.  The method used is reported as linear_solver: 'cg-mg', or
+'none' without free nodes, and the CG iterations of each solve as
+linear_iterations.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ from .structure import guarded_power, squared_norm
 EPS_REG_REL = 1e-8        # gradient regularization, relative to max(cap-data scale, 1)
 TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below this
 MAX_OUTER = 200
-DIRECT_LIMIT = 20000      # 2-D grids: sparse LU up to this many unknowns, CG beyond
 CG_RTOL = 1e-12
 CG_FORCING = 1e-2         # warm CG stops once its initial residual is cut by this factor
 CG_MAXITER_PER_UNKNOWN = 40
@@ -106,7 +101,7 @@ class SolverDiagnostics:
     eps_reg: float
     damping_final: float
     linear_solver: str
-    linear_iterations: tuple  # CG iterations of each linear solve, 0 when direct
+    linear_iterations: tuple  # CG iterations of each linear solve
 
 
 @dataclass(frozen=True)
@@ -197,7 +192,9 @@ def factor_spd(A, what):
 
     SuperLU runs in symmetric mode with a minimum-degree ordering of
     A + A^T, which keeps the fill of an SPD matrix close to a Cholesky
-    factor's.  A singular factor is a numerical failure, not bad input.
+    factor's.  It factors the coarsest level of the multigrid V-cycle and
+    the section-frequency systems.  A singular factor is a numerical
+    failure, not bad input.
     """
     try:
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
@@ -282,14 +279,19 @@ class _VCycle:
     sweeps (weight MG_JACOBI_WEIGHT) before and after its coarse
     correction, so the cycle is a symmetric positive-definite
     preconditioner, and the coarsest level is solved through factor_spd.
+    A nonpositive diagonal entry of A, the finest level, raises SolverError.
     """
 
     def __init__(self, A, prolongations):
+        diagonal = A.diagonal()
+        if np.any(diagonal <= 0):
+            raise SolverError("singular inner system: nonpositive diagonal")
         self.levels = []
         for P in prolongations:
-            self.levels.append((A, MG_JACOBI_WEIGHT / A.diagonal(), P))
+            self.levels.append((A, MG_JACOBI_WEIGHT / diagonal, P))
             # the transpose of (AP)^T P is P^T A P; only P is converted to CSC
             A = ((A @ P).T @ P).T
+            diagonal = A.diagonal()
         self.coarse = factor_spd(A.tocsc(), "coarse multigrid system")
 
     def __call__(self, r):
@@ -314,13 +316,10 @@ class _FreeSystem:
 
     K_ff is read out of the data of a matrix assembled on grid.csr_pattern
     through a slot map fixed here, so an outer step makes no submatrix
-    copies; K_ff is symmetric, so its CSR arrays are also its CSC arrays.
-    The method depends only on the grid and the unknown count: a 3-D grid
-    uses CG preconditioned by a multigrid V-cycle, a 2-D grid a sparse LU
-    up to DIRECT_LIMIT unknowns and the same CG beyond.  The multigrid
-    prolongations depend only on the grid and the split, so they are
-    built once, at the first CG solve.  Each solve appends its CG iteration count (0 for a
-    direct solve) to linear_iterations.
+    copies.  Every solve is CG preconditioned by a multigrid V-cycle, whose
+    prolongations depend only on the grid and the split, so they are built
+    once, at the first solve.  Each solve appends its CG iteration count
+    to linear_iterations.
     """
 
     def __init__(self, grid, mask, vals):
@@ -330,19 +329,13 @@ class _FreeSystem:
         self.free = ~mask
         self.ff = slot_ids[self.free][:, self.free]
         self.vals = vals
+        self.grid = grid
         self.linear_iterations = []
-        n_free = self.ff.shape[0]
-        if n_free == 0:
-            self.method = "none"
-        elif grid.dim >= 3 or n_free > DIRECT_LIMIT:
-            self.method = "cg-mg"
-            self.grid = grid
-        else:
-            self.method = "direct"
+        self.method = "cg-mg" if self.ff.shape[0] else "none"
 
     @cached_property
     def prolongations(self):
-        # built at the first CG solve, after the first assembly
+        # built at the first solve, after the first assembly
         return _prolongations(self.grid, self.free)
 
     def block(self, K):
@@ -362,17 +355,6 @@ class _FreeSystem:
         if load is not None:
             rhs += load[self.free]
         A = self.block(K)
-        if self.method == "direct":
-            A = A.T  # the same arrays read as CSC, which is A again
-            lu = factor_spd(A, "inner system")
-            xf = lu.solve(rhs)
-            # one refinement step leaves the roundoff of the residual, not
-            # that of the factor's ordering
-            out[self.free] = xf + lu.solve(rhs - A @ xf)
-            self.linear_iterations.append(0)
-            return out
-        if np.any(A.diagonal() <= 0):
-            raise SolverError("singular inner system: nonpositive diagonal")
         M = spla.LinearOperator(A.shape, matvec=_VCycle(A, self.prolongations), dtype=float)
         iterations = 0
 
@@ -403,17 +385,13 @@ def _gradient_terms(grid, values, eps):
     return g, squared_norm(g) + eps**2
 
 
-def _regularized_energy(mesh, op, values, eps, a_q=None, s=None):
-    """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p; a_q is a and s is |grad
-    f|^2 + eps^2 at the quadrature points, each formed here when not given."""
-    if a_q is None:
-        a_q = op.a(mesh.pk_at_quads())
-    if s is None:
-        _, s = _gradient_terms(mesh.grid, values, eps)
+def _regularized_energy(mesh, op, a_q, s):
+    """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p, from a_q = a and s = |grad
+    f|^2 + eps^2 at the quadrature points."""
     return float(np.sum(mesh.grid.quad_weights * a_q * s ** (0.5 * op.p) / op.p))
 
 
-def _step_system(grid, a_q, f, p, eps, terms=None):
+def _step_system(grid, a_q, f, p, terms):
     """Matrix and extra load of one outer step at the iterate f.
 
     With c = a s^((p-2)/2) and s = |grad f|^2 + eps^2, K(c) f is the
@@ -422,9 +400,9 @@ def _step_system(grid, a_q, f, p, eps, terms=None):
     K(c) + (p-2) R, R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad
     phi_j), on the same pattern, and the load (p-2) R f makes the solve
     return the Newton iterate f - H_ff^-1 (K(c) f)_f.  terms is (grad f,
-    s) at f, formed here when not given.
+    s) at f, from _gradient_terms.
     """
-    g, s = _gradient_terms(grid, f, eps) if terms is None else terms
+    g, s = terms
     coeff = a_q * s ** (0.5 * (p - 2.0))
     H = grid.stiffness(coeff=coeff)
     if p <= 2.0:
@@ -454,21 +432,21 @@ def solve(domain, mesh, op, bc):
     # grad f and s of each energy evaluation; those of the accepted iterate
     # build the next step's matrix
     terms = _gradient_terms(mesh.grid, f, eps)
-    energy = _regularized_energy(mesh, op, f, eps, a_q, terms[1])
+    energy = _regularized_energy(mesh, op, a_q, terms[1])
     theta = 1.0
     converged = op.p == 2.0
     iters = 1
     decrease = 0.0
 
     while not converged and iters < MAX_OUTER:
-        H, load = _step_system(mesh.grid, a_q, f, op.p, eps, terms)
+        H, load = _step_system(mesh.grid, a_q, f, op.p, terms)
         f_hat = system.solve(H, x0=f, load=load)
         iters += 1
         theta = 1.0
         while True:
             f_new = f + theta * (f_hat - f)
             terms_new = _gradient_terms(mesh.grid, f_new, eps)
-            e_new = _regularized_energy(mesh, op, f_new, eps, a_q, terms_new[1])
+            e_new = _regularized_energy(mesh, op, a_q, terms_new[1])
             if e_new <= energy or theta <= 2**-30:
                 break
             theta *= 0.5

@@ -268,23 +268,42 @@ class TestCoshMode3D:
 class TestLinearLayer:
     def test_dispatch_by_dimension(self):
         assert sv.solve(*layer3d(1 / 4)).diagnostics.linear_solver == "cg-mg"
-        assert sv.solve(*cosh_problem(1 / 8)).diagnostics.linear_solver == "direct"
+        dom, mesh, op, bc = cosh_problem(1 / 8)
+        assert sv.solve(dom, mesh, op, bc).diagnostics.linear_solver == "cg-mg"
+        # every node Dirichlet: nothing to solve
+        _, vals = sv.dirichlet_data(mesh, bc)
+        system = sv._FreeSystem(mesh.grid, np.ones(mesh.n_nodes, dtype=bool), vals)
+        assert system.method == "none"
+        assert np.array_equal(system.solve(mesh.grid.stiffness()), vals)
+        assert system.linear_iterations == []
 
-    def test_direct_and_cg_agree(self, monkeypatch):
-        problem = cosh_problem(1 / 16)
-        direct = sv.solve(*problem)
-        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
-        cg = sv.solve(*problem)
-        assert (direct.diagnostics.linear_solver, cg.diagnostics.linear_solver) == \
-            ("direct", "cg-mg")
-        assert direct.diagnostics.linear_iterations == (0,)
+    def test_direct_and_cg_agree(self):
+        dom, mesh, op, bc = cosh_problem(1 / 16)
+        cg = sv.solve(dom, mesh, op, bc)
+        assert cg.diagnostics.linear_solver == "cg-mg"
         assert len(cg.diagnostics.linear_iterations) == 1
         assert 0 < cg.diagnostics.linear_iterations[0] <= 12
-        assert np.max(np.abs(cg.values - direct.values)) <= 1e-10
+        # reference: a sparse LU of the same free-node block
+        mask, vals = sv.dirichlet_data(mesh, bc)
+        system = sv._FreeSystem(mesh.grid, mask, vals)
+        K = mesh.grid.stiffness(coeff=op.a(mesh.pk_at_quads()))
+        lu = sv.factor_spd(system.block(K).tocsc(), "reference system")
+        direct = vals.copy()
+        direct[system.free] = lu.solve(-(K @ vals)[system.free])
+        assert np.max(np.abs(cg.values - direct)) <= 1e-10
+
+    def test_small_grid_factors_whole(self, vcycle_levels):
+        # at most MG_COARSEST free nodes: no coarse level, so the V-cycle is
+        # an exact solve and CG takes one iteration
+        dom, mesh, op, bc = cosh_problem(1 / 8)
+        mask, _ = sv.dirichlet_data(mesh, bc)
+        assert np.count_nonzero(~mask) <= sv.MG_COARSEST
+        d = sv.solve(dom, mesh, op, bc).diagnostics
+        assert d.linear_solver == "cg-mg" and d.linear_iterations == (1,)
+        assert vcycle_levels == [0]
 
     def test_warm_and_cold_cg_agree(self, monkeypatch):
         problem = general_p_problem(3.0)
-        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
         cg = sv.spla.cg
         warm_starts = []
 
@@ -345,6 +364,12 @@ snapshot = false
 """
 
 
+def regularized_energy(mesh, op, values, eps):
+    """The solver's regularized energy of a nodal field."""
+    _, s = sv._gradient_terms(mesh.grid, values, eps)
+    return sv._regularized_energy(mesh, op, op.a(mesh.pk_at_quads()), s)
+
+
 def readme_problem(p, h):
     dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
                               alpha=1.0, beta=7.0, lateral_bc=("dirichlet0", "dirichlet0"))
@@ -377,10 +402,8 @@ class TestOuterLoopGeometry:
     def test_energy_with_given_coefficient(self):
         dom, mesh, op, bc = self.oscillating_problem(1.5)
         f = sv.solve(dom, mesh, op, bc)
-        a_q = op.a(mesh.pk_at_quads())
-        eps = f.diagnostics.eps_reg
-        assert sv._regularized_energy(mesh, op, f.values, eps, a_q) \
-            == sv._regularized_energy(mesh, op, f.values, eps) == f.diagnostics.energy
+        assert regularized_energy(mesh, op, f.values, f.diagnostics.eps_reg) \
+            == f.diagnostics.energy
 
 
 class TestRejectedStep:
@@ -403,7 +426,8 @@ class TestRejectedStep:
         assert len(calls) == 32  # the first iterate, then theta = 1, 1/2, ..., 2^-30
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
-        assert d.energy == energy(mesh, op, first.values, d.eps_reg) + 1
+        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg)
+        assert d.energy == energy(mesh, op, op.a(mesh.pk_at_quads()), s) + 1
 
     def test_nonfinite_energy_is_rejected(self, monkeypatch, tmp_path):
         dom, mesh, op, bc = general_p_problem(3.0)
@@ -421,11 +445,40 @@ class TestRejectedStep:
         assert not d.converged
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
-        assert d.energy == energy(mesh, op, first.values, d.eps_reg)
+        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg)
+        assert d.energy == energy(mesh, op, op.a(mesh.pk_at_quads()), s)
         calls.clear()
         result = run(parse_config(README_SOLVE.format(p=3, h=0.125)), out_dir=str(tmp_path), seed=0)
         assert result.exit_code == 3
         assert "did not converge" in result.report["error"]
+
+
+class TestNonpositiveDiagonal:
+    """A free-node block with a nonpositive diagonal entry is a solver failure."""
+
+    @pytest.fixture
+    def zero_diagonal(self, monkeypatch):
+        block = sv._FreeSystem.block
+
+        def zeroed(self, K):
+            A = block(self, K)
+            d = A.diagonal()
+            d[0] = 0.0
+            A.setdiag(d)
+            return A
+
+        monkeypatch.setattr(sv._FreeSystem, "block", zeroed)
+
+    # h = 1/8 has no coarse level, h = 1/32 has some
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 32])
+    def test_solve_raises(self, zero_diagonal, h):
+        with pytest.raises(sv.SolverError, match="nonpositive diagonal"):
+            sv.solve(*readme_problem(2.0, h))
+
+    def test_run_exits_3(self, zero_diagonal, tmp_path):
+        result = run(parse_config(README_SOLVE.format(p=2, h=0.125)), out_dir=str(tmp_path), seed=0)
+        assert result.exit_code == 3
+        assert "nonpositive diagonal" in result.report["error"]
 
 
 class TestNewtonHessian:
@@ -448,7 +501,7 @@ class TestNewtonHessian:
             s = np.sum(grid.grads_at_quads(u) ** 2, axis=-1) + eps**2
             return grid.stiffness(coeff=a_q * s ** (0.5 * (p - 2.0))) @ u
 
-        H, load = sv._step_system(grid, a_q, f, p, eps)
+        H, load = sv._step_system(grid, a_q, f, p, sv._gradient_terms(grid, f, eps))
         step = 1e-5
         fd = np.empty((grid.n_nodes,) * 2)
         for j in range(grid.n_nodes):
@@ -480,13 +533,13 @@ def kacanov_reference(dom, mesh, op, bc):
     a_q = op.a(mesh.pk_at_quads())
     system = sv._FreeSystem(mesh.grid, mask, vals)
     f = system.solve(mesh.grid.stiffness(coeff=a_q))
-    energy = sv._regularized_energy(mesh, op, f, eps)
+    energy = regularized_energy(mesh, op, f, eps)
     for _ in range(sv.MAX_OUTER - 1):
         g = mesh.grid.grads_at_quads(f)
         s = np.sum(g**2, axis=-1) + eps**2
         f_hat = system.solve(mesh.grid.stiffness(coeff=a_q * s ** (0.5 * (op.p - 2.0))), x0=f)
         f_new = f + 1.0 * (f_hat - f)
-        e_new = sv._regularized_energy(mesh, op, f_new, eps)
+        e_new = regularized_energy(mesh, op, f_new, eps)
         assert e_new <= energy  # K(c) majorizes the Hessian for p < 2
         decrease = (energy - e_new) / abs(energy)
         f, energy = f_new, e_new
@@ -496,12 +549,14 @@ def kacanov_reference(dom, mesh, op, bc):
 
 
 class TestKacanovUnchanged:
-    @pytest.mark.parametrize("direct_limit", [sv.DIRECT_LIMIT, 0])
-    def test_p_below_two_is_plain_kacanov(self, monkeypatch, direct_limit):
-        monkeypatch.setattr(sv, "DIRECT_LIMIT", direct_limit)
+    # 0: the deepest multigrid hierarchy; 20000: no coarse level, so the
+    # V-cycle factors the whole free-node block
+    @pytest.mark.parametrize("mg_coarsest", [0, 20000])
+    def test_p_below_two_is_plain_kacanov(self, monkeypatch, mg_coarsest):
+        monkeypatch.setattr(sv, "MG_COARSEST", mg_coarsest)
         problem = readme_problem(1.5, 1 / 16)
         f = sv.solve(*problem)
-        assert f.diagnostics.linear_solver == ("direct" if direct_limit else "cg-mg")
+        assert f.diagnostics.linear_solver == "cg-mg"
         assert f.diagnostics.converged and f.diagnostics.damping_final == 1.0
         assert np.array_equal(f.values, kacanov_reference(*problem))
 
@@ -537,7 +592,6 @@ class TestInexactInnerSolve:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_forcing_keeps_the_solution(self, monkeypatch, cg_calls, p):
-        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
         problem = readme_problem(p, 1 / 32)
         inexact = sv.solve(*problem)
         cold, *warm = cg_calls
@@ -555,14 +609,14 @@ class TestInexactInnerSolve:
         assert np.max(np.abs(inexact.values - exact.values)) <= 1e-6
         assert global_residual(inexact) <= 1.5 * global_residual(exact)
 
-    def test_warm_stop_is_forcing_times_initial_residual(self, monkeypatch, cg_calls):
-        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+    def test_warm_stop_is_forcing_times_initial_residual(self, cg_calls):
         dom, mesh, op, bc = readme_problem(1.5, 1 / 16)
         mask, vals = sv.dirichlet_data(mesh, bc)
         system = sv._FreeSystem(mesh.grid, mask, vals)
         a_q = op.a(mesh.pk_at_quads())
         f = system.solve(mesh.grid.stiffness(coeff=a_q))
-        H, _ = sv._step_system(mesh.grid, a_q, f, op.p, sv.EPS_REG_REL)
+        terms = sv._gradient_terms(mesh.grid, f, sv.EPS_REG_REL)
+        H, _ = sv._step_system(mesh.grid, a_q, f, op.p, terms)
         cg_calls.clear()
         f_hat = system.solve(H, x0=f)
         gradient = (H @ f)[system.free]  # K(c) f, the energy gradient at f
@@ -638,8 +692,7 @@ class TestMultigrid:
                 assert abs(x @ My - y @ M(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(My)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_iterations_flat_under_refinement_2d(self, monkeypatch, p):
-        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+    def test_iterations_flat_under_refinement_2d(self, p):
         worst = []
         for h in (1 / 16, 1 / 32, 1 / 64):
             d = sv.solve(*readme_problem(p, h)).diagnostics

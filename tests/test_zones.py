@@ -5,7 +5,6 @@ import pytest
 
 from conftest import solve_linear
 from svplab import energetics as en
-from svplab import solver as sv
 from svplab import zones as zn
 
 PI = math.pi
@@ -70,9 +69,7 @@ class TestMeasuredZones:
             assert fn(nudged, s).tau_meas == fn(linear_16, s).tau_meas
             assert fn(nudged, s).tau_meas == pytest.approx(tau, rel=1e-12)
 
-    def test_tied_stations_under_cg(self, monkeypatch):
-        # the CG solve lands on the other side of the ties than the LU
-        monkeypatch.setattr(sv, "DIRECT_LIMIT", 0)
+    def test_tied_stations_under_cg(self):
         lin = solve_linear(1 / 16)
         assert lin.diagnostics.linear_solver == "cg-mg"
         h = 1 / 16
