@@ -373,12 +373,6 @@ class CanonicalDomain:
             return np.asarray(s) + self.center
         return np.asarray(s)
 
-    def base_measure(self):
-        out = 1.0
-        for lo, hi in self.base:
-            out *= hi - lo
-        return out
-
 
 def axial_distance(domain, x, shifted=False):
     """Distance p_k(x) = (sum_{j>k} x_j^2)^(1/2) of an ambient point.

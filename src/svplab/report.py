@@ -54,6 +54,12 @@ def write_json(path, payload):
     return path
 
 
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def write_csv(path, header, rows, comments=()):
     """CSV with '#' comment lines, a header row and repr-formatted values."""
     lines = [f"# {c}" for c in comments]
@@ -64,22 +70,36 @@ def write_csv(path, header, rows, comments=()):
         else:
             lines.append(",".join(fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
                                   for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)
 
 
 def write_field_csv(path, mesh, values):
-    d = mesh.grid.dim
+    """Node coordinates and nodal value, one row per node, as write_csv
+    writes them.
+
+    The nodes are the C-order product of the grid axes, so a row's
+    coordinate prefix is the product of per-axis repr strings, each formed
+    once per axis value.  A non-finite value takes write_csv's row path.
+    """
+    grid = mesh.grid
+    d = grid.dim
     header = ",".join(f"x{i + 1}" for i in range(d)) + ",value"
-    rows = np.column_stack((mesh.grid.nodes, values)).tolist()
-    return write_csv(
-        path, header, rows,
-        comments=[
-            "field snapshot: node coordinates and nodal value",
-            f"columns x1..x{d}: mesh coordinates (axial last)",
-        ],
-    )
+    comments = [
+        "field snapshot: node coordinates and nodal value",
+        f"columns x1..x{d}: mesh coordinates (axial last)",
+    ]
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        return write_csv(path, header, np.column_stack((grid.nodes, values)).tolist(),
+                         comments=comments)
+    prefixes = [""]
+    for axis in grid.axes:
+        cells = [repr(x) + "," for x in axis.tolist()]
+        prefixes = [pre + cell for pre in prefixes for cell in cells]
+    lines = [f"# {c}" for c in comments]
+    lines.append(header)
+    lines.extend(map(str.__add__, prefixes, map(repr, values.tolist())))
+    return _write_lines(path, lines)
 
 
 def _svg_escape(s):
@@ -168,9 +188,7 @@ def svg_semilog(path, series, title, xlabel, ylabel):
         )
         legend_y += 14
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _write_lines(path, parts)
 
 
 def ensure_dir(path):

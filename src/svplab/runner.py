@@ -2,12 +2,14 @@
 
 Tasks run in dependency order (one shared solve feeds the svp / zones /
 cutoff checks; pl solves its own truncation family).  With the refine
-flag the margin-producing pipeline is repeated at h/2 and each check's
-discretization tolerance is calibrated as twice the margin drift between
-the two resolutions.  Exit codes: 0 all checks pass, 1 at least one
-inequality violated beyond tolerance, 2 config error, 3 solver
-failure: non-convergence or any numerical error (RuntimeError, numpy
-LinAlgError, FloatingPointError); any other ValueError is a config error.
+flag the svp checks and cutoff bounds are repeated at h/2, and each
+one's discretization tolerance is calibrated as twice the margin drift
+between the two resolutions; the h/2 pass skips the frequencies, zones
+and pl tasks and the energy profile, whose output the report takes from
+h alone.  Exit codes: 0 all checks pass, 1 at least one inequality
+violated beyond tolerance, 2 config error, 3 solver failure:
+non-convergence or any numerical error (RuntimeError, numpy LinAlgError,
+FloatingPointError); any other ValueError is a config error.
 """
 
 from __future__ import annotations
@@ -75,33 +77,42 @@ def _validate_station(mesh, value, what):
         raise ConfigError(f"{what} {value} is not a mesh station: {exc}") from exc
 
 
-def _rate_profiles(config, mesh, stations, seed):
-    """mu and lambda rate profiles over +/- the requested stations."""
+def _family_kind(config):
+    """The frequency kind of the config's family: lambda (THIRD) for a
+    Dirichlet family, mu (SECOND) for a Neumann one."""
+    return THIRD if _family(config) == "dirichlet" else SECOND
+
+
+def _rate_profile(config, mesh, kind, stations, seed):
+    """The mu (SECOND) or lambda (THIRD) rate profile over +/- the requested
+    stations, and the (tau, FrequencyResult) pairs it was built from."""
     p = config.operator.p
+    name = "mu" if kind == SECOND else "lambda"
     pos = sorted({float(s) for s in stations})
-    mu_pairs = frequency_profile(mesh, p, SECOND, pos, seed=seed)
-    lam_pairs = frequency_profile(mesh, p, THIRD, pos, seed=seed)
-    if mesh.domain.axial_kind == LAYER:
-        def mirrored(pairs):
-            taus = [t for t, _ in pairs]
-            vals = [r.value for _, r in pairs]
-            full = sorted(set([-t for t in taus] + [0.0] + taus))
-            # layer sections are identical: mirror the station values
-            lookup = dict(zip(taus, vals))
-            allv = [lookup.get(abs(t), vals[0]) for t in full]
-            return np.asarray(full), np.asarray(allv)
-        mt, mv = mirrored(mu_pairs)
-        lt, lv = mirrored(lam_pairs)
-        mu = RateProfile(kind="mu", p=p, stations=mt, values=mv)
-        lam = RateProfile(kind="lambda", p=p, stations=lt, values=lv)
-    else:
-        mu = rate_profile("mu", p, mu_pairs)
-        lam = rate_profile("lambda", p, lam_pairs)
-    return mu, lam, mu_pairs, lam_pairs
+    pairs = frequency_profile(mesh, p, kind, pos, seed=seed)
+    if mesh.domain.axial_kind != LAYER:
+        return rate_profile(name, p, pairs), pairs
+    # layer sections are identical: mirror the station values
+    taus = [t for t, _ in pairs]
+    vals = [r.value for _, r in pairs]
+    full = sorted(set([-t for t in taus] + [0.0] + taus))
+    lookup = dict(zip(taus, vals))
+    allv = [lookup.get(abs(t), vals[0]) for t in full]
+    profile = RateProfile(kind=name, p=p, stations=np.asarray(full), values=np.asarray(allv))
+    return profile, pairs
 
 
-def _execute(config, h, seed):
-    """Run every task at one resolution; returns raw results."""
+# tasks whose output only the main pass reports; the refine pass skips them
+_MAIN_ONLY_TASKS = ("frequencies", "zones", "pl")
+
+
+def _execute(config, h, seed, refined=False):
+    """Run the tasks at one resolution; returns raw results.
+
+    The refine pass (refined=True) computes only what the report reads from
+    it, the svp check and cutoff margins: it solves, builds the family's rate
+    profile and the checks for svp, and runs the cutoff bounds.
+    """
     results = {
         "h": h,
         "checks": [],
@@ -128,7 +139,7 @@ def _execute(config, h, seed):
         results["field"] = field_
 
     for task in config.tasks:
-        if task.name == "solve":
+        if task.name == "solve" or (refined and task.name in _MAIN_ONLY_TASKS):
             continue
         if task.name == "frequencies":
             kinds = task.params.get("kinds", (SECOND,))
@@ -143,7 +154,7 @@ def _execute(config, h, seed):
                 pairs = frequency_profile(mesh, config.operator.p, kind, stations, seed=seed)
                 results["frequencies"][kind] = pairs
         elif task.name == "svp":
-            results.update(_run_svp(config, mesh, field_, task, seed))
+            results.update(_run_svp(config, mesh, field_, task, seed, refined))
         elif task.name == "zones":
             results["zones"] = _run_zones(config, mesh, field_, task, seed)
         elif task.name == "cutoff":
@@ -169,7 +180,7 @@ def _execute(config, h, seed):
     return results
 
 
-def _run_svp(config, mesh, field_, task, seed):
+def _run_svp(config, mesh, field_, task, seed, refined=False):
     stations = task.params.get("stations")
     if stations is None:
         raise ConfigError("[task svp] needs 'stations'")
@@ -185,22 +196,28 @@ def _run_svp(config, mesh, field_, task, seed):
         scale = corrupt * max(float(np.max(np.abs(noisy))), 1.0)
         noisy += rng.normal(scale=scale, size=noisy.shape)
         field_ = field_.with_values(noisy)
-    mu, lam, mu_pairs, lam_pairs = _rate_profiles(config, mesh, stations, seed)
-    profile = energy_profile(field_, t, stations,
-                             fit_window=fit_window if fit_window else None)
     family = _family(config)
+    if refined:
+        # the checks read only the family's profile
+        sym_profile, _ = _rate_profile(config, mesh, _family_kind(config), stations, seed)
+    else:
+        mu, mu_pairs = _rate_profile(config, mesh, SECOND, stations, seed)
+        lam, lam_pairs = _rate_profile(config, mesh, THIRD, stations, seed)
+        sym_profile = lam if family == "dirichlet" else mu
+        profile = energy_profile(field_, t, stations,
+                                 fit_window=fit_window if fit_window else None)
     checks = []
     for tt, tau1, tau2 in task.params.get("pairs", ()):
         for v in (tt, tau1, tau2):
             _validate_station(mesh, v, "svp pair entry")
         if family == "neumann":
-            checks.append(svp_check_neumann(field_, mu, tt, tau1, tau2))
-            sym_profile = mu
+            checks.append(svp_check_neumann(field_, sym_profile, tt, tau1, tau2))
         else:
-            checks.append(svp_check_dirichlet(field_, lam, tt, tau1, tau2))
-            sym_profile = lam
+            checks.append(svp_check_dirichlet(field_, sym_profile, tt, tau1, tau2))
         if mesh.domain.axial_kind == LAYER and tau1 > 0:
             checks.append(svp_symmetric_check(field_, sym_profile, tau1, tau2))
+    if refined:
+        return {"checks": checks}
     return {
         "checks": checks,
         "profile": profile,
@@ -221,8 +238,7 @@ def _run_zones(config, mesh, field_, task, seed):
     c5 = task.params.get("C5", (None,))[0]
     c6 = task.params.get("C6", (None,))[0]
     pos = [float(s) for s in mesh.stations if s > 0]
-    mu, lam, _, _ = _rate_profiles(config, mesh, [pos[0], tau_outer], seed)
-    profile = lam if _family(config) == "dirichlet" else mu
+    profile, _ = _rate_profile(config, mesh, _family_kind(config), [pos[0], tau_outer], seed)
     out = []
     for s in s_values:
         for norm in norms:
@@ -276,7 +292,7 @@ def run(config, out_dir=None, seed=0, refine=None):
     files = []
     try:
         results = _execute(config, config.h, seed)
-        results2 = _execute(config, config.h / 2.0, seed) if do_refine else None
+        results2 = _execute(config, config.h / 2.0, seed, refined=True) if do_refine else None
     except _NUMERICAL_FAILURES as exc:
         payload = {
             "schema": 1,

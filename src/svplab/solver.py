@@ -46,13 +46,14 @@ A Kacanov step stays a descent step, since CG from the iterate lowers
 the quadratic majorant monotonically; a Newton step keeps the energy
 line search.  The method used is reported as linear_solver: 'cg-mg', or
 'none' without free nodes, and the CG iterations of each solve as
-linear_iterations.
+linear_iterations.  A CG iterate that is not finite raises SolverError
+at that iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,16 +204,18 @@ def factor_spd(A, what):
 
 
 def _interpolation_1d(n):
-    """Linear interpolation onto one axis of n nodes, as two (column,
-    weight) pairs per fine node, and the coarse node count: a factor-2
-    coarsening when the cell count n - 1 is even, the identity otherwise."""
-    i = np.arange(n)
+    """Linear interpolation onto one axis of n nodes, as an n x m CSR
+    matrix: a factor-2 coarsening (m = n // 2 + 1) when the cell count
+    n - 1 is even, the identity otherwise.  An even fine node copies its
+    coarse twin and an odd one averages its two coarse neighbours."""
     if (n - 1) % 2:
-        return np.stack([i, i], axis=1), np.tile([1.0, 0.0], (n, 1)), n
-    odd = i % 2
-    cols = np.stack([i // 2, i // 2 + odd], axis=1)
-    weights = np.where(odd[:, None] == 1, 0.5, [1.0, 0.0])
-    return cols, weights, n // 2 + 1
+        return sp.identity(n, format="csr")
+    i = np.arange(n)
+    odd = i[1::2]
+    rows = np.concatenate((i, odd))
+    cols = np.concatenate((i // 2, odd // 2 + 1))
+    weights = np.where(rows % 2 == 1, 0.5, 1.0)
+    return sp.csr_matrix((weights, (rows, cols)), shape=(n, n // 2 + 1))
 
 
 def _coarsen(shape, free):
@@ -221,38 +224,19 @@ def _coarsen(shape, free):
 
     P is the Kronecker product, in C order, of the per-axis
     interpolations, restricted to free fine rows and free coarse columns;
-    a coarse node is free when its injected fine twin is.  Its CSR arrays
-    are built straight from the 2^dim (column, weight) choices of each
-    fine node, with the choice axes leading so that the broadcasts run
-    over the long node axes; the free nodes' rows are transposed out at
-    the end.  Returns (P, coarse shape, coarse free mask), or None when no
-    axis coarsens.
+    a coarse node is free when its injected fine twin is.  Returns (P,
+    coarse shape, coarse free mask), or None when no axis coarsens.
     """
-    dim = len(shape)
     axes = [_interpolation_1d(n) for n in shape]
-    coarse_shape = tuple(m for _, _, m in axes)
+    coarse_shape = tuple(P.shape[1] for P in axes)
     if coarse_shape == tuple(shape):
         return None
-    strides = np.cumprod((1,) + coarse_shape[:0:-1])[::-1]
-    cols = np.zeros((2,) * dim + tuple(shape), dtype=np.int32)
-    weights = np.ones(cols.shape)
-    for ax, (c, w, _) in enumerate(axes):
-        view = [1] * (2 * dim)
-        view[ax], view[dim + ax] = 2, shape[ax]
-        cols += (c.T * strides[ax]).reshape(view)
-        weights *= w.T.reshape(view)
+    full = reduce(lambda a, b: sp.kron(a, b, format="csr"), axes)
     twins = tuple(slice(None, None, 2) if m < n else slice(None)
                   for n, m in zip(shape, coarse_shape))
     coarse_free = free.reshape(shape)[twins].ravel()
-    coarse_ids = np.cumsum(coarse_free, dtype=np.int32) - 1
-    coarse_ids[~coarse_free] = -1
-    cols = coarse_ids[cols.reshape(2**dim, -1)[:, free].T]
-    weights = weights.reshape(2**dim, -1)[:, free].T
-    keep = (weights != 0.0) & (cols >= 0)
-    indptr = np.zeros(cols.shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    P = sp.csr_matrix((weights[keep], cols[keep], indptr),
-                      shape=(cols.shape[0], int(np.count_nonzero(coarse_free))))
+    P = full[free][:, coarse_free]
+    P.sort_indices()
     return P, coarse_shape, coarse_free
 
 
@@ -358,9 +342,12 @@ class _FreeSystem:
         M = spla.LinearOperator(A.shape, matvec=_VCycle(A, self.prolongations), dtype=float)
         iterations = 0
 
-        def count(_):
+        def count(xk):
+            # a non-finite iterate stays non-finite: stop now, not at maxiter
             nonlocal iterations
             iterations += 1
+            if not np.isfinite(xk).all():
+                raise SolverError(f"conjugate gradient iterate not finite at iteration {iterations}")
 
         if x0 is None:
             xf0, atol = None, 0.0

@@ -202,6 +202,13 @@ def vcycle_levels(monkeypatch):
     return levels
 
 
+@pytest.fixture
+def nan_vcycle(monkeypatch):
+    """Every multigrid V-cycle returns NaN, so that CG's first iterate is
+    not finite."""
+    monkeypatch.setattr(sv._VCycle, "__call__", lambda self, r: np.full(np.size(r), np.nan))
+
+
 def numeric_cutoff_minimum(mass, tau1, tau2, p):
     """Reference for optimal_cutoff: min over piecewise-linear psi with
     psi(tau1) = 1, psi(tau2) = 0 of sum |psi'|^p int m, by L-BFGS-B."""

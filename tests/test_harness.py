@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -269,14 +270,22 @@ class TestCsvWriter:
         ]
 
     def test_field_csv_matches_per_value_rows(self, tmp_path):
-        mesh = geo.build_mesh(geo.CanonicalDomain(
-            n=2, k=1, base=((0.0, 1.0),), axial_kind="layer", alpha=1.0, beta=3.0,
-            lateral_bc=("neumann", "neumann")), 1 / 8)
-        values = np.random.default_rng(0).normal(size=mesh.n_nodes)
-        write_field_csv(tmp_path / "field.csv", mesh, values)
-        write_csv(tmp_path / "ref.csv", "x1,x2,value",
-                  [tuple(pt) + (v,) for pt, v in zip(mesh.grid.nodes, values)])
-        assert self.body(tmp_path / "field.csv") == self.body(tmp_path / "ref.csv")
+        # a 2-D mesh, a 3-D mesh, and a 2-D mesh with non-finite values
+        for k, nan in ((1, False), (2, False), (1, True)):
+            mesh = geo.build_mesh(geo.CanonicalDomain(
+                n=k + 1, k=k, base=((0.0, 1.0),) * k, axial_kind="layer", alpha=1.0, beta=3.0,
+                lateral_bc=("neumann",) * (2 * k)), 1 / 8)
+            values = np.random.default_rng(0).normal(size=mesh.n_nodes)
+            if nan:
+                values[[3, 17]] = (np.nan, np.inf)
+            write_field_csv(tmp_path / "field.csv", mesh, values)
+            lines = (tmp_path / "field.csv").read_text(encoding="utf-8").splitlines()
+            header = ",".join(f"x{i + 1}" for i in range(k + 1)) + ",value"
+            write_csv(tmp_path / "ref.csv", header,
+                      [tuple(pt) + (v,) for pt, v in zip(mesh.grid.nodes.tolist(), values.tolist())],
+                      comments=[ln[2:] for ln in lines if ln.startswith("# ")])
+            assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            assert len(self.body(tmp_path / "field.csv")) == mesh.n_nodes
 
 
 class TestStructureRunner:
@@ -390,6 +399,13 @@ class TestSolverFailurePath:
         assert "conjugate gradient did not converge" in result.report["error"]
         assert vcycle_levels and min(vcycle_levels) >= 1
 
+    def test_non_finite_cg_exits_three_at_once(self, tmp_path, nan_vcycle):
+        start = time.perf_counter()
+        result = run(parse_config(readme_config(2, 0.03125)), out_dir=str(tmp_path), seed=0)
+        assert time.perf_counter() - start < 2.0
+        assert result.exit_code == 3
+        assert "not finite" in result.report["error"]
+
 
 def readme_config(p, h):
     """The README example config at another p and h, without refine."""
@@ -400,6 +416,69 @@ def readme_config(p, h):
         assert text.count(old) == 1, old
         text = text.replace(old, new)
     return text
+
+
+def readme_corrupt_config(h, corrupt):
+    """The README example config at p = 2 and h, without refine, at the
+    given svp noise level."""
+    text = readme_config(2, h)
+    assert text.count("corrupt = 0 ") == 1
+    return parse_config(text.replace("corrupt = 0 ", f"corrupt = {corrupt} "))
+
+
+class TestRefineContract:
+    """The h/2 pass of a refine run yields the svp and cutoff margins of a
+    plain run at h/2, and runs none of the tasks whose output the report
+    takes from h alone."""
+
+    @pytest.mark.parametrize("corrupt", ["0", "0.2"])
+    def test_refined_margin_is_margin_at_half_h(self, tmp_path, corrupt):
+        refined = run(readme_corrupt_config(0.125, corrupt), out_dir=str(tmp_path / "h"),
+                      seed=0, refine=True).report
+        half = run(readme_corrupt_config(0.0625, corrupt), out_dir=str(tmp_path / "h2"),
+                   seed=0).report
+        for key in ("checks", "cutoff"):
+            assert refined[key]
+            assert ([(e["name"], e["params"]) for e in refined[key]]
+                    == [(e["name"], e["params"]) for e in half[key]])
+            assert ([e["margin_refined"] for e in refined[key]]
+                    == [e["margin"] for e in half[key]])
+
+    def test_refine_pass_skips_unreported_tasks(self, tmp_path, monkeypatch):
+        import svplab.runner as runner_mod
+
+        calls = []
+
+        def record(name, h_of):
+            fn = getattr(runner_mod, name)
+
+            def recorded(*args, **kwargs):
+                calls.append((name, h_of(*args)))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(runner_mod, name, recorded)
+
+        def field_h(field_, *rest):
+            return field_.mesh.requested_h
+
+        for name in ("w1p_zone", "lp_zone", "sup_zone", "energy_profile", "cutoff_bound"):
+            record(name, field_h)
+        record("pl_check", lambda *args: args[5])
+        record("frequency_profile", lambda mesh, p, kind, *rest: (mesh.requested_h, kind))
+
+        result = run(readme_corrupt_config(0.125, "0"), out_dir=str(tmp_path), seed=0,
+                     refine=True)
+        assert result.exit_code == 0
+
+        def seen(*names):
+            return sorted({h for name, h in calls if name in names})
+
+        assert seen("w1p_zone", "lp_zone", "sup_zone", "energy_profile", "pl_check") == [0.125]
+        assert seen("cutoff_bound") == [0.0625, 0.125]
+        frequencies = seen("frequency_profile")
+        assert (0.125, "first") in frequencies
+        # a Dirichlet family reads lambda, the third frequency, alone at h/2
+        assert [kind for h, kind in frequencies if h != 0.125] == ["third"]
 
 
 class TestReadmeAboveTwo:

@@ -481,6 +481,26 @@ class TestNonpositiveDiagonal:
         assert "nonpositive diagonal" in result.report["error"]
 
 
+class TestNonFiniteCG:
+    """CG stops at its first non-finite iterate, not at its iteration cap."""
+
+    def test_solve_raises_at_once(self, nan_vcycle, monkeypatch):
+        cg = sv.spla.cg
+        iterations = []
+
+        def counted(A, b, callback, **kwargs):
+            def count(xk):
+                iterations.append(1)
+                callback(xk)
+
+            return cg(A, b, callback=count, **kwargs)
+
+        monkeypatch.setattr(sv.spla, "cg", counted)
+        with pytest.raises(sv.SolverError, match="not finite"):
+            sv.solve(*readme_problem(2.0, 1 / 32))
+        assert 1 <= len(iterations) <= 2
+
+
 class TestNewtonHessian:
     """The p > 2 step matrix is the Hessian of the regularized energy."""
 
