@@ -79,7 +79,7 @@ def write_field_csv(path, mesh, values):
 
     The nodes are the C-order product of the grid axes, so a row's
     coordinate prefix is the product of per-axis repr strings, each formed
-    once per axis value.  A non-finite value takes write_csv's row path.
+    once per axis value.
     """
     grid = mesh.grid
     d = grid.dim
@@ -89,9 +89,6 @@ def write_field_csv(path, mesh, values):
         f"columns x1..x{d}: mesh coordinates (axial last)",
     ]
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        return write_csv(path, header, np.column_stack((grid.nodes, values)).tolist(),
-                         comments=comments)
     prefixes = [""]
     for axis in grid.axes:
         cells = [repr(x) + "," for x in axis.tolist()]

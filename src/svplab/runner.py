@@ -197,13 +197,14 @@ def _run_svp(config, mesh, field_, task, seed, refined=False):
         noisy += rng.normal(scale=scale, size=noisy.shape)
         field_ = field_.with_values(noisy)
     family = _family(config)
-    if refined:
-        # the checks read only the family's profile
-        sym_profile, _ = _rate_profile(config, mesh, _family_kind(config), stations, seed)
-    else:
-        mu, mu_pairs = _rate_profile(config, mesh, SECOND, stations, seed)
-        lam, lam_pairs = _rate_profile(config, mesh, THIRD, stations, seed)
-        sym_profile = lam if family == "dirichlet" else mu
+    kind = _family_kind(config)
+    # the checks read only the family's profile
+    sym_profile, pairs = _rate_profile(config, mesh, kind, stations, seed)
+    pairs = {kind: pairs}
+    if not refined:
+        # svp.csv tabulates both kinds
+        other = SECOND if kind == THIRD else THIRD
+        pairs[other] = _rate_profile(config, mesh, other, stations, seed)[1]
         profile = energy_profile(field_, t, stations,
                                  fit_window=fit_window if fit_window else None)
     checks = []
@@ -221,8 +222,8 @@ def _run_svp(config, mesh, field_, task, seed, refined=False):
     return {
         "checks": checks,
         "profile": profile,
-        "mu_pairs": mu_pairs,
-        "lam_pairs": lam_pairs,
+        "mu_pairs": pairs[SECOND],
+        "lam_pairs": pairs[THIRD],
         "field": field_,
         "corrupted": corrupt > 0,
     }
@@ -413,10 +414,8 @@ def _write_artifacts(config, out_dir, results, payload):
         if sym[pos].size:
             outer_tau = float(prof.stations[pos][-1])
             outer = float(sym[pos][-1])
-            mu_lookup = {t: r.value for t, r in results.get("mu_pairs", [])}
-            lam_lookup = {t: r.value for t, r in results.get("lam_pairs", [])}
-            family_lookup = lam_lookup if any(
-                k == DIRICHLET0 for k in config.domain.lateral_bc) else mu_lookup
+            key = "lam_pairs" if _family_kind(config) == THIRD else "mu_pairs"
+            family_lookup = {t: r.value for t, r in results.get(key, [])}
             if family_lookup:
                 rate = list(family_lookup.values())[0] ** (1.0 / config.operator.p)
                 env = outer * np.exp(

@@ -400,9 +400,11 @@ class TestSolverFailurePath:
         assert vcycle_levels and min(vcycle_levels) >= 1
 
     def test_non_finite_cg_exits_three_at_once(self, tmp_path, nan_vcycle):
+        # TestNonFiniteCG bounds the stop at two CG iterations; this loose
+        # bound only rules out a run that iterates to maxiter (minutes)
         start = time.perf_counter()
         result = run(parse_config(readme_config(2, 0.03125)), out_dir=str(tmp_path), seed=0)
-        assert time.perf_counter() - start < 2.0
+        assert time.perf_counter() - start < 60.0
         assert result.exit_code == 3
         assert "not finite" in result.report["error"]
 
