@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .energetics import energy, rate_profile
 from .frequency import SECOND, THIRD, frequency_profile, optimal_constant
@@ -76,6 +75,18 @@ def section_mass(field_, C, stations):
     )
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-D array with a finite maximum, by the
+    formula of scipy.special.logsumexp (scipy >= 1.15), to the bit: the
+    largest entries are taken out of the sum of exp(a - max), and log1p
+    adds them back."""
+    a_max = np.max(a)
+    top = a == a_max
+    count = np.count_nonzero(top)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max)) / count
+    return float(np.log1p(s) + np.log(count) + a_max)
+
+
 @dataclass(frozen=True)
 class CutoffResult:
     value: float               # A = [int m^(1/(1-p))]^(1-p), 0 when degenerate
@@ -121,7 +132,7 @@ def optimal_cutoff(mass, tau1, tau2, p):
     w[-1] = 0.5 * (st[-1] - st[-2])
     if n > 2:
         w[1:-1] = 0.5 * (st[2:] - st[:-2])
-    log_integral = logsumexp(expo * logm + np.log(w))
+    log_integral = _logsumexp(expo * logm + np.log(w))
     value = math.exp((1.0 - p) * log_integral)
 
     dens = np.exp(expo * logm - np.max(expo * logm))  # scaled m^(1/(1-p))

@@ -21,6 +21,10 @@ import scipy.sparse as sp
 
 _GAUSS = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
 
+# Assembly adds local entries chunk by chunk, each chunk whole first-axis
+# cell layers whose entries take at most about this many bytes.
+ASSEMBLY_CHUNK_BYTES = 1 << 20
+
 LAYER = "layer"
 RADIAL = "radial"
 NEUMANN = "neumann"
@@ -32,26 +36,44 @@ def _read_only(a):
     return a
 
 
+def _axis_offsets(n, periodic):
+    """The offsets -1, 0, 1 along an axis of n nodes, as the stencil array
+    stores them: on a periodic axis of 2 nodes, -1 and 1 reach the same
+    node, and both are stored at -1."""
+    off = np.array([-1, 0, 1], dtype=np.int32)
+    return (off + 1) % n - 1 if periodic else off
+
+
 def _axis_pattern(n, periodic):
     """The 1-D pattern of an axis of n nodes, padded to three entries a row.
 
     Returns nbr (n, 3), each node's neighbour node ids in ascending order;
     ok (n, 3), which of them are entries (not padding, nor a repeat from
-    the wrap of a periodic axis of 2 nodes); count (n,), each node's entry
-    count; ends (cells, 2), the nodes of each cell; and rank (cells, 2, 2),
-    the rank of end b among the entries of end a.
+    the wrap of a periodic axis of 2 nodes); and digit (n, 3), the offset
+    of each neighbour, as stored by _axis_offsets, plus one.
     """
     nbr = np.arange(n, dtype=np.int32)[:, None] + np.array([-1, 0, 1], dtype=np.int32)
+    digit = np.broadcast_to(_axis_offsets(n, periodic) + 1, nbr.shape)
     if periodic:
-        nbr = np.sort(nbr % np.int32(n), axis=1)
+        nbr %= np.int32(n)
+        order = np.argsort(nbr, axis=1, kind="stable")
+        nbr = np.take_along_axis(nbr, order, axis=1)
+        digit = np.take_along_axis(digit, order, axis=1)
         ok = np.ones(nbr.shape, dtype=bool)
         np.not_equal(nbr[:, 1:], nbr[:, :-1], out=ok[:, 1:])
     else:
         ok = (nbr >= 0) & (nbr < n)
-    ends = (np.arange(n if periodic else n - 1)[:, None] + np.arange(2)) % n
-    below = (nbr[ends][:, :, None, :] < ends[:, None, :, None]) & ok[ends][:, :, None, :]
-    return (nbr, ok, np.count_nonzero(ok, axis=1).astype(np.int32), ends,
-            np.count_nonzero(below, axis=-1).astype(np.int32))
+    return nbr, ok, digit
+
+
+def _wrapped_slices(lo, hi, corner, n, periodic):
+    """(cell, node) slice pairs that place the cells lo..hi-1 of an axis of
+    n nodes, counted from lo, onto their nodes at corner (0 or 1); the last
+    cell of a periodic axis wraps onto node 0."""
+    if not periodic or hi + corner <= n:
+        return [(slice(0, hi - lo), slice(lo + corner, hi + corner))]
+    pairs = [(slice(0, hi - lo - 1), slice(lo + 1, n)), (slice(hi - lo - 1, hi - lo), slice(0, 1))]
+    return [pair for pair in pairs if pair[1].stop > pair[1].start]
 
 
 class TensorGrid:
@@ -169,94 +191,136 @@ class TensorGrid:
     def csr_pattern(self):
         """Sparsity pattern shared by the grid's nodal matrices, built once.
 
-        Returns (indptr, indices, slots): the CSR pattern with sorted
-        columns, and the int32 map slots (n_elems, m*m) from each local
-        entry (i, j), flattened row-major, to its position in the CSR data.
-        The arrays are read-only because every assembled matrix shares them.
+        Returns (indptr, indices, stencil_pos): the CSR pattern with sorted
+        columns, and the int32 map stencil_pos (nnz,) from each CSR entry to
+        its flat position in the stencil array that _assemble_local fills.  The
+        arrays are read-only because every assembled matrix shares them.
 
         Two nodes share an element exactly when they do on every axis, so
         the pattern is the tensor product of the 1-D patterns, and it is
         built without sorting the element entries.  A row's columns are the
         C-order product of its sorted 1-D neighbour lists, so indices is the
-        product of the padded 1-D lists with the padding dropped.  An
-        entry's slot is indptr[row] plus its rank inside the row: a
-        mixed-radix number whose digits are the 1-D ranks and whose radices
-        are the row's 1-D entry counts.
+        product of the padded 1-D lists with the padding dropped.  The
+        stencil array has shape (3**dim,) + shape and holds the entry of row
+        node r at offset o in {-1, 0, 1}**dim at [o, r], so an entry's
+        position is the C-order number of its per-axis offset digits (see
+        _axis_pattern) times n_nodes, plus its row.
         """
-        m, k = self.n_local, 3**self.dim
-        # C-order digits of the padded neighbours of a row, and of the row
-        # and column corners of an element's local entries
+        k = 3**self.dim
+        # C-order digits of the padded neighbours of a row
         pad = np.asarray(list(product(range(3), repeat=self.dim)))
-        row_corner = np.repeat(np.asarray(self._corners), m, axis=0)
-        col_corner = np.tile(np.asarray(self._corners), (m, 1))
-        axes = [_axis_pattern(n, per) for n, per in zip(self.shape, self.periodic)]
-
-        def per_digit(table, *digits):
-            # table[:, digits] in C order, so that the arrays built from it,
-            # slots among them, are C-contiguous: assembly ravels slots
-            return np.ascontiguousarray(table[(slice(None),) + digits])
-
         # the padded pattern, shaped (nodes..., k)
         counts = np.ones((), dtype=np.int32)
         cols = np.zeros(k, dtype=np.int32)
+        offsets = np.zeros(k, dtype=np.int32)
         valid = np.ones(k, dtype=bool)
-        for ax, (n, (nbr, ok, count, _, _)) in enumerate(zip(self.shape, axes)):
-            counts = np.multiply.outer(counts, count)
-            cols = cols[..., None, :] * np.int32(n) + per_digit(nbr, pad[:, ax])
-            valid = valid[..., None, :] & per_digit(ok, pad[:, ax])
+        for ax, (n, per) in enumerate(zip(self.shape, self.periodic)):
+            nbr, ok, digit = _axis_pattern(n, per)
+            counts = np.multiply.outer(counts, np.count_nonzero(ok, axis=1).astype(np.int32))
+            cols = cols[..., None, :] * np.int32(n) + nbr[:, pad[:, ax]]
+            offsets = offsets[..., None, :] * np.int32(3) + digit[:, pad[:, ax]]
+            valid = valid[..., None, :] & ok[:, pad[:, ax]]
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
         np.cumsum(counts.ravel(), out=indptr[1:])
         indices = cols[valid]
-        del cols, valid
-        # slots, shaped (cells..., m * m), by Horner's rule over the axes:
-        # start = indptr[row] counts the entries of the rows before; prefix
-        # is the product of the row's 1-D counts on the axes so far
-        start = np.zeros(m * m, dtype=np.int32)
-        rank = np.zeros(m * m, dtype=np.int32)
-        prefix = np.ones(m * m, dtype=np.int32)
-        for ax, (_, _, count, ends, rank_1d) in enumerate(axes):
-            row = per_digit(ends, row_corner[:, ax])
-            before = np.cumsum(count, dtype=np.int32) - count
-            start = (start[..., None, :] * np.int32(count.sum())
-                     + prefix[..., None, :] * before[row])
-            rank = (rank[..., None, :] * count[row]
-                    + per_digit(rank_1d, row_corner[:, ax], col_corner[:, ax]))
-            if ax < self.dim - 1:
-                prefix = prefix[..., None, :] * count[row]
-        start += rank
-        slots = start.reshape(self.n_elems, m * m)
-        return tuple(_read_only(a) for a in (indptr, indices, slots))
+        del cols
+        offsets *= np.int32(self.n_nodes)
+        offsets += np.arange(self.n_nodes, dtype=np.int32).reshape(self.shape + (1,))
+        stencil_pos = offsets[valid]
+        return tuple(_read_only(a) for a in (indptr, indices, stencil_pos))
 
-    def stiffness(self, coeff=None, elems=None):
+    @cached_property
+    def _fill_plan(self):
+        """How _assemble_local adds local entries to the stencil array.
+
+        Returns one (rows, shape, adds) per chunk of whole first-axis cell
+        layers whose local entries take at most ASSEMBLY_CHUNK_BYTES (and
+        at least one layer): rows is the chunk's element slice, shape the
+        shape (m*m, layers, cells...) of its entries, and adds the (target,
+        source) index pairs of the slice adds, with local pairs (i, j) in
+        order of descending i.  The target of pair (i, j) is the stencil
+        slice at offset corner_j - corner_i, stored as _axis_offsets does,
+        and at the nodes of corner i.
+        """
+        m, n_layers = self.n_local, self.cell_shape[0]
+        layer = self.n_elems // n_layers
+        step = max(1, ASSEMBLY_CHUNK_BYTES // (layer * m * m * 8))
+        offsets = [_axis_offsets(n, per) for n, per in zip(self.shape, self.periodic)]
+        plan = []
+        for lo in range(0, n_layers, step):
+            hi = min(lo + step, n_layers)
+            bounds = [(lo, hi)] + [(0, c) for c in self.cell_shape[1:]]
+            adds = []
+            for i in reversed(range(m)):
+                places = list(product(*(
+                    _wrapped_slices(a, b, corner, n, periodic) for (a, b), corner, n, periodic
+                    in zip(bounds, self._corners[i], self.shape, self.periodic))))
+                for j in range(m):
+                    o = 0
+                    for ci, cj, off in zip(self._corners[i], self._corners[j], offsets):
+                        o = 3 * o + int(off[cj - ci + 1]) + 1
+                    adds.extend(((o,) + tuple(nodes for _, nodes in place),
+                                 (i * m + j,) + tuple(cells for cells, _ in place))
+                                for place in places)
+            plan.append((slice(lo * layer, hi * layer), (m * m, hi - lo) + self.cell_shape[1:],
+                         adds))
+        return plan
+
+    def stiffness(self, coeff=None):
         """Assemble the weighted stiffness matrix sum_q w c grad(phi_i).grad(phi_j)."""
-        w = self.quad_weights if coeff is None else self.quad_weights * coeff
-        return self._assemble(self._stiffness_table, w, elems)
+        return self._assemble(self._stiffness_table, coeff)
 
-    def mass(self, elems=None):
-        return self._assemble(self._mass_table, self.quad_weights, elems)
+    def mass(self):
+        return self._assemble(self._mass_table)
 
     def directional_stiffness(self, direction):
         """Assemble sum_q w (v.grad(phi_i)) (v.grad(phi_j)) for directions v (E, Q, dim).
 
         Each element's entries are a Gram matrix of sqrt(w) v.grad(phi_i),
-        so the matrix is symmetric to the last bit.
+        formed per chunk of first-axis cell layers, so the matrix is
+        symmetric to the last bit.
         """
-        u = np.einsum("eqd,qdm->eqm", direction, self.basis_grads)
-        u *= np.sqrt(self.quad_weights)[..., None]
-        return self._on_pattern(self.csr_pattern[2], np.einsum("eqi,eqj->eij", u, u))
+        m = self.n_local
 
-    def _assemble(self, table, w, elems):
-        """CSR matrix on csr_pattern: one product w @ table, one bincount into the data."""
-        slots = self.csr_pattern[2]
-        if elems is not None:
-            w, slots = w[elems], slots[elems]
-        return self._on_pattern(slots, w @ table)
+        def local(rows):
+            u = np.einsum("eqd,qdm->eqm", direction[rows], self.basis_grads)
+            u *= np.sqrt(self.quad_weights[rows])[..., None]
+            return np.einsum("eqi,eqj->eij", u, u).reshape(-1, m * m).T
 
-    def _on_pattern(self, slots, local):
-        """Sum local entries, laid out like slots, into a CSR matrix on csr_pattern."""
-        indptr, indices, _ = self.csr_pattern
-        data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n_nodes, self.n_nodes))
+        return self._assemble_local(local)
+
+    def _assemble(self, table, coeff=None):
+        """CSR matrix on csr_pattern with local entries table.T @ w.T, for the
+        weights w = quad_weights (times coeff)."""
+
+        def local(rows):
+            w = self.quad_weights[rows]
+            if coeff is not None:
+                w = w * coeff[rows]
+            return table.T @ w.T
+
+        return self._assemble_local(local)
+
+    def _assemble_local(self, local):
+        """CSR matrix on csr_pattern from local entries, summed in a stencil array.
+
+        local(rows) gives the entries (m*m, E_rows) of the elements in the
+        slice rows, their pairs (i, j) row-major.  Chunk by chunk, each
+        pair's entries are added to a slice of the stencil array (see
+        csr_pattern and _fill_plan), and the CSR data is then gathered
+        through stencil_pos.  An entry's terms are thus summed in ascending
+        element order, as a bincount over the elements would sum them,
+        except on the wrapped rows of a periodic axis.
+        """
+        stencil = np.zeros((3**self.dim,) + self.shape)
+        for rows, shape, adds in self._fill_plan:
+            entries = local(rows).reshape(shape)
+            for target, source in adds:
+                stencil[target] += entries[source]
+            del entries  # freed before the next chunk's entries are formed
+        indptr, indices, stencil_pos = self.csr_pattern
+        return sp.csr_matrix((stencil.ravel()[stencil_pos], indices, indptr),
+                             shape=(self.n_nodes, self.n_nodes))
 
     def assemble_gradient_form(self, flux, elems=None, weights=None):
         """Nodal vector R_i = sum_q w <flux, grad phi_i> for a field flux (E, Q, dim)."""

@@ -24,8 +24,9 @@ step's matrix, so each iterate's gradient is formed once.
 
 Every inner system (K(c), with R added to its data for p > 2) is
 assembled on the grid's fixed sparsity pattern (TensorGrid.csr_pattern),
-and its free-node block is read out of the assembled data through a slot
-map fixed once per solve.  Every system with free nodes is solved by
+whose data are gathered from a stencil array that the element entries
+are summed into, and its free-node block is read out of the assembled
+data through a slot map fixed once per solve.  Every system with free nodes is solved by
 conjugate gradients preconditioned by a symmetric geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Its
 hierarchy is fixed once per solve from the tensor grid: per axis, linear

@@ -58,8 +58,10 @@ def cosh_section_mass(tau, beta_star=BS):
 
 
 def reference_csr_pattern(grid):
-    """(indptr, indices, slots) of grid.csr_pattern, built by one stable
-    argsort of the element entries' (row, col) keys."""
+    """The CSR pattern (indptr, indices) of grid.csr_pattern and the map
+    slots (n_elems, m*m) from each local entry (i, j), flattened row-major,
+    to its position in the CSR data, built by one stable argsort of the
+    element entries' (row, col) keys."""
     n, m = grid.n_nodes, grid.n_local
     conn = grid.elem_nodes
     keys = (conn[:, :, None] * n + conn[:, None, :]).ravel()
@@ -93,6 +95,10 @@ def pattern_grids():
         "short-periodic": geo.TensorGrid(
             [np.linspace(0.0, 1.0, 4), np.arange(2.0), np.arange(3.0)],
             periodic=(False, True, True)),
+        # periodic first axes: assembly chunks wrap onto node 0
+        "periodic-first": geo.TensorGrid(
+            [np.arange(2.0), np.arange(3.0), np.linspace(0.0, 1.0, 3)],
+            periodic=(True, True, False)),
     }
 
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import svplab
 from conftest import BS, cosh_section_mass, make_strip, numeric_cutoff_minimum
 from svplab import asymptotics as asym
 from svplab import geometry as geo
@@ -27,6 +31,37 @@ class TestSectionMass:
         mass = asym.section_mass(cosh_dirichlet_16, 0.0, [1.0, 2.0])
         for tau, val in zip(mass.stations, mass.values):
             assert val == pytest.approx(cosh_section_mass(tau), rel=0.06)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("a", [
+        [0.3],
+        [1.0, 2.0, 3.0],
+        [5.0, 5.0, -1.0, 5.0],  # tied maxima
+        [800.0, 799.0, -800.0],  # exp would overflow
+        [-np.inf, 0.0],
+    ])
+    def test_matches_scipy(self, a):
+        from scipy.special import logsumexp
+        ref = logsumexp(np.asarray(a))
+        assert asym._logsumexp(np.asarray(a)) == pytest.approx(ref, rel=1e-15)
+
+    def test_random_inputs_match_scipy(self):
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=rng.integers(1, 200))
+            assert asym._logsumexp(a) == pytest.approx(logsumexp(a), rel=1e-14)
+
+    def test_import_does_not_load_scipy_special(self):
+        # a fresh interpreter that imports this svplab, installed or not
+        src = os.path.dirname(os.path.dirname(svplab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, svplab; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestOptimalCutoff:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,26 +260,31 @@ class TestSliceIndex:
         assert np.all(seen == 1)
 
 
-def coo_reference(grid, local, elems=None):
+def coo_reference(grid, local):
     """Scatter element matrices (E, m, m) through COO -> CSR."""
-    conn = grid.elem_nodes if elems is None else grid.elem_nodes[elems]
+    conn = grid.elem_nodes
     m = conn.shape[1]
     rows = np.repeat(conn, m, axis=1).ravel()
     cols = np.tile(conn, (1, m)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
 
 
-def reference_stiffness(grid, coeff=None, elems=None):
+def reference_stiffness(grid, coeff=None):
     w = grid.quad_weights if coeff is None else grid.quad_weights * coeff
-    w = w if elems is None else w[elems]
-    return coo_reference(grid, np.einsum("eq,qdi,qdj->eij", w, grid.basis_grads, grid.basis_grads),
-                         elems)
+    return coo_reference(grid, np.einsum("eq,qdi,qdj->eij", w, grid.basis_grads, grid.basis_grads))
 
 
-def reference_mass(grid, elems=None):
-    w = grid.quad_weights if elems is None else grid.quad_weights[elems]
-    return coo_reference(grid, np.einsum("eq,qi,qj->eij", w, grid.basis_vals, grid.basis_vals),
-                         elems)
+def reference_mass(grid):
+    return coo_reference(grid, np.einsum("eq,qi,qj->eij", grid.quad_weights, grid.basis_vals,
+                                         grid.basis_vals))
+
+
+def bincount_data(grid, local_entries):
+    """CSR data of the reference pattern by one bincount over its slots, with
+    the local entries (m*m, rows) of each of grid's assembly chunks."""
+    slots = reference_csr_pattern(grid)[2]
+    local = np.concatenate([local_entries(rows).T for rows, _, _ in grid._fill_plan])
+    return np.bincount(slots.ravel(), weights=local.ravel(), minlength=grid.csr_pattern[1].size)
 
 
 class TestFixedPatternAssembly:
@@ -296,22 +302,81 @@ class TestFixedPatternAssembly:
         grid = grids[name]
         rng = np.random.default_rng(3)
         coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
-        elems = rng.choice(grid.n_elems, size=max(1, grid.n_elems // 3), replace=False)
         self.assert_matches(grid.stiffness(), reference_stiffness(grid))
         self.assert_matches(grid.stiffness(coeff=coeff), reference_stiffness(grid, coeff))
-        self.assert_matches(grid.stiffness(coeff=coeff, elems=elems),
-                            reference_stiffness(grid, coeff, elems))
         self.assert_matches(grid.mass(), reference_mass(grid))
-        self.assert_matches(grid.mass(elems=elems), reference_mass(grid, elems))
+
+    @pytest.mark.parametrize("chunk_bytes", [geo.ASSEMBLY_CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("name", [name for name, grid in pattern_grids().items()
+                                      if not any(grid.periodic)])
+    def test_data_is_a_bincount_over_the_elements(self, name, chunk_bytes, monkeypatch):
+        # chunk_bytes = 1 makes each first-axis cell layer its own chunk
+        monkeypatch.setattr(geo, "ASSEMBLY_CHUNK_BYTES", chunk_bytes)
+        grid = pattern_grids()[name]
+        rng = np.random.default_rng(5)
+        coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
+        direction = rng.normal(size=grid.quad_weights.shape + (grid.dim,))
+        sqrt_w = np.sqrt(grid.quad_weights)
+
+        def gram(rows):
+            u = np.einsum("eqd,qdm->eqm", direction[rows], grid.basis_grads)
+            u *= sqrt_w[rows][..., None]
+            return np.einsum("eqi,eqj->eij", u, u).reshape(u.shape[0], -1).T
+
+        cases = (
+            (grid.stiffness(coeff=coeff),
+             lambda rows: grid._stiffness_table.T @ (grid.quad_weights[rows] * coeff[rows]).T),
+            (grid.mass(), lambda rows: grid._mass_table.T @ grid.quad_weights[rows].T),
+            (grid.directional_stiffness(direction), gram),
+        )
+        if chunk_bytes == 1:
+            assert len(grid._fill_plan) == grid.cell_shape[0]
+        for K, local_entries in cases:
+            assert K.data.tobytes() == bincount_data(grid, local_entries).tobytes()
+
+    @pytest.mark.parametrize("name", [name for name, grid in pattern_grids().items()
+                                      if any(grid.periodic)])
+    def test_periodic_grids_in_layer_chunks_match_coo(self, name, monkeypatch):
+        monkeypatch.setattr(geo, "ASSEMBLY_CHUNK_BYTES", 1)
+        grid = pattern_grids()[name]
+        assert len(grid._fill_plan) == grid.cell_shape[0]
+        rng = np.random.default_rng(6)
+        coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
+        direction = rng.normal(size=grid.quad_weights.shape + (grid.dim,))
+        u = np.einsum("eqd,qdm,eq->eqm", direction, grid.basis_grads, np.sqrt(grid.quad_weights))
+        self.assert_matches(grid.stiffness(coeff=coeff), reference_stiffness(grid, coeff))
+        self.assert_matches(grid.mass(), reference_mass(grid))
+        self.assert_matches(grid.directional_stiffness(direction),
+                            coo_reference(grid, np.einsum("eqi,eqj->eij", u, u)))
+
+    def test_one_assembly_peaks_below_its_local_entries(self):
+        """A stiffness assembly on the k = 2 layer at h = 1/16 holds less than
+        the (E, m*m) array of all its local entries would take."""
+        k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 1.0)), axial_kind="layer",
+                                 alpha=1.0, beta=3.0, lateral_bc=("dirichlet0",) * 4)
+        grid = geo.build_mesh(k2, 1 / 16).grid
+        coeff = np.random.default_rng(0).uniform(0.5, 2.0, size=grid.quad_weights.shape)
+        grid.stiffness(coeff=coeff)  # builds the cached pattern, weights and plan
+        tracemalloc.start()
+        try:
+            K = grid.stiffness(coeff=coeff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.nnz == grid.csr_pattern[1].size
+        assert peak < grid.n_elems * grid.n_local**2 * 8
 
     @pytest.mark.parametrize("name", list(pattern_grids()))
     def test_pattern_is_canonical_and_shared(self, grids, name):
         grid = grids[name]
-        indptr, indices, slots = grid.csr_pattern
-        assert slots.dtype == np.int32 and slots.shape == (grid.n_elems, grid.n_local**2)
-        assert slots.flags.c_contiguous  # assembly ravels it on every call
-        for a, ref in zip((indptr, indices, slots), reference_csr_pattern(grid)):
+        indptr, indices, stencil_pos = grid.csr_pattern
+        for a, ref in zip((indptr, indices), reference_csr_pattern(grid)):
             assert a.dtype == np.int32 and np.array_equal(a, ref)
+        # one distinct stencil position per CSR entry
+        assert np.issubdtype(stencil_pos.dtype, np.integer) and not stencil_pos.flags.writeable
+        assert stencil_pos.shape == indices.shape
+        assert np.unique(stencil_pos).size == stencil_pos.size
+        assert stencil_pos.min() >= 0 and stencil_pos.max() < 3**grid.dim * grid.n_nodes
         K = grid.stiffness()
         assert K.has_canonical_format
         for a, b in ((K.indices, indices), (K.indptr, indptr), (grid.mass().indices, indices)):
