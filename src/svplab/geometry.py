@@ -245,23 +245,31 @@ class TensorGrid:
         m, n_layers = self.n_local, self.cell_shape[0]
         layer = self.n_elems // n_layers
         step = max(1, ASSEMBLY_CHUNK_BYTES // (layer * m * m * 8))
-        offsets = [_axis_offsets(n, per) for n, per in zip(self.shape, self.periodic)]
+        corners = np.asarray(self._corners)
+        pair_offsets = np.zeros((m, m), dtype=int)
+        for ax, (n, per) in enumerate(zip(self.shape, self.periodic)):
+            delta = corners[None, :, ax] - corners[:, None, ax]
+            pair_offsets = 3 * pair_offsets + _axis_offsets(n, per)[delta + 1] + 1
+        pair_offsets = pair_offsets.tolist()
+        # per local node: its (cells, nodes) slices on the axes after the first
+        tails = [[(tuple(cells for cells, _ in pieces), tuple(nodes for _, nodes in pieces))
+                  for pieces in product(*(
+                      _wrapped_slices(0, c, corner, n, per) for c, corner, n, per in zip(
+                          self.cell_shape[1:], self._corners[i][1:], self.shape[1:],
+                          self.periodic[1:])))]
+                 for i in range(m)]
         plan = []
         for lo in range(0, n_layers, step):
             hi = min(lo + step, n_layers)
-            bounds = [(lo, hi)] + [(0, c) for c in self.cell_shape[1:]]
             adds = []
             for i in reversed(range(m)):
-                places = list(product(*(
-                    _wrapped_slices(a, b, corner, n, periodic) for (a, b), corner, n, periodic
-                    in zip(bounds, self._corners[i], self.shape, self.periodic))))
+                first = _wrapped_slices(lo, hi, self._corners[i][0], self.shape[0],
+                                        self.periodic[0])
+                places = [((cells,) + cells_tail, (nodes,) + nodes_tail)
+                          for cells, nodes in first for cells_tail, nodes_tail in tails[i]]
                 for j in range(m):
-                    o = 0
-                    for ci, cj, off in zip(self._corners[i], self._corners[j], offsets):
-                        o = 3 * o + int(off[cj - ci + 1]) + 1
-                    adds.extend(((o,) + tuple(nodes for _, nodes in place),
-                                 (i * m + j,) + tuple(cells for cells, _ in place))
-                                for place in places)
+                    adds.extend(((pair_offsets[i][j],) + nodes, (i * m + j,) + cells)
+                                for cells, nodes in places)
             plan.append((slice(lo * layer, hi * layer), (m * m, hi - lo) + self.cell_shape[1:],
                          adds))
         return plan
