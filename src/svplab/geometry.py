@@ -22,7 +22,10 @@ import scipy.sparse as sp
 _GAUSS = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
 
 # Assembly adds local entries chunk by chunk, each chunk whole first-axis
-# cell layers whose entries take at most about this many bytes.
+# cell layers whose entries take at most about this many bytes.  On 3-D
+# grids with h <= 1/16 a chunk is smaller than the stencil array, so that the
+# stencil array and the gathered data, not the local entries, set an
+# assembly's peak memory.
 ASSEMBLY_CHUNK_BYTES = 1 << 20
 
 LAYER = "layer"
