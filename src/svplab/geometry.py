@@ -196,8 +196,9 @@ class TensorGrid:
 
         Returns (indptr, indices, stencil_pos): the CSR pattern with sorted
         columns, and the int32 map stencil_pos (nnz,) from each CSR entry to
-        its flat position in the stencil array that _assemble_local fills.  The
-        arrays are read-only because every assembled matrix shares them.
+        its flat position in the stencil array that _assemble_local fills, by
+        which to_csr gathers the CSR data.  The arrays are read-only because
+        every assembled matrix shares them.
 
         Two nodes share an element exactly when they do on every axis, so
         the pattern is the tensor product of the 1-D patterns, and it is
@@ -279,13 +280,18 @@ class TensorGrid:
 
     def stiffness(self, coeff=None):
         """Assemble the weighted stiffness matrix sum_q w c grad(phi_i).grad(phi_j)."""
+        return self.to_csr(self.stiffness_stencil(coeff))
+
+    def stiffness_stencil(self, coeff=None):
+        """The weighted stiffness matrix as a stencil array (see csr_pattern)."""
         return self._assemble(self._stiffness_table, coeff)
 
     def mass(self):
-        return self._assemble(self._mass_table)
+        return self.to_csr(self._assemble(self._mass_table))
 
-    def directional_stiffness(self, direction):
-        """Assemble sum_q w (v.grad(phi_i)) (v.grad(phi_j)) for directions v (E, Q, dim).
+    def directional_stencil(self, direction):
+        """The matrix sum_q w (v.grad(phi_i)) (v.grad(phi_j)) for directions v
+        (E, Q, dim), as a stencil array (see csr_pattern).
 
         Each element's entries are a Gram matrix of sqrt(w) v.grad(phi_i),
         formed per chunk of first-axis cell layers, so the matrix is
@@ -300,9 +306,35 @@ class TensorGrid:
 
         return self._assemble_local(local)
 
+    def to_csr(self, stencil):
+        """The CSR matrix on csr_pattern of a stencil array."""
+        indptr, indices, stencil_pos = self.csr_pattern
+        return sp.csr_matrix((stencil.ravel()[stencil_pos], indices, indptr),
+                             shape=(self.n_nodes, self.n_nodes))
+
+    def apply_stencil(self, stencil, x):
+        """The product of a stencil array's matrix with the nodal vector x.
+
+        The offsets are added in C order of their digits, which on a
+        non-periodic grid is the ascending column order of a CSR product;
+        a periodic axis wraps.
+        """
+        padded = np.pad(np.reshape(x, self.shape), 1, mode="wrap")
+        for ax, per in enumerate(self.periodic):
+            if not per:
+                padded[(slice(None),) * ax + (0,)] = 0.0
+                padded[(slice(None),) * ax + (-1,)] = 0.0
+        y = np.zeros(self.shape)
+        term = np.empty(self.shape)
+        for k, digits in enumerate(product(range(3), repeat=self.dim)):
+            y += np.multiply(stencil[k], padded[tuple(slice(d, d + n)
+                                                      for d, n in zip(digits, self.shape))],
+                             out=term)
+        return y.ravel()
+
     def _assemble(self, table, coeff=None):
-        """CSR matrix on csr_pattern with local entries table.T @ w.T, for the
-        weights w = quad_weights (times coeff)."""
+        """Stencil array with local entries table.T @ w.T, for the weights w =
+        quad_weights (times coeff)."""
 
         def local(rows):
             w = self.quad_weights[rows]
@@ -313,15 +345,14 @@ class TensorGrid:
         return self._assemble_local(local)
 
     def _assemble_local(self, local):
-        """CSR matrix on csr_pattern from local entries, summed in a stencil array.
+        """Stencil array (see csr_pattern) summed from local entries.
 
         local(rows) gives the entries (m*m, E_rows) of the elements in the
         slice rows, their pairs (i, j) row-major.  Chunk by chunk, each
         pair's entries are added to a slice of the stencil array (see
-        csr_pattern and _fill_plan), and the CSR data is then gathered
-        through stencil_pos.  An entry's terms are thus summed in ascending
-        element order, as a bincount over the elements would sum them,
-        except on the wrapped rows of a periodic axis.
+        _fill_plan).  An entry's terms are thus summed in ascending element
+        order, as a bincount over the elements would sum them, except on
+        the wrapped rows of a periodic axis.
         """
         stencil = np.zeros((3**self.dim,) + self.shape)
         for rows, shape, adds in self._fill_plan:
@@ -329,9 +360,7 @@ class TensorGrid:
             for target, source in adds:
                 stencil[target] += entries[source]
             del entries  # freed before the next chunk's entries are formed
-        indptr, indices, stencil_pos = self.csr_pattern
-        return sp.csr_matrix((stencil.ravel()[stencil_pos], indices, indptr),
-                             shape=(self.n_nodes, self.n_nodes))
+        return stencil
 
     def assemble_gradient_form(self, flux, elems=None, weights=None):
         """Nodal vector R_i = sum_q w <flux, grad phi_i> for a field flux (E, Q, dim)."""

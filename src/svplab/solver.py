@@ -22,39 +22,49 @@ energy decrease of a step falls below TOL_ENERGY.  The gradient and s
 that an accepted iterate's energy is computed from also build the next
 step's matrix, so each iterate's gradient is formed once.
 
-Every inner system (K(c), with R added to its data for p > 2) is
-assembled on the grid's fixed sparsity pattern (TensorGrid.csr_pattern),
-whose data are gathered from a stencil array that the element entries
-are summed into, and its free-node block is read out of the assembled
-data through a slot map fixed once per solve.  Every system with free nodes is solved by
+Every inner system (K(c), with R added to it for p > 2) is assembled as
+a grid stencil array, which holds each node's matrix entry at each
+neighbour offset in {-1, 0, 1}^dim (TensorGrid.csr_pattern); the solver
+builds no CSR pattern.  Cap data and Dirichlet-zero laterals mark whole
+faces, so the free nodes form a box of the grid, and the free-node block
+is the stencil restricted to that box, with the entries that leave the box
+masked.  Products with the whole grid (-K_fc g, and the Newton load)
+are stencil products.  Every system with free nodes is solved by
 conjugate gradients preconditioned by a symmetric geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Its
-hierarchy is fixed once per solve from the tensor grid: per axis, linear
+hierarchy is fixed once per solve from the box: per axis, linear
 interpolation coarsens by 2 where the cell count is even and is the
-identity elsewhere; the axes combine as a Kronecker product, restricted
-to free nodes, until at most MG_COARSEST unknowns are left.  Each outer
-step forms the Galerkin operators P^T A P of its matrix, smooths with
+identity elsewhere, restricted to the box ranges (a coarse node is free
+when its fine twin is); the prolongation is the Kronecker product of the
+axes, and coarsening stops at MG_COARSEST unknowns or fewer.  Each outer step
+forms the Galerkin operators P^T A P by stencil arithmetic: linear
+interpolation keeps a tensor-grid stencil a 3^dim stencil, so each
+coarsened axis takes 13 slice adds (Trottenberg, Oosterlee & Schueller,
+Multigrid, 2001, ch. 3).  Every level, the finest included, is a DIA
+matrix over its box; the finest one holds exactly the entries of the
+free-node block, in ascending offset order.  The V-cycle smooths with
 damped Jacobi and factors the coarsest level through factor_spd; on a
 grid of at most MG_COARSEST free nodes the hierarchy is empty, the
 V-cycle is that factor's solve, and CG takes one iteration.  A cold CG
 solve (the first solve, and every p = 2 solve) stops at CG_RTOL of the
-right-hand side.  Inside the outer loop CG starts from the current
-iterate, where its residual is the free-node gradient of the regularized
-energy, and stops once that residual is cut by CG_FORCING (an
-inexact-Newton forcing term, Eisenstat & Walker, SIAM J. Sci. Comput.
-17, 1996), or at CG_RTOL if that is looser: about 2 iterations per step.
-A Kacanov step stays a descent step, since CG from the iterate lowers
-the quadratic majorant monotonically; a Newton step keeps the energy
-line search.  The method used is reported as linear_solver: 'cg-mg', or
-'none' without free nodes, and the CG iterations of each solve as
-linear_iterations.  A CG iterate that is not finite raises SolverError
-at that iteration.
+right-hand side.  Inside the outer loop CG solves for the correction
+from the current iterate, whose right-hand side r0 is minus the free-node
+gradient of the regularized energy there, and stops once r0 is cut by
+CG_FORCING (an inexact-Newton forcing term, Eisenstat & Walker, SIAM J.
+Sci. Comput. 17, 1996), or at CG_RTOL of the right-hand side if that is
+looser: about 2 iterations per step.  A Kacanov step stays a descent
+step, since CG from the iterate lowers the quadratic majorant
+monotonically; a Newton step keeps the energy line search.  The method
+used is reported as linear_solver: 'cg-mg', or 'none' without free
+nodes, and the CG iterations of each solve as linear_iterations.  A CG
+iterate that is not finite raises SolverError at that iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -219,64 +229,169 @@ def _interpolation_1d(n):
     return sp.csr_matrix((weights, (rows, cols)), shape=(n, n // 2 + 1))
 
 
-def _coarsen(shape, free):
-    """One coarsening step of the free nodes of a tensor grid of node shape
-    `shape`: the prolongation P from the coarse level to this one.
+def _free_box(grid, mask):
+    """The free nodes of a Dirichlet mask as a box of the grid: one slice
+    [lo, hi) per axis, or None when every node is Dirichlet.
 
-    P is the Kronecker product, in C order, of the per-axis
-    interpolations, restricted to free fine rows and free coarse columns;
-    a coarse node is free when its injected fine twin is.  Returns (P,
-    coarse shape, coarse free mask), or None when no axis coarsens.
+    Cap data and Dirichlet-zero laterals mark whole faces, so the free
+    nodes of a solve form a box.  A mask whose free nodes do not, or a
+    periodic grid, raises ValueError.
     """
-    axes = [_interpolation_1d(n) for n in shape]
-    coarse_shape = tuple(P.shape[1] for P in axes)
-    if coarse_shape == tuple(shape):
+    free = ~np.reshape(mask, grid.shape)
+    if not free.any():
         return None
-    full = reduce(lambda a, b: sp.kron(a, b, format="csr"), axes)
-    twins = tuple(slice(None, None, 2) if m < n else slice(None)
-                  for n, m in zip(shape, coarse_shape))
-    coarse_free = free.reshape(shape)[twins].ravel()
-    P = full[free][:, coarse_free]
-    P.sort_indices()
-    return P, coarse_shape, coarse_free
+    box = []
+    for ax in range(grid.dim):
+        hit = np.flatnonzero(free.any(axis=tuple(b for b in range(grid.dim) if b != ax)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    box = tuple(box)
+    if any(grid.periodic) or np.count_nonzero(free) != free[box].size:
+        raise ValueError("the free nodes must form a box of a non-periodic grid")
+    return box
 
 
-def _prolongations(grid, free):
-    """Prolongations of the multigrid hierarchy of the grid's free nodes,
-    finest first: coarsen until at most MG_COARSEST unknowns are left or
-    no axis coarsens."""
-    out = []
-    shape = grid.shape
-    while np.count_nonzero(free) > MG_COARSEST:
-        level = _coarsen(shape, free)
-        if level is None:
+def _hierarchy(shape, box):
+    """Coarse levels of the multigrid hierarchy of a free box of a grid of
+    node shape `shape`, finest first: coarsen until at most MG_COARSEST
+    unknowns are left or no axis coarsens.
+
+    Each level is (P, axes).  P, the prolongation from the coarse box to
+    the box above, is the Kronecker product, in C order, of the per-axis
+    interpolations restricted to the box ranges; a coarse node is in the
+    coarse box when its injected fine twin is in the box.  axes holds, per
+    axis, None where the axis is not coarsened, else (parity, size): fine
+    box node 2c + parity is the twin of coarse box node c, and size is the
+    coarse box's node count on the axis.
+    """
+    levels = []
+    while np.prod([b.stop - b.start for b in box]) > MG_COARSEST:
+        mats, axes, coarse_shape, coarse_box = [], [], [], []
+        for n, b in zip(shape, box):
+            interp = _interpolation_1d(n)
+            m = interp.shape[1]
+            cb = slice((b.start + 1) // 2, (b.stop + 1) // 2) if m < n else b
+            mats.append(interp[b, cb])
+            axes.append((b.start % 2, cb.stop - cb.start) if m < n else None)
+            coarse_shape.append(m)
+            coarse_box.append(cb)
+        if tuple(coarse_shape) == tuple(shape):
             break
-        P, shape, free = level
-        out.append(P)
-    return out
+        P = reduce(lambda a, b: sp.kron(a, b, format="csr"), mats)
+        P.sort_indices()
+        levels.append((P, tuple(axes)))
+        shape, box = tuple(coarse_shape), tuple(coarse_box)
+    return levels
+
+
+def _box_stencil(stencil, box):
+    """The free-box block of a grid matrix as a column stencil.
+
+    stencil is a grid stencil array (see TensorGrid.csr_pattern), whose
+    [o, i] holds the entry A[i, i + o].  The result D, of shape
+    (3**dim,) + box shape, holds at [o, j] the entry A[j - o, j] between box
+    nodes, and zero where j - o leaves the box: D[o] is the DIA diagonal at
+    offset o, indexed by column.
+    """
+    shape = tuple(b.stop - b.start for b in box)
+    D = np.zeros((len(stencil),) + shape)
+    for k, digits in enumerate(product((-1, 0, 1), repeat=len(box))):
+        D[k][tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(digits, shape))] = \
+            stencil[k][tuple(slice(b.start + max(0, -o), b.stop - max(0, o))
+                             for o, b in zip(digits, box))]
+    return D
+
+
+# Galerkin terms of one coarsened axis, (sigma, s, r, weight): the coarse
+# entry at offset sigma in column c gains weight times the fine entry at
+# offset s in column 2c + parity + r.  The fine column interpolates from
+# coarse c with weight w(r) and the fine row 2c + parity + r - s from coarse
+# c - sigma with weight w(2 sigma + r - s), where w(0) = 1 and w(+-1) = 1/2.
+_GALERKIN_TERMS = tuple(
+    (sigma, s, r, (0.5 if r else 1.0) * (0.5 if u else 1.0))
+    for sigma in (-1, 0, 1) for s in (-1, 0, 1) for r in (-1, 0, 1)
+    for u in (2 * sigma + r - s,) if abs(u) <= 1)
+
+
+def _galerkin(D, axes):
+    """Column stencil of P^T A P for the column stencil D of A and the
+    coarsened axes of P (see _hierarchy), one axis at a time.
+
+    Linear interpolation keeps a three-point coupling three-point, so each
+    coarsened axis takes the 13 slice adds of _GALERKIN_TERMS.  An entry
+    whose row leaves the coarse box is never written, so it stays zero.
+    """
+    dim = len(axes)
+    for ax, spec in enumerate(axes):
+        if spec is None:
+            continue
+        parity, size = spec
+        shape = (3,) * dim + D.shape[1:]
+        out = np.zeros(shape[:dim + ax] + (size,) + shape[dim + ax + 1:])
+        # views with the axis's offset digit first and its node index last
+        fine = np.moveaxis(D.reshape(shape), (ax, dim + ax), (0, -1))
+        coarse = np.moveaxis(out, (ax, dim + ax), (0, -1))
+        n = fine.shape[-1]
+        scaled = np.moveaxis(np.empty(out[(slice(None),) * ax + (0,)].shape), dim - 1 + ax, -1)
+        for sigma, s, r, weight in _GALERKIN_TERMS:
+            first = parity + r
+            lo = max(0, sigma, -(first // 2))
+            hi = min(size + min(0, sigma), (n - 1 - first) // 2 + 1)
+            if hi <= lo:
+                continue
+            term = fine[s + 1, ..., 2 * lo + first:2 * hi - 1 + first:2]
+            if weight != 1.0:
+                term = np.multiply(term, weight, out=scaled[..., :hi - lo])
+            coarse[sigma + 1, ..., lo:hi] += term
+        D = out.reshape((3**dim,) + out.shape[dim:])
+    return D
+
+
+def _dia(D):
+    """DIA matrix of a column stencil D (see _box_stencil), its diagonals in
+    ascending offset order.
+
+    On a box with an axis of at most two nodes (after the first), offsets
+    of different digits coincide or fall out of order.  Those are sorted,
+    and coinciding diagonals are summed: at most one of them is nonzero in
+    any column, since a box node has one flat index.
+    """
+    shape = D.shape[1:]
+    n = int(np.prod(shape))
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    offsets = (np.indices((3,) * len(shape)).reshape(len(shape), -1).T - 1) @ strides
+    data = D.reshape(len(D), n)
+    if np.any(np.diff(offsets) <= 0):
+        order = np.argsort(offsets, kind="stable")
+        offsets, first = np.unique(offsets[order], return_index=True)
+        data = np.add.reduceat(data[order], first, axis=0)
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 class _VCycle:
-    """Symmetric geometric-multigrid V-cycle for one SPD free-node matrix.
+    """Symmetric geometric-multigrid V-cycle for one SPD free-box matrix.
 
-    Each level below the finest is the Galerkin operator P^T A P of the
-    level above; every level but the coarsest runs MG_SWEEPS damped-Jacobi
+    D is the finest level's column stencil (see _box_stencil) and
+    hierarchy its coarse levels (see _hierarchy).  Each level below the
+    finest is the Galerkin operator P^T A P of the level above, formed by
+    _galerkin, and every level is a DIA matrix over its box; matrix is the
+    finest one.  Every level but the coarsest runs MG_SWEEPS damped-Jacobi
     sweeps (weight MG_JACOBI_WEIGHT) before and after its coarse
     correction, so the cycle is a symmetric positive-definite
     preconditioner, and the coarsest level is solved through factor_spd.
-    A nonpositive diagonal entry of A, the finest level, raises SolverError.
+    A nonpositive diagonal entry of the finest level raises SolverError.
     """
 
-    def __init__(self, A, prolongations):
-        diagonal = A.diagonal()
+    def __init__(self, D, hierarchy):
+        diagonal = D[len(D) // 2].ravel()
         if np.any(diagonal <= 0):
             raise SolverError("singular inner system: nonpositive diagonal")
+        A = self.matrix = _dia(D)
         self.levels = []
-        for P in prolongations:
+        for P, axes in hierarchy:
             self.levels.append((A, MG_JACOBI_WEIGHT / diagonal, P))
-            # the transpose of (AP)^T P is P^T A P; only P is converted to CSC
-            A = ((A @ P).T @ P).T
-            diagonal = A.diagonal()
+            D = _galerkin(D, axes)
+            A = _dia(D)
+            diagonal = D[len(D) // 2].ravel()
         self.coarse = factor_spd(A.tocsc(), "coarse multigrid system")
 
     def __call__(self, r):
@@ -299,48 +414,48 @@ class _FreeSystem:
     """Free-node system K_ff x = -K_fc g + b_f of one Dirichlet split of a
     grid, with an optional nodal load b.
 
-    K_ff is read out of the data of a matrix assembled on grid.csr_pattern
-    through a slot map fixed here, so an outer step makes no submatrix
-    copies.  Every solve is CG preconditioned by a multigrid V-cycle, whose
-    prolongations depend only on the grid and the split, so they are built
-    once, at the first solve.  Each solve appends its CG iteration count
-    to linear_iterations.
+    The free nodes form a box of the grid (see _free_box).  K comes as a
+    grid stencil array, and K_ff as the box's column stencil, so no CSR
+    pattern is built.  Every solve is CG preconditioned by a multigrid
+    V-cycle, whose hierarchy depends only on the grid and the box, so it is
+    built once, at the first solve.  Each solve appends its CG iteration
+    count to linear_iterations.
     """
 
     def __init__(self, grid, mask, vals):
-        indptr, indices, _ = grid.csr_pattern
-        slot_ids = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr),
-                                 shape=(grid.n_nodes,) * 2)
-        self.free = ~mask
-        self.ff = slot_ids[self.free][:, self.free]
+        self.box = _free_box(grid, mask)
         self.vals = vals
         self.grid = grid
         self.linear_iterations = []
-        self.method = "cg-mg" if self.ff.shape[0] else "none"
+        self.method = "cg-mg" if self.box is not None else "none"
 
     @cached_property
-    def prolongations(self):
-        # built at the first solve, after the first assembly
-        return _prolongations(self.grid, self.free)
+    def hierarchy(self):
+        return _hierarchy(self.grid.shape, self.box)
 
-    def block(self, K):
-        """The free-node block K_ff, as CSR, of a matrix K on grid.csr_pattern."""
-        return sp.csr_matrix((K.data[self.ff.data], self.ff.indices, self.ff.indptr),
-                             shape=self.ff.shape)
+    def _free(self, x):
+        """The free-box entries of the nodal vector x, in C order."""
+        return np.reshape(x, self.grid.shape)[self.box].ravel()
 
     def solve(self, K, x0=None, load=None):
-        """Nodal solution for the matrix K and an optional nodal load added to
-        the right-hand side.  CG starts from x0[free] when given and then
-        stops once its initial residual is cut by CG_FORCING, or at CG_RTOL
-        of the right-hand side if that is looser."""
+        """Nodal solution for the stencil array K and an optional nodal load
+        added to the right-hand side.
+
+        A cold solve (no x0) runs CG on K_ff x = rhs to CG_RTOL of rhs.  With
+        x0, CG solves for the correction, K_ff d = r0 with r0 = rhs - K_ff
+        x0[free], and stops once ||r0 - K_ff d|| <= max(CG_RTOL ||rhs||,
+        CG_FORCING ||r0||); the solution is x0[free] + d.
+        """
         out = self.vals.copy()
         if self.method == "none":
             return out
-        rhs = -(K @ self.vals)[self.free]  # vals vanish on free nodes: -K_fc g
+        # vals vanish on the box: -K_fc g
+        rhs = -self._free(self.grid.apply_stencil(K, self.vals))
         if load is not None:
-            rhs += load[self.free]
-        A = self.block(K)
-        M = spla.LinearOperator(A.shape, matvec=_VCycle(A, self.prolongations), dtype=float)
+            rhs += self._free(load)
+        cycle = _VCycle(_box_stencil(K, self.box), self.hierarchy)
+        A = cycle.matrix
+        M = spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
         iterations = 0
 
         def count(xk):
@@ -351,19 +466,24 @@ class _FreeSystem:
                 raise SolverError(f"conjugate gradient iterate not finite at iteration {iterations}")
 
         if x0 is None:
-            xf0, atol = None, 0.0
+            b, rtol, atol = rhs, CG_RTOL, 0.0
         else:
-            # inexact inner solve: the warm start's residual is the free-node
-            # gradient of the regularized energy at the iterate, and CG only
-            # cuts it by CG_FORCING
-            xf0 = x0[self.free]
-            atol = CG_FORCING * float(np.linalg.norm(rhs - A @ xf0))
-        xf, info = spla.cg(A, rhs, x0=xf0, rtol=CG_RTOL, atol=atol,
+            # inexact inner solve: r0 is minus the free-node gradient of
+            # the regularized energy at the iterate, and CG only cuts it by
+            # CG_FORCING
+            xf0 = self._free(x0)
+            b = rhs - A @ xf0
+            rtol = 0.0
+            atol = max(CG_RTOL * float(np.linalg.norm(rhs)),
+                       CG_FORCING * float(np.linalg.norm(b)))
+        xf, info = spla.cg(A, b, rtol=rtol, atol=atol,
                            maxiter=CG_MAXITER_PER_UNKNOWN * rhs.size, M=M, callback=count)
         self.linear_iterations.append(iterations)
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
-        out[self.free] = xf
+        if x0 is not None:
+            xf += xf0
+        out.reshape(self.grid.shape)[self.box] = xf.reshape([sl.stop - sl.start for sl in self.box])
         return out
 
 
@@ -380,25 +500,26 @@ def _regularized_energy(mesh, op, a_q, s):
 
 
 def _step_system(grid, a_q, f, p, terms):
-    """Matrix and extra load of one outer step at the iterate f.
+    """Matrix, as a grid stencil array, and extra load of one outer step at
+    the iterate f.
 
     With c = a s^((p-2)/2) and s = |grad f|^2 + eps^2, K(c) f is the
     gradient of the regularized energy.  For p <= 2 the matrix is the
     Kacanov matrix K(c) and there is no load.  For p > 2 it is the Hessian
     K(c) + (p-2) R, R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad
-    phi_j), on the same pattern, and the load (p-2) R f makes the solve
+    phi_j), and the load (p-2) R f makes the solve
     return the Newton iterate f - H_ff^-1 (K(c) f)_f.  terms is (grad f,
     s) at f, from _gradient_terms.
     """
     g, s = terms
     coeff = a_q * s ** (0.5 * (p - 2.0))
-    H = grid.stiffness(coeff=coeff)
+    H = grid.stiffness_stencil(coeff=coeff)
     if p <= 2.0:
         return H, None
     # (p-2) R is the directional stiffness along sqrt((p-2) c/s) grad f
-    pR = grid.directional_stiffness(g * np.sqrt((p - 2.0) * coeff / s)[..., None])
-    H.data += pR.data
-    return H, pR @ f
+    pR = grid.directional_stencil(g * np.sqrt((p - 2.0) * coeff / s)[..., None])
+    H += pR
+    return H, grid.apply_stencil(pR, f)
 
 
 def solve(domain, mesh, op, bc):
@@ -416,7 +537,7 @@ def solve(domain, mesh, op, bc):
 
     a_q = op.a(mesh.pk_at_quads())
     system = _FreeSystem(mesh.grid, mask, vals)
-    f = system.solve(mesh.grid.stiffness(coeff=a_q))
+    f = system.solve(mesh.grid.stiffness_stencil(coeff=a_q))
     # grad f and s of each energy evaluation; those of the accepted iterate
     # build the next step's matrix
     terms = _gradient_terms(mesh.grid, f, eps)

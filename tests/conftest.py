@@ -200,8 +200,8 @@ def vcycle_levels(monkeypatch):
     levels = []
 
     class Recording(sv._VCycle):
-        def __init__(self, A, prolongations):
-            super().__init__(A, prolongations)
+        def __init__(self, D, hierarchy):
+            super().__init__(D, hierarchy)
             levels.append(len(self.levels))
 
     monkeypatch.setattr(sv, "_VCycle", Recording)

@@ -327,7 +327,7 @@ class TestFixedPatternAssembly:
             (grid.stiffness(coeff=coeff),
              lambda rows: grid._stiffness_table.T @ (grid.quad_weights[rows] * coeff[rows]).T),
             (grid.mass(), lambda rows: grid._mass_table.T @ grid.quad_weights[rows].T),
-            (grid.directional_stiffness(direction), gram),
+            (grid.to_csr(grid.directional_stencil(direction)), gram),
         )
         if chunk_bytes == 1:
             assert len(grid._fill_plan) == grid.cell_shape[0]
@@ -346,7 +346,7 @@ class TestFixedPatternAssembly:
         u = np.einsum("eqd,qdm,eq->eqm", direction, grid.basis_grads, np.sqrt(grid.quad_weights))
         self.assert_matches(grid.stiffness(coeff=coeff), reference_stiffness(grid, coeff))
         self.assert_matches(grid.mass(), reference_mass(grid))
-        self.assert_matches(grid.directional_stiffness(direction),
+        self.assert_matches(grid.to_csr(grid.directional_stencil(direction)),
                             coo_reference(grid, np.einsum("eqi,eqj->eij", u, u)))
 
     def test_one_assembly_peaks_below_its_local_entries(self):
