@@ -305,6 +305,8 @@ def _descent(grid, lu, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_i
 
 def _pinned_result(section, p, pinned, kind, seed, restarts, tol, max_iter):
     grid = section.grid
+    if np.unique(pinned).size >= grid.n_nodes:
+        raise ValueError("section has empty interior")
     _, u0, lu = _p2_eigenpair(grid, grid.stiffness(), grid.mass(), pinned, neumann=False)
     if np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
@@ -325,8 +327,6 @@ def first_frequency(section, p, seed=0, restarts=3, tol=1e-12, max_iter=2000):
     pinned = section.grid.all_boundary_ids()
     if pinned.size == 0:
         raise ValueError("section has no boundary to pin")
-    if pinned.size >= section.grid.n_nodes:
-        raise ValueError("section has empty interior")
     return _pinned_result(section, p, pinned, FIRST, seed, restarts, tol, max_iter)
 
 
@@ -334,7 +334,8 @@ def third_frequency(section, p, pinned=None, seed=0, restarts=3, tol=1e-12, max_
     """Third frequency: quotient with u pinned only on the subset P.
 
     P defaults to the section's Dirichlet-zero trace set.  An empty P is
-    degenerate (constants are admissible) and returns value 0 flagged.
+    degenerate (constants are admissible) and returns value 0 flagged; a P
+    that holds every node leaves no admissible u and raises ValueError.
     """
     if p <= 1.0:
         raise ValueError("p must be > 1")

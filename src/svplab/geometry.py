@@ -47,28 +47,6 @@ def _axis_offsets(n, periodic):
     return (off + 1) % n - 1 if periodic else off
 
 
-def _axis_pattern(n, periodic):
-    """The 1-D pattern of an axis of n nodes, padded to three entries a row.
-
-    Returns nbr (n, 3), each node's neighbour node ids in ascending order;
-    ok (n, 3), which of them are entries (not padding, nor a repeat from
-    the wrap of a periodic axis of 2 nodes); and digit (n, 3), the offset
-    of each neighbour, as stored by _axis_offsets, plus one.
-    """
-    nbr = np.arange(n, dtype=np.int32)[:, None] + np.array([-1, 0, 1], dtype=np.int32)
-    digit = np.broadcast_to(_axis_offsets(n, periodic) + 1, nbr.shape)
-    if periodic:
-        nbr %= np.int32(n)
-        order = np.argsort(nbr, axis=1, kind="stable")
-        nbr = np.take_along_axis(nbr, order, axis=1)
-        digit = np.take_along_axis(digit, order, axis=1)
-        ok = np.ones(nbr.shape, dtype=bool)
-        np.not_equal(nbr[:, 1:], nbr[:, :-1], out=ok[:, 1:])
-    else:
-        ok = (nbr >= 0) & (nbr < n)
-    return nbr, ok, digit
-
-
 def _wrapped_slices(lo, hi, corner, n, periodic):
     """(cell, node) slice pairs that place the cells lo..hi-1 of an axis of
     n nodes, counted from lo, onto their nodes at corner (0 or 1); the last
@@ -191,49 +169,6 @@ class TensorGrid:
         return np.einsum("em,qdm->eqd", ue, self.basis_grads)
 
     @cached_property
-    def csr_pattern(self):
-        """Sparsity pattern shared by the grid's nodal matrices, built once.
-
-        Returns (indptr, indices, stencil_pos): the CSR pattern with sorted
-        columns, and the int32 map stencil_pos (nnz,) from each CSR entry to
-        its flat position in the stencil array that _assemble_local fills, by
-        which to_csr gathers the CSR data.  The arrays are read-only because
-        every assembled matrix shares them.
-
-        Two nodes share an element exactly when they do on every axis, so
-        the pattern is the tensor product of the 1-D patterns, and it is
-        built without sorting the element entries.  A row's columns are the
-        C-order product of its sorted 1-D neighbour lists, so indices is the
-        product of the padded 1-D lists with the padding dropped.  The
-        stencil array has shape (3**dim,) + shape and holds the entry of row
-        node r at offset o in {-1, 0, 1}**dim at [o, r], so an entry's
-        position is the C-order number of its per-axis offset digits (see
-        _axis_pattern) times n_nodes, plus its row.
-        """
-        k = 3**self.dim
-        # C-order digits of the padded neighbours of a row
-        pad = np.asarray(list(product(range(3), repeat=self.dim)))
-        # the padded pattern, shaped (nodes..., k)
-        counts = np.ones((), dtype=np.int32)
-        cols = np.zeros(k, dtype=np.int32)
-        offsets = np.zeros(k, dtype=np.int32)
-        valid = np.ones(k, dtype=bool)
-        for ax, (n, per) in enumerate(zip(self.shape, self.periodic)):
-            nbr, ok, digit = _axis_pattern(n, per)
-            counts = np.multiply.outer(counts, np.count_nonzero(ok, axis=1).astype(np.int32))
-            cols = cols[..., None, :] * np.int32(n) + nbr[:, pad[:, ax]]
-            offsets = offsets[..., None, :] * np.int32(3) + digit[:, pad[:, ax]]
-            valid = valid[..., None, :] & ok[:, pad[:, ax]]
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-        np.cumsum(counts.ravel(), out=indptr[1:])
-        indices = cols[valid]
-        del cols
-        offsets *= np.int32(self.n_nodes)
-        offsets += np.arange(self.n_nodes, dtype=np.int32).reshape(self.shape + (1,))
-        stencil_pos = offsets[valid]
-        return tuple(_read_only(a) for a in (indptr, indices, stencil_pos))
-
-    @cached_property
     def _fill_plan(self):
         """How _assemble_local adds local entries to the stencil array.
 
@@ -283,7 +218,16 @@ class TensorGrid:
         return self.to_csr(self.stiffness_stencil(coeff))
 
     def stiffness_stencil(self, coeff=None):
-        """The weighted stiffness matrix as a stencil array (see csr_pattern)."""
+        """The weighted stiffness matrix as a stencil array.
+
+        A stencil array, the one matrix format of the grid, has shape
+        (3**dim,) + shape: [o, r] holds the entry of row node r at offset o
+        in {-1, 0, 1}**dim, the column r + o (wrapped on periodic axes), and
+        o is numbered in C order of its per-axis digits.  Entries whose
+        column leaves a non-periodic axis are zero.  On a periodic axis of
+        2 nodes the offsets -1 and 1 reach the same node, and the entry is
+        stored at -1 (see _axis_offsets).  to_csr gathers the CSR matrix.
+        """
         return self._assemble(self._stiffness_table, coeff)
 
     def mass(self):
@@ -291,11 +235,13 @@ class TensorGrid:
 
     def directional_stencil(self, direction):
         """The matrix sum_q w (v.grad(phi_i)) (v.grad(phi_j)) for directions v
-        (E, Q, dim), as a stencil array (see csr_pattern).
+        (E, Q, dim), as a stencil array (see stiffness_stencil).
 
         Each element's entries are a Gram matrix of sqrt(w) v.grad(phi_i),
         formed per chunk of first-axis cell layers, so the matrix is
-        symmetric to the last bit.
+        symmetric to the last bit, except on a periodic axis of 2 nodes,
+        whose two wraps add to one entry in a different order for its row
+        and for its column.
         """
         m = self.n_local
 
@@ -307,10 +253,32 @@ class TensorGrid:
         return self._assemble_local(local)
 
     def to_csr(self, stencil):
-        """The CSR matrix on csr_pattern of a stencil array."""
-        indptr, indices, stencil_pos = self.csr_pattern
-        return sp.csr_matrix((stencil.ravel()[stencil_pos], indices, indptr),
-                             shape=(self.n_nodes, self.n_nodes))
+        """The CSR matrix of a stencil array (see stiffness_stencil).
+
+        Row r meets column r + o at offset o, wrapped on periodic axes; an
+        offset that leaves a non-periodic axis is dropped.  A row lists its
+        offsets in C order of their digits, which is ascending on a
+        non-periodic grid.  One sum_duplicates sorts the wrapped rows of a
+        periodic axis and merges the two entries of a row that the offsets
+        -1 and 1 of a 2-node periodic axis both reach (one of them is zero).
+        """
+        digits = np.asarray(list(product((-1, 0, 1), repeat=self.dim)), dtype=np.int32).T
+        cols = np.zeros((), dtype=np.int32)
+        keep = np.ones(self.shape + (len(stencil),), dtype=bool)
+        for ax, (n, per) in enumerate(zip(self.shape, self.periodic)):
+            nbr = np.arange(n, dtype=np.int32).reshape((n,) + (1,) * (self.dim - ax)) + digits[ax]
+            if per:
+                nbr %= np.int32(n)
+            else:
+                keep &= (nbr >= 0) & (nbr < n)
+            cols = cols * np.int32(n) + nbr
+        cols = cols[keep]  # the full column array is freed before the data is gathered
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=-1).ravel(), out=indptr[1:])
+        K = sp.csr_matrix((np.moveaxis(stencil, 0, -1)[keep], cols, indptr),
+                          shape=(self.n_nodes, self.n_nodes))
+        K.sum_duplicates()
+        return K
 
     def apply_stencil(self, stencil, x):
         """The product of a stencil array's matrix with the nodal vector x.
@@ -345,7 +313,7 @@ class TensorGrid:
         return self._assemble_local(local)
 
     def _assemble_local(self, local):
-        """Stencil array (see csr_pattern) summed from local entries.
+        """Stencil array (see stiffness_stencil) summed from local entries.
 
         local(rows) gives the entries (m*m, E_rows) of the elements in the
         slice rows, their pairs (i, j) row-major.  Chunk by chunk, each
@@ -362,32 +330,18 @@ class TensorGrid:
             del entries  # freed before the next chunk's entries are formed
         return stencil
 
-    def assemble_gradient_form(self, flux, elems=None, weights=None):
+    def assemble_gradient_form(self, flux):
         """Nodal vector R_i = sum_q w <flux, grad phi_i> for a field flux (E, Q, dim)."""
-        w = self.quad_weights if weights is None else weights
-        if elems is not None:
-            w = w[elems]
-            conn = self.elem_nodes[elems]
-            flux = flux[elems] if flux.shape[0] == self.n_elems else flux
-        else:
-            conn = self.elem_nodes
-        re = np.einsum("eq,eqd,qdm->em", w, flux, self.basis_grads)
+        re = np.einsum("eq,eqd,qdm->em", self.quad_weights, flux, self.basis_grads)
         out = np.zeros(self.n_nodes)
-        np.add.at(out, conn, re)
+        np.add.at(out, self.elem_nodes, re)
         return out
 
-    def assemble_scalar_form(self, density, elems=None):
+    def assemble_scalar_form(self, density):
         """Nodal vector R_i = sum_q w density phi_i for density (E, Q)."""
-        w = self.quad_weights
-        if elems is not None:
-            w = w[elems]
-            conn = self.elem_nodes[elems]
-            density = density[elems] if density.shape[0] == self.n_elems else density
-        else:
-            conn = self.elem_nodes
-        re = np.einsum("eq,eq,qm->em", w, density, self.basis_vals)
+        re = np.einsum("eq,eq,qm->em", self.quad_weights, density, self.basis_vals)
         out = np.zeros(self.n_nodes)
-        np.add.at(out, conn, re)
+        np.add.at(out, self.elem_nodes, re)
         return out
 
     def boundary_node_ids(self, axis, side):

@@ -24,11 +24,11 @@ step's matrix, so each iterate's gradient is formed once.
 
 Every inner system (K(c), with R added to it for p > 2) is assembled as
 a grid stencil array, which holds each node's matrix entry at each
-neighbour offset in {-1, 0, 1}^dim (TensorGrid.csr_pattern); the solver
-builds no CSR pattern.  Cap data and Dirichlet-zero laterals mark whole
-faces, so the free nodes form a box of the grid, and the free-node block
-is the stencil restricted to that box, with the entries that leave the box
-masked.  Products with the whole grid (-K_fc g, and the Newton load)
+neighbour offset in {-1, 0, 1}^dim (TensorGrid.stiffness_stencil); the
+solver gathers no CSR matrix from it.  Cap data and Dirichlet-zero
+laterals mark whole faces, so the free nodes form a box of the grid, and
+the free-node block is the stencil restricted to that box, with the
+entries that leave the box masked.  Products with the whole grid (-K_fc g, and the Newton load)
 are stencil products.  Every system with free nodes is solved by
 conjugate gradients preconditioned by a symmetric geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Its
@@ -286,7 +286,7 @@ def _hierarchy(shape, box):
 def _box_stencil(stencil, box):
     """The free-box block of a grid matrix as a column stencil.
 
-    stencil is a grid stencil array (see TensorGrid.csr_pattern), whose
+    stencil is a grid stencil array (see TensorGrid.stiffness_stencil), whose
     [o, i] holds the entry A[i, i + o].  The result D, of shape
     (3**dim,) + box shape, holds at [o, j] the entry A[j - o, j] between box
     nodes, and zero where j - o leaves the box: D[o] is the DIA diagonal at

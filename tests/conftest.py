@@ -58,10 +58,10 @@ def cosh_section_mass(tau, beta_star=BS):
 
 
 def reference_csr_pattern(grid):
-    """The CSR pattern (indptr, indices) of grid.csr_pattern and the map
-    slots (n_elems, m*m) from each local entry (i, j), flattened row-major,
-    to its position in the CSR data, built by one stable argsort of the
-    element entries' (row, col) keys."""
+    """The CSR pattern (indptr, indices) of the matrices that grid.to_csr
+    gathers, and the map slots (n_elems, m*m) from each local entry (i, j),
+    flattened row-major, to its position in the CSR data, built by one
+    stable argsort of the element entries' (row, col) keys."""
     n, m = grid.n_nodes, grid.n_local
     conn = grid.elem_nodes
     keys = (conn[:, :, None] * n + conn[:, None, :]).ravel()

@@ -134,6 +134,15 @@ class TestThirdFrequency:
         assert res.value == 0.0
         assert res.degenerate
 
+    def test_every_node_pinned_rejected(self):
+        sec = geo.interval_section(1.0, 1)
+        with pytest.raises(ValueError, match="empty interior"):
+            fr.first_frequency(sec, 2.0)
+        with pytest.raises(ValueError, match="empty interior"):
+            fr.third_frequency(sec, 2.0)
+        with pytest.raises(ValueError, match="empty interior"):
+            fr.third_frequency(geo.interval_section(1.0, 4), 2.5, pinned=[0, 1, 2, 3, 4, 4])
+
     def test_monotone_in_pinned_set(self):
         sec = geo.interval_section(1.0, 128)
         small = fr.third_frequency(sec, 2.0, pinned=np.array([0]))

@@ -282,9 +282,16 @@ def reference_mass(grid):
 def bincount_data(grid, local_entries):
     """CSR data of the reference pattern by one bincount over its slots, with
     the local entries (m*m, rows) of each of grid's assembly chunks."""
-    slots = reference_csr_pattern(grid)[2]
+    _, indices, slots = reference_csr_pattern(grid)
     local = np.concatenate([local_entries(rows).T for rows, _, _ in grid._fill_plan])
-    return np.bincount(slots.ravel(), weights=local.ravel(), minlength=grid.csr_pattern[1].size)
+    return np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
+
+
+def assert_reference_pattern(grid, K):
+    """K has the reference pattern of grid, int32 and canonical."""
+    assert K.has_canonical_format
+    for a, ref in zip((K.indptr, K.indices), reference_csr_pattern(grid)):
+        assert a.dtype == np.int32 and np.array_equal(a, ref)
 
 
 class TestFixedPatternAssembly:
@@ -332,6 +339,7 @@ class TestFixedPatternAssembly:
         if chunk_bytes == 1:
             assert len(grid._fill_plan) == grid.cell_shape[0]
         for K, local_entries in cases:
+            assert_reference_pattern(grid, K)
             assert K.data.tobytes() == bincount_data(grid, local_entries).tobytes()
 
     @pytest.mark.parametrize("name", [name for name, grid in pattern_grids().items()
@@ -351,36 +359,43 @@ class TestFixedPatternAssembly:
 
     def test_one_assembly_peaks_below_its_local_entries(self):
         """A stiffness assembly on the k = 2 layer at h = 1/16 holds less than
-        the (E, m*m) array of all its local entries would take."""
+        the (E, m*m) array of all its local entries would take, and so does
+        the CSR gather of its stencil array, which holds the matrix it
+        returns and one keep flag per stencil entry."""
         k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 1.0)), axial_kind="layer",
                                  alpha=1.0, beta=3.0, lateral_bc=("dirichlet0",) * 4)
         grid = geo.build_mesh(k2, 1 / 16).grid
         coeff = np.random.default_rng(0).uniform(0.5, 2.0, size=grid.quad_weights.shape)
-        grid.stiffness(coeff=coeff)  # builds the cached pattern, weights and plan
+        grid.stiffness(coeff=coeff)  # builds the cached weights and plan
         tracemalloc.start()
         try:
-            K = grid.stiffness(coeff=coeff)
-            peak = tracemalloc.get_traced_memory()[1]
+            stencil = grid.stiffness_stencil(coeff=coeff)
+            assembly_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            K = grid.to_csr(stencil)
+            gather_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert K.nnz == grid.csr_pattern[1].size
-        assert peak < grid.n_elems * grid.n_local**2 * 8
+        assert_reference_pattern(grid, K)
+        local_bytes = grid.n_elems * grid.n_local**2 * 8
+        assert assembly_peak < local_bytes
+        assert gather_peak < local_bytes
+        output_bytes = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+        assert gather_peak < output_bytes + stencil.size + (1 << 16)
 
     @pytest.mark.parametrize("name", list(pattern_grids()))
     def test_pattern_is_canonical_and_shared(self, grids, name):
+        """Every matrix to_csr gathers on a grid has the grid's one pattern."""
         grid = grids[name]
-        indptr, indices, stencil_pos = grid.csr_pattern
-        for a, ref in zip((indptr, indices), reference_csr_pattern(grid)):
-            assert a.dtype == np.int32 and np.array_equal(a, ref)
-        # one distinct stencil position per CSR entry
-        assert np.issubdtype(stencil_pos.dtype, np.integer) and not stencil_pos.flags.writeable
-        assert stencil_pos.shape == indices.shape
-        assert np.unique(stencil_pos).size == stencil_pos.size
-        assert stencil_pos.min() >= 0 and stencil_pos.max() < 3**grid.dim * grid.n_nodes
         K = grid.stiffness()
-        assert K.has_canonical_format
-        for a, b in ((K.indices, indices), (K.indptr, indptr), (grid.mass().indices, indices)):
-            assert np.shares_memory(a, b)
+        for matrix in (K, grid.mass()):
+            assert_reference_pattern(grid, matrix)
         assert K.nnz == reference_stiffness(grid).nnz
-        with pytest.raises(ValueError):
-            indices[0] = 0
+        # one distinct stencil entry per CSR entry: the slots that assembly
+        # fills, given distinct values, each land in the data once
+        filled = grid._assemble(grid._mass_table) != 0
+        stencil = np.random.default_rng(4).uniform(1.0, 2.0, size=filled.shape) * filled
+        data = grid.to_csr(stencil).data
+        assert data.size == np.count_nonzero(filled) == np.unique(data).size
+        assert np.isin(data, stencil[filled]).all()

@@ -384,6 +384,17 @@ class TestSolverFailurePath:
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
 
+    def test_fully_pinned_section_is_config_error(self, tmp_path):
+        # at h = 1 the README section has two nodes, both on Dirichlet faces
+        text = readme_config(2, 1).split("[task solve]")[0] + (
+            "[task frequencies]\nkinds = third\nstations = 0 1\n\n"
+            "[task svp]\nt = 0\nstations = 1 2\n")
+        with pytest.raises(ConfigError, match="empty interior"):
+            run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
+
     def test_cg_failure_exits_three(self, tmp_path, monkeypatch, vcycle_levels):
         import svplab.solver as sv_mod
 
