@@ -3,14 +3,16 @@
 Three quotients on a section mesh O:
 
 * first:  inf |grad u|_p^p / |u|_p^p over u vanishing on all of dO,
-* third:  the same with u pinned only on a boundary subset P,
+* third:  the same with u pinned only on the Dirichlet-zero faces P,
 * second: inf over nonconstant u of |grad u|_p^p / min_C |u - C|_p^p.
 
 The minimizer descends the quotient in a p = 2 stiffness metric with
 Armijo backtracking, starting from the corresponding p = 2 eigenvector
 (computed by deflated inverse iteration); for p = 2 that start is
 already the discrete minimizer.  Seeded random restarts guard the
-general-p runs against local minima.
+general-p runs against local minima.  Section matrices leave the grid's
+stencil arrays only through the solver's free-box path (_free_box,
+_box_stencil, _dia): pinned nodes are whole faces, and periodic axes wrap.
 
 ``frequency_profile`` computes each distinct section of a mesh once and
 keeps the results on the mesh: every layer section is the same section,
@@ -27,13 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LAYER, TensorGrid
-from .solver import factor_spd
+from .solver import _box_stencil, _dia, _free_box, factor_spd
 from .structure import guarded_power, squared_norm
 
 FIRST = "first"
 SECOND = "second"
 THIRD = "third"
 SECTION_SYSTEM = "section system"
+RESTARTS = 3       # seeded random restarts of the descent at p != 2
+MAX_ITER = 2000    # descent steps per start
 
 
 @dataclass(frozen=True)
@@ -166,34 +170,31 @@ class _Quotient:
         return gn - q * gd
 
 
-def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
+def _box_csr(grid, stencil, box):
+    """The free-box block of a section matrix, as CSR with sorted indices."""
+    A = _dia(_box_stencil(stencil, box, grid.periodic), grid.periodic).tocsr()
+    A.sort_indices()
+    return A
+
+
+def _p2_eigenpair(grid, K, M, box, neumann, tol=1e-14, max_iter=400):
     """Smallest nontrivial p = 2 eigenpair by deflated inverse iteration.
 
-    Dirichlet case: smallest eigenvalue of the pinned pencil (K, M).
+    Dirichlet case: smallest eigenvalue of the pencil (K, M) on the free box.
     Neumann case: smallest nonzero eigenvalue, deflating constants in the
     M-inner product each sweep; the factorization uses a small mass shift
     to keep the singular stiffness SPD.  K and M are the section's
-    stiffness and mass matrices.  Returns the eigenvalue, the nodal
+    stiffness and mass stencil arrays.  Returns the eigenvalue, the nodal
     eigenvector and the factorization, which in the Dirichlet case is the
-    pinned stiffness's.
+    free-box stiffness's.
     """
-    n = grid.n_nodes
-    free = np.ones(n, dtype=bool)
-    free[pinned] = False
-    Kff = K[free][:, free].tocsc()
-    Mff = M[free][:, free].tocsr()
-    if neumann:
-        shift = 1e-6 * float(Kff.diagonal().max())
-        lu = factor_spd((Kff + shift * Mff).tocsc(), SECTION_SYSTEM)
-    else:
-        lu = factor_spd(Kff, SECTION_SYSTEM)
-    rng = np.random.default_rng(12345)
+    Kff = _box_csr(grid, K, box)
+    Mff = _box_csr(grid, M, box)
+    A = Kff + 1e-6 * float(Kff.diagonal().max()) * Mff if neumann else Kff
+    lu = factor_spd(A.tocsc(), SECTION_SYSTEM)
     if neumann:
         # coordinate ramp: nonzero overlap with the lowest nonconstant mode
-        x = np.sum(grid.nodes, axis=-1)[free]
-    else:
-        x = np.ones(int(free.sum()))
-    if neumann:
+        x = np.sum(grid.nodes, axis=-1).reshape(grid.shape)[box].ravel()
         ones = np.ones_like(x)
         m_ones = Mff @ ones
         denom = float(ones @ m_ones)
@@ -202,9 +203,11 @@ def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
             return v - (float(m_ones @ v) / denom) * ones
 
         x = deflate(x)
+    else:
+        x = np.ones(Kff.shape[0])
     nrm = math.sqrt(float(x @ (Mff @ x)))
     if nrm == 0.0:
-        x = rng.normal(size=x.size)
+        x = np.random.default_rng(12345).normal(size=x.size)
         if neumann:
             x = deflate(x)
         nrm = math.sqrt(float(x @ (Mff @ x)))
@@ -224,12 +227,12 @@ def _p2_eigenpair(grid, K, M, pinned, neumann, tol=1e-14, max_iter=400):
             lam = lam_new
             break
         lam = lam_new
-    out = np.zeros(n)
-    out[free] = x
-    return lam, out, lu
+    out = np.zeros(grid.shape)
+    out[box] = x.reshape(out[box].shape)
+    return lam, out.ravel(), lu
 
 
-def _descent(grid, lu, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_iter=2000):
+def _descent(grid, lu, p, pinned, u0, recenter, seed, tol):
     """Preconditioned projected descent on the quotient with Armijo steps.
 
     lu factors the preconditioner on the unpinned nodes: the pinned
@@ -241,13 +244,12 @@ def _descent(grid, lu, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_i
     free[pinned] = False
 
     def normalize(u):
+        c = 0.0
         if recenter:
             # subtracting the optimal constant makes the new center exactly 0
             # (translation invariance), and scaling preserves it
             u = u - quot.center(u)
-            c = 0.0
         else:
-            c = 0.0
             u = u.copy()
             u[pinned] = 0.0
         den = quot.denominator(u, c)
@@ -256,15 +258,13 @@ def _descent(grid, lu, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_i
         return u / den ** (1.0 / p), c, 1.0
 
     def run(u):
-        u = u.copy()
-        u[pinned] = 0.0
         u, c, den = normalize(u)
         if den <= 0.0:
             return math.inf, u, c, math.inf, 0
         q = quot.numerator(u) / den
         g = quot.gradient(u, c, q)
         iters = 0
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             d = np.zeros(n)
             d[free] = -lu.solve(g[free])
             slope = float(g @ d)
@@ -293,53 +293,55 @@ def _descent(grid, lu, p, pinned, u0, recenter, seed, restarts, tol=1e-12, max_i
         return q, u, c, residual, iters
 
     best = run(u0)
-    if p != 2.0 and restarts > 0:
+    if p != 2.0:
         rng = np.random.default_rng(seed)
         amp = 0.1 * float(np.max(np.abs(u0)) or 1.0)
-        for _ in range(restarts):
+        for _ in range(RESTARTS):
             cand = run(u0 + rng.normal(scale=amp, size=n))
             if cand[0] < best[0]:
                 best = cand
     return best
 
 
-def _pinned_result(section, p, pinned, kind, seed, restarts, tol, max_iter):
+def _pinned_result(section, p, pinned, kind, seed, tol):
     grid = section.grid
-    if np.unique(pinned).size >= grid.n_nodes:
+    mask = np.zeros(grid.n_nodes, dtype=bool)
+    mask[pinned] = True
+    box = _free_box(grid, mask)
+    if box is None:
         raise ValueError("section has empty interior")
-    _, u0, lu = _p2_eigenpair(grid, grid.stiffness(), grid.mass(), pinned, neumann=False)
+    _, u0, lu = _p2_eigenpair(grid, grid.stiffness_stencil(), grid.mass_stencil(), box,
+                              neumann=False)
     if np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
-    q, u, _, res, iters = _descent(
-        grid, lu, p, pinned, u0, recenter=False,
-        seed=seed, restarts=restarts, tol=tol, max_iter=max_iter,
-    )
+    q, u, _, res, iters = _descent(grid, lu, p, pinned, u0, recenter=False, seed=seed, tol=tol)
     return FrequencyResult(
         kind=kind, value=q, minimizer=u, optimal_c=0.0,
         dirichlet_ids=np.asarray(pinned), residual=res, iterations=iters,
     )
 
 
-def first_frequency(section, p, seed=0, restarts=3, tol=1e-12, max_iter=2000):
+def first_frequency(section, p, seed=0, tol=1e-12):
     """First frequency: quotient with u pinned on the whole section boundary."""
     if p <= 1.0:
         raise ValueError("p must be > 1")
     pinned = section.grid.all_boundary_ids()
     if pinned.size == 0:
         raise ValueError("section has no boundary to pin")
-    return _pinned_result(section, p, pinned, FIRST, seed, restarts, tol, max_iter)
+    return _pinned_result(section, p, pinned, FIRST, seed, tol)
 
 
-def third_frequency(section, p, pinned=None, seed=0, restarts=3, tol=1e-12, max_iter=2000):
-    """Third frequency: quotient with u pinned only on the subset P.
+def third_frequency(section, p, seed=0, tol=1e-12):
+    """Third frequency: quotient with u pinned only on the section's
+    Dirichlet-zero trace set P.
 
-    P defaults to the section's Dirichlet-zero trace set.  An empty P is
-    degenerate (constants are admissible) and returns value 0 flagged; a P
-    that holds every node leaves no admissible u and raises ValueError.
+    An empty P is degenerate (constants are admissible) and returns value 0
+    flagged; a P that holds every node leaves no admissible u and raises
+    ValueError.
     """
     if p <= 1.0:
         raise ValueError("p must be > 1")
-    pinned = section.dirichlet_ids if pinned is None else np.asarray(pinned)
+    pinned = section.dirichlet_ids
     if pinned.size == 0:
         u = np.full(section.grid.n_nodes, 1.0)
         den = _Quotient(section.grid, p, recenter=False).denominator(u, 0.0)
@@ -348,40 +350,38 @@ def third_frequency(section, p, pinned=None, seed=0, restarts=3, tol=1e-12, max_
             optimal_c=0.0, dirichlet_ids=pinned, residual=0.0,
             iterations=0, degenerate=True,
         )
-    return _pinned_result(section, p, pinned, THIRD, seed, restarts, tol, max_iter)
+    return _pinned_result(section, p, pinned, THIRD, seed, tol)
 
 
-def second_frequency(section, p, seed=0, restarts=3, tol=1e-12, max_iter=2000):
+def second_frequency(section, p, seed=0, tol=1e-12):
     """Second frequency: quotient over nonconstant u with the recentered
     denominator min_C sum w |u - C|^p (tensor sections are connected)."""
     if p <= 1.0:
         raise ValueError("p must be > 1")
     grid = section.grid
-    K, M = grid.stiffness(), grid.mass()
+    K, M = grid.stiffness_stencil(), grid.mass_stencil()
     unpinned = np.empty(0, dtype=np.int64)
-    _, u0, _ = _p2_eigenpair(grid, K, M, unpinned, neumann=True)
-    lu = factor_spd((K + M).tocsc(), SECTION_SYSTEM)
-    q, u, c, res, iters = _descent(
-        grid, lu, p, unpinned, u0, recenter=True,
-        seed=seed, restarts=restarts, tol=tol, max_iter=max_iter,
-    )
+    box = _free_box(grid, np.zeros(grid.n_nodes, dtype=bool))
+    _, u0, _ = _p2_eigenpair(grid, K, M, box, neumann=True)
+    lu = factor_spd(_box_csr(grid, K + M, box).tocsc(), SECTION_SYSTEM)
+    q, u, c, res, iters = _descent(grid, lu, p, unpinned, u0, recenter=True, seed=seed, tol=tol)
     return FrequencyResult(
         kind=SECOND, value=q, minimizer=u, optimal_c=c,
         dirichlet_ids=unpinned, residual=res, iterations=iters,
     )
 
 
-def compute_frequency(section, p, kind, pinned=None, seed=0, restarts=3):
+def compute_frequency(section, p, kind, seed=0):
     if kind == FIRST:
-        return first_frequency(section, p, seed=seed, restarts=restarts)
+        return first_frequency(section, p, seed=seed)
     if kind == SECOND:
-        return second_frequency(section, p, seed=seed, restarts=restarts)
+        return second_frequency(section, p, seed=seed)
     if kind == THIRD:
-        return third_frequency(section, p, pinned=pinned, seed=seed, restarts=restarts)
+        return third_frequency(section, p, seed=seed)
     raise ValueError(f"unknown frequency kind {kind!r}")
 
 
-def frequency_profile(mesh, p, kind, stations, seed=0, restarts=3):
+def frequency_profile(mesh, p, kind, stations, seed=0):
     """Frequency of the requested kind on the section at each station.
 
     Returns a list of (tau, FrequencyResult), tau the snapped station.
@@ -397,10 +397,10 @@ def frequency_profile(mesh, p, kind, stations, seed=0, restarts=3):
     for tau in stations:
         j, _ = mesh.station_index(tau, snap_tol=tol)
         tau_snapped = float(mesh.stations[j])
-        key = (kind, p, seed, restarts, None if layer else tau_snapped)
+        key = (kind, p, seed, None if layer else tau_snapped)
         if key not in memo:
             sec = mesh.cross_section(tau_snapped)
-            memo[key] = compute_frequency(sec, p, kind, seed=seed, restarts=restarts)
+            memo[key] = compute_frequency(sec, p, kind, seed=seed)
         out.append((tau_snapped, memo[key]))
     return out
 

@@ -17,7 +17,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 _GAUSS = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
 
@@ -213,12 +212,9 @@ class TensorGrid:
                          adds))
         return plan
 
-    def stiffness(self, coeff=None):
-        """Assemble the weighted stiffness matrix sum_q w c grad(phi_i).grad(phi_j)."""
-        return self.to_csr(self.stiffness_stencil(coeff))
-
     def stiffness_stencil(self, coeff=None):
-        """The weighted stiffness matrix as a stencil array.
+        """The weighted stiffness matrix sum_q w c grad(phi_i).grad(phi_j) as a
+        stencil array.
 
         A stencil array, the one matrix format of the grid, has shape
         (3**dim,) + shape: [o, r] holds the entry of row node r at offset o
@@ -226,12 +222,15 @@ class TensorGrid:
         o is numbered in C order of its per-axis digits.  Entries whose
         column leaves a non-periodic axis are zero.  On a periodic axis of
         2 nodes the offsets -1 and 1 reach the same node, and the entry is
-        stored at -1 (see _axis_offsets).  to_csr gathers the CSR matrix.
+        stored at -1 (see _axis_offsets).  A matrix leaves the stencil array
+        only as a free-box DIA block (solver._box_stencil and solver._dia).
         """
         return self._assemble(self._stiffness_table, coeff)
 
-    def mass(self):
-        return self.to_csr(self._assemble(self._mass_table))
+    def mass_stencil(self):
+        """The mass matrix sum_q w phi_i phi_j as a stencil array (see
+        stiffness_stencil)."""
+        return self._assemble(self._mass_table)
 
     def directional_stencil(self, direction):
         """The matrix sum_q w (v.grad(phi_i)) (v.grad(phi_j)) for directions v
@@ -251,34 +250,6 @@ class TensorGrid:
             return np.einsum("eqi,eqj->eij", u, u).reshape(-1, m * m).T
 
         return self._assemble_local(local)
-
-    def to_csr(self, stencil):
-        """The CSR matrix of a stencil array (see stiffness_stencil).
-
-        Row r meets column r + o at offset o, wrapped on periodic axes; an
-        offset that leaves a non-periodic axis is dropped.  A row lists its
-        offsets in C order of their digits, which is ascending on a
-        non-periodic grid.  One sum_duplicates sorts the wrapped rows of a
-        periodic axis and merges the two entries of a row that the offsets
-        -1 and 1 of a 2-node periodic axis both reach (one of them is zero).
-        """
-        digits = np.asarray(list(product((-1, 0, 1), repeat=self.dim)), dtype=np.int32).T
-        cols = np.zeros((), dtype=np.int32)
-        keep = np.ones(self.shape + (len(stencil),), dtype=bool)
-        for ax, (n, per) in enumerate(zip(self.shape, self.periodic)):
-            nbr = np.arange(n, dtype=np.int32).reshape((n,) + (1,) * (self.dim - ax)) + digits[ax]
-            if per:
-                nbr %= np.int32(n)
-            else:
-                keep &= (nbr >= 0) & (nbr < n)
-            cols = cols * np.int32(n) + nbr
-        cols = cols[keep]  # the full column array is freed before the data is gathered
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=-1).ravel(), out=indptr[1:])
-        K = sp.csr_matrix((np.moveaxis(stencil, 0, -1)[keep], cols, indptr),
-                          shape=(self.n_nodes, self.n_nodes))
-        K.sum_duplicates()
-        return K
 
     def apply_stencil(self, stencil, x):
         """The product of a stencil array's matrix with the nodal vector x.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from svplab import frequency as fr
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -57,8 +58,15 @@ def cosh_section_mass(tau, beta_star=BS):
     return 0.5 * math.cosh(math.pi * tau) ** 2 / math.cosh(math.pi * beta_star) ** 2
 
 
+def gather_csr(grid, stencil):
+    """The CSR matrix of a stencil array over the whole grid, gathered as the
+    section frequencies gather theirs: the full-box DIA matrix of
+    solver._box_stencil and solver._dia, as CSR with sorted indices."""
+    return fr._box_csr(grid, stencil, tuple(slice(0, n) for n in grid.shape))
+
+
 def reference_csr_pattern(grid):
-    """The CSR pattern (indptr, indices) of the matrices that grid.to_csr
+    """The CSR pattern (indptr, indices) of the matrices that gather_csr
     gathers, and the map slots (n_elems, m*m) from each local entry (i, j),
     flattened row-major, to its position in the CSR data, built by one
     stable argsort of the element entries' (row, col) keys."""

@@ -119,7 +119,7 @@ def test_criterion_2_frequency_oracles():
     checks.append(abs(lam.value - PI2) / PI2 <= 0.005)
     checks.append(abs(lam.value - oracle) / oracle <= 1e-8)
 
-    third = fr.third_frequency(sec, 2.0, pinned=np.array([0]))
+    third = fr.third_frequency(geo.interval_section(1.0, 256, dirichlet="low"), 2.0)
     oracle = dense_interval(1.0, 256, "left")[0]
     checks.append(abs(third.value - PI2 / 4) / (PI2 / 4) <= 0.005)
     checks.append(abs(third.value - oracle) / oracle <= 1e-8)

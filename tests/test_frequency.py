@@ -116,15 +116,15 @@ def brute_force_quotient_min(section, p):
 
 class TestThirdFrequency:
     def test_one_pinned_end(self):
-        sec = geo.interval_section(1.0, 256)
-        res = fr.third_frequency(sec, 2.0, pinned=np.array([0]))
+        sec = geo.interval_section(1.0, 256, dirichlet="low")
+        res = fr.third_frequency(sec, 2.0)
         K, M = dense_interval_matrices(1.0, 256, "left")
         assert res.value == pytest.approx(dense_eigs(K, M)[0], rel=1e-8)
         assert res.value == pytest.approx(PI2 / 4.0, rel=0.005)
 
     def test_full_boundary_equals_first(self):
         sec = geo.interval_section(1.0, 128)
-        full = fr.third_frequency(sec, 2.5, pinned=np.array([0, 128]))
+        full = fr.third_frequency(sec, 2.5)
         first = fr.first_frequency(sec, 2.5)
         assert full.value == pytest.approx(first.value, rel=1e-10)
 
@@ -140,13 +140,10 @@ class TestThirdFrequency:
             fr.first_frequency(sec, 2.0)
         with pytest.raises(ValueError, match="empty interior"):
             fr.third_frequency(sec, 2.0)
-        with pytest.raises(ValueError, match="empty interior"):
-            fr.third_frequency(geo.interval_section(1.0, 4), 2.5, pinned=[0, 1, 2, 3, 4, 4])
 
     def test_monotone_in_pinned_set(self):
-        sec = geo.interval_section(1.0, 128)
-        small = fr.third_frequency(sec, 2.0, pinned=np.array([0]))
-        large = fr.third_frequency(sec, 2.0, pinned=np.array([0, 128]))
+        small = fr.third_frequency(geo.interval_section(1.0, 128, dirichlet="low"), 2.0)
+        large = fr.third_frequency(geo.interval_section(1.0, 128, dirichlet="both"), 2.0)
         assert small.value <= large.value + 1e-12
 
 
@@ -206,6 +203,39 @@ class TestSecondFrequency:
         v1 = fr.second_frequency(geo.interval_section(1.0, 128), p).value
         v2 = fr.second_frequency(geo.interval_section(2.0, 128), p).value
         assert v2 == pytest.approx(v1 / 2.0**p, rel=1e-8)
+
+
+class TestRadialSectionOracle:
+    """p = 2 frequencies of an interval-times-circle section with a Dirichlet
+    lateral face, against a dense eigh of the Kronecker-product pencil of
+    the hand-built 1-D matrices."""
+
+    def test_three_kinds_match_dense_eigh(self):
+        dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                                  alpha=1.0, beta=2.0, lateral_bc=("dirichlet0", "neumann"))
+        sec = geo.build_mesh(dom, 1 / 8).cross_section(1.0)
+        ni, nc = sec.grid.shape
+        Ki, Mi = dense_interval_matrices(1.0, ni - 1, "neumann")
+        Kc, Mc = dense_circle_matrices(2.0 * math.pi, nc)
+        K = np.kron(Ki, Mc) + np.kron(Mi, Kc)
+        M = np.kron(Mi, Mc)
+        low = np.arange(nc)
+        high = (ni - 1) * nc + low
+        stencils = sec.grid.stiffness_stencil(), sec.grid.mass_stencil()
+        cases = ((fr.FIRST, np.concatenate((low, high)), 0), (fr.THIRD, low, 0),
+                 (fr.SECOND, np.empty(0, dtype=int), 1))  # the second skips the constant
+        for kind, pinned, index in cases:
+            res = fr.compute_frequency(sec, 2.0, kind)
+            assert np.array_equal(res.dirichlet_ids, pinned)
+            free = np.ones(sec.grid.n_nodes, dtype=bool)
+            free[pinned] = False
+            oracle = dense_eigs(K[np.ix_(free, free)], M[np.ix_(free, free)])[index]
+            assert res.value == pytest.approx(oracle, rel=1e-10)
+            # the descent minimizes the quotient itself, so check the
+            # gathered blocks through the p = 2 eigenvalue they give alone
+            box = sv._free_box(sec.grid, ~free)
+            lam, _, _ = fr._p2_eigenpair(sec.grid, *stencils, box, neumann=kind == fr.SECOND)
+            assert lam == pytest.approx(oracle, rel=1e-10)
 
 
 class TestOptimalConstant:
@@ -309,14 +339,14 @@ class TestFrequencyMemo:
         fr.frequency_profile(mesh, 2.0, fr.SECOND, [0.25, 0.75])
         assert sorted(k for k, _ in calls) == [fr.FIRST, fr.SECOND, fr.THIRD]
 
-    def test_layer_memo_keyed_on_p_seed_restarts(self, monkeypatch):
+    def test_layer_memo_keyed_on_p_and_seed(self, monkeypatch):
         calls = count_compute_calls(monkeypatch)
         mesh = layer_mesh()
         fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.0, 0.5])
         fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0, 0.5])
         fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0], seed=1)
-        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0], seed=1, restarts=0)
-        assert len(calls) == 4
+        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.5], seed=1)
+        assert len(calls) == 3
 
     def test_layer_memo_matches_fresh_computation(self):
         mesh = layer_mesh()

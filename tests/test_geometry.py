@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (pattern_grids, reference_csr_pattern, reference_slab_elements,
+from conftest import (gather_csr, pattern_grids, reference_csr_pattern, reference_slab_elements,
                       reference_station_edge_tables, slab_meshes)
 from svplab import geometry as geo
 from svplab import solver as sv
@@ -309,9 +309,10 @@ class TestFixedPatternAssembly:
         grid = grids[name]
         rng = np.random.default_rng(3)
         coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
-        self.assert_matches(grid.stiffness(), reference_stiffness(grid))
-        self.assert_matches(grid.stiffness(coeff=coeff), reference_stiffness(grid, coeff))
-        self.assert_matches(grid.mass(), reference_mass(grid))
+        self.assert_matches(gather_csr(grid, grid.stiffness_stencil()), reference_stiffness(grid))
+        self.assert_matches(gather_csr(grid, grid.stiffness_stencil(coeff=coeff)),
+                            reference_stiffness(grid, coeff))
+        self.assert_matches(gather_csr(grid, grid.mass_stencil()), reference_mass(grid))
 
     @pytest.mark.parametrize("chunk_bytes", [geo.ASSEMBLY_CHUNK_BYTES, 1])
     @pytest.mark.parametrize("name", [name for name, grid in pattern_grids().items()
@@ -331,10 +332,11 @@ class TestFixedPatternAssembly:
             return np.einsum("eqi,eqj->eij", u, u).reshape(u.shape[0], -1).T
 
         cases = (
-            (grid.stiffness(coeff=coeff),
+            (gather_csr(grid, grid.stiffness_stencil(coeff=coeff)),
              lambda rows: grid._stiffness_table.T @ (grid.quad_weights[rows] * coeff[rows]).T),
-            (grid.mass(), lambda rows: grid._mass_table.T @ grid.quad_weights[rows].T),
-            (grid.to_csr(grid.directional_stencil(direction)), gram),
+            (gather_csr(grid, grid.mass_stencil()),
+             lambda rows: grid._mass_table.T @ grid.quad_weights[rows].T),
+            (gather_csr(grid, grid.directional_stencil(direction)), gram),
         )
         if chunk_bytes == 1:
             assert len(grid._fill_plan) == grid.cell_shape[0]
@@ -352,50 +354,66 @@ class TestFixedPatternAssembly:
         coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
         direction = rng.normal(size=grid.quad_weights.shape + (grid.dim,))
         u = np.einsum("eqd,qdm,eq->eqm", direction, grid.basis_grads, np.sqrt(grid.quad_weights))
-        self.assert_matches(grid.stiffness(coeff=coeff), reference_stiffness(grid, coeff))
-        self.assert_matches(grid.mass(), reference_mass(grid))
-        self.assert_matches(grid.to_csr(grid.directional_stencil(direction)),
+        self.assert_matches(gather_csr(grid, grid.stiffness_stencil(coeff=coeff)),
+                            reference_stiffness(grid, coeff))
+        self.assert_matches(gather_csr(grid, grid.mass_stencil()), reference_mass(grid))
+        self.assert_matches(gather_csr(grid, grid.directional_stencil(direction)),
                             coo_reference(grid, np.einsum("eqi,eqj->eij", u, u)))
+
+    @pytest.mark.parametrize("name", [name for name, grid in pattern_grids().items()
+                                      if any(grid.periodic)])
+    def test_wrapped_free_box_dia_matches_coo(self, grids, name):
+        """The free box of a periodic grid spans its periodic axes, and the
+        box's DIA block wraps them: it is the free block of the COO
+        reference, with distinct offsets in ascending order."""
+        grid = grids[name]
+        coeff = np.random.default_rng(8).uniform(0.5, 2.0, size=grid.quad_weights.shape)
+        mask = np.zeros(grid.n_nodes, dtype=bool)
+        for ax in np.flatnonzero(~np.asarray(grid.periodic)):
+            mask[grid.boundary_node_ids(ax, "low")] = True
+        box = sv._free_box(grid, mask)
+        assert all(b == slice(0, n) for b, n, per in zip(box, grid.shape, grid.periodic) if per)
+        cases = ((grid.stiffness_stencil(coeff=coeff), reference_stiffness(grid, coeff)),
+                 (grid.mass_stencil(), reference_mass(grid)))
+        for stencil, ref in cases:
+            A = sv._dia(sv._box_stencil(stencil, box, grid.periodic), grid.periodic)
+            assert np.all(np.diff(A.offsets) > 0)
+            self.assert_matches(A.tocsr(), ref[~mask][:, ~mask])
+        # a periodic axis has no faces: a node plane pinned across it leaves no box
+        plane = np.zeros(grid.shape, dtype=bool)
+        plane[(slice(None),) * grid.periodic.index(True) + (0,)] = True
+        with pytest.raises(ValueError, match="box"):
+            sv._free_box(grid, plane.ravel())
 
     def test_one_assembly_peaks_below_its_local_entries(self):
         """A stiffness assembly on the k = 2 layer at h = 1/16 holds less than
-        the (E, m*m) array of all its local entries would take, and so does
-        the CSR gather of its stencil array, which holds the matrix it
-        returns and one keep flag per stencil entry."""
+        the (E, m*m) array of all its local entries would take."""
         k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 1.0)), axial_kind="layer",
                                  alpha=1.0, beta=3.0, lateral_bc=("dirichlet0",) * 4)
         grid = geo.build_mesh(k2, 1 / 16).grid
         coeff = np.random.default_rng(0).uniform(0.5, 2.0, size=grid.quad_weights.shape)
-        grid.stiffness(coeff=coeff)  # builds the cached weights and plan
+        grid.stiffness_stencil(coeff=coeff)  # builds the cached weights and plan
         tracemalloc.start()
         try:
             stencil = grid.stiffness_stencil(coeff=coeff)
             assembly_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            K = grid.to_csr(stencil)
-            gather_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert_reference_pattern(grid, K)
-        local_bytes = grid.n_elems * grid.n_local**2 * 8
-        assert assembly_peak < local_bytes
-        assert gather_peak < local_bytes
-        output_bytes = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
-        assert gather_peak < output_bytes + stencil.size + (1 << 16)
+        assert_reference_pattern(grid, gather_csr(grid, stencil))
+        assert assembly_peak < grid.n_elems * grid.n_local**2 * 8
 
     @pytest.mark.parametrize("name", list(pattern_grids()))
     def test_pattern_is_canonical_and_shared(self, grids, name):
-        """Every matrix to_csr gathers on a grid has the grid's one pattern."""
+        """Every matrix gather_csr gathers on a grid has the grid's one pattern."""
         grid = grids[name]
-        K = grid.stiffness()
-        for matrix in (K, grid.mass()):
+        K = gather_csr(grid, grid.stiffness_stencil())
+        for matrix in (K, gather_csr(grid, grid.mass_stencil())):
             assert_reference_pattern(grid, matrix)
         assert K.nnz == reference_stiffness(grid).nnz
         # one distinct stencil entry per CSR entry: the slots that assembly
         # fills, given distinct values, each land in the data once
         filled = grid._assemble(grid._mass_table) != 0
         stencil = np.random.default_rng(4).uniform(1.0, 2.0, size=filled.shape) * filled
-        data = grid.to_csr(stencil).data
+        data = gather_csr(grid, stencil).data
         assert data.size == np.count_nonzero(filled) == np.unique(data).size
         assert np.isin(data, stencil[filled]).all()

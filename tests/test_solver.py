@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import pattern_grids, reference_weak_residual
+from conftest import gather_csr, pattern_grids, reference_weak_residual
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -287,7 +287,7 @@ class TestLinearLayer:
         # reference: a sparse LU of the same free-node block
         mask, vals = sv.dirichlet_data(mesh, bc)
         free = ~mask
-        K = mesh.grid.stiffness(coeff=op.a(mesh.pk_at_quads()))
+        K = gather_csr(mesh.grid, mesh.grid.stiffness_stencil(coeff=op.a(mesh.pk_at_quads())))
         lu = sv.factor_spd(K[free][:, free].tocsc(), "reference system")
         direct = vals.copy()
         direct[free] = lu.solve(-(K @ vals)[free])
@@ -527,10 +527,10 @@ class TestNewtonHessian:
 
         def gradient(u):  # K(c(u)) u, the gradient of the regularized energy
             s = np.sum(grid.grads_at_quads(u) ** 2, axis=-1) + eps**2
-            return grid.stiffness(coeff=a_q * s ** (0.5 * (p - 2.0))) @ u
+            return gather_csr(grid, grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (p - 2.0)))) @ u
 
         stencil, load = sv._step_system(grid, a_q, f, p, sv._gradient_terms(grid, f, eps))
-        H = grid.to_csr(stencil)
+        H = gather_csr(grid, stencil)
         step = 1e-5
         fd = np.empty((grid.n_nodes,) * 2)
         for j in range(grid.n_nodes):
@@ -610,7 +610,8 @@ def global_residual(field):
     mask, _ = sv.dirichlet_data(mesh, field.bc)
     s = np.sum(mesh.grid.grads_at_quads(field.values) ** 2, axis=-1) \
         + field.diagnostics.eps_reg**2
-    K = mesh.grid.stiffness(coeff=op.a(mesh.pk_at_quads()) * s ** (0.5 * (op.p - 2.0)))
+    K = gather_csr(mesh.grid, mesh.grid.stiffness_stencil(
+        coeff=op.a(mesh.pk_at_quads()) * s ** (0.5 * (op.p - 2.0))))
     r = (K @ field.values)[~mask]
     return np.max(np.abs(r)) / np.max((abs(K) @ np.abs(field.values))[~mask])
 
@@ -665,7 +666,7 @@ class TestInexactInnerSolve:
         stencil, _ = sv._step_system(mesh.grid, a_q, f, op.p, terms)
         cg_calls.clear()
         f_hat = system.solve(stencil, x0=f)
-        H = mesh.grid.to_csr(stencil)
+        H = gather_csr(mesh.grid, stencil)
         gradient = (H @ f)[~mask]  # K(c) f, the energy gradient at f
         (call,) = cg_calls
         # CG solves for the correction: its right-hand side is the residual
@@ -802,7 +803,7 @@ class TestStencilLevels:
         coeff = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, grid.quad_weights.shape)
         stencil = grid.stiffness_stencil(coeff=coeff)
         free = ~mask
-        A = grid.to_csr(stencil)[free][:, free]
+        A = gather_csr(grid, stencil)[free][:, free]
         box = sv._free_box(grid, mask)
         D = sv._box_stencil(stencil, box)
         hierarchy = sv._hierarchy(grid.shape, box)
@@ -821,7 +822,7 @@ class TestStencilLevels:
         grid, mask = galerkin_grids()[name]
         rng = np.random.default_rng(4)
         stencil = grid.stiffness_stencil(coeff=rng.uniform(0.5, 2.0, grid.quad_weights.shape))
-        block = grid.to_csr(stencil)[~mask][:, ~mask]
+        block = gather_csr(grid, stencil)[~mask][:, ~mask]
         A = sv._dia(sv._box_stencil(stencil, sv._free_box(grid, mask)))
         assert np.all(np.diff(A.offsets) > 0)
         assert np.array_equal(A.toarray(), block.toarray())
@@ -836,7 +837,7 @@ class TestStencilLevels:
         stencil = grid.stiffness_stencil()
         A = sv._dia(sv._box_stencil(stencil, sv._free_box(grid, mask)))
         assert np.all(np.diff(A.offsets) > 0) and len(A.offsets) < 27
-        assert np.array_equal(A.toarray(), grid.stiffness()[~mask][:, ~mask].toarray())
+        assert np.array_equal(A.toarray(), gather_csr(grid, stencil)[~mask][:, ~mask].toarray())
 
     def test_mask_that_is_not_a_box_raises(self):
         grid = geo.TensorGrid([np.linspace(0, 1, 5), np.linspace(0, 2, 9)])
@@ -848,13 +849,33 @@ class TestStencilLevels:
         with pytest.raises(ValueError, match="box"):
             sv._FreeSystem(periodic, face_mask(periodic, [(0, 0)]), np.zeros(periodic.n_nodes))
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_solve_never_calls_to_csr(self, p, monkeypatch):
-        def to_csr(self, stencil):
-            raise AssertionError("the solver gathered a CSR matrix")
+    def test_free_system_rejects_periodic_grids(self):
+        """A radial section has a free box, which spans its periodic angle,
+        but the multigrid interpolation does not wrap, so no free system is
+        built on it."""
+        dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial", alpha=1.0,
+                                  beta=3.0, lateral_bc=("dirichlet0", "dirichlet0"))
+        sec = geo.build_mesh(dom, 1 / 4).cross_section(2.0)
+        grid = sec.grid
+        mask = np.zeros(grid.n_nodes, dtype=bool)
+        mask[sec.dirichlet_ids] = True
+        assert sv._free_box(grid, mask) == (slice(1, grid.shape[0] - 1), slice(0, grid.shape[1]))
+        with pytest.raises(ValueError):
+            sv._FreeSystem(grid, mask, np.zeros(grid.n_nodes))
 
-        monkeypatch.setattr(geo.TensorGrid, "to_csr", to_csr)
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_solve_never_calls_to_csr(self, p, monkeypatch, vcycle_levels):
+        """The solver's levels stay DIA matrices: only the coarsest one is
+        converted, to CSC (through CSR) for its factor."""
+        tocsr = sv.sp.dia_matrix.tocsr
+
+        def coarsest_only(self, copy=False):
+            assert self.shape[0] <= sv.MG_COARSEST, "the solver gathered a fine CSR matrix"
+            return tocsr(self, copy=copy)
+
+        monkeypatch.setattr(sv.sp.dia_matrix, "tocsr", coarsest_only)
         assert sv.solve(*readme_problem(p, 1 / 16)).diagnostics.converged
+        assert min(vcycle_levels) >= 1
 
     def test_3d_solve_memory(self):
         """One k = 2, h = 1/16 solve peaks at 6.9 MB traced; the CSR free
