@@ -33,12 +33,9 @@ from .expressions import Expression, ExpressionError, parse_expression, print_tr
 from .frequency import (
     FrequencyResult,
     compute_frequency,
-    first_frequency,
     frequency_profile,
     optimal_constant,
     rayleigh_quotient,
-    second_frequency,
-    third_frequency,
 )
 from .geometry import (
     CanonicalDomain,

@@ -9,8 +9,9 @@ Three quotients on a section mesh O:
 The minimizer descends the quotient in a p = 2 stiffness metric with
 Armijo backtracking, starting from the corresponding p = 2 eigenvector
 (computed by deflated inverse iteration); for p = 2 that start is
-already the discrete minimizer.  Seeded random restarts guard the
-general-p runs against local minima.  Section matrices leave the grid's
+already the discrete minimizer.  Random restarts from a fixed seed
+(RESTART_SEED) guard the general-p runs against local minima, so a
+frequency depends only on the section, p and the kind.  Section matrices leave the grid's
 stencil arrays only through the solver's free-box path (_free_box,
 _box_stencil, _dia): pinned nodes are whole faces, and periodic axes wrap.
 
@@ -36,8 +37,10 @@ FIRST = "first"
 SECOND = "second"
 THIRD = "third"
 SECTION_SYSTEM = "section system"
-RESTARTS = 3       # seeded random restarts of the descent at p != 2
+RESTARTS = 3       # random restarts of the descent at p != 2
+RESTART_SEED = 0   # seeds those restarts
 MAX_ITER = 2000    # descent steps per start
+TOL = 1e-12        # the descent stops below this relative decrease
 
 
 @dataclass(frozen=True)
@@ -177,23 +180,22 @@ def _box_csr(grid, stencil, box):
     return A
 
 
-def _p2_eigenpair(grid, K, M, box, neumann, tol=1e-14, max_iter=400):
+def _p2_eigenpair(grid, Kff, Mff, box, neumann):
     """Smallest nontrivial p = 2 eigenpair by deflated inverse iteration.
 
-    Dirichlet case: smallest eigenvalue of the pencil (K, M) on the free box.
+    Dirichlet case: smallest eigenvalue of the pencil (Kff, Mff), the
+    section's stiffness and mass on the free box, as CSR blocks.
     Neumann case: smallest nonzero eigenvalue, deflating constants in the
     M-inner product each sweep; the factorization uses a small mass shift
-    to keep the singular stiffness SPD.  K and M are the section's
-    stiffness and mass stencil arrays.  Returns the eigenvalue, the nodal
-    eigenvector and the factorization, which in the Dirichlet case is the
-    free-box stiffness's.
+    to keep the singular stiffness SPD.  Returns the eigenvalue, the nodal
+    eigenvector and the factorization, which in the Dirichlet case is
+    Kff's.
     """
-    Kff = _box_csr(grid, K, box)
-    Mff = _box_csr(grid, M, box)
     A = Kff + 1e-6 * float(Kff.diagonal().max()) * Mff if neumann else Kff
     lu = factor_spd(A.tocsc(), SECTION_SYSTEM)
     if neumann:
-        # coordinate ramp: nonzero overlap with the lowest nonconstant mode
+        # coordinate ramp: nonzero overlap with the lowest nonconstant mode,
+        # and nonconstant, since every axis has two increasing nodes
         x = np.sum(grid.nodes, axis=-1).reshape(grid.shape)[box].ravel()
         ones = np.ones_like(x)
         m_ones = Mff @ ones
@@ -205,15 +207,9 @@ def _p2_eigenpair(grid, K, M, box, neumann, tol=1e-14, max_iter=400):
         x = deflate(x)
     else:
         x = np.ones(Kff.shape[0])
-    nrm = math.sqrt(float(x @ (Mff @ x)))
-    if nrm == 0.0:
-        x = np.random.default_rng(12345).normal(size=x.size)
-        if neumann:
-            x = deflate(x)
-        nrm = math.sqrt(float(x @ (Mff @ x)))
-    x /= nrm
+    x /= math.sqrt(float(x @ (Mff @ x)))
     lam = float(x @ (Kff @ x))
-    for _ in range(max_iter):
+    for _ in range(400):
         y = lu.solve(Mff @ x)
         if neumann:
             y = deflate(y)
@@ -223,7 +219,7 @@ def _p2_eigenpair(grid, K, M, box, neumann, tol=1e-14, max_iter=400):
         y /= nrm
         lam_new = float(y @ (Kff @ y)) / float(y @ (Mff @ y))
         x = y
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+        if abs(lam_new - lam) <= 1e-14 * max(abs(lam_new), 1e-300):
             lam = lam_new
             break
         lam = lam_new
@@ -232,7 +228,7 @@ def _p2_eigenpair(grid, K, M, box, neumann, tol=1e-14, max_iter=400):
     return lam, out.ravel(), lu
 
 
-def _descent(grid, lu, p, pinned, u0, recenter, seed, tol):
+def _descent(grid, lu, p, pinned, u0, recenter):
     """Preconditioned projected descent on the quotient with Armijo steps.
 
     lu factors the preconditioner on the unpinned nodes: the pinned
@@ -286,7 +282,7 @@ def _descent(grid, lu, p, pinned, u0, recenter, seed, tol):
             u, c, q = u_try, c_try, q_try
             iters += 1
             g = quot.gradient(u, c, q)
-            if decrease < tol:
+            if decrease < TOL:
                 break
         scale = max(p * abs(q), 1e-300)
         residual = float(np.max(np.abs(g[free]))) / scale if free.any() else 0.0
@@ -294,7 +290,7 @@ def _descent(grid, lu, p, pinned, u0, recenter, seed, tol):
 
     best = run(u0)
     if p != 2.0:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(RESTART_SEED)
         amp = 0.1 * float(np.max(np.abs(u0)) or 1.0)
         for _ in range(RESTARTS):
             cand = run(u0 + rng.normal(scale=amp, size=n))
@@ -303,85 +299,60 @@ def _descent(grid, lu, p, pinned, u0, recenter, seed, tol):
     return best
 
 
-def _pinned_result(section, p, pinned, kind, seed, tol):
+def compute_frequency(section, p, kind):
+    """Frequency of the given kind (FIRST, SECOND or THIRD) on a section.
+
+    The first and third kinds pin u on the whole section boundary and on
+    the section's Dirichlet-zero trace set P.  An empty P is degenerate
+    for the third kind (constants are admissible) and returns value 0
+    flagged; a pinned set that holds every node leaves no admissible u
+    and raises ValueError.  The second kind takes nonconstant u with the
+    recentered denominator min_C sum w |u - C|^p (tensor sections are
+    connected).
+    """
+    if p <= 1.0:
+        raise ValueError("p must be > 1")
     grid = section.grid
+    if kind == FIRST:
+        pinned = grid.all_boundary_ids()
+        if pinned.size == 0:
+            raise ValueError("section has no boundary to pin")
+    elif kind == THIRD:
+        pinned = section.dirichlet_ids
+        if pinned.size == 0:
+            u = np.full(grid.n_nodes, 1.0)
+            den = _Quotient(grid, p, recenter=False).denominator(u, 0.0)
+            return FrequencyResult(
+                kind=THIRD, value=0.0, minimizer=u / den ** (1.0 / p),
+                optimal_c=0.0, dirichlet_ids=pinned, residual=0.0,
+                iterations=0, degenerate=True,
+            )
+    elif kind == SECOND:
+        pinned = np.empty(0, dtype=np.int64)
+    else:
+        raise ValueError(f"unknown frequency kind {kind!r}")
+    recenter = kind == SECOND
     mask = np.zeros(grid.n_nodes, dtype=bool)
     mask[pinned] = True
     box = _free_box(grid, mask)
     if box is None:
         raise ValueError("section has empty interior")
-    _, u0, lu = _p2_eigenpair(grid, grid.stiffness_stencil(), grid.mass_stencil(), box,
-                              neumann=False)
-    if np.sum(u0) < 0:  # positive first eigenvector
+    Kff = _box_csr(grid, grid.stiffness_stencil(), box)
+    Mff = _box_csr(grid, grid.mass_stencil(), box)
+    _, u0, lu = _p2_eigenpair(grid, Kff, Mff, box, neumann=recenter)
+    if recenter:
+        # the descent's preconditioner is stiffness plus mass
+        lu = factor_spd((Kff + Mff).tocsc(), SECTION_SYSTEM)
+    elif np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
-    q, u, _, res, iters = _descent(grid, lu, p, pinned, u0, recenter=False, seed=seed, tol=tol)
+    q, u, c, res, iters = _descent(grid, lu, p, pinned, u0, recenter)
     return FrequencyResult(
-        kind=kind, value=q, minimizer=u, optimal_c=0.0,
-        dirichlet_ids=np.asarray(pinned), residual=res, iterations=iters,
+        kind=kind, value=q, minimizer=u, optimal_c=c,
+        dirichlet_ids=pinned, residual=res, iterations=iters,
     )
 
 
-def first_frequency(section, p, seed=0, tol=1e-12):
-    """First frequency: quotient with u pinned on the whole section boundary."""
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    pinned = section.grid.all_boundary_ids()
-    if pinned.size == 0:
-        raise ValueError("section has no boundary to pin")
-    return _pinned_result(section, p, pinned, FIRST, seed, tol)
-
-
-def third_frequency(section, p, seed=0, tol=1e-12):
-    """Third frequency: quotient with u pinned only on the section's
-    Dirichlet-zero trace set P.
-
-    An empty P is degenerate (constants are admissible) and returns value 0
-    flagged; a P that holds every node leaves no admissible u and raises
-    ValueError.
-    """
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    pinned = section.dirichlet_ids
-    if pinned.size == 0:
-        u = np.full(section.grid.n_nodes, 1.0)
-        den = _Quotient(section.grid, p, recenter=False).denominator(u, 0.0)
-        return FrequencyResult(
-            kind=THIRD, value=0.0, minimizer=u / den ** (1.0 / p),
-            optimal_c=0.0, dirichlet_ids=pinned, residual=0.0,
-            iterations=0, degenerate=True,
-        )
-    return _pinned_result(section, p, pinned, THIRD, seed, tol)
-
-
-def second_frequency(section, p, seed=0, tol=1e-12):
-    """Second frequency: quotient over nonconstant u with the recentered
-    denominator min_C sum w |u - C|^p (tensor sections are connected)."""
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    grid = section.grid
-    K, M = grid.stiffness_stencil(), grid.mass_stencil()
-    unpinned = np.empty(0, dtype=np.int64)
-    box = _free_box(grid, np.zeros(grid.n_nodes, dtype=bool))
-    _, u0, _ = _p2_eigenpair(grid, K, M, box, neumann=True)
-    lu = factor_spd(_box_csr(grid, K + M, box).tocsc(), SECTION_SYSTEM)
-    q, u, c, res, iters = _descent(grid, lu, p, unpinned, u0, recenter=True, seed=seed, tol=tol)
-    return FrequencyResult(
-        kind=SECOND, value=q, minimizer=u, optimal_c=c,
-        dirichlet_ids=unpinned, residual=res, iterations=iters,
-    )
-
-
-def compute_frequency(section, p, kind, seed=0):
-    if kind == FIRST:
-        return first_frequency(section, p, seed=seed)
-    if kind == SECOND:
-        return second_frequency(section, p, seed=seed)
-    if kind == THIRD:
-        return third_frequency(section, p, seed=seed)
-    raise ValueError(f"unknown frequency kind {kind!r}")
-
-
-def frequency_profile(mesh, p, kind, stations, seed=0):
+def frequency_profile(mesh, p, kind, stations):
     """Frequency of the requested kind on the section at each station.
 
     Returns a list of (tau, FrequencyResult), tau the snapped station.
@@ -397,10 +368,10 @@ def frequency_profile(mesh, p, kind, stations, seed=0):
     for tau in stations:
         j, _ = mesh.station_index(tau, snap_tol=tol)
         tau_snapped = float(mesh.stations[j])
-        key = (kind, p, seed, None if layer else tau_snapped)
+        key = (kind, p, None if layer else tau_snapped)
         if key not in memo:
             sec = mesh.cross_section(tau_snapped)
-            memo[key] = compute_frequency(sec, p, kind, seed=seed)
+            memo[key] = compute_frequency(sec, p, kind)
         out.append((tau_snapped, memo[key]))
     return out
 

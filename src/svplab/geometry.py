@@ -611,10 +611,9 @@ class SectionDescriptor:
     """Axial cross-section snapped to a grid line.
 
     grid is the section mesh used for frequency computations (for radial
-    domains an interval-times-circle grid with circumference 2*pi*tau);
-    trace_grid integrates fields of the reduced problem over the section
-    and equals grid in layer mode.  dirichlet_ids are the section-grid
-    nodes on lateral faces carrying the Dirichlet-zero condition.
+    domains an interval-times-circle grid with circumference 2*pi*tau).
+    dirichlet_ids are the section-grid nodes on lateral faces carrying
+    the Dirichlet-zero condition.
     """
 
     tau: float
@@ -622,7 +621,6 @@ class SectionDescriptor:
     station: int
     volume_node_ids: np.ndarray
     grid: TensorGrid
-    trace_grid: TensorGrid
     dirichlet_ids: np.ndarray
 
 
@@ -657,16 +655,12 @@ def cross_section(mesh, tau):
     base_axes = mesh.grid.axes[:-1]
     if dom.axial_kind == LAYER:
         section = TensorGrid(base_axes)
-        trace = section
     else:
         radius = tau_snapped
         h_ax = mesh.grid.spacing[-1]
         m = max(8, int(math.ceil(2.0 * math.pi * radius / h_ax)))
         arc = np.arange(m) * (2.0 * math.pi * radius / m)
         section = TensorGrid([base_axes[0], arc], periodic=(False, True))
-        trace = TensorGrid(
-            [base_axes[0]], weight=lambda pts, r=radius: np.full(pts.shape[:-1], 2.0 * math.pi * r)
-        )
     dir_ids = []
     for ax in range(dom.k):
         for s, side in enumerate(("low", "high")):
@@ -681,7 +675,6 @@ def cross_section(mesh, tau):
         station=j,
         volume_node_ids=vol_ids,
         grid=section,
-        trace_grid=trace,
         dirichlet_ids=dir_ids,
     )
 
@@ -701,7 +694,6 @@ def interval_section(length, cells, dirichlet="both"):
         station=0,
         volume_node_ids=np.empty(0, dtype=np.int64),
         grid=grid,
-        trace_grid=grid,
         dirichlet_ids=ids,
     )
 
@@ -717,6 +709,5 @@ def rectangle_section(lengths, cells, dirichlet="all"):
         station=0,
         volume_node_ids=np.empty(0, dtype=np.int64),
         grid=grid,
-        trace_grid=grid,
         dirichlet_ids=ids,
     )

@@ -83,13 +83,13 @@ def _family_kind(config):
     return THIRD if _family(config) == "dirichlet" else SECOND
 
 
-def _rate_profile(config, mesh, kind, stations, seed):
+def _rate_profile(config, mesh, kind, stations):
     """The mu (SECOND) or lambda (THIRD) rate profile over +/- the requested
     stations, and the (tau, FrequencyResult) pairs it was built from."""
     p = config.operator.p
     name = "mu" if kind == SECOND else "lambda"
     pos = sorted({float(s) for s in stations})
-    pairs = frequency_profile(mesh, p, kind, pos, seed=seed)
+    pairs = frequency_profile(mesh, p, kind, pos)
     if mesh.domain.axial_kind != LAYER:
         return rate_profile(name, p, pairs), pairs
     # layer sections are identical: mirror the station values
@@ -151,12 +151,12 @@ def _execute(config, h, seed, refined=False):
             for kind in kinds:
                 if kind not in (FIRST, SECOND, THIRD):
                     raise ConfigError(f"unknown frequency kind {kind!r}")
-                pairs = frequency_profile(mesh, config.operator.p, kind, stations, seed=seed)
+                pairs = frequency_profile(mesh, config.operator.p, kind, stations)
                 results["frequencies"][kind] = pairs
         elif task.name == "svp":
             results.update(_run_svp(config, mesh, field_, task, seed, refined))
         elif task.name == "zones":
-            results["zones"] = _run_zones(config, mesh, field_, task, seed)
+            results["zones"] = _run_zones(config, mesh, field_, task)
         elif task.name == "cutoff":
             c = task.params.get("C", (0.0,))[0]
             tau1 = task.params.get("tau1", (1.0,))[0]
@@ -175,7 +175,7 @@ def _execute(config, h, seed, refined=False):
                 results["pl"].append(
                     pl_check(config.domain, config.operator, _boundary_spec(config),
                              truncations, form, h, tau_inner=tau_inner,
-                             window=window, seed=seed)
+                             window=window)
                 )
     return results
 
@@ -199,12 +199,12 @@ def _run_svp(config, mesh, field_, task, seed, refined=False):
     family = _family(config)
     kind = _family_kind(config)
     # the checks read only the family's profile
-    sym_profile, pairs = _rate_profile(config, mesh, kind, stations, seed)
+    sym_profile, pairs = _rate_profile(config, mesh, kind, stations)
     pairs = {kind: pairs}
     if not refined:
         # svp.csv tabulates both kinds
         other = SECOND if kind == THIRD else THIRD
-        pairs[other] = _rate_profile(config, mesh, other, stations, seed)[1]
+        pairs[other] = _rate_profile(config, mesh, other, stations)[1]
         profile = energy_profile(field_, t, stations,
                                  fit_window=fit_window if fit_window else None)
     checks = []
@@ -229,7 +229,7 @@ def _run_svp(config, mesh, field_, task, seed, refined=False):
     }
 
 
-def _run_zones(config, mesh, field_, task, seed):
+def _run_zones(config, mesh, field_, task):
     norms = task.params.get("norms", ("w1p", "lp", "sup"))
     s_values = task.params.get("s_values")
     if s_values is None:
@@ -239,7 +239,7 @@ def _run_zones(config, mesh, field_, task, seed):
     c5 = task.params.get("C5", (None,))[0]
     c6 = task.params.get("C6", (None,))[0]
     pos = [float(s) for s in mesh.stations if s > 0]
-    profile, _ = _rate_profile(config, mesh, _family_kind(config), [pos[0], tau_outer], seed)
+    profile, _ = _rate_profile(config, mesh, _family_kind(config), [pos[0], tau_outer])
     out = []
     for s in s_values:
         for norm in norms:
@@ -286,7 +286,11 @@ def _calibrated_entries(found, found_h2):
 
 
 def run(config, out_dir=None, seed=0, refine=None):
-    """Execute a parsed RunConfig and write its artifacts."""
+    """Execute a parsed RunConfig and write its artifacts.
+
+    seed seeds only the svp task's corrupt noise; section frequencies
+    restart from frequency.RESTART_SEED.
+    """
     out_dir = out_dir or config.out_dir or os.environ.get("SVPLAB_OUT") or "svplab-out"
     rep.ensure_dir(out_dir)
     do_refine = config.refine if refine is None else refine

@@ -13,6 +13,19 @@ from svplab import structure as st
 BS = 3.0
 
 
+def count_compute_calls(monkeypatch):
+    """Record (kind, section tau) of every compute_frequency call."""
+    calls = []
+    compute = fr.compute_frequency
+
+    def counting(section, p, kind):
+        calls.append((kind, section.tau))
+        return compute(section, p, kind)
+
+    monkeypatch.setattr(fr, "compute_frequency", counting)
+    return calls
+
+
 def make_strip(lateral, beta_star=BS):
     return geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
                                alpha=1.0, beta=1.0 + 2.0 * beta_star, lateral_bc=lateral)

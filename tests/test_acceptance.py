@@ -114,23 +114,24 @@ def dense_interval(length, cells, bc):
 def test_criterion_2_frequency_oracles():
     checks = []
     sec = geo.interval_section(1.0, 256)
-    lam = fr.first_frequency(sec, 2.0)
+    lam = fr.compute_frequency(sec, 2.0, fr.FIRST)
     oracle = dense_interval(1.0, 256, "dirichlet")[0]
     checks.append(abs(lam.value - PI2) / PI2 <= 0.005)
     checks.append(abs(lam.value - oracle) / oracle <= 1e-8)
 
-    third = fr.third_frequency(geo.interval_section(1.0, 256, dirichlet="low"), 2.0)
+    third = fr.compute_frequency(geo.interval_section(1.0, 256, dirichlet="low"), 2.0,
+                                 fr.THIRD)
     oracle = dense_interval(1.0, 256, "left")[0]
     checks.append(abs(third.value - PI2 / 4) / (PI2 / 4) <= 0.005)
     checks.append(abs(third.value - oracle) / oracle <= 1e-8)
 
-    mu = fr.second_frequency(sec, 2.0)
+    mu = fr.compute_frequency(sec, 2.0, fr.SECOND)
     oracle = dense_interval(1.0, 256, "neumann")[1]
     checks.append(abs(mu.value - PI2) / PI2 <= 0.005)
     checks.append(abs(mu.value - oracle) / oracle <= 1e-8)
 
     sq = geo.rectangle_section((1.0, 1.0), (256, 256))
-    musq = fr.second_frequency(sq, 2.0)
+    musq = fr.compute_frequency(sq, 2.0, fr.SECOND)
     eigs1d = dense_interval(1.0, 256, "neumann")
     sums = np.sort([a + b for a in eigs1d[:3] for b in eigs1d[:3]])
     tensor_oracle = sums[sums > 1e-10][0]
@@ -139,8 +140,8 @@ def test_criterion_2_frequency_oracles():
 
     scale_ok = True
     for p in (1.5, 2.0, 3.0):
-        v1 = fr.first_frequency(geo.interval_section(1.0, 256), p).value
-        v2 = fr.first_frequency(geo.interval_section(2.0, 256), p).value
+        v1 = fr.compute_frequency(geo.interval_section(1.0, 256), p, fr.FIRST).value
+        v2 = fr.compute_frequency(geo.interval_section(2.0, 256), p, fr.FIRST).value
         scale_ok = scale_ok and abs(v2 - v1 / 2.0**p) / (v1 / 2.0**p) <= 1e-8
     checks.append(scale_ok)
     report(2, all(checks),
@@ -151,7 +152,7 @@ def test_criterion_2_frequency_oracles():
 def test_criterion_3_general_p_frequency():
     cells = 128
     sec = geo.interval_section(1.0, cells)
-    res = fr.first_frequency(sec, 3.0)
+    res = fr.compute_frequency(sec, 3.0, fr.FIRST)
     grid = sec.grid
     w = grid.quad_weights
     free = np.ones(grid.n_nodes, dtype=bool)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import svplab
-from conftest import BS, cosh_section_mass, make_strip, numeric_cutoff_minimum
+from conftest import (BS, cosh_section_mass, count_compute_calls, make_strip,
+                      numeric_cutoff_minimum)
 from svplab import asymptotics as asym
 from svplab import geometry as geo
 from svplab import solver as sv
@@ -189,6 +190,19 @@ class TestGrowthTrends:
                             [3.0, 3.5, 4.0], "eq7.12", 1 / 8, tau_inner=1.5)
         assert len(rep.rows) == 3
         assert all(r.rhs > 0 for r in rep.rows)
+
+    @pytest.mark.parametrize("form", ["starI", "starII", "starDirichlet"])
+    def test_layer_frequency_computed_once(self, monkeypatch, form):
+        # every truncation mesh of a layer family has the same section
+        from svplab import frequency as fr
+        calls = count_compute_calls(monkeypatch)
+        lateral = ("neumann", "neumann") if form == "starI" else ("dirichlet0", "dirichlet0")
+        dom = make_strip(lateral, 2.0)
+        g = lambda x: np.cos(PI * x[:, 0])
+        bc = sv.BoundarySpec(g_low=g, g_high=g, lateral=lateral)
+        rep = asym.pl_check(dom, st.constant_operator(1.5), bc, [2.0, 2.5, 3.0], form, 1 / 8)
+        assert len(rep.rows) == 3
+        assert [kind for kind, _ in calls] == [fr.SECOND if form == "starI" else fr.THIRD]
 
     def test_needs_three_truncations(self):
         dom, op, bc = _pl_setup(lambda x: np.cos(PI * x[:, 0]))

@@ -197,6 +197,18 @@ class TestRunner:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_frequencies_do_not_depend_on_seed(self, tmp_path):
+        # the p != 2 restarts use a fixed seed; the run seed reaches only
+        # the corrupt noise
+        cfg = parse_config(BASE_CONFIG.replace("p = 2", "p = 1.5") + SVP_TASK + FREQ_TASK)
+        reports = []
+        for seed in (0, 3):
+            run(cfg, out_dir=str(tmp_path / str(seed)), seed=seed)
+            reports.append(json.loads((tmp_path / str(seed) / "report.json").read_text()))
+        for name in ("frequencies_first.csv", "frequencies_second.csv", "svp.csv"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+        assert reports[0]["frequencies"] == reports[1]["frequencies"]
+
     def test_snapshot_false_writes_no_field_csv(self, tmp_path):
         cfg = parse_config(BASE_CONFIG + SVP_TASK.replace("snapshot = true", "snapshot = false"))
         result = run(cfg, out_dir=str(tmp_path), seed=0)
