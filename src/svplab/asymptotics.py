@@ -254,18 +254,19 @@ def _window_stations(mesh, lo, hi):
     return sel
 
 
-def pl_check(domain, op, bc, truncations, form, h, tau_inner=1.0, window=1.0):
+def pl_check(domain, op, bc, truncations, form, h, memo, tau_inner=1.0, window=1.0):
     """Growth-alternative trend over a family of increasing truncations.
 
     Layer forms solve on centered bands of half-width T for each
     truncation T, evaluate the selected bound with unit-length (window)
     outer brackets at tau2 = T - window, and fit the slope of log(rhs)
-    against tau2; their sections are the same on every truncation mesh
-    (same base, same h), so the frequency is computed once, on the first.
-    Radial forms grow the outer radius instead and use the one-sided
-    window [T - window, T]; their sections depend on each mesh's axial
-    spacing.  The verdict reports only the bound trend; the measured
-    inner energy is attached as corroboration.
+    against tau2.  Radial forms grow the outer radius instead and use the
+    one-sided window [T - window, T].  Section frequencies come from
+    frequency_profile through memo, so a section that recurs, on another
+    truncation mesh or on the caller's meshes, is computed once: every
+    layer truncation mesh has the same section (same base, same h).  The
+    verdict reports only the bound trend; the measured inner energy is
+    attached as corroboration.
     """
     if form not in PL_FORMS:
         raise ValueError(f"unknown growth-bound form {form!r}")
@@ -276,7 +277,6 @@ def pl_check(domain, op, bc, truncations, form, h, tau_inner=1.0, window=1.0):
         raise ValueError("truncation lengths must be strictly increasing")
     layer_form = form in (STAR_NEUMANN, STAR_DIRICHLET_SUBSET, STAR_DIRICHLET_FULL)
     rows = []
-    layer_freq = None
     for T in truncs:
         if layer_form:
             dom_t = replace(domain, alpha=domain.alpha, beta=domain.alpha + 2.0 * T)
@@ -286,10 +286,7 @@ def pl_check(domain, op, bc, truncations, form, h, tau_inner=1.0, window=1.0):
         field_ = solve(dom_t, mesh, op, bc)
         if not field_.diagnostics.converged:
             raise SolverError(f"solver did not converge at truncation {T}")
-        if layer_form and layer_freq is None:
-            kind = SECOND if form == STAR_NEUMANN else THIRD
-            layer_freq = frequency_profile(mesh, op.p, kind, [0.0])[0][1]
-        rows.append(_evaluate_truncation(field_, form, tau_inner, window, layer_freq))
+        rows.append(_evaluate_truncation(field_, form, tau_inner, window, memo))
     tau2s = np.asarray([r.tau2 for r in rows])
     rhss = np.asarray([r.rhs for r in rows])
     inner = tuple(float(r.inner_energy) for r in rows)
@@ -304,8 +301,8 @@ def pl_check(domain, op, bc, truncations, form, h, tau_inner=1.0, window=1.0):
                     inner_trend=inner)
 
 
-def _evaluate_truncation(field_, form, tau_inner, window, layer_freq):
-    """One truncation's row; layer_freq is a layer form's section frequency."""
+def _evaluate_truncation(field_, form, tau_inner, window, memo):
+    """One truncation's row; memo is frequency_profile's."""
     mesh = field_.mesh
     op = field_.op
     p = op.p
@@ -332,10 +329,12 @@ def _evaluate_truncation(field_, form, tau_inner, window, layer_freq):
                 damping = 1.0
             else:
                 stations = _window_stations(mesh, tau_inner, tau2)
-                prof = rate_profile("lambda", p, [(float(t), layer_freq) for t in stations])
+                prof = rate_profile("lambda", p, frequency_profile(mesh, p, THIRD, stations, memo))
                 damping = math.exp(-(op.nu1 / op.nu2) * prof.integral(stations[0], stations[-1]))
         else:
-            rate = layer_freq.value ** (1.0 / p)
+            kind = SECOND if form == STAR_NEUMANN else THIRD
+            freq = frequency_profile(mesh, p, kind, right[:1], memo)[0][1]
+            rate = freq.value ** (1.0 / p)
             damping = math.exp(-(op.nu1 / op.nu2) * rate * (tau2 - tau_inner))
         inner_energy = energy(field_, -tau_inner, tau_inner)
     else:
@@ -355,7 +354,7 @@ def _evaluate_truncation(field_, form, tau_inner, window, layer_freq):
         bracket = 0.5 * bound_constant(op) * a.value   # C8 = C7 / 2, one-sided
         stations = _window_stations(mesh, tau_inner, tau1)
         prof = rate_profile("mu" if kind == SECOND else "lambda", p,
-                            frequency_profile(mesh, p, kind, stations))
+                            frequency_profile(mesh, p, kind, stations, memo))
         damping = math.exp(-(op.nu1 / op.nu2) * prof.integral(stations[0], stations[-1]))
         inner_energy = energy(field_, mesh.stations[0], tau_inner)
         c = float(c)

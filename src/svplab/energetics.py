@@ -128,11 +128,10 @@ def section_energy(field_, tau):
 
 
 def section_flux_constants(field_, tau, side="auto"):
-    """The three flux constants at a station.
+    """The flux constants C1 and C2 at a station, and the optimal constant.
 
     c1 uses |f - C| |A(x, grad p_k)| with C the optimal constant on the
-    section; c2 is the f-weighted flux; c2_tilde its sign-flipped outer
-    variant.
+    section; c2 is the f-weighted flux.
     """
     mesh = field_.mesh
     pts, w, fvals, _ = section_quad_trace(field_, tau, side=side)
@@ -140,7 +139,7 @@ def section_flux_constants(field_, tau, side="auto"):
     c_opt = optimal_constant(fvals, w, field_.op.p)
     c1 = float(np.sum(w * np.abs(fvals - c_opt) * a))
     c2 = flux_integral(field_, tau, weight="f", side=side).value
-    return {"C1": c1, "C2": c2, "C2_tilde": -c2, "C_opt": c_opt}
+    return {"C1": c1, "C2": c2, "C_opt": c_opt}
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,6 @@ class EnergyProfile:
     dI_dtau: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    c2_tilde: np.ndarray
     slope: float
     slope_rms: float
     slope_flagged: bool
@@ -174,7 +172,7 @@ def energy_profile(field_, t, stations, fit_window=None):
     mesh = field_.mesh
     tol = mesh.snap_tolerance()
     layer = mesh.domain.axial_kind == LAYER
-    inner, sym, sece, c1s, c2s, c2t = [], [], [], [], [], []
+    inner, sym, sece, c1s, c2s = [], [], [], [], []
     for tau in stations:
         mesh.station_index(tau, snap_tol=tol)
         inner.append(energy(field_, t, tau) if tau > t else 0.0)
@@ -186,7 +184,6 @@ def energy_profile(field_, t, stations, fit_window=None):
         cc = section_flux_constants(field_, tau)
         c1s.append(cc["C1"])
         c2s.append(cc["C2"])
-        c2t.append(cc["C2_tilde"])
     inner = np.asarray(inner)
     sym = np.asarray(sym) if layer else np.empty(0)
     # dI/dtau by mesh-spacing central differences (one-sided at the ends)
@@ -225,7 +222,6 @@ def energy_profile(field_, t, stations, fit_window=None):
         dI_dtau=np.asarray(dI),
         c1=np.asarray(c1s),
         c2=np.asarray(c2s),
-        c2_tilde=np.asarray(c2t),
         slope=slope,
         slope_rms=rms,
         slope_flagged=flagged,

@@ -15,9 +15,11 @@ frequency depends only on the section, p and the kind.  Section matrices leave t
 stencil arrays only through the solver's free-box path (_free_box,
 _box_stencil, _dia): pinned nodes are whole faces, and periodic axes wrap.
 
-``frequency_profile`` computes each distinct section of a mesh once and
-keeps the results on the mesh: every layer section is the same section,
-and a radial section is fixed by its radius.  The best constant
+``frequency_profile`` computes each distinct section once per memo that
+its caller owns, keyed on what the section is built from
+(Mesh.section_key), so meshes with equal sections share the results:
+every layer section of a base and h is the same section, and a radial
+section is fixed by its radius and the axial spacing.  The best constant
 min_C |u - C|_p^p is the weighted mean at p = 2 and a one-dimensional
 convex search otherwise.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LAYER, TensorGrid
+from .geometry import TensorGrid
 from .solver import _box_stencil, _dia, _free_box, factor_spd
 from .structure import guarded_power, squared_norm
 
@@ -352,26 +354,24 @@ def compute_frequency(section, p, kind):
     )
 
 
-def frequency_profile(mesh, p, kind, stations):
+def frequency_profile(mesh, p, kind, stations, memo):
     """Frequency of the requested kind on the section at each station.
 
     Returns a list of (tau, FrequencyResult), tau the snapped station.
-    Each distinct section is computed once per mesh and the result is
-    kept in ``mesh.frequency_memo``: layer sections are identical, so a
-    layer profile is constant and costs one computation; radial sections
-    vary with the station radius and are keyed on it.
+    memo is a dict that the caller owns and keeps for as long as results
+    may be shared, one resolution pass of a run: each result is kept
+    under (kind, p, mesh.section_key(j)), and equal keys mean identical
+    sections, on any mesh.  A layer profile is thus constant and costs one
+    computation; radial sections vary with the station radius.
     """
     out = []
     tol = mesh.snap_tolerance()
-    memo = mesh.frequency_memo
-    layer = mesh.domain.axial_kind == LAYER
     for tau in stations:
         j, _ = mesh.station_index(tau, snap_tol=tol)
         tau_snapped = float(mesh.stations[j])
-        key = (kind, p, None if layer else tau_snapped)
+        key = (kind, p, mesh.section_key(j))
         if key not in memo:
-            sec = mesh.cross_section(tau_snapped)
-            memo[key] = compute_frequency(sec, p, kind)
+            memo[key] = compute_frequency(mesh.cross_section(tau_snapped), p, kind)
         out.append((tau_snapped, memo[key]))
     return out
 

@@ -455,11 +455,6 @@ class Mesh:
         cells = np.indices(self.grid.cell_shape).reshape(self.grid.dim, -1)
         return cells[-1]
 
-    @cached_property
-    def frequency_memo(self):
-        """Section frequency results of this mesh, filled by frequency_profile."""
-        return {}
-
     def pk_at_quads(self):
         """p_k at every quadrature point, shape (n_elems, n_quad).
 
@@ -546,6 +541,16 @@ class Mesh:
     def cross_section(self, tau):
         return cross_section(self, tau)
 
+    def section_key(self, j):
+        """What cross_section builds the section at axial grid line j from:
+        the base axes' bytes and the lateral kinds, and in radial mode the
+        radius and the axial spacing.  Equal keys, on any meshes, mean
+        identical sections."""
+        key = (tuple(a.tobytes() for a in self.grid.axes[:-1]), self.domain.lateral_bc)
+        if self.domain.axial_kind == RADIAL:
+            key += (float(self.stations[j]), self.grid.spacing[-1])
+        return key
+
     @cached_property
     def _section_tables(self):
         """Section quadrature shared by every station, built once.
@@ -617,9 +622,6 @@ class SectionDescriptor:
     """
 
     tau: float
-    snap_distance: float
-    station: int
-    volume_node_ids: np.ndarray
     grid: TensorGrid
     dirichlet_ids: np.ndarray
 
@@ -647,11 +649,14 @@ def build_mesh(domain, resolution):
 
 
 def cross_section(mesh, tau):
-    """Section at the axial grid line nearest tau, with snap distance."""
-    j, snap = mesh.station_index(tau)
+    """Section at the axial grid line j nearest tau.
+
+    It reads only what mesh.section_key(j) holds: the base axes and the
+    lateral kinds, and in radial mode the radius and the axial spacing.
+    """
+    j, _ = mesh.station_index(tau)
     tau_snapped = float(mesh.stations[j])
     dom = mesh.domain
-    vol_ids = mesh.station_node_ids(j)
     base_axes = mesh.grid.axes[:-1]
     if dom.axial_kind == LAYER:
         section = TensorGrid(base_axes)
@@ -671,9 +676,6 @@ def cross_section(mesh, tau):
     )
     return SectionDescriptor(
         tau=tau_snapped,
-        snap_distance=snap,
-        station=j,
-        volume_node_ids=vol_ids,
         grid=section,
         dirichlet_ids=dir_ids,
     )
@@ -690,9 +692,6 @@ def interval_section(length, cells, dirichlet="both"):
     }[dirichlet]
     return SectionDescriptor(
         tau=0.0,
-        snap_distance=0.0,
-        station=0,
-        volume_node_ids=np.empty(0, dtype=np.int64),
         grid=grid,
         dirichlet_ids=ids,
     )
@@ -705,9 +704,6 @@ def rectangle_section(lengths, cells, dirichlet="all"):
     ids = grid.all_boundary_ids() if dirichlet == "all" else np.empty(0, dtype=np.int64)
     return SectionDescriptor(
         tau=0.0,
-        snap_distance=0.0,
-        station=0,
-        volume_node_ids=np.empty(0, dtype=np.int64),
         grid=grid,
         dirichlet_ids=ids,
     )

@@ -83,13 +83,14 @@ def _family_kind(config):
     return THIRD if _family(config) == "dirichlet" else SECOND
 
 
-def _rate_profile(config, mesh, kind, stations):
+def _rate_profile(config, mesh, kind, stations, memo):
     """The mu (SECOND) or lambda (THIRD) rate profile over +/- the requested
-    stations, and the (tau, FrequencyResult) pairs it was built from."""
+    stations, and the (tau, FrequencyResult) pairs it was built from; memo is
+    frequency_profile's."""
     p = config.operator.p
     name = "mu" if kind == SECOND else "lambda"
     pos = sorted({float(s) for s in stations})
-    pairs = frequency_profile(mesh, p, kind, pos)
+    pairs = frequency_profile(mesh, p, kind, pos, memo)
     if mesh.domain.axial_kind != LAYER:
         return rate_profile(name, p, pairs), pairs
     # layer sections are identical: mirror the station values
@@ -111,7 +112,9 @@ def _execute(config, h, seed, refined=False):
 
     The refine pass (refined=True) computes only what the report reads from
     it, the svp check and cutoff margins: it solves, builds the family's rate
-    profile and the checks for svp, and runs the cutoff bounds.
+    profile and the checks for svp, and runs the cutoff bounds.  Every task of
+    the pass shares one frequency memo, so each distinct section is computed
+    once per pass; the memo dies with the pass.
     """
     results = {
         "h": h,
@@ -128,6 +131,7 @@ def _execute(config, h, seed, refined=False):
     }
     mesh = build_mesh(config.domain, h)
     results["mesh"] = mesh
+    memo = {}
     field_ = None
     if _needs_field(config):
         field_ = solve(config.domain, mesh, config.operator, _boundary_spec(config))
@@ -151,12 +155,12 @@ def _execute(config, h, seed, refined=False):
             for kind in kinds:
                 if kind not in (FIRST, SECOND, THIRD):
                     raise ConfigError(f"unknown frequency kind {kind!r}")
-                pairs = frequency_profile(mesh, config.operator.p, kind, stations)
+                pairs = frequency_profile(mesh, config.operator.p, kind, stations, memo)
                 results["frequencies"][kind] = pairs
         elif task.name == "svp":
-            results.update(_run_svp(config, mesh, field_, task, seed, refined))
+            results.update(_run_svp(config, mesh, field_, task, seed, memo, refined))
         elif task.name == "zones":
-            results["zones"] = _run_zones(config, mesh, field_, task)
+            results["zones"] = _run_zones(config, mesh, field_, task, memo)
         elif task.name == "cutoff":
             c = task.params.get("C", (0.0,))[0]
             tau1 = task.params.get("tau1", (1.0,))[0]
@@ -174,13 +178,13 @@ def _execute(config, h, seed, refined=False):
             for form in forms:
                 results["pl"].append(
                     pl_check(config.domain, config.operator, _boundary_spec(config),
-                             truncations, form, h, tau_inner=tau_inner,
+                             truncations, form, h, memo, tau_inner=tau_inner,
                              window=window)
                 )
     return results
 
 
-def _run_svp(config, mesh, field_, task, seed, refined=False):
+def _run_svp(config, mesh, field_, task, seed, memo, refined=False):
     stations = task.params.get("stations")
     if stations is None:
         raise ConfigError("[task svp] needs 'stations'")
@@ -199,12 +203,12 @@ def _run_svp(config, mesh, field_, task, seed, refined=False):
     family = _family(config)
     kind = _family_kind(config)
     # the checks read only the family's profile
-    sym_profile, pairs = _rate_profile(config, mesh, kind, stations)
+    sym_profile, pairs = _rate_profile(config, mesh, kind, stations, memo)
     pairs = {kind: pairs}
     if not refined:
         # svp.csv tabulates both kinds
         other = SECOND if kind == THIRD else THIRD
-        pairs[other] = _rate_profile(config, mesh, other, stations)[1]
+        pairs[other] = _rate_profile(config, mesh, other, stations, memo)[1]
         profile = energy_profile(field_, t, stations,
                                  fit_window=fit_window if fit_window else None)
     checks = []
@@ -229,7 +233,7 @@ def _run_svp(config, mesh, field_, task, seed, refined=False):
     }
 
 
-def _run_zones(config, mesh, field_, task):
+def _run_zones(config, mesh, field_, task, memo):
     norms = task.params.get("norms", ("w1p", "lp", "sup"))
     s_values = task.params.get("s_values")
     if s_values is None:
@@ -239,7 +243,7 @@ def _run_zones(config, mesh, field_, task):
     c5 = task.params.get("C5", (None,))[0]
     c6 = task.params.get("C6", (None,))[0]
     pos = [float(s) for s in mesh.stations if s > 0]
-    profile, _ = _rate_profile(config, mesh, _family_kind(config), [pos[0], tau_outer])
+    profile, _ = _rate_profile(config, mesh, _family_kind(config), [pos[0], tau_outer], memo)
     out = []
     for s in s_values:
         for norm in norms:

@@ -310,7 +310,7 @@ def test_criterion_8_zones(fields64):
 def test_criterion_9_rate_identity_and_radial_profile():
     dom = make_strip(("neumann", "neumann"), 2.0)
     mesh = geo.build_mesh(dom, 1 / 16)
-    pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [-1.5, -0.5, 0.0, 0.5, 1.5])
+    pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [-1.5, -0.5, 0.0, 0.5, 1.5], {})
     vals = np.array([r.value for _, r in pairs])
     layer_ok = (vals.max() - vals.min()) <= 1e-10 * vals.max()
 
@@ -318,7 +318,7 @@ def test_criterion_9_rate_identity_and_radial_profile():
                                alpha=1.0, beta=5.0, lateral_bc=("neumann", "neumann"))
     rmesh = geo.build_mesh(rdom, 1 / 16)
     stations = [1.5, 2.0, 3.0, 4.0]
-    rpairs = fr.frequency_profile(rmesh, 2.0, fr.SECOND, stations)
+    rpairs = fr.frequency_profile(rmesh, 2.0, fr.SECOND, stations, {})
     rvals = np.array([r.value for _, r in rpairs])
     expected = np.array([min(PI2, 1.0 / t**2) for t in stations])
     radial_ok = np.all(np.abs(rvals - expected) / expected <= 0.01)
@@ -363,12 +363,12 @@ def test_criterion_10_growth_trends(tmp_path):
     bounded = sv.BoundarySpec(g_low=lambda x: np.cos(PI * x[:, 0]),
                               g_high=lambda x: np.cos(PI * x[:, 0]),
                               lateral=("neumann", "neumann"))
-    rep_b = asym.pl_check(dom, op, bounded, [2.0, 3.0, 4.0], "starI", 1 / 16)
+    rep_b = asym.pl_check(dom, op, bounded, [2.0, 3.0, 4.0], "starI", 1 / 16, {})
     ok = rep_b.verdict == asym.FORCES_TRIVIALITY and rep_b.slope <= -PI * 0.98
 
     grower = lambda x: np.cosh(PI * x[:, 1]) * np.cos(PI * x[:, 0]) / math.cosh(PI * BS)
     growing = sv.BoundarySpec(g_low=grower, g_high=grower, lateral=("neumann", "neumann"))
-    rep_g = asym.pl_check(dom, op, growing, [2.0, 3.0, 4.0], "starI", 1 / 16)
+    rep_g = asym.pl_check(dom, op, growing, [2.0, 3.0, 4.0], "starI", 1 / 16, {})
     ok = ok and rep_g.verdict == asym.NO_CONCLUSION
 
     result = run(parse_config(NEGATIVE_CONTROL_CONFIG), out_dir=str(tmp_path), seed=0)

@@ -155,7 +155,7 @@ def _pl_setup(expr):
 class TestGrowthTrends:
     def test_bounded_family_forces_triviality(self):
         dom, op, bc = _pl_setup(lambda x: np.cos(PI * x[:, 0]))
-        rep = asym.pl_check(dom, op, bc, [2.0, 3.0, 4.0], "starI", 1 / 16)
+        rep = asym.pl_check(dom, op, bc, [2.0, 3.0, 4.0], "starI", 1 / 16, {})
         assert rep.verdict == asym.FORCES_TRIVIALITY
         assert rep.slope <= -PI * (1.0 - 0.02)
         # inner energy trend corroborates: decreasing toward zero
@@ -166,7 +166,7 @@ class TestGrowthTrends:
         dom, op, bc = _pl_setup(
             lambda x: np.cosh(PI * x[:, 1]) * np.cos(PI * x[:, 0]) / math.cosh(PI * BS)
         )
-        rep = asym.pl_check(dom, op, bc, [2.0, 3.0, 4.0], "starI", 1 / 16)
+        rep = asym.pl_check(dom, op, bc, [2.0, 3.0, 4.0], "starI", 1 / 16, {})
         assert rep.verdict == asym.NO_CONCLUSION
         assert rep.slope > 0
 
@@ -176,7 +176,7 @@ class TestGrowthTrends:
         bc = sv.BoundarySpec(g_low=g, g_high=g, lateral=("dirichlet0", "dirichlet0"))
         op = st.constant_operator(2.0)
         for form in ("starII", "starDirichlet"):
-            rep = asym.pl_check(dom, op, bc, [2.0, 2.5, 3.0], form, 1 / 8)
+            rep = asym.pl_check(dom, op, bc, [2.0, 2.5, 3.0], form, 1 / 8, {})
             assert rep.verdict == asym.FORCES_TRIVIALITY
             assert rep.slope < 0
 
@@ -187,7 +187,7 @@ class TestGrowthTrends:
                              g_high=lambda x: np.cos(PI * x[:, 0]),
                              lateral=("neumann", "neumann"))
         rep = asym.pl_check(dom, st.constant_operator(2.0), bc,
-                            [3.0, 3.5, 4.0], "eq7.12", 1 / 8, tau_inner=1.5)
+                            [3.0, 3.5, 4.0], "eq7.12", 1 / 8, {}, tau_inner=1.5)
         assert len(rep.rows) == 3
         assert all(r.rhs > 0 for r in rep.rows)
 
@@ -200,24 +200,24 @@ class TestGrowthTrends:
         dom = make_strip(lateral, 2.0)
         g = lambda x: np.cos(PI * x[:, 0])
         bc = sv.BoundarySpec(g_low=g, g_high=g, lateral=lateral)
-        rep = asym.pl_check(dom, st.constant_operator(1.5), bc, [2.0, 2.5, 3.0], form, 1 / 8)
+        rep = asym.pl_check(dom, st.constant_operator(1.5), bc, [2.0, 2.5, 3.0], form, 1 / 8, {})
         assert len(rep.rows) == 3
         assert [kind for kind, _ in calls] == [fr.SECOND if form == "starI" else fr.THIRD]
 
     def test_needs_three_truncations(self):
         dom, op, bc = _pl_setup(lambda x: np.cos(PI * x[:, 0]))
         with pytest.raises(ValueError):
-            asym.pl_check(dom, op, bc, [2.0, 3.0], "starI", 1 / 8)
+            asym.pl_check(dom, op, bc, [2.0, 3.0], "starI", 1 / 8, {})
 
     def test_unknown_form_rejected(self):
         dom, op, bc = _pl_setup(lambda x: np.cos(PI * x[:, 0]))
         with pytest.raises(ValueError):
-            asym.pl_check(dom, op, bc, [2.0, 3.0, 4.0], "starX", 1 / 8)
+            asym.pl_check(dom, op, bc, [2.0, 3.0, 4.0], "starX", 1 / 8, {})
 
     def test_layer_rate_station_independent(self):
         from svplab import frequency as fr
         dom, op, bc = _pl_setup(lambda x: np.cos(PI * x[:, 0]))
         mesh = geo.build_mesh(dom, 1 / 8)
-        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [-1.0, 0.0, 1.0])
+        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [-1.0, 0.0, 1.0], {})
         vals = [r.value for _, r in pairs]
         assert max(vals) - min(vals) <= 1e-10 * max(vals)

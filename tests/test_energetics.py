@@ -218,6 +218,6 @@ class TestRateProfile:
         dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
                                   alpha=1.0, beta=3.0, lateral_bc=("neumann", "neumann"))
         mesh = geo.build_mesh(dom, 1 / 16)
-        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [0.0, 0.5])
+        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [0.0, 0.5], {})
         prof = en.rate_profile("mu", 2.0, pairs)
         assert prof.values[0] == pytest.approx(PI**2, rel=0.01)

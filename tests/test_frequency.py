@@ -288,7 +288,7 @@ class TestFrequencyProfile:
         dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
                                   alpha=1.0, beta=3.0, lateral_bc=("neumann", "neumann"))
         mesh = geo.build_mesh(dom, 0.25)
-        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [-0.5, 0.0, 0.5])
+        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [-0.5, 0.0, 0.5], {})
         vals = [r.value for _, r in pairs]
         assert max(vals) - min(vals) <= 1e-10 * max(vals)
 
@@ -296,14 +296,14 @@ class TestFrequencyProfile:
         dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
                                   alpha=1.0, beta=5.0, lateral_bc=("neumann", "neumann"))
         mesh = geo.build_mesh(dom, 1 / 8)
-        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [2.0, 4.0])
+        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, [2.0, 4.0], {})
         assert pairs[1][1].value <= pairs[0][1].value
 
     def test_single_station(self):
         dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
                                   alpha=1.0, beta=3.0, lateral_bc=("neumann", "neumann"))
         mesh = geo.build_mesh(dom, 0.25)
-        pairs = fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.0])
+        pairs = fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.0], {})
         assert len(pairs) == 1
         assert pairs[0][0] == 0.0
 
@@ -332,28 +332,32 @@ class TestFrequencyMemo:
     def test_layer_profile_computes_once_per_kind(self, monkeypatch):
         calls = count_compute_calls(monkeypatch)
         mesh = layer_mesh()
+        memo = {}
         stations = [-0.75, -0.25, 0.0, 0.5, 1.0]
         for kind in (fr.FIRST, fr.SECOND, fr.THIRD):
-            pairs = fr.frequency_profile(mesh, 2.0, kind, stations)
+            pairs = fr.frequency_profile(mesh, 2.0, kind, stations, memo)
             assert [t for t, _ in pairs] == stations
             assert len({id(r) for _, r in pairs}) == 1
-        fr.frequency_profile(mesh, 2.0, fr.SECOND, [0.25, 0.75])
+        fr.frequency_profile(mesh, 2.0, fr.SECOND, [0.25, 0.75], memo)
         assert sorted(k for k, _ in calls) == [fr.FIRST, fr.SECOND, fr.THIRD]
 
     def test_layer_memo_keyed_on_p(self, monkeypatch):
         calls = count_compute_calls(monkeypatch)
         mesh = layer_mesh()
-        fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.0, 0.5])
-        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0, 0.5])
-        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.75])
-        fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.25])
+        memo = {}
+        fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.0, 0.5], memo)
+        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.0, 0.5], memo)
+        fr.frequency_profile(mesh, 3.0, fr.FIRST, [0.75], memo)
+        fr.frequency_profile(mesh, 2.0, fr.FIRST, [0.25], memo)
         assert len(calls) == 2
-        assert sorted(mesh.frequency_memo) == [(fr.FIRST, 2.0, None), (fr.FIRST, 3.0, None)]
+        key = mesh.section_key(0)
+        assert sorted(memo) == [(fr.FIRST, 2.0, key), (fr.FIRST, 3.0, key)]
 
     def test_layer_memo_matches_fresh_computation(self):
         mesh = layer_mesh()
+        memo = {}
         for kind in (fr.FIRST, fr.SECOND, fr.THIRD):
-            for tau, res in fr.frequency_profile(mesh, 1.5, kind, [0.0, 0.75]):
+            for tau, res in fr.frequency_profile(mesh, 1.5, kind, [0.0, 0.75], memo):
                 fresh = fr.compute_frequency(mesh.cross_section(tau), 1.5, kind)
                 assert same_result(res, fresh)
 
@@ -361,7 +365,7 @@ class TestFrequencyMemo:
         calls = count_compute_calls(monkeypatch)
         mesh = radial_mesh()
         radii = [1.5, 2.0, 2.5, 2.0]
-        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, radii)
+        pairs = fr.frequency_profile(mesh, 2.0, fr.SECOND, radii, {})
         assert [t for t, _ in pairs] == radii
         assert sorted(t for _, t in calls) == [1.5, 2.0, 2.5]
         assert pairs[1][1] is pairs[3][1]
@@ -371,18 +375,25 @@ class TestFrequencyMemo:
             assert same_result(res, fresh)
 
     def test_new_mesh_recomputes(self, monkeypatch):
+        # two meshes of one domain have one section: a shared memo computes
+        # it once, separate memos twice
         calls = count_compute_calls(monkeypatch)
         a, b = layer_mesh(), layer_mesh()
-        ra = fr.frequency_profile(a, 2.0, fr.SECOND, [0.0])[0][1]
-        rb = fr.frequency_profile(b, 2.0, fr.SECOND, [0.0])[0][1]
+        memo = {}
+        ra = fr.frequency_profile(a, 2.0, fr.SECOND, [0.0], memo)[0][1]
+        rb = fr.frequency_profile(b, 2.0, fr.SECOND, [0.5], memo)[0][1]
+        assert len(calls) == 1
+        assert ra is rb
+        calls.clear()
+        ra = fr.frequency_profile(a, 2.0, fr.SECOND, [0.0], {})[0][1]
+        rb = fr.frequency_profile(b, 2.0, fr.SECOND, [0.0], {})[0][1]
         assert len(calls) == 2
         assert ra is not rb
-        assert a.frequency_memo is not b.frequency_memo
         assert same_result(ra, rb)
 
     def test_off_grid_station_rejected(self):
         with pytest.raises(ValueError):
-            fr.frequency_profile(layer_mesh(), 2.0, fr.FIRST, [0.1])
+            fr.frequency_profile(layer_mesh(), 2.0, fr.FIRST, [0.1], {})
 
 
 def readme_mesh(h):
@@ -407,7 +418,7 @@ class TestFactorOnce:
 
         monkeypatch.setattr(sv.spla, "splu", counting)
         for h in (1 / 32, 1 / 64):  # the two meshes of a README refine run
-            fr.frequency_profile(readme_mesh(h), 2.0, kind, [0.0, 1.0, 2.0])
+            fr.frequency_profile(readme_mesh(h), 2.0, kind, [0.0, 1.0, 2.0], {})
         assert len(shapes) == 2 * factors
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,23 +98,28 @@ class TestBuildMesh:
         assert pk.tobytes() == ref.tobytes()
 
 
+def same_section(a, b):
+    """Equal section axes (byte for byte), periodicity and Dirichlet nodes."""
+    return (len(a.grid.axes) == len(b.grid.axes)
+            and all(x.tobytes() == y.tobytes() for x, y in zip(a.grid.axes, b.grid.axes))
+            and a.grid.periodic == b.grid.periodic
+            and np.array_equal(a.dirichlet_ids, b.dirichlet_ids))
+
+
 class TestCrossSection:
     def test_exact_station(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
         sec = mesh.cross_section(0.0)
-        assert sec.snap_distance == 0.0
-        assert sec.volume_node_ids.size == 3
-        assert np.allclose(mesh.grid.nodes[sec.volume_node_ids][:, 1], 0.0)
+        assert sec.tau == 0.0
+        assert sec.grid.shape == (3,)
 
     def test_snaps_to_nearest(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
         # stations are -1, -0.5, 0, 0.5, 1: nearest line to 0.24 is 0.0
         sec = mesh.cross_section(0.24)
         assert sec.tau == 0.0
-        assert sec.snap_distance == pytest.approx(0.24)
         sec2 = mesh.cross_section(0.26)
         assert sec2.tau == 0.5
-        assert sec2.snap_distance == pytest.approx(0.24)
 
     def test_out_of_range(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
@@ -126,8 +132,8 @@ class TestCrossSection:
         for tau in rng.uniform(-1.0, 1.0, size=20):
             sec = mesh.cross_section(tau)
             again = mesh.cross_section(sec.tau)
-            assert again.snap_distance == 0.0
-            assert np.array_equal(sec.volume_node_ids, again.volume_node_ids)
+            assert again.tau == sec.tau
+            assert same_section(sec, again)
 
     def test_dirichlet_trace_set(self):
         mesh = geo.build_mesh(strip_domain(lateral=("dirichlet0", "neumann")), 0.25)
@@ -142,6 +148,56 @@ class TestCrossSection:
         m = sec.grid.shape[1]
         circumference = m * sec.grid.spacing[1]
         assert circumference == pytest.approx(2.0 * math.pi * 2.0, rel=1e-12)
+
+
+def readme_domain():
+    """The README example's domain: the band (-3, 3) over the unit interval."""
+    return geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer", alpha=1.0,
+                               beta=7.0, lateral_bc=("dirichlet0", "dirichlet0"))
+
+
+class TestSectionKey:
+    """Equal section keys mean identical sections, on any mesh."""
+
+    @staticmethod
+    def sections_by_key(meshes):
+        """{key: section} over every station of the meshes, checking that
+        each station's section equals the first one built for its key."""
+        by_key = {}
+        for mesh in meshes:
+            for j, tau in enumerate(mesh.stations):
+                sec = mesh.cross_section(tau)
+                assert same_section(by_key.setdefault(mesh.section_key(j), sec), sec)
+        return by_key
+
+    def test_layer_stations_share_one_key(self):
+        mesh = geo.build_mesh(strip_domain(lateral=("dirichlet0", "neumann")), 1 / 8)
+        assert len(self.sections_by_key([mesh])) == 1
+
+    def test_layer_pl_truncations_share_the_run_section(self):
+        # the README run mesh and its pl truncation meshes (truncations 2 3 4)
+        dom = readme_domain()
+        meshes = [geo.build_mesh(dom, 1 / 8)] + [
+            geo.build_mesh(replace(dom, beta=dom.alpha + 2.0 * T), 1 / 8) for T in (2.0, 3.0, 4.0)]
+        assert len(self.sections_by_key(meshes)) == 1
+
+    def test_radial_pl_truncations_share_their_radii(self):
+        # radial-pl.cfg's truncation meshes (outer radii 3 3.5 4) at h = 1/8
+        dom = radial_domain(beta=4.0)
+        meshes = [geo.build_mesh(replace(dom, beta=T), 1 / 8) for T in (3.0, 3.5, 4.0)]
+        by_key = self.sections_by_key(meshes)
+        radii = {float(r) for mesh in meshes for r in mesh.stations}
+        assert len(by_key) == len(radii) == 25
+        assert sorted(sec.tau for sec in by_key.values()) == sorted(radii)
+
+    def test_radial_key_holds_the_axial_spacing(self):
+        # the same base and radius 1 at axial spacings 1/4 and 2.1/9
+        a = geo.build_mesh(radial_domain(beta=3.0), 0.25)
+        b = geo.build_mesh(radial_domain(beta=3.1), 0.25)
+        assert a.grid.axes[0].tobytes() == b.grid.axes[0].tobytes()
+        assert a.stations[0] == b.stations[0] == 1.0
+        assert a.section_key(0) != b.section_key(0)
+        assert not same_section(a.cross_section(1.0), b.cross_section(1.0))
 
 
 class TestSlab:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_compute_calls
 from svplab import cli
 from svplab import geometry as geo
 from svplab.config import ConfigError, parse_config
@@ -504,6 +505,31 @@ class TestRefineContract:
         assert (0.125, "first") in frequencies
         # a Dirichlet family reads lambda, the third frequency, alone at h/2
         assert [kind for h, kind in frequencies if h != 0.125] == ["third"]
+
+
+class TestOneMemoPerPass:
+    """Each resolution pass computes each distinct (kind, p, section) once,
+    across the run mesh and the pl truncation meshes."""
+
+    def test_readme_pl_reuses_the_run_section(self, tmp_path, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        result = run(parse_config(readme_config(1.5, 0.125)), out_dir=str(tmp_path), seed=0,
+                     refine=True)
+        assert result.exit_code == 0 and result.report["pl"]
+        # first, second and third at h (pl's starI reads second), third at h/2
+        assert sorted(kind for kind, _ in calls) == ["first", "second", "third", "third"]
+
+    def test_radial_pl_truncations_share_their_radii(self, tmp_path, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "perfbench" / "configs" / "radial-pl.cfg").read_text(encoding="utf-8")
+        assert text.count("h = $h\n") == 1
+        result = run(parse_config(text.replace("h = $h\n", "h = 0.125\n")),
+                     out_dir=str(tmp_path), seed=0)
+        assert result.exit_code == 0 and len(result.report["pl"][0]["rows"]) == 3
+        # the windows [1.5, T - 1] of T = 3, 3.5, 4 hold 5 + 9 + 13 stations,
+        # 13 distinct radii
+        assert len(calls) == len(set(calls)) == 13
 
 
 class TestReadmeAboveTwo:
