@@ -20,8 +20,8 @@ its caller owns, keyed on what the section is built from
 (Mesh.section_key), so meshes with equal sections share the results:
 every layer section of a base and h is the same section, and a radial
 section is fixed by its radius and the axial spacing.  The best constant
-min_C |u - C|_p^p is the weighted mean at p = 2 and a one-dimensional
-convex search otherwise.
+min_C |u - C|_p^p is the weighted mean at p = 2 and otherwise the root of
+its monotone slope, found by bracketed regula falsi.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class FrequencyResult:
     kind: str
     value: float
     minimizer: np.ndarray      # nodal, normalized to unit denominator
-    optimal_c: float           # recentering constant (second kind), else 0
     dirichlet_ids: np.ndarray
     residual: float
     iterations: int
@@ -70,12 +69,12 @@ def optimal_constant(values, weights, p):
     """argmin over C of sum_i w_i |v_i - C|^p on the bracket [min v, max v].
 
     At p = 2 the minimizer is the weighted mean sum w v / sum w, clamped
-    to the bracket against rounding.  Otherwise golden-section on the
-    convex objective narrows the bracket; because
-    comparison-based search stalls at sqrt(eps) on the flat quadratic
-    bottom, the minimizer is then polished by bisection on the monotone
-    derivative -p sum w |v - C|^(p-2) (v - C) down to 1e-13 of the value
-    range.
+    to the bracket against rounding.  Otherwise it is the root of the
+    slope s(C) = -sum w |v - C|^(p-2) (v - C), which is nondecreasing,
+    <= 0 at min v and >= 0 at max v.  Regula falsi with the Illinois
+    modification (Dowell & Jarratt 1971) narrows [min v, max v] around
+    the sign change, bisecting when a step would leave the bracket,
+    down to 1e-13 of the value range or to float spacing.
     """
     if p <= 1.0:
         raise ValueError("p must be > 1")
@@ -87,46 +86,33 @@ def optimal_constant(values, weights, p):
     if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)):
         return 0.5 * (lo + hi)
 
-    def obj(c):
-        return float(np.sum(w * np.abs(v - c) ** p))
-
     def slope(c):
         d = v - c
         return -float(np.sum(w * guarded_power(np.abs(d), p - 2.0) * d))
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = obj(x1), obj(x2)
-    while b - a > 1e-2 * (hi - lo):
-        width = b - a
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = obj(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = obj(x2)
-        if b - a >= width:  # float spacing reached
-            break
-    # widen slightly so the sign change is inside, then bisect the slope
-    pad = max(b - a, 1e-2 * (hi - lo))
-    a = max(lo, a - pad)
-    b = min(hi, b + pad)
-    ga, gb = slope(a), slope(b)
-    if ga > 0.0 or gb < 0.0:
-        return 0.5 * (a + b)
+    sa, sb = slope(a), slope(b)
+    side = 0  # which end the last step moved: -1 a, +1 b
     tol = 1e-13 * (hi - lo)
     while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # float spacing reached
-            break
-        if slope(mid) <= 0.0:
-            a = mid
+        c = (a * sb - b * sa) / (sb - sa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:  # float spacing reached
+                break
+        sc = slope(c)
+        if sc == 0.0:
+            return c
+        if sc < 0.0:
+            a, sa = c, sc
+            if side < 0:  # a moved twice: halve the kept end's slope
+                sb *= 0.5
+            side = -1
         else:
-            b = mid
+            b, sb = c, sc
+            if side > 0:
+                sa *= 0.5
+            side = 1
     return 0.5 * (a + b)
 
 
@@ -160,17 +146,17 @@ class _Quotient:
             return math.inf, c
         return self.numerator(u) / den, c
 
-    def gradient(self, u, c, q):
+    def gradient(self, u, q):
         """Euclidean gradient of the quotient at u (denominator-normalized).
 
-        Uses the envelope theorem for the recentered denominator: at the
-        optimal constant the derivative through c vanishes.
+        u is centered (its optimal constant is 0) when recentering, and the
+        envelope theorem drops the derivative through the constant.
         """
         p = self.p
         g = self.grid.grads_at_quads(u)
         fac = guarded_power(squared_norm(g), 0.5 * (p - 2.0))
         gn = p * self.grid.assemble_gradient_form(fac[..., None] * g)
-        vq = self.grid.vals_at_quads(u) - c
+        vq = self.grid.vals_at_quads(u)
         gd = p * self.grid.assemble_scalar_form(guarded_power(np.abs(vq), p - 2.0) * vq)
         return gn - q * gd
 
@@ -242,7 +228,6 @@ def _descent(grid, lu, p, pinned, u0, recenter):
     free[pinned] = False
 
     def normalize(u):
-        c = 0.0
         if recenter:
             # subtracting the optimal constant makes the new center exactly 0
             # (translation invariance), and scaling preserves it
@@ -250,17 +235,17 @@ def _descent(grid, lu, p, pinned, u0, recenter):
         else:
             u = u.copy()
             u[pinned] = 0.0
-        den = quot.denominator(u, c)
+        den = quot.denominator(u, 0.0)
         if den <= 0.0:
-            return u, c, den
-        return u / den ** (1.0 / p), c, 1.0
+            return u, den
+        return u / den ** (1.0 / p), 1.0
 
     def run(u):
-        u, c, den = normalize(u)
+        u, den = normalize(u)
         if den <= 0.0:
-            return math.inf, u, c, math.inf, 0
+            return math.inf, u, math.inf, 0
         q = quot.numerator(u) / den
-        g = quot.gradient(u, c, q)
+        g = quot.gradient(u, q)
         iters = 0
         for _ in range(MAX_ITER):
             d = np.zeros(n)
@@ -271,7 +256,7 @@ def _descent(grid, lu, p, pinned, u0, recenter):
             step = 1.0
             accepted = False
             for _ in range(60):
-                u_try, c_try, den_try = normalize(u + step * d)
+                u_try, den_try = normalize(u + step * d)
                 if den_try > 0.0:
                     q_try = quot.numerator(u_try) / den_try
                     if q_try <= q + 1e-4 * step * slope:
@@ -281,14 +266,14 @@ def _descent(grid, lu, p, pinned, u0, recenter):
             if not accepted:
                 break
             decrease = (q - q_try) / max(abs(q), 1e-300)
-            u, c, q = u_try, c_try, q_try
+            u, q = u_try, q_try
             iters += 1
-            g = quot.gradient(u, c, q)
+            g = quot.gradient(u, q)
             if decrease < TOL:
                 break
         scale = max(p * abs(q), 1e-300)
         residual = float(np.max(np.abs(g[free]))) / scale if free.any() else 0.0
-        return q, u, c, residual, iters
+        return q, u, residual, iters
 
     best = run(u0)
     if p != 2.0:
@@ -326,8 +311,7 @@ def compute_frequency(section, p, kind):
             den = _Quotient(grid, p, recenter=False).denominator(u, 0.0)
             return FrequencyResult(
                 kind=THIRD, value=0.0, minimizer=u / den ** (1.0 / p),
-                optimal_c=0.0, dirichlet_ids=pinned, residual=0.0,
-                iterations=0, degenerate=True,
+                dirichlet_ids=pinned, residual=0.0, iterations=0, degenerate=True,
             )
     elif kind == SECOND:
         pinned = np.empty(0, dtype=np.int64)
@@ -347,10 +331,10 @@ def compute_frequency(section, p, kind):
         lu = factor_spd((Kff + Mff).tocsc(), SECTION_SYSTEM)
     elif np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
-    q, u, c, res, iters = _descent(grid, lu, p, pinned, u0, recenter)
+    q, u, res, iters = _descent(grid, lu, p, pinned, u0, recenter)
     return FrequencyResult(
-        kind=kind, value=q, minimizer=u, optimal_c=c,
-        dirichlet_ids=pinned, residual=res, iterations=iters,
+        kind=kind, value=q, minimizer=u, dirichlet_ids=pinned,
+        residual=res, iterations=iters,
     )
 
 

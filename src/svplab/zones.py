@@ -11,7 +11,7 @@ never computed here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,12 +216,8 @@ def _attach_prediction(report, field_, rate_profile, tau_outer, bound_scale,
                                 tau_outer, nu1=op.nu1, nu2=op.nu2)
     except ValueError as exc:
         extra["prediction_note"] = str(exc)
-        return ZoneReport(
-            kind=report.kind, s=report.s, tau_meas=report.tau_meas,
-            full_band=report.full_band, constant=report.constant,
-            tau_pred=None, embedding_constant=report.embedding_constant,
-            verdict="prediction-unavailable", extra=extra,
-        )
+        return replace(report, tau_pred=None, verdict="prediction-unavailable",
+                       extra=extra)
     if verbatim_threshold is not None:
         # verbatim reading compares the un-rooted bound against s directly
         try:
@@ -233,13 +229,8 @@ def _attach_prediction(report, field_, rate_profile, tau_outer, bound_scale,
             extra["prediction_note"] = str(exc)
         extra["forms_disagree"] = extra.get("tau_pred_verbatim") != tau_pred
     sound = tau_pred <= report.tau_meas + 1e-12
-    return ZoneReport(
-        kind=report.kind, s=report.s, tau_meas=report.tau_meas,
-        full_band=report.full_band, constant=report.constant,
-        tau_pred=tau_pred, embedding_constant=report.embedding_constant,
-        verdict="prediction-sound" if sound else "prediction-overclaims",
-        extra=extra,
-    )
+    verdict = "prediction-sound" if sound else "prediction-overclaims"
+    return replace(report, tau_pred=tau_pred, verdict=verdict, extra=extra)
 
 
 def predict_zone(e_outer, rate_profile, s, tau_outer, nu1=1.0, nu2=1.0):

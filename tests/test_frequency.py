@@ -188,7 +188,7 @@ class TestSecondFrequency:
         sec = geo.interval_section(1.0, 64)
         p = 3.0
         res = fr.compute_frequency(sec, p, fr.SECOND)
-        vq = sec.grid.vals_at_quads(res.minimizer) - res.optimal_c
+        vq = sec.grid.vals_at_quads(res.minimizer)
         w = sec.grid.quad_weights
         deriv = float(np.sum(w * np.abs(vq) ** (p - 2.0) * vq))
         scale = float(np.sum(w * np.abs(vq) ** (p - 1.0)))
@@ -282,6 +282,62 @@ class TestOptimalConstant:
         w = np.array([0.3, 1.7, 0.2, 2.9, 0.7, 1.1, 0.13])
         assert fr.optimal_constant(v, w, 2.0) == 0.1
 
+    @staticmethod
+    def bisection_reference(v, w, p):
+        """Bisection on the slope sum w sign(v - C) |v - C|^(p-1) to float spacing."""
+        a, b = float(v.min()), float(v.max())
+        while True:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                return mid
+            d = v - mid
+            if np.sum(w * np.sign(d) * np.abs(d) ** (p - 1.0)) >= 0.0:
+                a = mid
+            else:
+                b = mid
+
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 3.0, 4.0, 10.0])
+    def test_general_p_against_bisection(self, p):
+        rng = np.random.default_rng(11)
+        data = [rng.normal(size=300) * s + 5.0 * s for s in (1e-3, 1.0, 1e3)]
+        data += [
+            np.exp(rng.normal(scale=4.0, size=300)),   # log-normal, over decades
+            np.repeat([-1.0, 2.0], 40),                # two equal halves
+            np.r_[np.zeros(99), 1.0],                  # one outlier among zeros
+            np.array([-2.0, 5.0]),                     # two points
+        ]
+        for v in data:
+            w = rng.uniform(0.1, 3.0, size=v.size)
+            c = fr.optimal_constant(v, w, p)
+            assert v.min() <= c <= v.max()
+            ref = self.bisection_reference(v, w, p)
+            assert abs(c - ref) <= 1e-13 * (v.max() - v.min())
+
+    def test_general_p_slope_passes(self, monkeypatch):
+        # one guarded_power call is one slope pass over the data
+        passes = []
+        power, best = fr.guarded_power, fr.optimal_constant
+        count = [0]
+
+        def counting_power(x, e):
+            count[0] += 1
+            return power(x, e)
+
+        def counting_best(*args):
+            start = count[0]
+            c = best(*args)
+            passes.append(count[0] - start)
+            return c
+
+        monkeypatch.setattr(fr, "guarded_power", counting_power)
+        monkeypatch.setattr(fr, "optimal_constant", counting_best)
+        sec = geo.interval_section(1.0, 32, "none")
+        for p in (1.5, 4.0):
+            passes.clear()
+            fr.compute_frequency(sec, p, fr.SECOND)
+            assert passes
+            assert sum(passes) / len(passes) <= 10.0
+
 
 class TestFrequencyProfile:
     def test_layer_profile_constant(self):
@@ -309,7 +365,7 @@ class TestFrequencyProfile:
 
 
 def same_result(a, b):
-    return (a.kind == b.kind and a.value == b.value and a.optimal_c == b.optimal_c
+    return (a.kind == b.kind and a.value == b.value
             and a.residual == b.residual and a.iterations == b.iterations
             and a.degenerate == b.degenerate
             and np.array_equal(a.minimizer, b.minimizer)
