@@ -10,14 +10,17 @@ diff-friendly and unambiguous.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .expressions import ExpressionError, parse_expression
+from .frequency import FIRST, SECOND, THIRD
 from .geometry import DIRICHLET0, LAYER, NEUMANN, RADIAL, CanonicalDomain
 from .structure import Coefficient, StructureOperator
 
 SCHEMA_VERSION = 1
 TASK_NAMES = ("solve", "frequencies", "svp", "zones", "cutoff", "pl")
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class ConfigError(ValueError):
@@ -91,6 +94,19 @@ def _one_float(value, lineno, key):
     return vals[0]
 
 
+def _one_int(value, lineno, key):
+    if not re.fullmatch(r"[+-]?[0-9]+", value):
+        raise ConfigError(f"line {lineno}: {key!r} expects a single integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, lineno, key):
+    if value not in _FLAGS:
+        raise ConfigError(
+            f"line {lineno}: {key!r} expects one of {'/'.join(_FLAGS)}, got {value!r}")
+    return _FLAGS[value]
+
+
 def _as_dict(block, allowed):
     out = {}
     for lineno, key, value in block["items"]:
@@ -107,8 +123,8 @@ def _build_domain(block):
     for req in ("n", "k", "base", "axial", "alpha", "beta", "lateral"):
         if req not in items:
             raise ConfigError(f"[domain] is missing {req!r}")
-    n = int(_one_float(items["n"][1], items["n"][0], "n"))
-    k = int(_one_float(items["k"][1], items["k"][0], "k"))
+    n = _one_int(items["n"][1], items["n"][0], "n")
+    k = _one_int(items["k"][1], items["k"][0], "k")
     base_vals = _floats(items["base"][1], items["base"][0], "base")
     if len(base_vals) % 2 != 0:
         raise ConfigError("[domain] base expects lo/hi pairs")
@@ -142,8 +158,10 @@ def _build_operator(block):
     if "coefficient" in items:
         lineno, value = items["coefficient"]
         parts = value.split()
+        if not parts:
+            raise ConfigError(f"line {lineno}: 'coefficient' expects a kind")
         kind = parts[0]
-        params = tuple(float(v) for v in parts[1:])
+        params = tuple(_floats(" ".join(parts[1:]), lineno, "coefficient"))
         if kind == "constant" and len(params) != 1:
             raise ConfigError(f"line {lineno}: constant coefficient expects one value")
         if kind == "step" and len(params) != 1:
@@ -204,6 +222,10 @@ def _build_task(block):
     for key, (lineno, value) in items.items():
         if key in ("kinds", "norms", "form"):
             params[key] = tuple(value.split())
+            if key == "kinds":
+                for kind in params[key]:
+                    if kind not in (FIRST, SECOND, THIRD):
+                        raise ConfigError(f"line {lineno}: unknown frequency kind {kind!r}")
         elif key == "pairs":
             pairs = []
             for chunk in value.split(";"):
@@ -216,7 +238,7 @@ def _build_task(block):
                 pairs.append(tuple(vals))
             params[key] = tuple(pairs)
         elif key == "snapshot":
-            params[key] = value.strip() in ("true", "1", "yes")
+            params[key] = _flag(value, lineno, key)
         else:
             params[key] = tuple(_floats(value, lineno, key))
     return TaskSpec(name=name, params=params)
@@ -250,7 +272,7 @@ def parse_config(text):
         raise ConfigError("[mesh] h must be positive")
     refine = False
     if "refine" in mesh_items:
-        refine = mesh_items["refine"][1].strip() in ("true", "1", "yes")
+        refine = _flag(mesh_items["refine"][1], mesh_items["refine"][0], "refine")
     out_dir = ""
     formats = ("json", "csv", "svg")
     if "output" in seen:

@@ -9,29 +9,35 @@ Three quotients on a section mesh O:
 The minimizer descends the quotient in a p = 2 stiffness metric with
 Armijo backtracking, starting from the corresponding p = 2 eigenvector
 (computed by deflated inverse iteration); for p = 2 that start is
-already the discrete minimizer.  Random restarts from a fixed seed
-(RESTART_SEED) guard the general-p runs against local minima, so a
-frequency depends only on the section, p and the kind.  Section matrices leave the grid's
-stencil arrays only through the solver's free-box path (_free_box,
-_box_stencil, _dia): pinned nodes are whole faces, and periodic axes wrap.
+already the discrete minimizer.  The first and third kinds run that one
+start: their minimum is simple with a positive minimizer, and every
+positive critical point is the global minimum (hidden convexity).  The
+second kind away from p = 2 can stop above its minimum from that start,
+so it also runs RESTARTS random restarts from a fixed seed
+(RESTART_SEED); a frequency depends only on the section, p and the kind.
+Section matrices leave the grid's stencil arrays only through the
+solver's free-box path (_free_box, _box_stencil, _dia): pinned nodes are
+whole faces, and periodic axes wrap.
 
 ``frequency_profile`` computes each distinct section once per memo that
 its caller owns, keyed on what the section is built from
 (Mesh.section_key), so meshes with equal sections share the results:
 every layer section of a base and h is the same section, and a radial
-section is fixed by its radius and the axial spacing.  The best constant
-min_C |u - C|_p^p is the weighted mean at p = 2 and otherwise the root of
-its monotone slope, found by bracketed regula falsi.
+section is fixed by its radius and the axial spacing.  When every
+lateral face is dirichlet0, THIRD pins FIRST's nodes, and the two kinds
+share one result.  The best constant min_C |u - C|_p^p is the weighted
+mean at p = 2 and otherwise the root of its monotone slope, found by
+bracketed regula falsi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import TensorGrid
+from .geometry import DIRICHLET0, TensorGrid
 from .solver import _box_stencil, _dia, _free_box, factor_spd
 from .structure import guarded_power, squared_norm
 
@@ -39,7 +45,7 @@ FIRST = "first"
 SECOND = "second"
 THIRD = "third"
 SECTION_SYSTEM = "section system"
-RESTARTS = 3       # random restarts of the descent at p != 2
+RESTARTS = 3       # random restarts of the second-kind descent at p != 2
 RESTART_SEED = 0   # seeds those restarts
 MAX_ITER = 2000    # descent steps per start
 TOL = 1e-12        # the descent stops below this relative decrease
@@ -217,7 +223,8 @@ def _p2_eigenpair(grid, Kff, Mff, box, neumann):
 
 
 def _descent(grid, lu, p, pinned, u0, recenter):
-    """Preconditioned projected descent on the quotient with Armijo steps.
+    """Preconditioned projected descent on the quotient with Armijo steps,
+    from the one start u0.  Returns (value, minimizer, residual, iterations).
 
     lu factors the preconditioner on the unpinned nodes: the pinned
     stiffness, or stiffness plus mass when recentering.
@@ -240,50 +247,39 @@ def _descent(grid, lu, p, pinned, u0, recenter):
             return u, den
         return u / den ** (1.0 / p), 1.0
 
-    def run(u):
-        u, den = normalize(u)
-        if den <= 0.0:
-            return math.inf, u, math.inf, 0
-        q = quot.numerator(u) / den
+    u, den = normalize(u0)
+    if den <= 0.0:
+        return math.inf, u, math.inf, 0
+    q = quot.numerator(u) / den
+    g = quot.gradient(u, q)
+    iters = 0
+    for _ in range(MAX_ITER):
+        d = np.zeros(n)
+        d[free] = -lu.solve(g[free])
+        slope = float(g @ d)
+        if slope >= 0.0:
+            break
+        step = 1.0
+        accepted = False
+        for _ in range(60):
+            u_try, den_try = normalize(u + step * d)
+            if den_try > 0.0:
+                q_try = quot.numerator(u_try) / den_try
+                if q_try <= q + 1e-4 * step * slope:
+                    accepted = True
+                    break
+            step *= 0.5
+        if not accepted:
+            break
+        decrease = (q - q_try) / max(abs(q), 1e-300)
+        u, q = u_try, q_try
+        iters += 1
         g = quot.gradient(u, q)
-        iters = 0
-        for _ in range(MAX_ITER):
-            d = np.zeros(n)
-            d[free] = -lu.solve(g[free])
-            slope = float(g @ d)
-            if slope >= 0.0:
-                break
-            step = 1.0
-            accepted = False
-            for _ in range(60):
-                u_try, den_try = normalize(u + step * d)
-                if den_try > 0.0:
-                    q_try = quot.numerator(u_try) / den_try
-                    if q_try <= q + 1e-4 * step * slope:
-                        accepted = True
-                        break
-                step *= 0.5
-            if not accepted:
-                break
-            decrease = (q - q_try) / max(abs(q), 1e-300)
-            u, q = u_try, q_try
-            iters += 1
-            g = quot.gradient(u, q)
-            if decrease < TOL:
-                break
-        scale = max(p * abs(q), 1e-300)
-        residual = float(np.max(np.abs(g[free]))) / scale if free.any() else 0.0
-        return q, u, residual, iters
-
-    best = run(u0)
-    if p != 2.0:
-        rng = np.random.default_rng(RESTART_SEED)
-        amp = 0.1 * float(np.max(np.abs(u0)) or 1.0)
-        for _ in range(RESTARTS):
-            cand = run(u0 + rng.normal(scale=amp, size=n))
-            if cand[0] < best[0]:
-                best = cand
-    return best
+        if decrease < TOL:
+            break
+    scale = max(p * abs(q), 1e-300)
+    residual = float(np.max(np.abs(g[free]))) / scale if free.any() else 0.0
+    return q, u, residual, iters
 
 
 def compute_frequency(section, p, kind):
@@ -332,6 +328,16 @@ def compute_frequency(section, p, kind):
     elif np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
     q, u, res, iters = _descent(grid, lu, p, pinned, u0, recenter)
+    if recenter and p != 2.0:
+        # the second-kind descent can stop above the minimum from the p = 2
+        # start alone, so it also runs from seeded perturbations of it
+        rng = np.random.default_rng(RESTART_SEED)
+        amp = 0.1 * float(np.max(np.abs(u0)) or 1.0)
+        for _ in range(RESTARTS):
+            cand = _descent(grid, lu, p, pinned,
+                            u0 + rng.normal(scale=amp, size=grid.n_nodes), recenter)
+            if cand[0] < q:
+                q, u, res, iters = cand
     return FrequencyResult(
         kind=kind, value=q, minimizer=u, dirichlet_ids=pinned,
         residual=res, iterations=iters,
@@ -344,19 +350,27 @@ def frequency_profile(mesh, p, kind, stations, memo):
     Returns a list of (tau, FrequencyResult), tau the snapped station.
     memo is a dict that the caller owns and keeps for as long as results
     may be shared, one resolution pass of a run: each result is kept
-    under (kind, p, mesh.section_key(j)), and equal keys mean identical
-    sections, on any mesh.  A layer profile is thus constant and costs one
+    under (quotient, p, mesh.section_key(j)), and equal keys mean
+    identical sections, on any mesh.  The quotient is the kind, except
+    that THIRD is kept under FIRST when every lateral face is dirichlet0:
+    it then pins exactly FIRST's nodes, so whichever of the two kinds is
+    asked first is computed, and the other reads its result with the
+    kind relabelled.  A layer profile is thus constant and costs one
     computation; radial sections vary with the station radius.
     """
+    quotient = kind
+    if kind == THIRD and all(bc == DIRICHLET0 for bc in mesh.domain.lateral_bc):
+        quotient = FIRST
     out = []
     tol = mesh.snap_tolerance()
     for tau in stations:
         j, _ = mesh.station_index(tau, snap_tol=tol)
         tau_snapped = float(mesh.stations[j])
-        key = (kind, p, mesh.section_key(j))
+        key = (quotient, p, mesh.section_key(j))
         if key not in memo:
             memo[key] = compute_frequency(mesh.cross_section(tau_snapped), p, kind)
-        out.append((tau_snapped, memo[key]))
+        res = memo[key]
+        out.append((tau_snapped, res if res.kind == kind else replace(res, kind=kind)))
     return out
 
 

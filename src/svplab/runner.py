@@ -32,7 +32,7 @@ from .energetics import (
     svp_check_neumann,
     svp_symmetric_check,
 )
-from .frequency import FIRST, SECOND, THIRD, frequency_profile
+from .frequency import SECOND, THIRD, frequency_profile
 from .geometry import DIRICHLET0, LAYER, build_mesh
 from .solver import TOL_ENERGY, BoundarySpec, SolverError, solve
 from .structure import check_structure
@@ -153,8 +153,6 @@ def _execute(config, h, seed, refined=False):
             for st in stations:
                 _validate_station(mesh, st, "frequency station")
             for kind in kinds:
-                if kind not in (FIRST, SECOND, THIRD):
-                    raise ConfigError(f"unknown frequency kind {kind!r}")
                 pairs = frequency_profile(mesh, config.operator.p, kind, stations, memo)
                 results["frequencies"][kind] = pairs
         elif task.name == "svp":
@@ -292,8 +290,10 @@ def _calibrated_entries(found, found_h2):
 def run(config, out_dir=None, seed=0, refine=None):
     """Execute a parsed RunConfig and write its artifacts.
 
-    seed seeds only the svp task's corrupt noise; section frequencies
-    restart from frequency.RESTART_SEED.
+    seed seeds only the svp task's corrupt noise; second-kind section
+    frequencies restart from frequency.RESTART_SEED, and the first and
+    third kinds make no restarts.  On a mesh whose every lateral face is
+    dirichlet0 the first and third kinds share one computation.
     """
     out_dir = out_dir or config.out_dir or os.environ.get("SVPLAB_OUT") or "svplab-out"
     rep.ensure_dir(out_dir)

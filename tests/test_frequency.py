@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -456,6 +457,88 @@ def readme_mesh(h):
     dom = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer",
                               alpha=1.0, beta=7.0, lateral_bc=("dirichlet0", "dirichlet0"))
     return geo.build_mesh(dom, h)
+
+
+class TestRestartsSecondKindOnly:
+    """The pinned kinds run one descent from the p = 2 start and draw no
+    random numbers; the second kind adds RESTARTS seeded restarts."""
+
+    @staticmethod
+    def count_starts(monkeypatch):
+        starts, rngs = [], []
+        descent, default_rng = fr._descent, np.random.default_rng
+
+        def counting_descent(*args):
+            starts.append(args)
+            return descent(*args)
+
+        def counting_rng(*args):
+            rngs.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(fr, "_descent", counting_descent)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        return starts, rngs
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", [fr.FIRST, fr.THIRD])
+    def test_pinned_kinds_make_one_start(self, monkeypatch, p, kind):
+        starts, rngs = self.count_starts(monkeypatch)
+        fr.compute_frequency(geo.interval_section(1.0, 16, "low"), p, kind)
+        assert len(starts) == 1 and rngs == []
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_second_kind_restarts(self, monkeypatch, p):
+        starts, rngs = self.count_starts(monkeypatch)
+        fr.compute_frequency(geo.interval_section(1.0, 16), p, fr.SECOND)
+        assert len(starts) == 1 + fr.RESTARTS and rngs == [(fr.RESTART_SEED,)]
+
+
+class TestThirdReusesFirst:
+    """On a mesh whose every lateral face is dirichlet0 the third kind pins
+    the first kind's nodes, so the memo holds one result for both."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_same_bits_as_a_third_kind_computation(self, monkeypatch, p):
+        calls = count_compute_calls(monkeypatch)
+        mesh = readme_mesh(1 / 16)
+        memo = {}
+        first = fr.frequency_profile(mesh, p, fr.FIRST, [0.0, 1.0], memo)
+        third = fr.frequency_profile(mesh, p, fr.THIRD, [0.0, 2.0], memo)
+        assert calls == [(fr.FIRST, 0.0)]
+        assert list(memo) == [(fr.FIRST, p, mesh.section_key(0))]
+        fresh = fr.compute_frequency(mesh.cross_section(0.0), p, fr.THIRD)
+        for _, res in third:
+            assert res.kind == fr.THIRD and res.as_row()["kind"] == "third"
+            assert same_result(res, fresh)
+            assert same_result(replace(res, kind=fr.FIRST), first[0][1])
+
+    def test_third_asked_first_is_read_by_first(self, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        mesh, memo = readme_mesh(1 / 8), {}
+        third = fr.frequency_profile(mesh, 1.5, fr.THIRD, [0.0], memo)[0][1]
+        first = fr.frequency_profile(mesh, 1.5, fr.FIRST, [0.0], memo)[0][1]
+        assert calls == [(fr.THIRD, 0.0)]
+        assert third is memo[(fr.FIRST, 1.5, mesh.section_key(0))]
+        assert same_result(first, fr.compute_frequency(mesh.cross_section(0.0), 1.5, fr.FIRST))
+
+    def test_radial_all_dirichlet(self, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                                  alpha=1.0, beta=3.0, lateral_bc=("dirichlet0", "dirichlet0"))
+        mesh, memo = geo.build_mesh(dom, 1 / 8), {}
+        fr.frequency_profile(mesh, 1.5, fr.FIRST, [1.5, 2.0], memo)
+        third = fr.frequency_profile(mesh, 1.5, fr.THIRD, [1.5, 2.0], memo)
+        assert sorted(t for _, t in calls) == [1.5, 2.0]
+        for tau, res in third:
+            assert same_result(res, fr.compute_frequency(mesh.cross_section(tau), 1.5, fr.THIRD))
+
+    def test_one_neumann_face_keeps_two_entries(self, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        memo = {}
+        for kind in (fr.FIRST, fr.THIRD):
+            fr.frequency_profile(layer_mesh(), 2.0, kind, [0.0], memo)
+        assert sorted(k for k, _ in calls) == [fr.FIRST, fr.THIRD]
 
 
 class TestFactorOnce:

@@ -9,6 +9,7 @@ import pytest
 from conftest import count_compute_calls
 from svplab import cli
 from svplab import geometry as geo
+from svplab import runner
 from svplab.config import ConfigError, parse_config
 from svplab.report import SVP_CSV_HEADER, write_csv, write_field_csv
 from svplab.runner import run, run_structure_check
@@ -148,6 +149,48 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    @staticmethod
+    def assert_exits_two(tmp_path, monkeypatch, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+
+        def no_solve(*args):
+            raise AssertionError("solved a config that does not parse")
+
+        monkeypatch.setattr(runner, "solve", no_solve)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("value", ["constant abc", "", "step 0.5 x"])
+    def test_bad_coefficient_exits_two(self, tmp_path, monkeypatch, value):
+        text = BASE_CONFIG.replace("nu2 = 1\n", f"nu2 = 1\ncoefficient = {value}\n")
+        self.assert_exits_two(tmp_path, monkeypatch, text, "coefficient")
+
+    @pytest.mark.parametrize("line", ["n = 2.5", "k = 1.9", "n = two", "k = 1 1", "n ="])
+    def test_non_integer_dimension_exits_two(self, tmp_path, monkeypatch, line):
+        key = line.split()[0]
+        text = BASE_CONFIG.replace(f"{key} = {2 if key == 'n' else 1}\n", line + "\n")
+        self.assert_exits_two(tmp_path, monkeypatch, text, "integer")
+
+    @pytest.mark.parametrize("text", [
+        BASE_CONFIG.replace("h = 0.125", "h = 0.125\nrefine = ture"),
+        BASE_CONFIG + SVP_TASK.replace("snapshot = true", "snapshot = yes please"),
+    ], ids=["refine", "snapshot"])
+    def test_bad_flag_exits_two(self, tmp_path, monkeypatch, text):
+        self.assert_exits_two(tmp_path, monkeypatch, text, "expects one of")
+
+    @pytest.mark.parametrize("value, flag", [("true", True), ("1", True), ("yes", True),
+                                             ("false", False), ("0", False), ("no", False)])
+    def test_flags(self, value, flag):
+        cfg = parse_config(BASE_CONFIG.replace("h = 0.125", f"h = 0.125\nrefine = {value}")
+                           + SVP_TASK.replace("snapshot = true", f"snapshot = {value}"))
+        assert cfg.refine is flag and cfg.tasks[0].params["snapshot"] is flag
+
+    def test_unknown_frequency_kind_exits_two_before_the_solve(self, tmp_path, monkeypatch):
+        text = BASE_CONFIG + "\n[task frequencies]\nkinds = first fourth\nstations = 0\n"
+        self.assert_exits_two(tmp_path, monkeypatch, text, "fourth")
 
     def test_comments_ignored(self):
         cfg = parse_config(BASE_CONFIG.replace("h = 0.125", "h = 0.125  # spacing") + SVP_TASK)
@@ -516,8 +559,20 @@ class TestOneMemoPerPass:
         result = run(parse_config(readme_config(1.5, 0.125)), out_dir=str(tmp_path), seed=0,
                      refine=True)
         assert result.exit_code == 0 and result.report["pl"]
-        # first, second and third at h (pl's starI reads second), third at h/2
-        assert sorted(kind for kind, _ in calls) == ["first", "second", "third", "third"]
+        # second and third at h (pl's starI reads second), third at h/2: every
+        # lateral face is dirichlet0, so the first kind reads the third's
+        # result, which the svp task computed first
+        assert sorted(kind for kind, _ in calls) == ["second", "third", "third"]
+
+    def test_third_rows_read_first_entry(self, tmp_path, monkeypatch):
+        calls = count_compute_calls(monkeypatch)
+        cfg = parse_config(BASE_CONFIG + "\n[task frequencies]\nkinds = first third\n"
+                           "stations = 0 0.5\n")
+        result = run(cfg, out_dir=str(tmp_path), seed=0)
+        assert result.exit_code == 0 and calls == [("first", 0.0)]
+        rows = result.report["frequencies"]
+        assert [r["kind"] for r in rows["third"]] == ["third", "third"]
+        assert [{**r, "kind": "first"} for r in rows["third"]] == rows["first"]
 
     def test_radial_pl_truncations_share_their_radii(self, tmp_path, monkeypatch):
         calls = count_compute_calls(monkeypatch)
