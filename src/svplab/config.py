@@ -208,6 +208,9 @@ _TASK_KEYS = {
     "cutoff": {"C", "tau1", "tau2"},
     "pl": {"form", "truncations", "tau_inner", "window"},
 }
+# keys a task cannot run without, checked before anything is solved
+_REQUIRED_TASK_KEYS = {"frequencies": "stations", "svp": "stations", "zones": "s_values",
+                       "pl": "truncations"}
 
 
 def _build_task(block):
@@ -218,6 +221,9 @@ def _build_task(block):
     if name not in TASK_NAMES:
         raise ConfigError(f"line {block['line']}: unknown task {name!r}")
     items = _as_dict(block, _TASK_KEYS[name])
+    required = _REQUIRED_TASK_KEYS.get(name)
+    if required is not None and required not in items:
+        raise ConfigError(f"[task {name}] needs {required!r}")
     params = {}
     for key, (lineno, value) in items.items():
         if key in ("kinds", "norms", "form"):

@@ -1,4 +1,4 @@
-"""Cross-section frequencies by nonlinear Rayleigh-quotient minimization.
+"""Cross-section frequencies: minima of nonlinear Rayleigh quotients.
 
 Three quotients on a section mesh O:
 
@@ -6,18 +6,28 @@ Three quotients on a section mesh O:
 * third:  the same with u pinned only on the Dirichlet-zero faces P,
 * second: inf over nonconstant u of |grad u|_p^p / min_C |u - C|_p^p.
 
-The minimizer descends the quotient in a p = 2 stiffness metric with
-Armijo backtracking, starting from the corresponding p = 2 eigenvector
-(computed by deflated inverse iteration); for p = 2 that start is
-already the discrete minimizer.  The first and third kinds run that one
-start: their minimum is simple with a positive minimizer, and every
-positive critical point is the global minimum (hidden convexity).  The
-second kind away from p = 2 can stop above its minimum from that start,
-so it also runs RESTARTS random restarts from a fixed seed
-(RESTART_SEED); a frequency depends only on the section, p and the kind.
-Section matrices leave the grid's stencil arrays only through the
-solver's free-box path (_free_box, _box_stencil, _dia): pinned nodes are
-whole faces, and periodic axes wrap.
+Each kind starts from its p = 2 eigenvector (deflated inverse iteration;
+at p = 2 it is the discrete minimizer) and runs inverse power iteration
+for -Delta_p (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009;
+Hein & Buehler, NeurIPS 2010): with u centered (its best constant C
+subtracted) and at unit denominator, and q its quotient, a step solves
+-Delta_p v = |u|^(p-2) u by the solver's outer loop (solver._minimize)
+from u q^(-1/(p-1)), where it leaves an eigenfunction, and normalizes v.
+That loop regularizes by SECTION_EPS at unit denominator, so the
+residual is max_i |<(|grad u|^2 + SECTION_EPS^2)^((p-2)/2) grad u, grad
+phi_i> - q <|u|^(p-2) u, phi_i>| / q over the free nodes: the
+unregularized flux is only Hoelder-(p-1) where grad u vanishes (at p =
+1.2 a gradient of 1e-12 on a flat crest gives a flux of 4e-3).  The
+iteration stops at residual TOL; still above it after MAX_ITER steps,
+it raises SolverError.  The first and third kinds run the one start:
+their minimum is simple with a positive minimizer, and every positive
+critical point is the global minimum (hidden convexity).  The iteration
+keeps its start's symmetries, so away from p = 2 the second kind also
+runs RESTARTS seeded restarts (RESTART_SEED), each to SCREEN_TOL, and
+goes on to TOL from one whose value is lower.  A frequency depends only
+on the section, p and the kind.  Section matrices leave the grid's
+stencil arrays only through the solver's free-box path (_free_box,
+_box_stencil, _dia): pinned nodes are whole faces, periodic axes wrap.
 
 ``frequency_profile`` computes each distinct section once per memo that
 its caller owns, keyed on what the section is built from
@@ -38,17 +48,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import DIRICHLET0, TensorGrid
-from .solver import _box_stencil, _dia, _free_box, factor_spd
+from .solver import SolverError, _box_stencil, _dia, _free_box, _FreeSystem, _minimize, factor_spd
 from .structure import guarded_power, squared_norm
 
 FIRST = "first"
 SECOND = "second"
 THIRD = "third"
 SECTION_SYSTEM = "section system"
-RESTARTS = 3       # random restarts of the second-kind descent at p != 2
-RESTART_SEED = 0   # seeds those restarts
-MAX_ITER = 2000    # descent steps per start
-TOL = 1e-12        # the descent stops below this relative decrease
+RESTARTS = 3        # random restarts of the second kind at p != 2
+RESTART_SEED = 0    # seeds those restarts
+MAX_ITER = 500      # inverse-iteration steps per start
+TOL = 1e-9          # the iteration stops at this residual
+SCREEN_TOL = 1e-6   # restarts are compared at this residual
+SECTION_EPS = 1e-7  # gradient regularization at unit denominator
 
 
 @dataclass(frozen=True)
@@ -145,26 +157,26 @@ class _Quotient:
         vq = self.grid.vals_at_quads(u)
         return float(np.sum(self.w * np.abs(vq - c) ** self.p))
 
-    def value(self, u):
-        c = self.center(u)
-        den = self.denominator(u, c)
-        if den == 0.0:
-            return math.inf, c
-        return self.numerator(u) / den, c
+    def normalize(self, u):
+        """u minus its best constant (recentering) and scaled to unit
+        denominator; subtracting the constant makes the new one exactly 0
+        (translation invariance), and scaling preserves it."""
+        u = u - self.center(u)
+        den = self.denominator(u, 0.0)
+        if not den > 0.0:
+            raise SolverError("section iterate has no denominator")
+        return u / den ** (1.0 / self.p)
 
-    def gradient(self, u, q):
-        """Euclidean gradient of the quotient at u (denominator-normalized).
-
-        u is centered (its optimal constant is 0) when recentering, and the
-        envelope theorem drops the derivative through the constant.
-        """
+    def forms(self, u):
+        """The nodal forms <(|grad u|^2 + SECTION_EPS^2)^((p-2)/2) grad u,
+        grad phi_i> and <|u|^(p-2) u, phi_i> of a centered u: the
+        regularized numerator's and the denominator's gradients over p."""
         p = self.p
         g = self.grid.grads_at_quads(u)
-        fac = guarded_power(squared_norm(g), 0.5 * (p - 2.0))
-        gn = p * self.grid.assemble_gradient_form(fac[..., None] * g)
+        flux = ((squared_norm(g) + SECTION_EPS**2) ** (0.5 * (p - 2.0)))[..., None] * g
         vq = self.grid.vals_at_quads(u)
-        gd = p * self.grid.assemble_scalar_form(guarded_power(np.abs(vq), p - 2.0) * vq)
-        return gn - q * gd
+        return (self.grid.assemble_gradient_form(flux),
+                self.grid.assemble_scalar_form(guarded_power(np.abs(vq), p - 2.0) * vq))
 
 
 def _box_csr(grid, stencil, box):
@@ -181,9 +193,8 @@ def _p2_eigenpair(grid, Kff, Mff, box, neumann):
     section's stiffness and mass on the free box, as CSR blocks.
     Neumann case: smallest nonzero eigenvalue, deflating constants in the
     M-inner product each sweep; the factorization uses a small mass shift
-    to keep the singular stiffness SPD.  Returns the eigenvalue, the nodal
-    eigenvector and the factorization, which in the Dirichlet case is
-    Kff's.
+    to keep the singular stiffness SPD.  Returns the eigenvalue and the
+    nodal eigenvector.
     """
     A = Kff + 1e-6 * float(Kff.diagonal().max()) * Mff if neumann else Kff
     lu = factor_spd(A.tocsc(), SECTION_SYSTEM)
@@ -219,67 +230,31 @@ def _p2_eigenpair(grid, Kff, Mff, box, neumann):
         lam = lam_new
     out = np.zeros(grid.shape)
     out[box] = x.reshape(out[box].shape)
-    return lam, out.ravel(), lu
+    return lam, out.ravel()
 
 
-def _descent(grid, lu, p, pinned, u0, recenter):
-    """Preconditioned projected descent on the quotient with Armijo steps,
-    from the one start u0.  Returns (value, minimizer, residual, iterations).
+def _inverse_iteration(system, quot, u, tol):
+    """Inverse power iteration for -Delta_p (see the module docstring) from
+    the start u, until the residual is at most tol or for MAX_ITER steps.
+    Returns (value, minimizer, residual, iterations)."""
+    p = quot.p
+    a_q = np.ones_like(quot.w)
 
-    lu factors the preconditioner on the unpinned nodes: the pinned
-    stiffness, or stiffness plus mass when recentering.
-    """
-    quot = _Quotient(grid, p, recenter)
-    n = grid.n_nodes
-    free = np.ones(n, dtype=bool)
-    free[pinned] = False
+    def state(u):
+        q = quot.numerator(u)
+        flux, load = quot.forms(u)
+        return q, load, float(np.max(np.abs(system._free(flux - q * load)))) / q
 
-    def normalize(u):
-        if recenter:
-            # subtracting the optimal constant makes the new center exactly 0
-            # (translation invariance), and scaling preserves it
-            u = u - quot.center(u)
-        else:
-            u = u.copy()
-            u[pinned] = 0.0
-        den = quot.denominator(u, 0.0)
-        if den <= 0.0:
-            return u, den
-        return u / den ** (1.0 / p), 1.0
-
-    u, den = normalize(u0)
-    if den <= 0.0:
-        return math.inf, u, math.inf, 0
-    q = quot.numerator(u) / den
-    g = quot.gradient(u, q)
-    iters = 0
-    for _ in range(MAX_ITER):
-        d = np.zeros(n)
-        d[free] = -lu.solve(g[free])
-        slope = float(g @ d)
-        if slope >= 0.0:
-            break
-        step = 1.0
-        accepted = False
-        for _ in range(60):
-            u_try, den_try = normalize(u + step * d)
-            if den_try > 0.0:
-                q_try = quot.numerator(u_try) / den_try
-                if q_try <= q + 1e-4 * step * slope:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-        decrease = (q - q_try) / max(abs(q), 1e-300)
-        u, q = u_try, q_try
-        iters += 1
-        g = quot.gradient(u, q)
-        if decrease < TOL:
-            break
-    scale = max(p * abs(q), 1e-300)
-    residual = float(np.max(np.abs(g[free]))) / scale if free.any() else 0.0
-    return q, u, residual, iters
+    u = quot.normalize(u)
+    q, load, residual = state(u)
+    iterations = 0
+    while residual > tol and iterations < MAX_ITER:
+        scale = q ** (-1.0 / (p - 1.0))
+        v = _minimize(system, a_q, p, scale * u, scale * SECTION_EPS, load=load)[0]
+        u = quot.normalize(v)
+        q, load, residual = state(u)
+        iterations += 1
+    return q, u, residual, iterations
 
 
 def compute_frequency(section, p, kind):
@@ -291,7 +266,8 @@ def compute_frequency(section, p, kind):
     flagged; a pinned set that holds every node leaves no admissible u
     and raises ValueError.  The second kind takes nonconstant u with the
     recentered denominator min_C sum w |u - C|^p (tensor sections are
-    connected).
+    connected).  A frequency whose residual is still above TOL after
+    MAX_ITER steps raises SolverError.
     """
     if p <= 1.0:
         raise ValueError("p must be > 1")
@@ -303,12 +279,9 @@ def compute_frequency(section, p, kind):
     elif kind == THIRD:
         pinned = section.dirichlet_ids
         if pinned.size == 0:
-            u = np.full(grid.n_nodes, 1.0)
-            den = _Quotient(grid, p, recenter=False).denominator(u, 0.0)
-            return FrequencyResult(
-                kind=THIRD, value=0.0, minimizer=u / den ** (1.0 / p),
-                dirichlet_ids=pinned, residual=0.0, iterations=0, degenerate=True,
-            )
+            u = _Quotient(grid, p, recenter=False).normalize(np.ones(grid.n_nodes))
+            return FrequencyResult(kind=THIRD, value=0.0, minimizer=u, dirichlet_ids=pinned,
+                                   residual=0.0, iterations=0, degenerate=True)
     elif kind == SECOND:
         pinned = np.empty(0, dtype=np.int64)
     else:
@@ -321,27 +294,31 @@ def compute_frequency(section, p, kind):
         raise ValueError("section has empty interior")
     Kff = _box_csr(grid, grid.stiffness_stencil(), box)
     Mff = _box_csr(grid, grid.mass_stencil(), box)
-    _, u0, lu = _p2_eigenpair(grid, Kff, Mff, box, neumann=recenter)
-    if recenter:
-        # the descent's preconditioner is stiffness plus mass
-        lu = factor_spd((Kff + Mff).tocsc(), SECTION_SYSTEM)
-    elif np.sum(u0) < 0:  # positive first eigenvector
+    _, u0 = _p2_eigenpair(grid, Kff, Mff, box, neumann=recenter)
+    if not recenter and np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
-    q, u, res, iters = _descent(grid, lu, p, pinned, u0, recenter)
+    system = _FreeSystem(grid, mask, np.zeros(grid.n_nodes))
+    quot = _Quotient(grid, p, recenter)
+    q, u, res, iters = _inverse_iteration(system, quot, u0, TOL)
     if recenter and p != 2.0:
-        # the second-kind descent can stop above the minimum from the p = 2
-        # start alone, so it also runs from seeded perturbations of it
+        # the iteration keeps the symmetries of the p = 2 start, so from it
+        # alone the second kind can stop above its minimum; it also runs
+        # from seeded perturbations of that start.  Near a minimum the
+        # quotient exceeds its limit by second order in the residual, so a
+        # restart is compared at SCREEN_TOL, and only a lower one goes on
         rng = np.random.default_rng(RESTART_SEED)
         amp = 0.1 * float(np.max(np.abs(u0)) or 1.0)
         for _ in range(RESTARTS):
-            cand = _descent(grid, lu, p, pinned,
-                            u0 + rng.normal(scale=amp, size=grid.n_nodes), recenter)
+            cand = _inverse_iteration(system, quot,
+                                      u0 + rng.normal(scale=amp, size=grid.n_nodes), SCREEN_TOL)
             if cand[0] < q:
-                q, u, res, iters = cand
-    return FrequencyResult(
-        kind=kind, value=q, minimizer=u, dirichlet_ids=pinned,
-        residual=res, iterations=iters,
-    )
+                q, u, res, more = _inverse_iteration(system, quot, cand[1], TOL)
+                iters = cand[3] + more
+    if not res <= TOL:
+        raise SolverError(f"{kind} section frequency did not converge in {iters} "
+                          f"iterations (residual {res:.3e})")
+    return FrequencyResult(kind=kind, value=q, minimizer=u, dirichlet_ids=pinned,
+                           residual=res, iterations=iters)
 
 
 def frequency_profile(mesh, p, kind, stations, memo):
@@ -377,5 +354,6 @@ def frequency_profile(mesh, p, kind, stations, memo):
 def rayleigh_quotient(section, p, u, recenter=False):
     """Recompute the quotient of a nodal field (diagnostic helper)."""
     quot = _Quotient(section.grid, p, recenter)
-    q, _ = quot.value(np.asarray(u, dtype=float))
-    return q
+    u = np.asarray(u, dtype=float)
+    den = quot.denominator(u, quot.center(u))
+    return quot.numerator(u) / den if den else math.inf

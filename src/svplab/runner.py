@@ -147,9 +147,7 @@ def _execute(config, h, seed, refined=False):
             continue
         if task.name == "frequencies":
             kinds = task.params.get("kinds", (SECOND,))
-            stations = task.params.get("stations")
-            if stations is None:
-                raise ConfigError("[task frequencies] needs 'stations'")
+            stations = task.params["stations"]
             for st in stations:
                 _validate_station(mesh, st, "frequency station")
             for kind in kinds:
@@ -168,9 +166,7 @@ def _execute(config, h, seed, refined=False):
             results["cutoff"].append(cutoff_bound(field_, c, tau1, tau2))
         elif task.name == "pl":
             forms = task.params.get("form", ("starI",))
-            truncations = task.params.get("truncations")
-            if truncations is None:
-                raise ConfigError("[task pl] needs 'truncations'")
+            truncations = task.params["truncations"]
             tau_inner = task.params.get("tau_inner", (1.0,))[0]
             window = task.params.get("window", (1.0,))[0]
             for form in forms:
@@ -183,9 +179,7 @@ def _execute(config, h, seed, refined=False):
 
 
 def _run_svp(config, mesh, field_, task, seed, memo, refined=False):
-    stations = task.params.get("stations")
-    if stations is None:
-        raise ConfigError("[task svp] needs 'stations'")
+    stations = task.params["stations"]
     for st in stations:
         _validate_station(mesh, st, "svp station")
     t = task.params.get("t", (float(mesh.stations[0]),))[0]
@@ -233,9 +227,7 @@ def _run_svp(config, mesh, field_, task, seed, memo, refined=False):
 
 def _run_zones(config, mesh, field_, task, memo):
     norms = task.params.get("norms", ("w1p", "lp", "sup"))
-    s_values = task.params.get("s_values")
-    if s_values is None:
-        raise ConfigError("[task zones] needs 's_values'")
+    s_values = task.params["s_values"]
     tau_outer = task.params.get("tau_outer", (float(mesh.stations[-1]),))[0]
     _validate_station(mesh, tau_outer, "zones tau_outer")
     c5 = task.params.get("C5", (None,))[0]

@@ -16,11 +16,17 @@ positive-definite system built from c = a(x) s^((p-2)/2), s = |grad f|^2
 
 Each step starts at damping theta = 1 and halves theta until the energy
 does not rise.  A step that still raises the energy at theta = 2^-30, or
-gives a non-finite energy, is rejected, and the solve stops unconverged
-at the previous iterate.  The solve has converged once the relative
-energy decrease of a step falls below TOL_ENERGY.  The gradient and s
-that an accepted iterate's energy is computed from also build the next
-step's matrix, so each iterate's gradient is formed once.
+gives a non-finite energy, is rejected, and the loop stops unconverged
+at the previous iterate.  It has converged once the relative energy
+decrease of a step falls below TOL_ENERGY.  The gradient and s that an
+accepted iterate's energy is computed from also build the next step's
+matrix, so each iterate's gradient is formed once.  This loop
+(_minimize) is the one nonlinear kernel: section frequencies run it with
+a nodal load b, the energy then less b . f, and the load added to each
+step's.  A system that pins no node (a second-kind section) has a
+singular step matrix H, so each of its steps adds the proximal term
+delta M (f_hat - f), delta = PROXIMAL_REL max diag H, which vanishes at
+the fixed point.
 
 Every inner system (K(c), with R added to it for p > 2) is assembled as
 a grid stencil array, which holds each node's matrix entry at each
@@ -30,15 +36,14 @@ a box of the grid, and the free-node block is the stencil restricted to
 that box, with the entries that leave the box masked, as a DIA matrix
 (_free_box, _box_stencil, _dia).  That is the one way a matrix leaves a
 stencil array: section frequencies gather their blocks through it too,
-and on their periodic axes, which the box spans, the block wraps.  The
-solver's grids are not periodic, since the multigrid interpolation does
-not wrap.  Products with the whole grid (-K_fc g, and the Newton load)
-are stencil products.  Every system with free nodes is solved by
+and on their periodic axes, which the box spans, the block wraps.
+Products with the whole grid (-K_fc g, and the Newton load) are stencil
+products.  Every system with free nodes is solved by
 conjugate gradients preconditioned by a symmetric geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Its
 hierarchy is fixed once per solve from the box: per axis, linear
 interpolation coarsens by 2 where the cell count is even and is the
-identity elsewhere, restricted to the box ranges (a coarse node is free
+identity elsewhere and on periodic axes, restricted to the box ranges (a coarse node is free
 when its fine twin is); the prolongation is the Kronecker product of the
 axes, and coarsening stops at MG_COARSEST unknowns or fewer.  Each outer step
 forms the Galerkin operators P^T A P by stencil arithmetic: linear
@@ -79,6 +84,7 @@ from .structure import guarded_power, squared_norm
 
 EPS_REG_REL = 1e-8        # gradient regularization, relative to max(cap-data scale, 1)
 TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below this
+ENERGY_ROUNDING = 1e-14   # a relative energy rise below this is rounding, not a rise
 MAX_OUTER = 200
 CG_RTOL = 1e-12
 CG_FORCING = 1e-2         # warm CG stops once its initial residual is cut by this factor
@@ -86,6 +92,7 @@ CG_MAXITER_PER_UNKNOWN = 40
 MG_JACOBI_WEIGHT = 0.6    # damped-Jacobi smoothing weight of the V-cycle
 MG_SWEEPS = 2             # smoothing sweeps before and after each coarse correction
 MG_COARSEST = 1000        # coarsen until at most this many unknowns, then factor
+PROXIMAL_REL = 1e-8       # proximal weight of an unpinned system, relative to max diag H
 
 
 class SolverError(RuntimeError):
@@ -256,10 +263,11 @@ def _free_box(grid, mask):
     return box
 
 
-def _hierarchy(shape, box):
+def _hierarchy(shape, box, periodic=None):
     """Coarse levels of the multigrid hierarchy of a free box of a grid of
     node shape `shape`, finest first: coarsen until at most MG_COARSEST
-    unknowns are left or no axis coarsens.
+    unknowns are left or no axis coarsens.  An axis flagged in periodic,
+    which the box spans, is not coarsened, as an axis of odd cell count.
 
     Each level is (P, axes).  P, the prolongation from the coarse box to
     the box above, is the Kronecker product, in C order, of the per-axis
@@ -272,8 +280,8 @@ def _hierarchy(shape, box):
     levels = []
     while np.prod([b.stop - b.start for b in box]) > MG_COARSEST:
         mats, axes, coarse_shape, coarse_box = [], [], [], []
-        for n, b in zip(shape, box):
-            interp = _interpolation_1d(n)
+        for n, b, per in zip(shape, box, periodic or (False,) * len(shape)):
+            interp = sp.identity(n, format="csr") if per else _interpolation_1d(n)
             m = interp.shape[1]
             cb = slice((b.start + 1) // 2, (b.stop + 1) // 2) if m < n else b
             mats.append(interp[b, cb])
@@ -405,24 +413,25 @@ class _VCycle:
     D is the finest level's column stencil (see _box_stencil) and
     hierarchy its coarse levels (see _hierarchy).  Each level below the
     finest is the Galerkin operator P^T A P of the level above, formed by
-    _galerkin, and every level is a DIA matrix over its box; matrix is the
-    finest one.  Every level but the coarsest runs MG_SWEEPS damped-Jacobi
+    _galerkin, and every level is a DIA matrix over its box, wrapped on the
+    axes flagged in periodic, which no level coarsens; matrix is the finest
+    one.  Every level but the coarsest runs MG_SWEEPS damped-Jacobi
     sweeps (weight MG_JACOBI_WEIGHT) before and after its coarse
     correction, so the cycle is a symmetric positive-definite
     preconditioner, and the coarsest level is solved through factor_spd.
     A nonpositive diagonal entry of the finest level raises SolverError.
     """
 
-    def __init__(self, D, hierarchy):
+    def __init__(self, D, hierarchy, periodic=None):
         diagonal = D[len(D) // 2].ravel()
         if np.any(diagonal <= 0):
             raise SolverError("singular inner system: nonpositive diagonal")
-        A = self.matrix = _dia(D)
+        A = self.matrix = _dia(D, periodic)
         self.levels = []
         for P, axes in hierarchy:
             self.levels.append((A, MG_JACOBI_WEIGHT / diagonal, P))
             D = _galerkin(D, axes)
-            A = _dia(D)
+            A = _dia(D, periodic)
             diagonal = D[len(D) // 2].ravel()
         self.coarse = factor_spd(A.tocsc(), "coarse multigrid system")
 
@@ -446,27 +455,26 @@ class _FreeSystem:
     """Free-node system K_ff x = -K_fc g + b_f of one Dirichlet split of a
     grid, with an optional nodal load b.
 
-    The free nodes form a box of a non-periodic grid (see _free_box).  K
-    comes as a grid stencil array, and K_ff as the box's column stencil,
-    so no CSR pattern is built.  Every solve is CG preconditioned by a
-    multigrid V-cycle, whose hierarchy depends only on the grid and the
-    box, so it is built once, at the first solve.  Each solve appends its
-    CG iteration count to linear_iterations.
+    The free nodes form a box of the grid (see _free_box), which spans its
+    periodic axes.  K comes as a grid stencil array, and K_ff as the box's
+    column stencil, wrapped on the periodic axes, so no CSR pattern is
+    built.  Every solve is CG preconditioned by a multigrid V-cycle, whose
+    hierarchy depends only on the grid and the box, so it is built once,
+    at the first solve.  Each solve appends its CG iteration count to
+    linear_iterations.  pinned tells whether the mask pins any node.
     """
 
     def __init__(self, grid, mask, vals):
-        if any(grid.periodic):
-            # the multigrid interpolation does not wrap
-            raise ValueError("no multigrid hierarchy on the free box of a periodic grid")
         self.box = _free_box(grid, mask)
         self.vals = vals
         self.grid = grid
+        self.pinned = bool(np.any(mask))
         self.linear_iterations = []
         self.method = "cg-mg" if self.box is not None else "none"
 
     @cached_property
     def hierarchy(self):
-        return _hierarchy(self.grid.shape, self.box)
+        return _hierarchy(self.grid.shape, self.box, self.grid.periodic)
 
     def _free(self, x):
         """The free-box entries of the nodal vector x, in C order."""
@@ -488,7 +496,8 @@ class _FreeSystem:
         rhs = -self._free(self.grid.apply_stencil(K, self.vals))
         if load is not None:
             rhs += self._free(load)
-        cycle = _VCycle(_box_stencil(K, self.box), self.hierarchy)
+        periodic = self.grid.periodic
+        cycle = _VCycle(_box_stencil(K, self.box, periodic), self.hierarchy, periodic)
         A = cycle.matrix
         M = spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
         iterations = 0
@@ -528,10 +537,10 @@ def _gradient_terms(grid, values, eps):
     return g, squared_norm(g) + eps**2
 
 
-def _regularized_energy(mesh, op, a_q, s):
+def _regularized_energy(grid, p, a_q, s):
     """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p, from a_q = a and s = |grad
     f|^2 + eps^2 at the quadrature points."""
-    return float(np.sum(mesh.grid.quad_weights * a_q * s ** (0.5 * op.p) / op.p))
+    return float(np.sum(grid.quad_weights * a_q * s ** (0.5 * p) / p))
 
 
 def _step_system(grid, a_q, f, p, terms):
@@ -557,12 +566,51 @@ def _step_system(grid, a_q, f, p, terms):
     return H, grid.apply_stencil(pR, f)
 
 
+def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
+    """The outer loop (see the module docstring) from the start f, on the
+    regularized energy minus load . f, for at most `steps` steps.  Returns
+    (f, energy, steps taken, converged, last decrease, theta)."""
+    grid = system.grid
+    mass = None if system.pinned else grid.mass_stencil()
+
+    def evaluate(values):  # the accepted iterate's grad f and s build the next step
+        terms = _gradient_terms(grid, values, eps)
+        energy = _regularized_energy(grid, p, a_q, terms[1])
+        return terms, energy if load is None else energy - float(load @ values)
+
+    terms, energy = evaluate(f)
+    theta, decrease, taken, converged = 1.0, 0.0, 0, False
+    while not converged and taken < steps:
+        H, step_load = _step_system(grid, a_q, f, p, terms)
+        loads = [x for x in (step_load, load) if x is not None]
+        if mass is not None:
+            delta = PROXIMAL_REL * float(H[len(H) // 2].max())
+            H += delta * mass
+            loads.append(delta * grid.apply_stencil(mass, f))
+        f_hat = system.solve(H, x0=f, load=sum(loads) if loads else None)
+        taken += 1
+        theta = 1.0
+        ceiling = energy + ENERGY_ROUNDING * abs(energy)  # a smaller rise is rounding
+        while True:
+            f_new = f + theta * (f_hat - f)
+            terms_new, e_new = evaluate(f_new)
+            if e_new <= ceiling or theta <= 2**-30:
+                break
+            theta *= 0.5
+        if not e_new <= ceiling:
+            break  # no damping lowers the energy, or it is not finite: keep f, not converged
+        decrease = (energy - e_new) / max(abs(energy), 1e-300)
+        f, energy, terms = f_new, e_new, terms_new
+        converged = decrease < TOL_ENERGY
+    return f, energy, taken, converged, decrease, theta
+
+
 def solve(domain, mesh, op, bc):
     """Minimize the p-Dirichlet energy for the given caps and laterals.
 
     Returns a ScalarField; non-convergence is reported through the
     diagnostics rather than raised.  For p = 2 the coefficient does not
-    depend on the iterate and a single linear solve is exact.
+    depend on the iterate and the cold solve is exact.
     """
     if mesh.domain is not domain and mesh.domain != domain:
         raise ValueError("mesh was built on a different domain")
@@ -573,44 +621,13 @@ def solve(domain, mesh, op, bc):
     a_q = op.a(mesh.pk_at_quads())
     system = _FreeSystem(mesh.grid, mask, vals)
     f = system.solve(mesh.grid.stiffness_stencil(coeff=a_q))
-    # grad f and s of each energy evaluation; those of the accepted iterate
-    # build the next step's matrix
-    terms = _gradient_terms(mesh.grid, f, eps)
-    energy = _regularized_energy(mesh, op, a_q, terms[1])
-    theta = 1.0
-    converged = op.p == 2.0
-    iters = 1
-    decrease = 0.0
-
-    while not converged and iters < MAX_OUTER:
-        H, load = _step_system(mesh.grid, a_q, f, op.p, terms)
-        f_hat = system.solve(H, x0=f, load=load)
-        iters += 1
-        theta = 1.0
-        while True:
-            f_new = f + theta * (f_hat - f)
-            terms_new = _gradient_terms(mesh.grid, f_new, eps)
-            e_new = _regularized_energy(mesh, op, a_q, terms_new[1])
-            if e_new <= energy or theta <= 2**-30:
-                break
-            theta *= 0.5
-        if not e_new <= energy:
-            break  # no damping lowers the energy, or it is not finite: keep f, not converged
-        decrease = (energy - e_new) / max(abs(energy), 1e-300)
-        f, energy, terms = f_new, e_new, terms_new
-        if decrease < TOL_ENERGY:
-            converged = True
-
+    exact = op.p == 2.0
+    f, energy, steps, converged, decrease, theta = _minimize(
+        system, a_q, op.p, f, eps, steps=0 if exact else MAX_OUTER - 1)
     diag = SolverDiagnostics(
-        outer_iterations=iters,
-        converged=converged,
-        energy=energy,
-        last_decrease=decrease,
-        eps_reg=eps,
-        damping_final=theta,
-        linear_solver=system.method,
-        linear_iterations=tuple(system.linear_iterations),
-    )
+        outer_iterations=1 + steps, converged=exact or converged, energy=energy,
+        last_decrease=decrease, eps_reg=eps, damping_final=theta,
+        linear_solver=system.method, linear_iterations=tuple(system.linear_iterations))
     return ScalarField(mesh=mesh, values=f, op=op, bc=bc, diagnostics=diag)
 
 

@@ -221,8 +221,8 @@ def vcycle_levels(monkeypatch):
     levels = []
 
     class Recording(sv._VCycle):
-        def __init__(self, D, hierarchy):
-            super().__init__(D, hierarchy)
+        def __init__(self, D, hierarchy, *periodic):
+            super().__init__(D, hierarchy, *periodic)
             levels.append(len(self.levels))
 
     monkeypatch.setattr(sv, "_VCycle", Recording)

@@ -170,7 +170,7 @@ def test_criterion_3_general_p_frequency():
     brute = scipy.optimize.minimize(quotient, x0, method="L-BFGS-B",
                                     options={"maxiter": 20000, "ftol": 1e-14})
     ok = abs(res.value - brute.fun) / brute.fun <= 0.01
-    report(3, ok, f"lambda_3 descent {res.value:.6f} vs brute force {brute.fun:.6f}")
+    report(3, ok, f"lambda_3 inverse iteration {res.value:.6f} vs brute force {brute.fun:.6f}")
 
 
 def test_criterion_4_solver_exactness(fields64):

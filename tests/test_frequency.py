@@ -197,7 +197,7 @@ class TestSecondFrequency:
 
     def test_second_not_above_first(self):
         sec = geo.interval_section(1.0, 128)
-        for p in (1.5, 2.0, 3.0):
+        for p in (1.2, 1.5, 2.0, 3.0):
             second = fr.compute_frequency(sec, p, fr.SECOND).value
             first = fr.compute_frequency(sec, p, fr.FIRST).value
             assert second <= first + 1e-10
@@ -243,12 +243,12 @@ class TestRadialSectionOracle:
             free[pinned] = False
             oracle = dense_eigs(K[np.ix_(free, free)], M[np.ix_(free, free)])[index]
             assert res.value == pytest.approx(oracle, rel=1e-10)
-            # the descent minimizes the quotient itself, so check the
+            # the value is the quotient of the p = 2 start, so check the
             # gathered blocks through the p = 2 eigenvalue they give alone
             box = sv._free_box(sec.grid, ~free)
             blocks = [fr._box_csr(sec.grid, s, box)
                       for s in (sec.grid.stiffness_stencil(), sec.grid.mass_stencil())]
-            lam, _, _ = fr._p2_eigenpair(sec.grid, *blocks, box, neumann=kind == fr.SECOND)
+            lam, _ = fr._p2_eigenpair(sec.grid, *blocks, box, neumann=kind == fr.SECOND)
             assert lam == pytest.approx(oracle, rel=1e-10)
 
 
@@ -460,23 +460,26 @@ def readme_mesh(h):
 
 
 class TestRestartsSecondKindOnly:
-    """The pinned kinds run one descent from the p = 2 start and draw no
-    random numbers; the second kind adds RESTARTS seeded restarts."""
+    """The pinned kinds run one inverse iteration from the p = 2 start, to
+    TOL, and draw no random numbers; the second kind adds RESTARTS seeded
+    restarts, each run to SCREEN_TOL, and goes on to TOL only from a
+    restart whose value is lower."""
 
     @staticmethod
     def count_starts(monkeypatch):
         starts, rngs = [], []
-        descent, default_rng = fr._descent, np.random.default_rng
+        iteration, default_rng = fr._inverse_iteration, np.random.default_rng
 
-        def counting_descent(*args):
-            starts.append(args)
-            return descent(*args)
+        def counting_iteration(*args):
+            out = iteration(*args)
+            starts.append((args[-1], out))
+            return out
 
         def counting_rng(*args):
             rngs.append(args)
             return default_rng(*args)
 
-        monkeypatch.setattr(fr, "_descent", counting_descent)
+        monkeypatch.setattr(fr, "_inverse_iteration", counting_iteration)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         return starts, rngs
 
@@ -485,13 +488,31 @@ class TestRestartsSecondKindOnly:
     def test_pinned_kinds_make_one_start(self, monkeypatch, p, kind):
         starts, rngs = self.count_starts(monkeypatch)
         fr.compute_frequency(geo.interval_section(1.0, 16, "low"), p, kind)
-        assert len(starts) == 1 and rngs == []
+        assert [tol for tol, _ in starts] == [fr.TOL] and rngs == []
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_second_kind_restarts(self, monkeypatch, p):
+        # on the interval every restart ends at the p = 2 start's value
         starts, rngs = self.count_starts(monkeypatch)
-        fr.compute_frequency(geo.interval_section(1.0, 16), p, fr.SECOND)
-        assert len(starts) == 1 + fr.RESTARTS and rngs == [(fr.RESTART_SEED,)]
+        res = fr.compute_frequency(geo.interval_section(1.0, 16), p, fr.SECOND)
+        assert [tol for tol, _ in starts] == [fr.TOL] + [fr.SCREEN_TOL] * fr.RESTARTS
+        assert rngs == [(fr.RESTART_SEED,)]
+        assert (res.value, res.iterations) == starts[0][1][::3]
+        for _, (value, _, residual, _) in starts[1:]:
+            assert value >= res.value and residual <= fr.SCREEN_TOL
+
+    def test_a_lower_restart_goes_on_to_tol(self, monkeypatch):
+        # the rectangle of test_restarts_escape_the_p2_start: the first
+        # restart is lower, and only it is continued
+        starts, _ = self.count_starts(monkeypatch)
+        sec = geo.rectangle_section((1.0, 1.5), (8, 12), "none")
+        res = fr.compute_frequency(sec, 4.0, fr.SECOND)
+        tols = [tol for tol, _ in starts]
+        assert tols == [fr.TOL, fr.SCREEN_TOL, fr.TOL] + [fr.SCREEN_TOL] * (fr.RESTARTS - 1)
+        screened, continued = starts[1][1], starts[2][1]
+        assert screened[0] < starts[0][1][0]
+        assert res.value == continued[0] <= screened[0] and res.residual <= fr.TOL
+        assert res.iterations == screened[3] + continued[3]
 
 
 class TestThirdReusesFirst:
@@ -542,11 +563,11 @@ class TestThirdReusesFirst:
 
 
 class TestFactorOnce:
-    """The pinned kinds reuse the eigenpair's factor of the pinned stiffness
-    as the descent's preconditioner; the second kind factors the shifted
-    pencil and stiffness plus mass, two different matrices."""
+    """At p = 2 each kind factors one matrix per section, the pinned
+    stiffness or the shifted pencil of its p = 2 eigenpair: that start's
+    residual is below TOL, so no inverse-iteration step builds a V-cycle."""
 
-    @pytest.mark.parametrize("kind, factors", [(fr.FIRST, 1), (fr.THIRD, 1), (fr.SECOND, 2)])
+    @pytest.mark.parametrize("kind, factors", [(fr.FIRST, 1), (fr.THIRD, 1), (fr.SECOND, 1)])
     def test_factorizations_per_section(self, monkeypatch, kind, factors):
         shapes = []
         splu = sv.spla.splu
@@ -565,12 +586,22 @@ class TestIntervalOracleOrder:
     """First p-eigenvalue of the unit interval, (p - 1) pi_p^p with
     pi_p = 2 pi / (p sin(pi / p)), approached at second order in h."""
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_second_order(self, p):
+    @staticmethod
+    def orders(p, kind, dirichlet):
         exact = (p - 1.0) * (2.0 * math.pi / (p * math.sin(math.pi / p))) ** p
-        errs = [abs(fr.compute_frequency(geo.interval_section(1.0, n), p, fr.FIRST).value
+        errs = [abs(fr.compute_frequency(geo.interval_section(1.0, n, dirichlet), p, kind).value
                     - exact) for n in (16, 32, 64)]
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        return [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_second_order(self, p):
+        orders = self.orders(p, fr.FIRST, "both")
+        assert all(1.8 <= r <= 2.2 for r in orders), orders
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_second_kind_second_order(self, p):
+        # on a Neumann interval the second kind has the same limit
+        orders = self.orders(p, fr.SECOND, "none")
         assert all(1.8 <= r <= 2.2 for r in orders), orders
 
 
@@ -580,9 +611,56 @@ class TestDescentRobustness:
         a = fr.compute_frequency(sec, 3.0, fr.FIRST)
         monkeypatch.setattr(fr, "TOL", fr.TOL / 2.0)
         b = fr.compute_frequency(sec, 3.0, fr.FIRST)
+        assert a.residual <= 2.0 * fr.TOL and b.residual <= fr.TOL
         assert abs(a.value - b.value) <= max(a.residual * a.value, 1e-12)
 
     def test_p_validation(self):
         sec = geo.interval_section(1.0, 16)
         with pytest.raises(ValueError):
             fr.compute_frequency(sec, 1.0, fr.FIRST)
+
+
+def residual_sections():
+    """An interval, the 8 x 12 rectangle and a radial section (interval
+    times circle).  The interval and the radial section pin one face, so
+    their third kind pins fewer nodes than the first; the rectangle pins
+    all four."""
+    dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                              alpha=1.0, beta=2.0, lateral_bc=("dirichlet0", "neumann"))
+    return {
+        "interval": geo.interval_section(1.0, 32, "low"),
+        "rectangle": geo.rectangle_section((1.0, 1.5), (8, 12), "all"),
+        "radial": geo.build_mesh(dom, 1 / 4).cross_section(1.5),
+    }
+
+
+class TestResidualStop:
+    """Every kind ends at residual TOL or below, or raises SolverError."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("name", list(residual_sections()))
+    def test_every_kind_reaches_tol(self, name, p):
+        sec = residual_sections()[name]
+        for kind in (fr.FIRST, fr.SECOND, fr.THIRD):
+            res = fr.compute_frequency(sec, p, kind)
+            assert res.residual <= fr.TOL and not res.degenerate
+            assert fr.rayleigh_quotient(sec, p, res.minimizer, recenter=kind == fr.SECOND) \
+                == pytest.approx(res.value, rel=1e-12)
+
+    def test_frequencies_use_the_kernel_not_solve(self, monkeypatch):
+        calls = []
+        minimize = sv._minimize
+
+        def no_solve(*args):
+            raise AssertionError("a section frequency called solve")
+
+        monkeypatch.setattr(sv, "solve", no_solve)
+        monkeypatch.setattr(fr, "_minimize", lambda *a, **k: calls.append(k) or minimize(*a, **k))
+        res = fr.compute_frequency(geo.interval_section(1.0, 16), 1.5, fr.FIRST)
+        assert len(calls) == res.iterations > 0
+        assert all(k["load"] is not None for k in calls)
+
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fr, "MAX_ITER", 1)
+        with pytest.raises(sv.SolverError, match="did not converge in 1 iterations"):
+            fr.compute_frequency(geo.interval_section(1.0, 16), 1.5, fr.FIRST)

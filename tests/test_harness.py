@@ -192,6 +192,16 @@ class TestConfigParsing:
         text = BASE_CONFIG + "\n[task frequencies]\nkinds = first fourth\nstations = 0\n"
         self.assert_exits_two(tmp_path, monkeypatch, text, "fourth")
 
+    @pytest.mark.parametrize("block, key", [(FREQ_TASK, "stations"), (SVP_TASK, "stations"),
+                                            (ZONES_TASK, "s_values"), (PL_TASK, "truncations")],
+                             ids=["frequencies", "svp", "zones", "pl"])
+    def test_missing_required_task_key_exits_two_before_the_solve(self, tmp_path, monkeypatch,
+                                                                  block, key):
+        # with a solve task, the field would be solved before the task runs
+        lines = [line for line in block.splitlines() if not line.startswith(f"{key} =")]
+        text = BASE_CONFIG + "\n[task solve]\n" + "\n".join(lines) + "\n"
+        self.assert_exits_two(tmp_path, monkeypatch, text, f"needs '{key}'")
+
     def test_comments_ignored(self):
         cfg = parse_config(BASE_CONFIG.replace("h = 0.125", "h = 0.125  # spacing") + SVP_TASK)
         assert cfg.h == 0.125
@@ -403,6 +413,20 @@ class TestSolverFailurePath:
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
 
+
+    def test_frequency_iteration_cap_exits_three(self, tmp_path, monkeypatch):
+        from svplab import frequency as fr_mod
+
+        monkeypatch.setattr(fr_mod, "MAX_ITER", 1)
+        text = BASE_CONFIG.replace("p = 2\n", "p = 1.5\n") + FREQ_TASK
+        result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
+        assert result.exit_code == 3
+        report = json.load(open(tmp_path / "run" / "report.json"))
+        assert report["exit_code"] == 3
+        assert "section frequency did not converge in 1 iterations" in report["error"]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
 
     @pytest.mark.parametrize("exc", [
         RuntimeError("iteration diverged"),

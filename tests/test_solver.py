@@ -376,7 +376,7 @@ snapshot = false
 def regularized_energy(mesh, op, values, eps):
     """The solver's regularized energy of a nodal field."""
     _, s = sv._gradient_terms(mesh.grid, values, eps)
-    return sv._regularized_energy(mesh, op, op.a(mesh.pk_at_quads()), s)
+    return sv._regularized_energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s)
 
 
 def readme_problem(p, h):
@@ -436,7 +436,7 @@ class TestRejectedStep:
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
         _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg)
-        assert d.energy == energy(mesh, op, op.a(mesh.pk_at_quads()), s) + 1
+        assert d.energy == energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s) + 1
 
     def test_nonfinite_energy_is_rejected(self, monkeypatch, tmp_path):
         dom, mesh, op, bc = general_p_problem(3.0)
@@ -455,7 +455,7 @@ class TestRejectedStep:
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
         _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg)
-        assert d.energy == energy(mesh, op, op.a(mesh.pk_at_quads()), s)
+        assert d.energy == energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s)
         calls.clear()
         result = run(parse_config(README_SOLVE.format(p=3, h=0.125)), out_dir=str(tmp_path), seed=0)
         assert result.exit_code == 3
@@ -469,9 +469,9 @@ class TestNonpositiveDiagonal:
     def zero_diagonal(self, monkeypatch):
         box_stencil = sv._box_stencil
 
-        def zeroed(stencil, box):
+        def zeroed(stencil, box, *periodic):
             # the finest level's first diagonal entry
-            D = box_stencil(stencil, box)
+            D = box_stencil(stencil, box, *periodic)
             D[len(D) // 2].flat[0] = 0.0
             return D
 
@@ -588,6 +588,56 @@ def kacanov_reference(dom, mesh, op, bc):
         if decrease < sv.TOL_ENERGY:
             return f
     raise AssertionError("reference Kacanov loop did not converge")
+
+
+def outer_loop_reference(dom, mesh, op, bc):
+    """The outer loop of solve as it was written before the shared kernel:
+    the cold solve, then damped Kacanov or Newton steps to TOL_ENERGY."""
+    grid = mesh.grid
+    mask, vals = sv.dirichlet_data(mesh, bc)
+    eps = sv.EPS_REG_REL * max(float(np.max(np.abs(vals))), 1.0)
+    a_q = op.a(mesh.pk_at_quads())
+    system = sv._FreeSystem(grid, mask, vals)
+    f = system.solve(grid.stiffness_stencil(coeff=a_q))
+    terms = sv._gradient_terms(grid, f, eps)
+    energy = sv._regularized_energy(grid, op.p, a_q, terms[1])
+    iters, converged = 1, op.p == 2.0
+    while not converged and iters < sv.MAX_OUTER:
+        H, load = sv._step_system(grid, a_q, f, op.p, terms)
+        f_hat = system.solve(H, x0=f, load=load)
+        iters += 1
+        theta = 1.0
+        while True:
+            f_new = f + theta * (f_hat - f)
+            terms_new = sv._gradient_terms(grid, f_new, eps)
+            e_new = sv._regularized_energy(grid, op.p, a_q, terms_new[1])
+            if e_new <= energy or theta <= 2**-30:
+                break
+            theta *= 0.5
+        assert e_new <= energy
+        decrease = (energy - e_new) / abs(energy)
+        f, energy, terms = f_new, e_new, terms_new
+        converged = decrease < sv.TOL_ENERGY
+    assert converged
+    return f, energy, iters, tuple(system.linear_iterations)
+
+
+class TestSharedKernel:
+    """solve is its cold solve followed by the shared outer loop
+    (_minimize), with the arithmetic of the loop that it replaced."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bitwise_the_reference_loop(self, k, p):
+        dom, mesh, _, bc = readme_problem(p, 1 / 16) if k == 1 else layer3d(1 / 8)
+        op = st.constant_operator(p)
+        field = sv.solve(dom, mesh, op, bc)
+        f, energy, iters, linear = outer_loop_reference(dom, mesh, op, bc)
+        assert field.values.tobytes() == f.tobytes()
+        d = field.diagnostics
+        assert d.converged and (d.energy, d.outer_iterations, d.linear_iterations) \
+            == (energy, iters, linear)
+        assert (iters == 1) == (p == 2.0)
 
 
 class TestKacanovUnchanged:
@@ -845,23 +895,53 @@ class TestStencilLevels:
         mask[np.ravel_multi_index((2, 4), grid.shape)] = True
         with pytest.raises(ValueError, match="box"):
             sv._FreeSystem(grid, mask, np.zeros(grid.n_nodes))
+        # a periodic axis has no faces: one pinned node on it is not a box
         periodic = geo.TensorGrid([np.linspace(0, 1, 5), np.arange(8.0)], periodic=(False, True))
+        mask = face_mask(periodic, [(0, 0)])
+        mask[np.ravel_multi_index((2, 3), periodic.shape)] = True
         with pytest.raises(ValueError, match="box"):
-            sv._FreeSystem(periodic, face_mask(periodic, [(0, 0)]), np.zeros(periodic.n_nodes))
+            sv._FreeSystem(periodic, mask, np.zeros(periodic.n_nodes))
 
-    def test_free_system_rejects_periodic_grids(self):
-        """A radial section has a free box, which spans its periodic angle,
-        but the multigrid interpolation does not wrap, so no free system is
-        built on it."""
+    @pytest.mark.parametrize("mg_coarsest", [sv.MG_COARSEST, 0])
+    @pytest.mark.parametrize("lateral", [("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann")],
+                             ids=["dirichlet", "mixed"])
+    def test_periodic_free_system_matches_direct_solve(self, monkeypatch, lateral, mg_coarsest):
+        """A radial section's free box spans its periodic angle, which the
+        V-cycle does not coarsen: its stencil Galerkin levels are the sparse
+        products, and CG on the wrapped DIA block gives the direct solve of
+        that block, with and without coarse levels."""
+        monkeypatch.setattr(sv, "MG_COARSEST", mg_coarsest)
         dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial", alpha=1.0,
-                                  beta=3.0, lateral_bc=("dirichlet0", "dirichlet0"))
-        sec = geo.build_mesh(dom, 1 / 4).cross_section(2.0)
+                                  beta=3.0, lateral_bc=lateral)
+        sec = geo.build_mesh(dom, 1 / 8).cross_section(2.0)
         grid = sec.grid
         mask = np.zeros(grid.n_nodes, dtype=bool)
         mask[sec.dirichlet_ids] = True
-        assert sv._free_box(grid, mask) == (slice(1, grid.shape[0] - 1), slice(0, grid.shape[1]))
-        with pytest.raises(ValueError):
-            sv._FreeSystem(grid, mask, np.zeros(grid.n_nodes))
+        box = sv._free_box(grid, mask)
+        assert box[1] == slice(0, grid.shape[1])
+        hierarchy = sv._hierarchy(grid.shape, box, grid.periodic)
+        assert len(hierarchy) >= (1 if mg_coarsest == 0 else 0)
+        assert all(axes[1] is None for _, axes in hierarchy)
+        rng = np.random.default_rng(5)
+        stencil = grid.stiffness_stencil(coeff=rng.uniform(0.5, 2.0, grid.quad_weights.shape))
+        vals = np.where(mask, rng.uniform(-1.0, 1.0, grid.n_nodes), 0.0)
+        load = rng.standard_normal(grid.n_nodes)
+        system = sv._FreeSystem(grid, mask, vals)
+        x = system.solve(stencil, load=load)
+        block = sv._dia(sv._box_stencil(stencil, box, grid.periodic), grid.periodic).tocsc()
+        rhs = (load - gather_csr(grid, stencil) @ vals)[~mask]
+        ref = sv.spla.spsolve(block, rhs)
+        A, D = block, sv._box_stencil(stencil, box, grid.periodic)
+        for P, axes in hierarchy:
+            A = ((A @ P).T @ P).T
+            D = sv._galerkin(D, axes)
+            level = sv._dia(D, grid.periodic).toarray()
+            assert level.shape == A.shape
+            if A.shape[0]:
+                ref_level = A.toarray()
+                assert np.max(np.abs(level - ref_level)) <= 1e-14 * np.max(np.abs(ref_level))
+        assert np.array_equal(x[mask], vals[mask])
+        assert np.max(np.abs(x[~mask] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_solve_never_calls_to_csr(self, p, monkeypatch, vcycle_levels):
