@@ -15,18 +15,18 @@ positive-definite system built from c = a(x) s^((p-2)/2), s = |grad f|^2
   underestimates the curvature.
 
 Each step starts at damping theta = 1 and halves theta until the energy
-does not rise.  A step that still raises the energy at theta = 2^-30, or
-gives a non-finite energy, is rejected, and the loop stops unconverged
-at the previous iterate.  It has converged once the relative energy
-decrease of a step falls below TOL_ENERGY.  The gradient and s that an
-accepted iterate's energy is computed from also build the next step's
-matrix, so each iterate's gradient is formed once.  This loop
-(_minimize) is the one nonlinear kernel: section frequencies run it with
-a nodal load b, the energy then less b . f, and the load added to each
-step's.  A system that pins no node (a second-kind section) has a
-singular step matrix H, so each of its steps adds the proximal term
-delta M (f_hat - f), delta = PROXIMAL_REL max diag H, which vanishes at
-the fixed point.
+rises by no more than rounding (ENERGY_ROUNDING, relative).  A step that
+still raises it at theta = 2^-30, or gives a non-finite energy, is
+rejected, and the loop stops unconverged at the previous iterate.  It
+has converged once the relative energy decrease of a step falls below
+TOL_ENERGY.  The gradient and s that an accepted iterate's energy is
+computed from also build the next step's matrix, so each iterate's
+gradient is formed once.  This loop (_minimize) is the one nonlinear
+kernel: section frequencies run it with a nodal load b, the energy then
+less b . f, and the load added to each step's.  A system that pins no
+node (a second-kind section) has a singular step matrix H, so each of
+its steps adds the proximal term delta M (f_hat - f), delta =
+PROXIMAL_REL max diag H, which vanishes at the fixed point.
 
 Every inner system (K(c), with R added to it for p > 2) is assembled as
 a grid stencil array, which holds each node's matrix entry at each
@@ -38,13 +38,13 @@ that box, with the entries that leave the box masked, as a DIA matrix
 stencil array: section frequencies gather their blocks through it too,
 and on their periodic axes, which the box spans, the block wraps.
 Products with the whole grid (-K_fc g, and the Newton load) are stencil
-products.  Every system with free nodes is solved by
-conjugate gradients preconditioned by a symmetric geometric-multigrid
-V-cycle (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Its
-hierarchy is fixed once per solve from the box: per axis, linear
-interpolation coarsens by 2 where the cell count is even and is the
-identity elsewhere and on periodic axes, restricted to the box ranges (a coarse node is free
-when its fine twin is); the prolongation is the Kronecker product of the
+products.  Every system with free nodes is solved by conjugate gradients
+preconditioned by a symmetric geometric-multigrid V-cycle (Briggs,
+Henson & McCormick, A Multigrid Tutorial, 2000).  Its hierarchy is fixed
+once per solve from the box: per axis, linear interpolation coarsens by
+2 where the cell count is even and is the identity elsewhere and on
+periodic axes, restricted to the box ranges (a coarse node is free when
+its fine twin is); the prolongation is the Kronecker product of the
 axes, and coarsening stops at MG_COARSEST unknowns or fewer.  Each outer step
 forms the Galerkin operators P^T A P by stencil arithmetic: linear
 interpolation keeps a tensor-grid stencil a 3^dim stencil, so each
