@@ -89,21 +89,7 @@ class TensorGrid:
         self.n_elems = int(np.prod(self.cell_shape))
         self.n_local = 2**self.dim
         self._corners = tuple(product((0, 1), repeat=self.dim))
-        self._build_elements()
         self._build_basis_tables()
-
-    def _build_elements(self):
-        cell_idx = np.indices(self.cell_shape).reshape(self.dim, -1)  # (dim, E)
-        conn = np.empty((self.n_elems, self.n_local), dtype=np.int64)
-        for m, off in enumerate(self._corners):
-            node_idx = []
-            for ax in range(self.dim):
-                ni = cell_idx[ax] + off[ax]
-                if self.periodic[ax]:
-                    ni = ni % self.shape[ax]
-                node_idx.append(ni)
-            conn[:, m] = np.ravel_multi_index(node_idx, self.shape)
-        self.elem_nodes = conn
 
     def _build_basis_tables(self):
         # local multilinear basis on [-1, 1]^dim at tensor Gauss-2 points
@@ -159,13 +145,31 @@ class TensorGrid:
             w = w * self.weight(self.quad_points)
         return w
 
+    @cached_property
+    def elem_nodes(self):
+        """Node ids of each element's corners, shape (n_elems, n_local),
+        elements in C order over cell_shape and corners in C order of their
+        0/1 digits.  Only the scatters and the station traces read it: the
+        values at quadrature points gather by slices (corner_values)."""
+        return self.corner_values(np.arange(self.n_nodes))
+
+    def corner_values(self, u):
+        """u[elem_nodes], shape (n_elems, n_local), gathered by one slice of
+        the grid-shaped u per corner, with a wrapped copy of the first node
+        layer appended on each periodic axis."""
+        u = np.reshape(u, self.shape)
+        for ax in np.flatnonzero(self.periodic):
+            u = np.concatenate((u, u[(slice(None),) * ax + (slice(0, 1),)]), axis=ax)
+        out = np.empty(self.cell_shape + (self.n_local,), dtype=u.dtype)
+        for m, corner in enumerate(self._corners):
+            out[..., m] = u[tuple(slice(c, c + n) for c, n in zip(corner, self.cell_shape))]
+        return out.reshape(self.n_elems, self.n_local)
+
     def vals_at_quads(self, u):
-        ue = np.asarray(u)[self.elem_nodes]  # (E, m)
-        return np.einsum("em,qm->eq", ue, self.basis_vals)
+        return np.einsum("em,qm->eq", self.corner_values(u), self.basis_vals)
 
     def grads_at_quads(self, u):
-        ue = np.asarray(u)[self.elem_nodes]
-        return np.einsum("em,qdm->eqd", ue, self.basis_grads)
+        return np.einsum("em,qdm->eqd", self.corner_values(u), self.basis_grads)
 
     @cached_property
     def _fill_plan(self):
@@ -258,16 +262,23 @@ class TensorGrid:
         non-periodic grid is the ascending column order of a CSR product;
         a periodic axis wraps.
         """
+        return self._product_rows(stencil, x, tuple(slice(0, n) for n in self.shape))
+
+    def _product_rows(self, stencil, x, rows):
+        """The rows of apply_stencil(stencil, x) picked by rows, one slice per
+        axis (whose step may pick layers), in C order and with the same
+        arithmetic."""
         padded = np.pad(np.reshape(x, self.shape), 1, mode="wrap")
         for ax, per in enumerate(self.periodic):
             if not per:
                 padded[(slice(None),) * ax + (0,)] = 0.0
                 padded[(slice(None),) * ax + (-1,)] = 0.0
-        y = np.zeros(self.shape)
-        term = np.empty(self.shape)
+        shape = stencil[0][rows].shape
+        y = np.zeros(shape)
+        term = np.empty(shape)
         for k, digits in enumerate(product(range(3), repeat=self.dim)):
-            y += np.multiply(stencil[k], padded[tuple(slice(d, d + n)
-                                                      for d, n in zip(digits, self.shape))],
+            y += np.multiply(stencil[k][rows], padded[tuple(slice(r.start + d, r.stop + d, r.step)
+                                                            for d, r in zip(digits, rows))],
                              out=term)
         return y.ravel()
 
@@ -452,8 +463,9 @@ class Mesh:
 
     @cached_property
     def elem_axial_cell(self):
-        cells = np.indices(self.grid.cell_shape).reshape(self.grid.dim, -1)
-        return cells[-1]
+        """Axial cell index of every element; the axial cell comes last in
+        the elements' C order."""
+        return np.arange(self.n_elems) % self.grid.cell_shape[-1]
 
     def pk_at_quads(self):
         """p_k at every quadrature point, shape (n_elems, n_quad).
@@ -524,6 +536,13 @@ class Mesh:
         """Node ids of the low/high axial cap."""
         j = 0 if which == "low" else self.grid.shape[-1] - 1
         return self.station_node_ids(j)
+
+    def cap_points(self, which):
+        """Coordinates of the low/high cap nodes, shape (N, dim), in the order
+        of cap_node_ids: grid.nodes[cap_node_ids(which)], taken from the axes."""
+        axial = self.stations[[0 if which == "low" else -1]]
+        grids = np.meshgrid(*self.grid.axes[:-1], axial, indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
 
     def lateral_node_ids(self, kind=None):
         """Node ids on lateral faces, optionally only those of one bc kind."""

@@ -36,11 +36,18 @@ a box of the grid, and the free-node block is the stencil restricted to
 that box, with the entries that leave the box masked, as a DIA matrix
 (_free_box, _box_stencil, _dia).  That is the one way a matrix leaves a
 stencil array: section frequencies gather their blocks through it too,
-and on their periodic axes, which the box spans, the block wraps.
-Products with the whole grid (-K_fc g, and the Newton load) are stencil
-products.  Every system with free nodes is solved by conjugate gradients
-preconditioned by a symmetric geometric-multigrid V-cycle (Briggs,
-Henson & McCormick, A Multigrid Tutorial, 2000).  Its hierarchy is fixed
+and on their periodic axes, which the box spans, the block wraps.  The
+Newton load is a stencil product over the whole grid; -K_fc g is summed
+on the box layers next to a Dirichlet face only, the rows that meet a
+nonzero value.  A solve holds one grid-sized stencil at a time:
+_FreeSystem.restrict copies the right-hand side and the box block out of
+a step's stencil, and _FreeSystem.solve works on that copy alone.  solve
+passes restrict a temporary, and the outer loop keeps no reference to a
+step's stencil, nor to the iterate's gradient terms, once the step's box
+system is formed, so both die before the V-cycle is built.  Every system
+with free nodes is solved by conjugate gradients preconditioned by a
+symmetric geometric-multigrid V-cycle (Briggs, Henson & McCormick, A
+Multigrid Tutorial, 2000).  Its hierarchy is fixed
 once per solve from the box: per axis, linear interpolation coarsens by
 2 where the cell count is even and is the identity elsewhere and on
 periodic axes, restricted to the box ranges (a coarse node is free when
@@ -191,13 +198,12 @@ def dirichlet_data(mesh, bc):
     """Boolean Dirichlet mask and prescribed values (zero elsewhere)."""
     if tuple(bc.lateral) != tuple(mesh.domain.lateral_bc):
         raise ValueError("boundary spec lateral kinds do not match the domain partition")
-    nodes = mesh.grid.nodes
     mask = np.zeros(mesh.n_nodes, dtype=bool)
     vals = np.zeros(mesh.n_nodes)
     low = mesh.cap_node_ids("low")
     high = mesh.cap_node_ids("high")
-    g_low = np.asarray(bc.g_low(nodes[low]), dtype=float)
-    g_high = np.asarray(bc.g_high(nodes[high]), dtype=float)
+    g_low = np.asarray(bc.g_low(mesh.cap_points("low")), dtype=float)
+    g_high = np.asarray(bc.g_high(mesh.cap_points("high")), dtype=float)
     if not (np.all(np.isfinite(g_low)) and np.all(np.isfinite(g_high))):
         raise ValueError("cap data must be finite on all cap nodes")
     mask[low] = True
@@ -456,12 +462,13 @@ class _FreeSystem:
     grid, with an optional nodal load b.
 
     The free nodes form a box of the grid (see _free_box), which spans its
-    periodic axes.  K comes as a grid stencil array, and K_ff as the box's
-    column stencil, wrapped on the periodic axes, so no CSR pattern is
-    built.  Every solve is CG preconditioned by a multigrid V-cycle, whose
-    hierarchy depends only on the grid and the box, so it is built once,
-    at the first solve.  Each solve appends its CG iteration count to
-    linear_iterations.  pinned tells whether the mask pins any node.
+    periodic axes.  K comes as a grid stencil array, and restrict turns it
+    into the box's right-hand side and column stencil, wrapped on the
+    periodic axes, so no CSR pattern is built.  solve then runs CG on them,
+    preconditioned by a multigrid V-cycle, whose hierarchy depends only on
+    the grid and the box, so it is built once, at the first solve.  Each
+    solve appends its CG iteration count to linear_iterations.  pinned
+    tells whether the mask pins any node.
     """
 
     def __init__(self, grid, mask, vals):
@@ -476,13 +483,47 @@ class _FreeSystem:
     def hierarchy(self):
         return _hierarchy(self.grid.shape, self.box, self.grid.periodic)
 
+    @cached_property
+    def _faces(self):
+        """The box layers next to a Dirichlet face, the only rows of K_fc g
+        that meet a nonzero value: per axis with such a face, (grid rows,
+        the same rows in box coordinates), one slice per axis, whose step
+        picks both layers of an axis pinned on both sides."""
+        faces = []
+        for ax, (b, n) in enumerate(zip(self.box, self.grid.shape)):
+            layers = [i for i, pinned in ((b.start, b.start > 0), (b.stop - 1, b.stop < n))
+                      if pinned]
+            if layers:
+                step = max(layers[-1] - layers[0], 1)
+                rows = self.box[:ax] + (slice(layers[0], layers[-1] + 1, step),) + self.box[ax + 1:]
+                faces.append((rows, tuple(slice(r.start - c.start, r.stop - c.start, r.step)
+                                          for r, c in zip(rows, self.box))))
+        return faces
+
     def _free(self, x):
         """The free-box entries of the nodal vector x, in C order."""
         return np.reshape(x, self.grid.shape)[self.box].ravel()
 
-    def solve(self, K, x0=None, load=None):
-        """Nodal solution for the stencil array K and an optional nodal load
-        added to the right-hand side.
+    def restrict(self, K, load=None):
+        """The free-box system of the stencil array K: the right-hand side
+        -K_fc g + b_f, for an optional nodal load b, and the column stencil
+        of K_ff (see _box_stencil); None without free nodes.  Neither shares
+        memory with K, so a caller that holds no other reference to K frees
+        it before solve builds the V-cycle."""
+        if self.method == "none":
+            return None
+        # vals vanish on the box, so -K_fc g is nonzero only on the face
+        # layers; the other rows stay -0.0, as the whole product left them
+        y = np.zeros([b.stop - b.start for b in self.box])
+        for rows, within in self._faces:
+            y[within].flat = self.grid._product_rows(K, self.vals, rows)
+        rhs = -y.ravel()
+        if load is not None:
+            rhs += self._free(load)
+        return rhs, _box_stencil(K, self.box, self.grid.periodic)
+
+    def solve(self, restricted, x0=None):
+        """Nodal solution of a system from restrict, (rhs, D).
 
         A cold solve (no x0) runs CG on K_ff x = rhs to CG_RTOL of rhs.  With
         x0, CG solves for the correction, K_ff d = r0 with r0 = rhs - K_ff
@@ -490,14 +531,11 @@ class _FreeSystem:
         CG_FORCING ||r0||); the solution is x0[free] + d.
         """
         out = self.vals.copy()
-        if self.method == "none":
+        if restricted is None:
             return out
-        # vals vanish on the box: -K_fc g
-        rhs = -self._free(self.grid.apply_stencil(K, self.vals))
-        if load is not None:
-            rhs += self._free(load)
+        rhs, D = restricted
         periodic = self.grid.periodic
-        cycle = _VCycle(_box_stencil(K, self.box, periodic), self.hierarchy, periodic)
+        cycle = _VCycle(D, self.hierarchy, periodic)
         A = cycle.matrix
         M = spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
         iterations = 0
@@ -557,19 +595,38 @@ def _step_system(grid, a_q, f, p, terms):
     """
     g, s = terms
     coeff = a_q * s ** (0.5 * (p - 2.0))
-    H = grid.stiffness_stencil(coeff=coeff)
     if p <= 2.0:
-        return H, None
-    # (p-2) R is the directional stiffness along sqrt((p-2) c/s) grad f
+        return grid.stiffness_stencil(coeff=coeff), None
+    # (p-2) R is the directional stiffness along sqrt((p-2) c/s) grad f,
+    # assembled before K(c), so that its (E, Q, dim) direction is freed
+    # before the two stencils are alive together
     pR = grid.directional_stencil(g * np.sqrt((p - 2.0) * coeff / s)[..., None])
+    H = grid.stiffness_stencil(coeff=coeff)
     H += pR
     return H, grid.apply_stencil(pR, f)
+
+
+def _step(system, a_q, f, p, terms, load, mass):
+    """The free-box system (see _FreeSystem.restrict) of one outer step at
+    the iterate f: _step_system's matrix and load, the nodal load b added,
+    and on an unpinned system the proximal term of the mass stencil.  The
+    step's stencil arrays die when it returns."""
+    grid = system.grid
+    H, step_load = _step_system(grid, a_q, f, p, terms)
+    loads = [x for x in (step_load, load) if x is not None]
+    if mass is not None:
+        delta = PROXIMAL_REL * float(H[len(H) // 2].max())
+        H += delta * mass
+        loads.append(delta * grid.apply_stencil(mass, f))
+    return system.restrict(H, sum(loads) if loads else None)
 
 
 def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
     """The outer loop (see the module docstring) from the start f, on the
     regularized energy minus load . f, for at most `steps` steps.  Returns
-    (f, energy, steps taken, converged, last decrease, theta)."""
+    (f, energy, steps taken, converged, last decrease, theta).  Through a
+    step's solve it holds neither the step's matrix nor the iterate's
+    gradient terms, only the step's free-box system."""
     grid = system.grid
     mass = None if system.pinned else grid.mass_stencil()
 
@@ -581,13 +638,10 @@ def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
     terms, energy = evaluate(f)
     theta, decrease, taken, converged = 1.0, 0.0, 0, False
     while not converged and taken < steps:
-        H, step_load = _step_system(grid, a_q, f, p, terms)
-        loads = [x for x in (step_load, load) if x is not None]
-        if mass is not None:
-            delta = PROXIMAL_REL * float(H[len(H) // 2].max())
-            H += delta * mass
-            loads.append(delta * grid.apply_stencil(mass, f))
-        f_hat = system.solve(H, x0=f, load=sum(loads) if loads else None)
+        step = _step(system, a_q, f, p, terms, load, mass)
+        terms = terms_new = None  # an accepted iterate brings its own
+        f_hat = system.solve(step, x0=f)
+        step = None  # the box block dies with the V-cycle, not at the next step
         taken += 1
         theta = 1.0
         ceiling = energy + ENERGY_ROUNDING * abs(energy)  # a smaller rise is rounding
@@ -620,7 +674,7 @@ def solve(domain, mesh, op, bc):
 
     a_q = op.a(mesh.pk_at_quads())
     system = _FreeSystem(mesh.grid, mask, vals)
-    f = system.solve(mesh.grid.stiffness_stencil(coeff=a_q))
+    f = system.solve(system.restrict(mesh.grid.stiffness_stencil(coeff=a_q)))
     exact = op.p == 2.0
     f, energy, steps, converged, decrease, theta = _minimize(
         system, a_q, op.p, f, eps, steps=0 if exact else MAX_OUTER - 1)

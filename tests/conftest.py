@@ -78,6 +78,24 @@ def gather_csr(grid, stencil):
     return fr._box_csr(grid, stencil, tuple(slice(0, n) for n in grid.shape))
 
 
+def reference_elem_nodes(grid):
+    """The element connectivity (n_elems, n_local) as TensorGrid built it
+    eagerly before elem_nodes became a cached gather: per corner, the cell
+    indices shifted by the corner's digits, wrapped on periodic axes, and
+    raveled."""
+    cell_idx = np.indices(grid.cell_shape).reshape(grid.dim, -1)  # (dim, E)
+    conn = np.empty((grid.n_elems, grid.n_local), dtype=np.int64)
+    for m, off in enumerate(itertools.product((0, 1), repeat=grid.dim)):
+        node_idx = []
+        for ax in range(grid.dim):
+            ni = cell_idx[ax] + off[ax]
+            if grid.periodic[ax]:
+                ni = ni % grid.shape[ax]
+            node_idx.append(ni)
+        conn[:, m] = np.ravel_multi_index(node_idx, grid.shape)
+    return conn
+
+
 def reference_csr_pattern(grid):
     """The CSR pattern (indptr, indices) of the matrices that gather_csr
     gathers, and the map slots (n_elems, m*m) from each local entry (i, j),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (gather_csr, pattern_grids, reference_csr_pattern, reference_slab_elements,
-                      reference_station_edge_tables, slab_meshes)
+from conftest import (gather_csr, pattern_grids, reference_csr_pattern, reference_elem_nodes,
+                      reference_slab_elements, reference_station_edge_tables, slab_meshes)
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -305,6 +305,48 @@ class TestAxialSlabsAndSections:
                     field.trace(j, side)
         assert len(field._traces) == 2 * last
         assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("name", list(pattern_grids()))
+class TestCornerGather:
+    """Element corner values by slices of the grid-shaped vector, against
+    the connectivity table as it was built eagerly."""
+
+    def test_elem_nodes_built_on_first_read(self, name):
+        grid = pattern_grids()[name]
+        assert "elem_nodes" not in grid.__dict__
+        assert same_bytes(grid.elem_nodes, reference_elem_nodes(grid))
+        assert grid.elem_nodes is grid.elem_nodes
+
+    def test_corner_values_equal_connectivity_gather(self, name):
+        """So the quadrature values and gradients keep their bytes too."""
+        grid = pattern_grids()[name]
+        u = np.random.default_rng(2).normal(size=grid.n_nodes)
+        ue = u[reference_elem_nodes(grid)]
+        gathered = grid.corner_values(u)
+        assert gathered.flags.c_contiguous
+        assert same_bytes(gathered, ue)
+        assert same_bytes(grid.vals_at_quads(u), np.einsum("em,qm->eq", ue, grid.basis_vals))
+        assert same_bytes(grid.grads_at_quads(u),
+                          np.einsum("em,qdm->eqd", ue, grid.basis_grads))
+        assert "elem_nodes" not in grid.__dict__
+
+
+@pytest.mark.parametrize("name", ["layer-2d", "layer-3d", "radial"])
+class TestMeshTablesWithoutNodes:
+    def test_elem_axial_cell_owns_its_data(self, name):
+        mesh = slab_meshes()[name]
+        cells = mesh.elem_axial_cell
+        assert cells.flags.owndata and cells.base is None
+        grid = mesh.grid
+        assert same_bytes(cells, np.indices(grid.cell_shape).reshape(grid.dim, -1)[-1])
+
+    def test_cap_points_equal_node_rows(self, name):
+        mesh = slab_meshes()[name]
+        points = {which: mesh.cap_points(which) for which in ("low", "high")}
+        assert "nodes" not in mesh.grid.__dict__
+        for which, pts in points.items():
+            assert same_bytes(pts, mesh.grid.nodes[mesh.cap_node_ids(which)])
 
 
 class TestSliceIndex:
