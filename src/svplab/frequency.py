@@ -180,7 +180,8 @@ class _Quotient:
 
 
 def _box_csr(grid, stencil, box):
-    """The free-box block of a section matrix, as CSR with sorted indices."""
+    """The free-box block of a section matrix, as CSR with sorted indices.
+    Like _box_stencil, it consumes the stencil."""
     A = _dia(_box_stencil(stencil, box, grid.periodic), grid.periodic).tocsr()
     A.sort_indices()
     return A

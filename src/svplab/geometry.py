@@ -138,12 +138,15 @@ class TensorGrid:
 
     @cached_property
     def quad_weights(self):
-        """Quadrature weights incl. measure factor, shape (n_elems, n_quad)."""
+        """Quadrature weights incl. measure factor, shape (n_elems, n_quad).
+
+        Read-only.  Without a measure factor every weight is w0, and the
+        array is w0 broadcast to the shape, which holds one value.
+        """
         w0 = np.prod(self.spacing) / self.n_quad
-        w = np.full((self.n_elems, self.n_quad), w0)
-        if self.weight is not None:
-            w = w * self.weight(self.quad_points)
-        return w
+        if self.weight is None:
+            return np.broadcast_to(w0, (self.n_elems, self.n_quad))
+        return _read_only(w0 * self.weight(self.quad_points))
 
     @cached_property
     def elem_nodes(self):
@@ -156,13 +159,22 @@ class TensorGrid:
     def corner_values(self, u):
         """u[elem_nodes], shape (n_elems, n_local), gathered by one slice of
         the grid-shaped u per corner, with a wrapped copy of the first node
-        layer appended on each periodic axis."""
+        layer appended on each periodic axis.  The strided per-corner writes
+        go chunk by chunk, each chunk whole first-axis cell layers whose
+        result takes at most ASSEMBLY_CHUNK_BYTES (and at least one layer),
+        so that a chunk's rows stay in cache across its corners."""
         u = np.reshape(u, self.shape)
         for ax in np.flatnonzero(self.periodic):
             u = np.concatenate((u, u[(slice(None),) * ax + (slice(0, 1),)]), axis=ax)
         out = np.empty(self.cell_shape + (self.n_local,), dtype=u.dtype)
-        for m, corner in enumerate(self._corners):
-            out[..., m] = u[tuple(slice(c, c + n) for c, n in zip(corner, self.cell_shape))]
+        n_layers = self.cell_shape[0]
+        layer_bytes = out.nbytes // n_layers
+        step = max(1, ASSEMBLY_CHUNK_BYTES // max(1, layer_bytes))
+        for lo in range(0, n_layers, step):
+            hi = min(lo + step, n_layers)
+            for m, corner in enumerate(self._corners):
+                out[lo:hi, ..., m] = u[(slice(corner[0] + lo, corner[0] + hi),) + tuple(
+                    slice(c, c + n) for c, n in zip(corner[1:], self.cell_shape[1:]))]
         return out.reshape(self.n_elems, self.n_local)
 
     def vals_at_quads(self, u):

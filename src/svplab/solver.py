@@ -21,7 +21,8 @@ rejected, and the loop stops unconverged at the previous iterate.  It
 has converged once the relative energy decrease of a step falls below
 TOL_ENERGY.  The gradient and s that an accepted iterate's energy is
 computed from also build the next step's matrix, so each iterate's
-gradient is formed once.  This loop (_minimize) is the one nonlinear
+gradient is formed once; at p <= 2 no step reads the gradient, and only s
+is formed, one axis at a time.  This loop (_minimize) is the one nonlinear
 kernel: section frequencies run it with a nodal load b, the energy then
 less b . f, and the load added to each step's.  A system that pins no
 node (a second-kind section) has a singular step matrix H, so each of
@@ -40,11 +41,14 @@ and on their periodic axes, which the box spans, the block wraps.  The
 Newton load is a stencil product over the whole grid; -K_fc g is summed
 on the box layers next to a Dirichlet face only, the rows that meet a
 nonzero value.  A solve holds one grid-sized stencil at a time:
-_FreeSystem.restrict copies the right-hand side and the box block out of
-a step's stencil, and _FreeSystem.solve works on that copy alone.  solve
-passes restrict a temporary, and the outer loop keeps no reference to a
-step's stencil, nor to the iterate's gradient terms, once the step's box
-system is formed, so both die before the V-cycle is built.  Every system
+_FreeSystem.restrict sums the right-hand side from a step's stencil and
+then writes the box block over the stencil's own buffer, plane by plane
+through one box-sized scratch plane (_box_stencil consumes its argument),
+so the box block lives in the step stencil's buffer and _FreeSystem.solve
+works on it alone.  solve, _step and the section frequencies pass
+temporaries, and the outer loop keeps no reference to the iterate's
+gradient terms once the step's box system is formed, so they die before
+the V-cycle is built.  Every system
 with free nodes is solved by conjugate gradients preconditioned by a
 symmetric geometric-multigrid V-cycle (Briggs, Henson & McCormick, A
 Multigrid Tutorial, 2000).  Its hierarchy is fixed
@@ -56,7 +60,10 @@ axes, and coarsening stops at MG_COARSEST unknowns or fewer.  Each outer step
 forms the Galerkin operators P^T A P by stencil arithmetic: linear
 interpolation keeps a tensor-grid stencil a 3^dim stencil, so each
 coarsened axis takes 13 slice adds (Trottenberg, Oosterlee & Schueller,
-Multigrid, 2001, ch. 3).  Every level, the finest included, is a DIA
+Multigrid, 2001, ch. 3).  The passes are cache-blocked (Douglas, Hu,
+Kowarschik, Ruede & Weiss, ETNA 10, 2000): blocks of coarse rows of the
+first coarsened axis run through every axis pass, so no intermediate
+level is formed whole.  Every level, the finest included, is a DIA
 matrix over its box; the finest one holds exactly the entries of the
 free-node block, in ascending offset order.  The V-cycle smooths with
 damped Jacobi and factors the coarsest level through factor_spd; on a
@@ -86,10 +93,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import DIRICHLET0, Mesh, _read_only
+from .geometry import ASSEMBLY_CHUNK_BYTES, DIRICHLET0, Mesh, _read_only
 from .structure import guarded_power, squared_norm
 
-EPS_REG_REL = 1e-8        # gradient regularization, relative to max(cap-data scale, 1)
+EPS_REG_REL = 1e-8        # gradient regularization, relative to the cap-data scale
 TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below this
 ENERGY_ROUNDING = 1e-14   # a relative energy rise below this is rounding, not a rise
 MAX_OUTER = 200
@@ -303,8 +310,22 @@ def _hierarchy(shape, box, periodic=None):
     return levels
 
 
+def _box_pieces(o, b, n, periodic):
+    """(box, grid) slice pairs along one axis that place stencil rows j - o
+    of the grid axis of n nodes onto box columns j of the range b; on a
+    periodic axis, which the box spans, j - o wraps, as np.roll by o."""
+    if not periodic:
+        return [(slice(max(0, o), b.stop - b.start - max(0, -o)),
+                 slice(b.start + max(0, -o), b.stop - max(0, o)))]
+    o %= n
+    if o == 0:
+        return [(slice(0, n), slice(0, n))]
+    return [(slice(o, n), slice(0, n - o)), (slice(0, o), slice(n - o, n))]
+
+
 def _box_stencil(stencil, box, periodic=None):
-    """The free-box block of a grid matrix as a column stencil.
+    """The free-box block of a grid matrix as a column stencil, written over
+    the grid stencil: the function consumes its argument.
 
     stencil is a grid stencil array (see TensorGrid.stiffness_stencil), whose
     [o, i] holds the entry A[i, i + o].  The result D, of shape
@@ -312,19 +333,27 @@ def _box_stencil(stencil, box, periodic=None):
     nodes, and zero where j - o leaves the box: D[o] is the DIA diagonal at
     offset o, indexed by column.  On the axes flagged in periodic, which the
     box spans, j - o wraps, and D[o] is stencil[o] rolled by o.
+
+    D is a view of the front of the stencil's buffer.  Plane D[o] ends no
+    later than stencil[o] does, so it only covers planes that are already
+    read, and the one that is read into a box-sized scratch plane before
+    D[o] is written; the caller's stencil is garbage afterwards.
     """
     periodic = periodic or (False,) * len(box)
     shape = tuple(b.stop - b.start for b in box)
-    D = np.zeros((len(stencil),) + shape)
+    D = np.reshape(stencil, -1)[:len(stencil) * int(np.prod(shape))].reshape(
+        (len(stencil),) + shape)
+    plane = np.empty(shape)
     for k, digits in enumerate(product((-1, 0, 1), repeat=len(box))):
-        wrap = [ax for ax, o in enumerate(digits) if o and periodic[ax]]
         source = stencil[k]
-        if wrap:
-            source = np.roll(source, [digits[ax] for ax in wrap], axis=wrap)
-        digits = [0 if per else o for o, per in zip(digits, periodic)]
-        D[k][tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(digits, shape))] = \
-            source[tuple(slice(b.start + max(0, -o), b.stop - max(0, o))
-                         for o, b in zip(digits, box))]
+        pieces = [_box_pieces(o, b, n, per)
+                  for o, b, n, per in zip(digits, box, stencil.shape[1:], periodic)]
+        for ax, o in enumerate(digits):
+            if o and not periodic[ax]:  # the box layer whose row j - o leaves the box
+                plane[(slice(None),) * ax + (0 if o > 0 else -1,)] = 0.0
+        for piece in product(*pieces):
+            plane[tuple(dst for dst, _ in piece)] = source[tuple(src for _, src in piece)]
+        D[k] = plane
     return D
 
 
@@ -339,38 +368,66 @@ _GALERKIN_TERMS = tuple(
     for u in (2 * sigma + r - s,) if abs(u) <= 1)
 
 
+def _galerkin_axis(D, ax, parity, size, lo, hi):
+    """The coarse columns lo..hi-1, of size, of the column stencil D
+    coarsened along the axis ax, whose fine box node 2c + parity is the twin
+    of coarse node c: the 13 slice adds of _GALERKIN_TERMS, restricted to
+    those columns.  An entry whose row leaves the coarse box is never
+    written, so it stays zero."""
+    dim = D.ndim - 1
+    shape = (3,) * dim + D.shape[1:]
+    out = np.zeros(shape[:dim + ax] + (hi - lo,) + shape[dim + ax + 1:])
+    # views with the axis's offset digit first and its node index last
+    fine = np.moveaxis(D.reshape(shape), (ax, dim + ax), (0, -1))
+    coarse = np.moveaxis(out, (ax, dim + ax), (0, -1))
+    n = fine.shape[-1]
+    scaled = np.moveaxis(np.empty(out[(slice(None),) * ax + (0,)].shape), dim - 1 + ax, -1)
+    for sigma, s, r, weight in _GALERKIN_TERMS:
+        first = parity + r
+        a = max(lo, sigma, -(first // 2))
+        b = min(hi, size + min(0, sigma), (n - 1 - first) // 2 + 1)
+        if b <= a:
+            continue
+        term = fine[s + 1, ..., 2 * a + first:2 * b - 1 + first:2]
+        if weight != 1.0:
+            term = np.multiply(term, weight, out=scaled[..., :b - a])
+        coarse[sigma + 1, ..., a - lo:b - lo] += term
+    return out.reshape((3**dim,) + out.shape[dim:])
+
+
 def _galerkin(D, axes):
     """Column stencil of P^T A P for the column stencil D of A and the
     coarsened axes of P (see _hierarchy), one axis at a time.
 
     Linear interpolation keeps a three-point coupling three-point, so each
-    coarsened axis takes the 13 slice adds of _GALERKIN_TERMS.  An entry
-    whose row leaves the coarse box is never written, so it stays zero.
+    coarsened axis takes the 13 slice adds of _GALERKIN_TERMS
+    (_galerkin_axis).  The passes run on blocks of coarse rows of the first
+    coarsened axis, each block through every axis pass and then into the
+    coarse stencil, so that the first pass's output is a block, not a level.
+    A block holds as many rows as keep its first-pass output within
+    ASSEMBLY_CHUNK_BYTES, at least one.  Every coarse entry gets the terms
+    and the order of adds of one pass over the whole level.
     """
-    dim = len(axes)
-    for ax, spec in enumerate(axes):
-        if spec is None:
-            continue
-        parity, size = spec
-        shape = (3,) * dim + D.shape[1:]
-        out = np.zeros(shape[:dim + ax] + (size,) + shape[dim + ax + 1:])
-        # views with the axis's offset digit first and its node index last
-        fine = np.moveaxis(D.reshape(shape), (ax, dim + ax), (0, -1))
-        coarse = np.moveaxis(out, (ax, dim + ax), (0, -1))
-        n = fine.shape[-1]
-        scaled = np.moveaxis(np.empty(out[(slice(None),) * ax + (0,)].shape), dim - 1 + ax, -1)
-        for sigma, s, r, weight in _GALERKIN_TERMS:
-            first = parity + r
-            lo = max(0, sigma, -(first // 2))
-            hi = min(size + min(0, sigma), (n - 1 - first) // 2 + 1)
-            if hi <= lo:
-                continue
-            term = fine[s + 1, ..., 2 * lo + first:2 * hi - 1 + first:2]
-            if weight != 1.0:
-                term = np.multiply(term, weight, out=scaled[..., :hi - lo])
-            coarse[sigma + 1, ..., lo:hi] += term
-        D = out.reshape((3**dim,) + out.shape[dim:])
-    return D
+    coarsened = [ax for ax, spec in enumerate(axes) if spec is not None]
+    lead = coarsened[0]
+    size = axes[lead][1]
+    rows = max(1, ASSEMBLY_CHUNK_BYTES // max(1, D.nbytes // D.shape[1 + lead]))
+
+    def block(lo, hi):
+        B = D
+        for ax in coarsened:
+            parity, n = axes[ax]
+            B = _galerkin_axis(B, ax, parity, n, *((lo, hi) if ax == lead else (0, n)))
+        return B
+
+    if size <= rows:
+        return block(0, size)
+    out = np.empty((len(D),) + tuple(n if spec is None else spec[1]
+                                     for n, spec in zip(D.shape[1:], axes)))
+    for lo in range(0, size, rows):
+        out[(slice(None),) * (1 + lead) + (slice(lo, min(lo + rows, size)),)] = \
+            block(lo, min(lo + rows, size))
+    return out
 
 
 def _dia(D, periodic=None):
@@ -435,7 +492,8 @@ class _VCycle:
         A = self.matrix = _dia(D, periodic)
         self.levels = []
         for P, axes in hierarchy:
-            self.levels.append((A, MG_JACOBI_WEIGHT / diagonal, P))
+            # P.T is a CSC view of P's arrays: built once, it costs no memory
+            self.levels.append((A, MG_JACOBI_WEIGHT / diagonal, P, P.T))
             D = _galerkin(D, axes)
             A = _dia(D, periodic)
             diagonal = D[len(D) // 2].ravel()
@@ -447,11 +505,11 @@ class _VCycle:
     def _cycle(self, level, r):
         if level == len(self.levels):
             return self.coarse.solve(r)
-        A, wdinv, P = self.levels[level]
+        A, wdinv, P, R = self.levels[level]
         x = wdinv * r
         for _ in range(MG_SWEEPS - 1):
             x += wdinv * (r - A @ x)
-        x += P @ self._cycle(level + 1, P.T @ (r - A @ x))
+        x += P @ self._cycle(level + 1, R @ (r - A @ x))
         for _ in range(MG_SWEEPS):
             x += wdinv * (r - A @ x)
         return x
@@ -507,9 +565,9 @@ class _FreeSystem:
     def restrict(self, K, load=None):
         """The free-box system of the stencil array K: the right-hand side
         -K_fc g + b_f, for an optional nodal load b, and the column stencil
-        of K_ff (see _box_stencil); None without free nodes.  Neither shares
-        memory with K, so a caller that holds no other reference to K frees
-        it before solve builds the V-cycle."""
+        of K_ff (see _box_stencil); None without free nodes.  It consumes K:
+        the column stencil is written over K's buffer, and the right-hand
+        side is summed from K first."""
         if self.method == "none":
             return None
         # vals vanish on the box, so -K_fc g is nonzero only on the face
@@ -569,10 +627,26 @@ class _FreeSystem:
         return out
 
 
-def _gradient_terms(grid, values, eps):
-    """grad f and s = |grad f|^2 + eps^2 at every quadrature point."""
-    g = grid.grads_at_quads(values)
-    return g, squared_norm(g) + eps**2
+def _gradient_terms(grid, values, eps, p):
+    """grad f and s = |grad f|^2 + eps^2 at every quadrature point.
+
+    At p <= 2 no step reads grad f, so it is None, and s is summed one axis
+    at a time from that axis's derivative, in squared_norm's order, without
+    the (E, Q, dim) gradient: to the bit the s of the gradient.
+    """
+    if p > 2.0:
+        g = grid.grads_at_quads(values)
+        return g, squared_norm(g) + eps**2
+    ue = grid.corner_values(values)
+    s = np.einsum("em,qm->eq", ue, grid.basis_grads[:, 0, :])
+    s *= s  # x * x is x ** 2 to the bit
+    term = np.empty_like(s)
+    for d in range(1, grid.dim):
+        np.einsum("em,qm->eq", ue, grid.basis_grads[:, d, :], out=term)
+        term *= term
+        s += term
+    s += eps**2
+    return None, s
 
 
 def _regularized_energy(grid, p, a_q, s):
@@ -591,7 +665,7 @@ def _step_system(grid, a_q, f, p, terms):
     K(c) + (p-2) R, R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad
     phi_j), and the load (p-2) R f makes the solve
     return the Newton iterate f - H_ff^-1 (K(c) f)_f.  terms is (grad f,
-    s) at f, from _gradient_terms.
+    s) at f, from _gradient_terms; grad f is read only for p > 2.
     """
     g, s = terms
     coeff = a_q * s ** (0.5 * (p - 2.0))
@@ -610,7 +684,8 @@ def _step(system, a_q, f, p, terms, load, mass):
     """The free-box system (see _FreeSystem.restrict) of one outer step at
     the iterate f: _step_system's matrix and load, the nodal load b added,
     and on an unpinned system the proximal term of the mass stencil.  The
-    step's stencil arrays die when it returns."""
+    step's matrix becomes the buffer of the box block; its other stencil
+    arrays die when it returns."""
     grid = system.grid
     H, step_load = _step_system(grid, a_q, f, p, terms)
     loads = [x for x in (step_load, load) if x is not None]
@@ -625,13 +700,13 @@ def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
     """The outer loop (see the module docstring) from the start f, on the
     regularized energy minus load . f, for at most `steps` steps.  Returns
     (f, energy, steps taken, converged, last decrease, theta).  Through a
-    step's solve it holds neither the step's matrix nor the iterate's
-    gradient terms, only the step's free-box system."""
+    step's solve it holds the step's free-box system, in the buffer of the
+    step's matrix, and not the iterate's gradient terms."""
     grid = system.grid
     mass = None if system.pinned else grid.mass_stencil()
 
     def evaluate(values):  # the accepted iterate's grad f and s build the next step
-        terms = _gradient_terms(grid, values, eps)
+        terms = _gradient_terms(grid, values, eps, p)
         energy = _regularized_energy(grid, p, a_q, terms[1])
         return terms, energy if load is None else energy - float(load @ values)
 
@@ -664,13 +739,17 @@ def solve(domain, mesh, op, bc):
 
     Returns a ScalarField; non-convergence is reported through the
     diagnostics rather than raised.  For p = 2 the coefficient does not
-    depend on the iterate and the cold solve is exact.
+    depend on the iterate and the cold solve is exact.  The regularization
+    eps is EPS_REG_REL times the largest |cap value| (times 1 when all are
+    0), so that cap data s g give s times the field of g and s^p times its
+    energy, up to rounding.
     """
     if mesh.domain is not domain and mesh.domain != domain:
         raise ValueError("mesh was built on a different domain")
     mask, vals = dirichlet_data(mesh, bc)
-    scale = float(np.max(np.abs(vals))) if mask.any() else 0.0
-    eps = EPS_REG_REL * max(scale, 1.0)
+    # f = 0 when every cap value is 0, and then the unit scale serves
+    scale = float(np.max(np.abs(vals), initial=0.0))
+    eps = EPS_REG_REL * (scale if scale > 0.0 else 1.0)
 
     a_q = op.a(mesh.pk_at_quads())
     system = _FreeSystem(mesh.grid, mask, vals)

@@ -23,8 +23,8 @@ class Coefficient:
 
     def __call__(self, pk):
         pk = np.asarray(pk, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(pk, self.params[0])
+        if self.kind == "constant":  # one value, read-only, in the shape of pk
+            return np.broadcast_to(float(self.params[0]), pk.shape)
         if self.kind == "step":
             return np.where(pk < self.params[0], self.nu1, self.nu2)
         if self.kind == "oscillation":

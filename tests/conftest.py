@@ -74,8 +74,58 @@ def cosh_section_mass(tau, beta_star=BS):
 def gather_csr(grid, stencil):
     """The CSR matrix of a stencil array over the whole grid, gathered as the
     section frequencies gather theirs: the full-box DIA matrix of
-    solver._box_stencil and solver._dia, as CSR with sorted indices."""
-    return fr._box_csr(grid, stencil, tuple(slice(0, n) for n in grid.shape))
+    solver._box_stencil and solver._dia, as CSR with sorted indices.  It
+    gathers from a copy, since _box_stencil consumes its argument."""
+    return fr._box_csr(grid, stencil.copy(), tuple(slice(0, n) for n in grid.shape))
+
+
+def reference_box_stencil(stencil, box, periodic=None):
+    """solver._box_stencil as it was before it wrote over its argument: the
+    box block copied into a fresh zeroed array, each periodic offset's
+    plane rolled whole by np.roll first."""
+    periodic = periodic or (False,) * len(box)
+    shape = tuple(b.stop - b.start for b in box)
+    D = np.zeros((len(stencil),) + shape)
+    for k, digits in enumerate(itertools.product((-1, 0, 1), repeat=len(box))):
+        wrap = [ax for ax, o in enumerate(digits) if o and periodic[ax]]
+        source = stencil[k]
+        if wrap:
+            source = np.roll(source, [digits[ax] for ax in wrap], axis=wrap)
+        digits = [0 if per else o for o, per in zip(digits, periodic)]
+        D[k][tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(digits, shape))] = \
+            source[tuple(slice(b.start + max(0, -o), b.stop - max(0, o))
+                         for o, b in zip(digits, box))]
+    return D
+
+
+def reference_galerkin(D, axes):
+    """solver._galerkin as it was before its passes were blocked: each
+    coarsened axis's 13 slice adds over the whole level, one axis after
+    another."""
+    dim = len(axes)
+    for ax, spec in enumerate(axes):
+        if spec is None:
+            continue
+        parity, size = spec
+        shape = (3,) * dim + D.shape[1:]
+        out = np.zeros(shape[:dim + ax] + (size,) + shape[dim + ax + 1:])
+        fine = np.moveaxis(D.reshape(shape), (ax, dim + ax), (0, -1))
+        coarse = np.moveaxis(out, (ax, dim + ax), (0, -1))
+        n = fine.shape[-1]
+        for sigma, s, r, weight in sv._GALERKIN_TERMS:
+            first = parity + r
+            lo = max(0, sigma, -(first // 2))
+            hi = min(size + min(0, sigma), (n - 1 - first) // 2 + 1)
+            if hi > lo:
+                term = fine[s + 1, ..., 2 * lo + first:2 * hi - 1 + first:2]
+                coarse[sigma + 1, ..., lo:hi] += term * weight if weight != 1.0 else term
+        D = out.reshape((3**dim,) + out.shape[dim:])
+    return D
+
+
+def reference_gradient_s(grid, u, eps):
+    """s = |grad f|^2 + eps^2 from the whole (E, Q, dim) gradient."""
+    return st.squared_norm(grid.grads_at_quads(u)) + eps**2
 
 
 def reference_elem_nodes(grid):

@@ -308,6 +308,29 @@ class TestAxialSlabsAndSections:
 
 
 @pytest.mark.parametrize("name", list(pattern_grids()))
+def test_constant_tables_are_read_only_broadcasts(name):
+    """Without a measure factor the quadrature weights are one value
+    broadcast to (E, Q), as is a constant a(x); both are read-only, and the
+    stiffness and mass stencils keep the bytes of materialized weights."""
+    grid = pattern_grids()[name]
+    w = grid.quad_weights
+    full = np.full((grid.n_elems, grid.n_quad), np.prod(grid.spacing) / grid.n_quad)
+    assert not w.flags.writeable
+    if grid.weight is None:
+        assert w.strides == (0, 0) and same_bytes(np.ascontiguousarray(w), full)
+    else:
+        assert same_bytes(w, full * grid.weight(grid.quad_points))
+    for table, stencil in ((grid._stiffness_table, grid.stiffness_stencil()),
+                           (grid._mass_table, grid.mass_stencil())):
+        ref = grid._assemble_local(lambda rows: table.T @ np.array(w[rows]).T)
+        assert same_bytes(stencil, ref)
+    pk = np.random.default_rng(0).uniform(0.0, 2.0, size=w.shape)
+    a = st.Coefficient("constant", (1.5,), 1.0, 2.0)(pk)
+    assert not a.flags.writeable and a.strides == (0, 0)
+    assert same_bytes(np.ascontiguousarray(a), np.full_like(pk, 1.5))
+
+
+@pytest.mark.parametrize("name", list(pattern_grids()))
 class TestCornerGather:
     """Element corner values by slices of the grid-shaped vector, against
     the connectivity table as it was built eagerly."""
@@ -326,6 +349,9 @@ class TestCornerGather:
         gathered = grid.corner_values(u)
         assert gathered.flags.c_contiguous
         assert same_bytes(gathered, ue)
+        with pytest.MonkeyPatch.context() as mp:  # one first-axis cell layer a chunk
+            mp.setattr(geo, "ASSEMBLY_CHUNK_BYTES", 1)
+            assert same_bytes(grid.corner_values(u), ue)
         assert same_bytes(grid.vals_at_quads(u), np.einsum("em,qm->eq", ue, grid.basis_vals))
         assert same_bytes(grid.grads_at_quads(u),
                           np.einsum("em,qdm->eqd", ue, grid.basis_grads))

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gather_csr, pattern_grids, reference_weak_residual
+from conftest import (gather_csr, pattern_grids, reference_box_stencil, reference_galerkin,
+                      reference_gradient_s, reference_weak_residual)
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -376,7 +377,7 @@ snapshot = false
 
 def regularized_energy(mesh, op, values, eps):
     """The solver's regularized energy of a nodal field."""
-    _, s = sv._gradient_terms(mesh.grid, values, eps)
+    _, s = sv._gradient_terms(mesh.grid, values, eps, op.p)
     return sv._regularized_energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s)
 
 
@@ -449,7 +450,7 @@ class TestRejectedStep:
         assert len(calls) == 32  # the first iterate, then theta = 1, 1/2, ..., 2^-30
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
-        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg)
+        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p)
         assert d.energy == energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s) + 1
 
     def test_nonfinite_energy_is_rejected(self, monkeypatch, tmp_path):
@@ -468,7 +469,7 @@ class TestRejectedStep:
         assert not d.converged
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
-        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg)
+        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p)
         assert d.energy == energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s)
         calls.clear()
         result = run(parse_config(README_SOLVE.format(p=3, h=0.125)), out_dir=str(tmp_path), seed=0)
@@ -543,7 +544,7 @@ class TestNewtonHessian:
             s = np.sum(grid.grads_at_quads(u) ** 2, axis=-1) + eps**2
             return gather_csr(grid, grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (p - 2.0)))) @ u
 
-        stencil, load = sv._step_system(grid, a_q, f, p, sv._gradient_terms(grid, f, eps))
+        stencil, load = sv._step_system(grid, a_q, f, p, sv._gradient_terms(grid, f, eps, p))
         H = gather_csr(grid, stencil)
         step = 1e-5
         fd = np.empty((grid.n_nodes,) * 2)
@@ -584,7 +585,7 @@ class TestNewtonConvergence:
 def kacanov_reference(dom, mesh, op, bc):
     """The undamped Kacanov loop: each step solves with K(a s^((p-2)/2))."""
     mask, vals = sv.dirichlet_data(mesh, bc)
-    eps = sv.EPS_REG_REL * max(float(np.max(np.abs(vals))), 1.0)
+    eps = sv.EPS_REG_REL * float(np.max(np.abs(vals)))
     a_q = op.a(mesh.pk_at_quads())
     system = sv._FreeSystem(mesh.grid, mask, vals)
     f = system.solve(system.restrict(mesh.grid.stiffness_stencil(coeff=a_q)))
@@ -609,11 +610,11 @@ def outer_loop_reference(dom, mesh, op, bc):
     the cold solve, then damped Kacanov or Newton steps to TOL_ENERGY."""
     grid = mesh.grid
     mask, vals = sv.dirichlet_data(mesh, bc)
-    eps = sv.EPS_REG_REL * max(float(np.max(np.abs(vals))), 1.0)
+    eps = sv.EPS_REG_REL * float(np.max(np.abs(vals)))
     a_q = op.a(mesh.pk_at_quads())
     system = sv._FreeSystem(grid, mask, vals)
     f = system.solve(system.restrict(grid.stiffness_stencil(coeff=a_q)))
-    terms = sv._gradient_terms(grid, f, eps)
+    terms = sv._gradient_terms(grid, f, eps, op.p)
     energy = sv._regularized_energy(grid, op.p, a_q, terms[1])
     iters, converged = 1, op.p == 2.0
     while not converged and iters < sv.MAX_OUTER:
@@ -623,7 +624,7 @@ def outer_loop_reference(dom, mesh, op, bc):
         theta = 1.0
         while True:
             f_new = f + theta * (f_hat - f)
-            terms_new = sv._gradient_terms(grid, f_new, eps)
+            terms_new = sv._gradient_terms(grid, f_new, eps, op.p)
             e_new = sv._regularized_energy(grid, op.p, a_q, terms_new[1])
             if e_new <= energy or theta <= 2**-30:
                 break
@@ -726,10 +727,10 @@ class TestInexactInnerSolve:
         system = sv._FreeSystem(mesh.grid, mask, vals)
         a_q = op.a(mesh.pk_at_quads())
         f = system.solve(system.restrict(mesh.grid.stiffness_stencil(coeff=a_q)))
-        terms = sv._gradient_terms(mesh.grid, f, sv.EPS_REG_REL)
+        terms = sv._gradient_terms(mesh.grid, f, sv.EPS_REG_REL, op.p)
         stencil, _ = sv._step_system(mesh.grid, a_q, f, op.p, terms)
         cg_calls.clear()
-        f_hat = system.solve(system.restrict(stencil), x0=f)
+        f_hat = system.solve(system.restrict(stencil.copy()), x0=f)  # restrict consumes
         H = gather_csr(mesh.grid, stencil)
         gradient = (H @ f)[~mask]  # K(c) f, the energy gradient at f
         (call,) = cg_calls
@@ -744,10 +745,16 @@ class TestInexactInnerSolve:
 class TestGradientOncePerIterate:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_one_gradient_per_energy_evaluation(self, monkeypatch, p):
+        """Each energy evaluation forms |grad f|^2 once, from one corner
+        gather; the (E, Q, dim) gradient is formed only where a Newton step
+        reads it, above p = 2."""
         problem = readme_problem(p, 1 / 16)
-        grads, energies = [], []
+        gathers, grads, energies = [], [], []
+        corner_values = geo.TensorGrid.corner_values
         grads_at_quads = geo.TensorGrid.grads_at_quads
         energy = sv._regularized_energy
+        monkeypatch.setattr(geo.TensorGrid, "corner_values",
+                            lambda self, u: gathers.append(1) or corner_values(self, u))
         monkeypatch.setattr(geo.TensorGrid, "grads_at_quads",
                             lambda self, u: grads.append(1) or grads_at_quads(self, u))
         monkeypatch.setattr(sv, "_regularized_energy",
@@ -755,7 +762,8 @@ class TestGradientOncePerIterate:
         d = sv.solve(*problem).diagnostics
         assert d.converged and d.outer_iterations > 2
         assert len(energies) >= d.outer_iterations
-        assert len(grads) == len(energies)
+        assert len(gathers) == len(energies)
+        assert len(grads) == (len(energies) if p > 2.0 else 0)
 
 
 def face_mask(grid, faces):
@@ -834,6 +842,31 @@ class TestMultigrid:
                 My = M(y)
                 assert abs(x @ My - y @ M(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(My)
 
+    def test_restriction_built_once_per_level(self, monkeypatch):
+        """Each level keeps P^T, the CSC view of P's arrays, so a V-cycle
+        transposes nothing, and its product has the bytes of P.T's."""
+        dom, mesh, op, bc = readme_problem(2.0, 1 / 64)
+        mask, vals = sv.dirichlet_data(mesh, bc)
+        system = sv._FreeSystem(mesh.grid, mask, vals)
+        M = sv._VCycle(sv._box_stencil(mesh.grid.stiffness_stencil(), system.box),
+                       system.hierarchy)
+        assert len(M.levels) >= 2
+        rng = np.random.default_rng(9)
+        for _, _, P, R in M.levels:
+            assert R.format == "csc" and R.shape == P.shape[::-1]
+            assert all(np.shares_memory(a, b) for a, b in ((R.data, P.data),
+                                                            (R.indices, P.indices),
+                                                            (R.indptr, P.indptr)))
+            x = rng.standard_normal(P.shape[0])
+            assert (R @ x).tobytes() == (P.T @ x).tobytes()
+        calls = []
+        matrix_type = type(M.levels[0][2])
+        transpose = matrix_type.transpose
+        monkeypatch.setattr(matrix_type, "transpose",
+                            lambda self, *a, **k: calls.append(1) or transpose(self, *a, **k))
+        M(rng.standard_normal(M.matrix.shape[0]))
+        assert calls == []
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_iterations_flat_under_refinement_2d(self, p):
         worst = []
@@ -899,7 +932,7 @@ class TestStencilLevels:
         grid = geo.TensorGrid([np.linspace(0, 1, 5), np.linspace(0, 1, 3), np.linspace(0, 1, 4)])
         mask = face_mask(grid, [(1, 0), (2, 0), (2, -1)])
         stencil = grid.stiffness_stencil()
-        A = sv._dia(sv._box_stencil(stencil, sv._free_box(grid, mask)))
+        A = sv._dia(sv._box_stencil(stencil.copy(), sv._free_box(grid, mask)))
         assert np.all(np.diff(A.offsets) > 0) and len(A.offsets) < 27
         assert np.array_equal(A.toarray(), gather_csr(grid, stencil)[~mask][:, ~mask].toarray())
 
@@ -917,10 +950,59 @@ class TestStencilLevels:
         for mask in masks:
             vals = np.where(mask, rng.uniform(-1.0, 1.0, grid.n_nodes), 0.0)
             system = sv._FreeSystem(grid, mask, vals)
-            rhs, _ = system.restrict(stencil)
+            rhs, _ = system.restrict(stencil.copy())  # restrict consumes its stencil
             whole = -grid.apply_stencil(stencil, vals)[~mask]
             assert rhs.tobytes() == whole.tobytes()
             assert np.signbit(rhs[rhs == 0.0]).all()
+
+    @pytest.mark.parametrize("name", list(pattern_grids()))
+    def test_box_stencil_in_place_matches_copy(self, name):
+        """_box_stencil writes the box block over its argument's buffer, with
+        the bytes of the copying version, on every face box of each grid:
+        periodic axes, boxes one node wide and the whole grid included."""
+        grid = pattern_grids()[name]
+        rng = np.random.default_rng(3)
+        stencil = rng.standard_normal((3**grid.dim,) + grid.shape)
+        sides = [(ax, side) for ax in np.flatnonzero(~np.asarray(grid.periodic))
+                 for side in (0, -1)]
+        masks = [face_mask(grid, []), face_mask(grid, sides)]
+        masks += [face_mask(grid, [face]) for face in sides]
+        masks += [face_mask(grid, [(ax, 0), (ax, -1)]) for ax, _ in sides[::2]]
+        for mask in masks:
+            box = sv._free_box(grid, mask)
+            ref = reference_box_stencil(stencil, box, grid.periodic)
+            work = stencil.copy()
+            D = sv._box_stencil(work, box, grid.periodic)
+            assert np.shares_memory(D, work)
+            assert D.shape == ref.shape and D.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 100_000, geo.ASSEMBLY_CHUNK_BYTES])
+    @pytest.mark.parametrize("mg_coarsest", [0, 100, 1000])
+    @pytest.mark.parametrize("name", list(galerkin_grids()) + ["3d-thin"])
+    def test_blocked_galerkin_matches_one_pass(self, monkeypatch, name, mg_coarsest, chunk):
+        """The Galerkin passes, blocked by coarse rows of the first coarsened
+        axis (one row a block at chunk 1), give the bytes of one pass over
+        the whole level, down to coarse axes of odd size, 1 and 0."""
+        monkeypatch.setattr(sv, "MG_COARSEST", mg_coarsest)
+        monkeypatch.setattr(sv, "ASSEMBLY_CHUNK_BYTES", chunk)
+        if name == "3d-thin":  # box (15, 9, 17): coarse axes of 7, 1 and 0 nodes
+            grid = geo.TensorGrid([np.linspace(0, 1, n) for n in (17, 11, 19)])
+            mask = face_mask(grid, [(ax, side) for ax in range(3) for side in (0, -1)])
+        else:
+            grid, mask = galerkin_grids()[name]
+        coeff = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, grid.quad_weights.shape)
+        box = sv._free_box(grid, mask)
+        D = sv._box_stencil(grid.stiffness_stencil(coeff=coeff), box)
+        hierarchy = sv._hierarchy(grid.shape, box)
+        assert len(hierarchy) >= (3 if mg_coarsest == 0 else 0)
+        sizes = set()
+        for _, axes in hierarchy:
+            ref = reference_galerkin(D, axes)
+            D = sv._galerkin(D, axes)
+            assert D.shape == ref.shape and D.tobytes() == ref.tobytes()
+            sizes |= {spec[1] for spec in axes if spec is not None}
+        if name == "3d-thin" and mg_coarsest == 0:
+            assert {0, 1, 7} <= sizes
 
     def test_mask_that_is_not_a_box_raises(self):
         grid = geo.TensorGrid([np.linspace(0, 1, 5), np.linspace(0, 2, 9)])
@@ -960,11 +1042,13 @@ class TestStencilLevels:
         vals = np.where(mask, rng.uniform(-1.0, 1.0, grid.n_nodes), 0.0)
         load = rng.standard_normal(grid.n_nodes)
         system = sv._FreeSystem(grid, mask, vals)
-        x = system.solve(system.restrict(stencil, load))
-        block = sv._dia(sv._box_stencil(stencil, box, grid.periodic), grid.periodic).tocsc()
+        # restrict and _box_stencil consume their stencil: each gets a copy
+        x = system.solve(system.restrict(stencil.copy(), load))
+        block = sv._dia(sv._box_stencil(stencil.copy(), box, grid.periodic),
+                        grid.periodic).tocsc()
         rhs = (load - gather_csr(grid, stencil) @ vals)[~mask]
         ref = sv.spla.spsolve(block, rhs)
-        A, D = block, sv._box_stencil(stencil, box, grid.periodic)
+        A, D = block, sv._box_stencil(stencil.copy(), box, grid.periodic)
         for P, axes in hierarchy:
             A = ((A @ P).T @ P).T
             D = sv._galerkin(D, axes)
@@ -992,20 +1076,26 @@ class TestStencilLevels:
 
 
 class TestWorkingSet:
-    """A solve holds one grid-sized stencil at a time: restrict copies the
-    free-box block out of the step's stencil, which dies before the V-cycle
-    is built, and the outer loop keeps neither it nor the previous
-    iterate's gradient terms through the step's solve."""
+    """A solve holds little more than one grid-sized stencil: restrict
+    writes the free-box block over the step's stencil, the Galerkin passes
+    run block by block, the quadrature weights and a constant a(x) are
+    broadcasts of one value, and at p <= 2 |grad f|^2 is summed without the
+    gradient; the outer loop keeps neither the step's stencil nor the
+    previous iterate's gradient terms through the step's solve."""
 
-    @pytest.mark.parametrize("p, bound", [(2.0, 3.0), (3.0, 6.5)])
-    def test_3d_solve_peak_in_grid_stencils(self, p, bound):
-        """Traced peaks of a k = 2, h = 1/16 solve, in grid stencils of
-        3^3 values per node: 2.39 at p = 2 and 4.93 at p = 3, against 3.40
-        and 7.14 while the solve kept each step's stencil alive (and 4.9
-        at p = 2 with the CSR free block, slot map and pattern that the
-        stencil storage replaced)."""
+    @pytest.mark.parametrize("h, p, bound", [(1 / 16, 2.0, 2.1), (1 / 16, 3.0, 4.6),
+                                             (1 / 32, 2.0, 2.0)],
+                             ids=["h16-p2", "h16-p3", "h32-p2"])
+    def test_3d_solve_peak_in_grid_stencils(self, h, p, bound):
+        """Traced peaks of a k = 2 solve, in grid stencils of 3^3 values per
+        node: 1.97 at h = 1/16, p = 2, 4.43 at h = 1/16, p = 3 and 1.74 at
+        h = 1/32, p = 2, against 2.39, 4.94 and 2.61 with the box block
+        copied out of the stencil, the passes over whole levels, the
+        weights and a(x) materialized and the gradient formed at p = 2
+        (3.40, 7.14 and 3.79 while the solve kept each step's stencil
+        alive)."""
         sv.solve(*layer3d(1 / 8))  # module-level caches
-        dom, mesh, _, bc = layer3d(1 / 16)
+        dom, mesh, _, bc = layer3d(h)
         stencil_bytes = 27 * mesh.n_nodes * 8
         tracemalloc.start()
         try:
@@ -1015,3 +1105,55 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert field.diagnostics.converged
         assert peak <= bound * stencil_bytes, peak / stencil_bytes
+
+
+class TestSquaredGradient:
+    """s = |grad f|^2 + eps^2 summed one axis at a time, without the
+    gradient, where no step reads it."""
+
+    @pytest.mark.parametrize("name", list(pattern_grids()) + ["readme-h64", "k2-h32"])
+    def test_per_axis_s_is_the_gradient_s(self, name):
+        if name == "readme-h64":
+            grid = readme_problem(2.0, 1 / 64)[1].grid
+        elif name == "k2-h32":
+            grid = layer3d(1 / 32)[1].grid
+        else:
+            grid = pattern_grids()[name]
+        u = np.random.default_rng(6).normal(size=grid.n_nodes)
+        ref = reference_gradient_s(grid, u, 0.1)
+        for p in (1.2, 2.0):
+            g, s = sv._gradient_terms(grid, u, 0.1, p)
+            assert g is None and s.tobytes() == ref.tobytes()
+        g, s = sv._gradient_terms(grid, u, 0.1, 3.0)  # a Newton step reads grad f
+        assert g.tobytes() == grid.grads_at_quads(u).tobytes()
+        assert s.tobytes() == ref.tobytes()
+
+
+class TestScaleInvariance:
+    """With cap data s g the discrete solve is s times the unit-data solve,
+    its energy s^p times the unit-data energy: the regularization eps
+    scales with the data, below unit scale too."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    def test_field_and_energy_scale_with_the_data(self, p):
+        dom, mesh, op, _ = readme_problem(p, 1 / 16)
+
+        def solve(scale):
+            g = lambda x: scale * np.sin(np.pi * x[:, 0])
+            return sv.solve(dom, mesh, op, sv.BoundarySpec(g_low=g, g_high=g,
+                                                           lateral=dom.lateral_bc))
+
+        unit = solve(1.0)
+        assert unit.diagnostics.converged
+        for scale in (1e-2, 1e2):
+            f = solve(scale)
+            d = f.diagnostics
+            assert d.converged and d.eps_reg == sv.EPS_REG_REL * scale
+            assert np.max(np.abs(f.values / scale - unit.values)) \
+                <= 1e-12 * np.max(np.abs(unit.values))
+            assert abs(d.energy / scale**p - unit.diagnostics.energy) \
+                <= 1e-12 * unit.diagnostics.energy
+        # zero caps: f = 0, and eps keeps the unit scale
+        zero = solve(0.0)
+        assert zero.diagnostics.converged and zero.diagnostics.eps_reg == sv.EPS_REG_REL
+        assert not zero.values.any()
