@@ -54,10 +54,8 @@ from .solver import (
     FluxResult,
     ScalarField,
     SolverError,
-    WeakResidualReport,
     flux_integral,
     solve,
-    weak_residual,
 )
 from .structure import (
     Coefficient,

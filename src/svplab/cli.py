@@ -24,8 +24,8 @@ def _add_common(sub):
     sub.add_argument("--refine", action="store_true", default=None,
                      help="repeat checks at h/2 and calibrate tolerances")
     sub.add_argument("--seed", type=int, default=0,
-                     help="seeds the svp 'corrupt' noise only; second-kind section "
-                          "frequencies restart from a fixed seed")
+                     help="seeds the svp 'corrupt' noise only; section frequencies "
+                          "draw no random numbers")
 
 
 def _run_config(path, out, seed, refine, only=None):

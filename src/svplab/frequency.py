@@ -18,16 +18,18 @@ residual is max_i |<(|grad u|^2 + SECTION_EPS^2)^((p-2)/2) grad u, grad
 phi_i> - q <|u|^(p-2) u, phi_i>| / q over the free nodes: the
 unregularized flux is only Hoelder-(p-1) where grad u vanishes (at p =
 1.2 a gradient of 1e-12 on a flat crest gives a flux of 4e-3).  The
-iteration stops at residual TOL; still above it after MAX_ITER steps,
-it raises SolverError.  The first and third kinds run the one start:
+iteration stops at residual TOL; still above it after MAX_ITER steps in
+all, it raises SolverError.  The first and third kinds run the one start:
 their minimum is simple with a positive minimizer, and every positive
 critical point is the global minimum (hidden convexity).  The iteration
-keeps its start's symmetries, so away from p = 2 the second kind also
-runs RESTARTS seeded restarts (RESTART_SEED), each to SCREEN_TOL, and
-goes on to TOL from one whose value is lower.  A frequency depends only
-on the section, p and the kind.  Section matrices leave the grid's
-stencil arrays only through the solver's free-box path (_free_box,
-_box_stencil, _dia): pinned nodes are whole faces, periodic axes wrap.
+keeps its start's symmetries, so away from p = 2 the second kind can stop
+at a saddle, where its Hessian has a negative eigenvalue
+(_smallest_curvature); it then steps along the eigenvector and iterates
+again, while the value falls (More & Sorensen, Math. Prog. 16, 1979).  A
+frequency depends only on the section, p and the kind.  Section
+matrices leave the grid's stencil arrays only through the solver's
+free-box path (_free_box, _box_stencil, _dia): pinned nodes are whole
+faces, periodic axes wrap.
 
 ``frequency_profile`` computes each distinct section once per memo that
 its caller owns, keyed on what the section is built from
@@ -43,23 +45,26 @@ bracketed regula falsi.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import product
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .geometry import DIRICHLET0, TensorGrid
-from .solver import SolverError, _box_stencil, _dia, _free_box, _FreeSystem, _minimize, factor_spd
+from .solver import (SolverError, _box_stencil, _dia, _free_box, _FreeSystem, _minimize,
+                     _VCycle, factor_spd)
 from .structure import guarded_power, squared_norm
 
 FIRST = "first"
 SECOND = "second"
 THIRD = "third"
 SECTION_SYSTEM = "section system"
-RESTARTS = 3        # random restarts of the second kind at p != 2
-RESTART_SEED = 0    # seeds those restarts
-MAX_ITER = 500      # inverse-iteration steps per start
+MAX_ITER = 500      # inverse-iteration steps per frequency
 TOL = 1e-9          # the iteration stops at this residual
-SCREEN_TOL = 1e-6   # restarts are compared at this residual
 SECTION_EPS = 1e-7  # gradient regularization at unit denominator
 
 
@@ -179,19 +184,11 @@ class _Quotient:
                 self.grid.assemble_scalar_form(guarded_power(np.abs(vq), p - 2.0) * vq))
 
 
-def _box_csr(grid, stencil, box):
-    """The free-box block of a section matrix, as CSR with sorted indices.
-    Like _box_stencil, it consumes the stencil."""
-    A = _dia(_box_stencil(stencil, box, grid.periodic), grid.periodic).tocsr()
-    A.sort_indices()
-    return A
-
-
 def _p2_eigenpair(grid, Kff, Mff, box, neumann):
     """Smallest nontrivial p = 2 eigenpair by deflated inverse iteration.
 
     Dirichlet case: smallest eigenvalue of the pencil (Kff, Mff), the
-    section's stiffness and mass on the free box, as CSR blocks.
+    section's stiffness and mass on the free box, as DIA blocks.
     Neumann case: smallest nonzero eigenvalue, deflating constants in the
     M-inner product each sweep; the factorization uses a small mass shift
     to keep the singular stiffness SPD.  Returns the eigenvalue and the
@@ -234,9 +231,9 @@ def _p2_eigenpair(grid, Kff, Mff, box, neumann):
     return lam, out.ravel()
 
 
-def _inverse_iteration(system, quot, u, tol):
+def _inverse_iteration(system, quot, u, steps):
     """Inverse power iteration for -Delta_p (see the module docstring) from
-    the start u, until the residual is at most tol or for MAX_ITER steps.
+    the start u, until the residual is at most TOL or for `steps` steps.
     Returns (value, minimizer, residual, iterations)."""
     p = quot.p
     a_q = np.ones_like(quot.w)
@@ -249,13 +246,98 @@ def _inverse_iteration(system, quot, u, tol):
     u = quot.normalize(u)
     q, load, residual = state(u)
     iterations = 0
-    while residual > tol and iterations < MAX_ITER:
+    while residual > TOL and iterations < steps:
         scale = q ** (-1.0 / (p - 1.0))
         v = _minimize(system, a_q, p, scale * u, scale * SECTION_EPS, load=load)[0]
         u = quot.normalize(v)
         q, load, residual = state(u)
         iterations += 1
     return q, u, residual, iterations
+
+
+def _low_modes(grid):
+    """Start block of _smallest_curvature: the products of each axis's modes
+    1, cos(pi t) and cos(2 pi t), t = x / length (1, cos and sin of 2 pi t
+    on a periodic axis, t = x / circumference), leaving out the constant,
+    so that every reflection class of the section has a column."""
+    modes = []
+    for x, h, periodic in zip(grid.axes, grid.spacing, grid.periodic):
+        t = math.pi * (x - x[0]) / (0.5 * x.size * h if periodic else x[-1] - x[0])
+        modes.append((np.ones_like(t), np.cos(t), np.sin(t) if periodic else np.cos(2.0 * t)))
+    return np.column_stack([reduce(np.multiply.outer, [m[j] for m, j in zip(modes, digits)]).ravel()
+                            for digits in product(range(3), repeat=grid.dim) if any(digits)])
+
+
+def _smallest_curvature(system, quot, mass, u, q):
+    """Smallest eigenpair (lam, v) of the second kind's Hessian H = K(c) +
+    (p-2) R - q (p-1) (W - W1 (W1)^T / 1.W1) at its critical point u of
+    value q: c = s^((p-2)/2) and s = |grad u|^2 + SECTION_EPS^2 as in the
+    iteration, R the solver's Newton term, W the mass matrix of weight
+    |u|^(p-2), and the rank-one term the best constant C following u.  The
+    quotient is invariant under scaling and constants (H u = H 1 = 0), so
+    lam is the smallest eigenvalue of (H, mass) on the mass-orthogonal
+    complement of Y = {u, 1}.  lobpcg runs on P^T H P, P the projection
+    onto it, from _low_modes, preconditioned by the V-cycle of K(c) + (p-2)
+    R + q (p-1) W, to residual sqrt(TOL) q; a pair it returns above that
+    residual raises SolverError, and a section too small for its block is
+    solved dense.  The second kind's box is the whole grid, so v is
+    nodal."""
+    grid, p, box = system.grid, quot.p, system.box
+    g = grid.grads_at_quads(u)
+    s = squared_norm(g) + SECTION_EPS**2
+    c = s ** (0.5 * (p - 2.0))
+    A = grid.stiffness_stencil(coeff=c)
+    A += (p - 2.0) * grid.directional_stencil(g * np.sqrt(c / s)[..., None])
+    W = grid.mass_stencil(coeff=guarded_power(np.abs(grid.vals_at_quads(u)), p - 2.0))
+    W *= q * (p - 1.0)
+    w1 = W.reshape(W.shape[0], -1).sum(axis=0)
+    Hc = _dia(_box_stencil(A - W, box, grid.periodic), grid.periodic)  # H with C held fixed
+
+    def H(x):
+        return Hc @ x + np.multiply.outer(w1, w1 @ x) / w1.sum()
+
+    Y = np.column_stack((u, np.ones_like(u)))
+    MY = mass @ Y
+    X = _low_modes(grid)
+    if u.size - 2 < 5 * X.shape[1]:  # lobpcg's own bound for its block
+        Z = scipy.linalg.null_space(MY.T)
+        lam, V = scipy.linalg.eigh(Z.T @ H(Z), Z.T @ (mass @ Z))
+        if not lam.size:  # u and 1 span a section of two nodes
+            return math.inf, None
+        return lam[0], Z @ V[:, 0]
+
+    def projected(x):
+        y = H(x - Y @ np.linalg.solve(Y.T @ MY, MY.T @ x))
+        return y - MY @ np.linalg.solve(Y.T @ MY, Y.T @ y)
+
+    cycle = _VCycle(_box_stencil(A + W, box, grid.periodic), system.hierarchy, grid.periodic)
+    tol = math.sqrt(TOL) * q
+    with warnings.catch_warnings():  # columns above the smallest may stop short of tol
+        warnings.filterwarnings("ignore", "Exited", UserWarning)
+        lam, V = spla.lobpcg(
+            spla.LinearOperator(Hc.shape, matvec=projected, matmat=projected, dtype=float), X,
+            B=mass, M=spla.LinearOperator(Hc.shape, matvec=cycle, dtype=float), Y=Y,
+            tol=tol, largest=False)
+    lam, v = lam.min(), V[:, lam.argmin()]
+    residual = np.linalg.norm(projected(v) - lam * (mass @ v)) / math.sqrt(v @ (mass @ v))
+    if not residual <= tol:
+        raise SolverError(f"smallest section curvature did not converge (residual "
+                          f"{residual:.3e} against {tol:.3e})")
+    return lam, v
+
+
+def _escape(system, quot, mass, u, q):
+    """u + t v, v the eigenvector of _smallest_curvature at unit denominator
+    and t the first of 1, 1/2, ... 2^-30 whose quotient is below q; None if
+    the curvature is at least -sqrt(TOL) q or no such t exists."""
+    lam, v = _smallest_curvature(system, quot, mass, u, q)
+    if lam < -math.sqrt(TOL) * q:
+        v = v / quot.denominator(v, 0.0) ** (1.0 / quot.p)
+        for t in 0.5 ** np.arange(31):
+            w = u + t * v
+            if quot.numerator(w) < q * quot.denominator(w, quot.center(w)):
+                return w
+    return None
 
 
 def compute_frequency(section, p, kind):
@@ -293,28 +375,23 @@ def compute_frequency(section, p, kind):
     box = _free_box(grid, mask)
     if box is None:
         raise ValueError("section has empty interior")
-    Kff = _box_csr(grid, grid.stiffness_stencil(), box)
-    Mff = _box_csr(grid, grid.mass_stencil(), box)
+    Kff = _dia(_box_stencil(grid.stiffness_stencil(), box, grid.periodic), grid.periodic)
+    Mff = _dia(_box_stencil(grid.mass_stencil(), box, grid.periodic), grid.periodic)
     _, u0 = _p2_eigenpair(grid, Kff, Mff, box, neumann=recenter)
     if not recenter and np.sum(u0) < 0:  # positive first eigenvector
         u0 = -u0
     system = _FreeSystem(grid, mask, np.zeros(grid.n_nodes))
     quot = _Quotient(grid, p, recenter)
-    q, u, res, iters = _inverse_iteration(system, quot, u0, TOL)
-    if recenter and p != 2.0:
-        # the iteration keeps the symmetries of the p = 2 start, so from it
-        # alone the second kind can stop above its minimum; it also runs
-        # from seeded perturbations of that start.  Near a minimum the
-        # quotient exceeds its limit by second order in the residual, so a
-        # restart is compared at SCREEN_TOL, and only a lower one goes on
-        rng = np.random.default_rng(RESTART_SEED)
-        amp = 0.1 * float(np.max(np.abs(u0)) or 1.0)
-        for _ in range(RESTARTS):
-            cand = _inverse_iteration(system, quot,
-                                      u0 + rng.normal(scale=amp, size=grid.n_nodes), SCREEN_TOL)
-            if cand[0] < q:
-                q, u, res, more = _inverse_iteration(system, quot, cand[1], TOL)
-                iters = cand[3] + more
+    q, u, res, iters = _inverse_iteration(system, quot, u0, MAX_ITER)
+    while recenter and p != 2.0 and res <= TOL:  # restart below a saddle
+        start = _escape(system, quot, Mff, u, q)
+        if start is None:
+            break
+        cand = _inverse_iteration(system, quot, start, MAX_ITER - iters)
+        iters += cand[3]
+        if not cand[0] < q:
+            break
+        q, u, res = cand[:3]
     if not res <= TOL:
         raise SolverError(f"{kind} section frequency did not converge in {iters} "
                           f"iterations (residual {res:.3e})")

@@ -243,10 +243,10 @@ class TensorGrid:
         """
         return self._assemble(self._stiffness_table, coeff)
 
-    def mass_stencil(self):
-        """The mass matrix sum_q w phi_i phi_j as a stencil array (see
-        stiffness_stencil)."""
-        return self._assemble(self._mass_table)
+    def mass_stencil(self, coeff=None):
+        """The weighted mass matrix sum_q w c phi_i phi_j as a stencil array
+        (see stiffness_stencil)."""
+        return self._assemble(self._mass_table, coeff)
 
     def directional_stencil(self, direction):
         """The matrix sum_q w (v.grad(phi_i)) (v.grad(phi_j)) for directions v

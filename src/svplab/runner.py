@@ -282,9 +282,8 @@ def _calibrated_entries(found, found_h2):
 def run(config, out_dir=None, seed=0, refine=None):
     """Execute a parsed RunConfig and write its artifacts.
 
-    seed seeds only the svp task's corrupt noise; second-kind section
-    frequencies restart from frequency.RESTART_SEED, and the first and
-    third kinds make no restarts.  On a mesh whose every lateral face is
+    seed seeds only the svp task's corrupt noise; no section frequency
+    draws a random number.  On a mesh whose every lateral face is
     dirichlet0 the first and third kinds share one computation.
     """
     out_dir = out_dir or config.out_dir or os.environ.get("SVPLAB_OUT") or "svplab-out"

@@ -765,86 +765,6 @@ def solve(domain, mesh, op, bc):
 
 
 @dataclass(frozen=True)
-class WeakResidualReport:
-    """Normalized interior weak residuals on a slab.
-
-    plain_form tests nodal hats phi (Definition-1 style identity);
-    product_form tests phi * f.  Both are max_i |residual_i| / N_i with
-    N_i the corresponding absolute-value integral, so exact discrete
-    solutions give roundoff-level plain_form values.
-    """
-
-    plain_form: float
-    product_form: float
-    n_tests: int
-
-
-def weak_residual(field, t, tau):
-    """Interior weak residuals of the field over the slab between t and tau."""
-    mesh = field.mesh
-    jt, jtau = mesh._slab_cells(t, tau)
-
-    def slab(x):
-        return mesh.slab_rows(x, t, tau)
-
-    grid = mesh.grid
-    g = slab(field.quad_grads)
-    fq = slab(field.quad_values)
-    a = field.op.a(slab(mesh.pk_at_quads()))
-    s = squared_norm(g)
-    fac = guarded_power(s, 0.5 * (field.op.p - 2.0))
-    flux = (a * fac)[..., None] * g          # A(x, grad f) at slab quadrature points
-    flux_norm = a * fac * np.sqrt(s)
-
-    w = slab(grid.quad_weights)
-    conn = slab(grid.elem_nodes)
-    gb = grid.basis_grads                    # (Q, d, m)
-    vb = grid.basis_vals                     # (Q, m)
-    grad_abs = np.sqrt(np.einsum("qdm,qdm->qm", gb, gb))
-
-    def scatter(local):
-        out = np.zeros(grid.n_nodes)
-        np.add.at(out, conn, local)
-        return out
-
-    r1 = scatter(np.einsum("eq,eqd,qdm->em", w, flux, gb))
-    n1 = scatter(np.einsum("eq,eq,qm->em", w, flux_norm, grad_abs))
-
-    pairing = np.einsum("eqd,eqd->eq", flux, g)  # <A, grad f>
-    r2 = scatter(
-        np.einsum("eq,eq,eqd,qdm->em", w, fq, flux, gb)
-        + np.einsum("eq,eq,qm->em", w, pairing, vb)
-    )
-    n2 = scatter(
-        np.einsum("eq,eq,eq,qm->em", w, np.abs(fq), flux_norm, grad_abs)
-        + np.einsum("eq,eq,qm->em", w, np.abs(pairing), vb)
-    )
-
-    # admissible test nodes: strictly inside the slab, off Dirichlet sets
-    admissible = np.zeros(grid.n_nodes, dtype=bool)
-    ax_idx = np.arange(jt + 1, jtau)
-    for j in ax_idx:
-        admissible[mesh.station_node_ids(j)] = True
-    mask, _ = dirichlet_data(mesh, field.bc)
-    admissible &= ~mask
-    ids = np.flatnonzero(admissible)
-    if ids.size == 0:
-        return WeakResidualReport(0.0, 0.0, 0)
-
-    def normalized(r, n):
-        out = np.zeros(ids.size)
-        nz = n[ids] > 0
-        out[nz] = np.abs(r[ids][nz]) / n[ids][nz]
-        return float(out.max()) if out.size else 0.0
-
-    return WeakResidualReport(
-        plain_form=normalized(r1, n1),
-        product_form=normalized(r2, n2),
-        n_tests=int(ids.size),
-    )
-
-
-@dataclass(frozen=True)
 class FluxResult:
     value: float
     tau: float

@@ -72,11 +72,14 @@ def cosh_section_mass(tau, beta_star=BS):
 
 
 def gather_csr(grid, stencil):
-    """The CSR matrix of a stencil array over the whole grid, gathered as the
-    section frequencies gather theirs: the full-box DIA matrix of
-    solver._box_stencil and solver._dia, as CSR with sorted indices.  It
-    gathers from a copy, since _box_stencil consumes its argument."""
-    return fr._box_csr(grid, stencil.copy(), tuple(slice(0, n) for n in grid.shape))
+    """The CSR matrix of a stencil array over the whole grid: the full-box DIA
+    matrix of solver._box_stencil and solver._dia, as the section
+    frequencies gather theirs, as CSR with sorted indices.  It gathers from
+    a copy, since _box_stencil consumes its argument."""
+    box = tuple(slice(0, n) for n in grid.shape)
+    A = sv._dia(sv._box_stencil(stencil.copy(), box, grid.periodic), grid.periodic).tocsr()
+    A.sort_indices()
+    return A
 
 
 def reference_box_stencil(stencil, box, periodic=None):
@@ -233,54 +236,6 @@ def reference_station_edge_tables(mesh, j, side):
     if mesh.domain.axial_kind == geo.RADIAL:
         w = w * (2.0 * math.pi * tau)
     return elem_ids, pts, w, vals, grads
-
-
-def reference_weak_residual(field, t, tau):
-    """solver.weak_residual with a(x) evaluated on the whole mesh and the
-    slab taken by fancy indexing afterwards."""
-    mesh, grid, p = field.mesh, field.mesh.grid, field.op.p
-    elems = reference_slab_elements(mesh, t, tau)
-    jt, _ = mesh.station_index(t)
-    jtau, _ = mesh.station_index(tau)
-    g = field.quad_grads[elems]
-    fq = field.quad_values[elems]
-    a = field.op.a(mesh.pk_at_quads())[elems]
-    s = st.squared_norm(g)
-    fac = st.guarded_power(s, 0.5 * (p - 2.0))
-    flux = (a * fac)[..., None] * g
-    flux_norm = a * fac * np.sqrt(s)
-    w = grid.quad_weights[elems]
-    conn = grid.elem_nodes[elems]
-    gb, vb = grid.basis_grads, grid.basis_vals
-    grad_abs = np.sqrt(np.einsum("qdm,qdm->qm", gb, gb))
-
-    def scatter(local):
-        out = np.zeros(grid.n_nodes)
-        np.add.at(out, conn, local)
-        return out
-
-    r1 = scatter(np.einsum("eq,eqd,qdm->em", w, flux, gb))
-    n1 = scatter(np.einsum("eq,eq,qm->em", w, flux_norm, grad_abs))
-    pairing = np.einsum("eqd,eqd->eq", flux, g)
-    r2 = scatter(np.einsum("eq,eq,eqd,qdm->em", w, fq, flux, gb)
-                 + np.einsum("eq,eq,qm->em", w, pairing, vb))
-    n2 = scatter(np.einsum("eq,eq,eq,qm->em", w, np.abs(fq), flux_norm, grad_abs)
-                 + np.einsum("eq,eq,qm->em", w, np.abs(pairing), vb))
-    admissible = np.zeros(grid.n_nodes, dtype=bool)
-    for j in range(jt + 1, jtau):
-        admissible[mesh.station_node_ids(j)] = True
-    admissible &= ~sv.dirichlet_data(mesh, field.bc)[0]
-    ids = np.flatnonzero(admissible)
-    if ids.size == 0:
-        return sv.WeakResidualReport(0.0, 0.0, 0)
-
-    def normalized(r, n):
-        out = np.zeros(ids.size)
-        nz = n[ids] > 0
-        out[nz] = np.abs(r[ids][nz]) / n[ids][nz]
-        return float(out.max())
-
-    return sv.WeakResidualReport(normalized(r1, n1), normalized(r2, n2), int(ids.size))
 
 
 @pytest.fixture

@@ -1,15 +1,19 @@
+import functools
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse.linalg as spla
 
-from conftest import count_compute_calls
+from conftest import count_compute_calls, gather_csr
 from svplab import frequency as fr
 from svplab import geometry as geo
 from svplab import solver as sv
+from svplab import structure as st
 
 PI2 = math.pi**2
 
@@ -209,13 +213,13 @@ class TestSecondFrequency:
         assert v2 == pytest.approx(v1 / 2.0**p, rel=1e-8)
 
     def test_restarts_escape_the_p2_start(self, monkeypatch):
-        # from the p = 2 eigenvector alone the descent stops at 14.5707 on
-        # this rectangle; a restart reaches 14.4811, so the second kind
-        # needs its restarts
+        # from the p = 2 eigenvector alone the iteration stops at 14.570743 on
+        # this rectangle, a saddle; the curvature test finds a direction of
+        # negative curvature there, and the iteration restarts below it
         sec = geo.rectangle_section((1.0, 1.5), (8, 12), "none")
-        assert fr.compute_frequency(sec, 4.0, fr.SECOND).value < 14.5
-        monkeypatch.setattr(fr, "RESTARTS", 0)
-        assert fr.compute_frequency(sec, 4.0, fr.SECOND).value > 14.5
+        assert fr.compute_frequency(sec, 4.0, fr.SECOND).value == pytest.approx(14.481051, abs=1e-6)
+        monkeypatch.setattr(fr, "_smallest_curvature", lambda *args: (0.0, None))
+        assert fr.compute_frequency(sec, 4.0, fr.SECOND).value == pytest.approx(14.570743, abs=1e-6)
 
 
 class TestRadialSectionOracle:
@@ -245,8 +249,8 @@ class TestRadialSectionOracle:
             assert res.value == pytest.approx(oracle, rel=1e-10)
             # the value is the quotient of the p = 2 start, so check the
             # gathered blocks through the p = 2 eigenvalue they give alone
-            box = sv._free_box(sec.grid, ~free)
-            blocks = [fr._box_csr(sec.grid, s, box)
+            box, periodic = sv._free_box(sec.grid, ~free), sec.grid.periodic
+            blocks = [sv._dia(sv._box_stencil(s, box, periodic), periodic)
                       for s in (sec.grid.stiffness_stencil(), sec.grid.mass_stencil())]
             lam, _ = fr._p2_eigenpair(sec.grid, *blocks, box, neumann=kind == fr.SECOND)
             assert lam == pytest.approx(oracle, rel=1e-10)
@@ -460,10 +464,9 @@ def readme_mesh(h):
 
 
 class TestRestartsSecondKindOnly:
-    """The pinned kinds run one inverse iteration from the p = 2 start, to
-    TOL, and draw no random numbers; the second kind adds RESTARTS seeded
-    restarts, each run to SCREEN_TOL, and goes on to TOL only from a
-    restart whose value is lower."""
+    """The pinned kinds run one inverse iteration from the p = 2 start.  Only
+    the second kind away from p = 2 tests its critical point for negative
+    curvature, and restarts from below it; no kind draws a random number."""
 
     @staticmethod
     def count_starts(monkeypatch):
@@ -488,31 +491,149 @@ class TestRestartsSecondKindOnly:
     def test_pinned_kinds_make_one_start(self, monkeypatch, p, kind):
         starts, rngs = self.count_starts(monkeypatch)
         fr.compute_frequency(geo.interval_section(1.0, 16, "low"), p, kind)
-        assert [tol for tol, _ in starts] == [fr.TOL] and rngs == []
+        assert [steps for steps, _ in starts] == [fr.MAX_ITER] and rngs == []
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("kind", [fr.FIRST, fr.SECOND, fr.THIRD])
+    def test_no_kind_draws_random_numbers(self, monkeypatch, kind, p):
+        _, rngs = self.count_starts(monkeypatch)
+        fr.compute_frequency(geo.interval_section(1.0, 16, "low"), p, kind)
+        assert rngs == []
+
+    @pytest.mark.parametrize("kind", [fr.FIRST, fr.SECOND, fr.THIRD])
+    def test_curvature_tested_for_the_second_kind_away_from_p2(self, monkeypatch, kind):
+        tests = []
+        smallest = fr._smallest_curvature
+
+        def counting(system, quot, mass, u, q):
+            out = smallest(system, quot, mass, u, q)
+            tests.append(out[0] / q)
+            return out
+
+        monkeypatch.setattr(fr, "_smallest_curvature", counting)
+        starts, _ = self.count_starts(monkeypatch)
+        for p in (1.5, 2.0, 3.0):
+            tests.clear()
+            starts.clear()
+            res = fr.compute_frequency(geo.interval_section(1.0, 16, "low"), p, kind)
+            # the interval's p = 2 start ends at a minimum: one test, one start
+            assert len(tests) == (kind == fr.SECOND and p != 2.0)
+            assert all(lam > 0.0 for lam in tests)
+            assert [steps for steps, _ in starts] == [fr.MAX_ITER]
+            assert res.iterations == starts[0][1][3]
+        if kind == fr.SECOND:
+            # the saddle of test_restarts_escape_the_p2_start: one restart
+            # from below it, and the minimum it reaches passes the test
+            tests.clear()
+            starts.clear()
+            sec = geo.rectangle_section((1.0, 1.5), (8, 12), "none")
+            res = fr.compute_frequency(sec, 4.0, fr.SECOND)
+            assert len(tests) == 2 and tests[0] < 0.0 < tests[1]
+            first, second = starts[0][1], starts[1][1]
+            assert [steps for steps, _ in starts] == [fr.MAX_ITER, fr.MAX_ITER - first[3]]
+            assert second[0] < first[0] and res.value == second[0]
+            assert res.iterations == first[3] + second[3] and res.residual <= fr.TOL
+
+
+class TestSmallestCurvature:
+    """The second kind's smallest curvature from lobpcg (or, on a section too
+    small for its block, dense) against a dense eigh of the same pencil,
+    H = K(c) + (p-2) R - q (p-1) (W - W1 (W1)^T / 1.W1) against the mass
+    matrix, projected onto the mass-orthogonal complement of {u, 1} by a
+    null-space basis."""
+
+    @staticmethod
+    def pencil(grid, p, u, q):
+        g = grid.grads_at_quads(u)
+        s = np.sum(g**2, axis=-1) + fr.SECTION_EPS**2
+        c = s ** (0.5 * (p - 2.0))
+        K = gather_csr(grid, grid.stiffness_stencil(coeff=c)).toarray()
+        R = gather_csr(grid, grid.directional_stencil(g * np.sqrt(c / s)[..., None])).toarray()
+        weight = st.guarded_power(np.abs(grid.vals_at_quads(u)), p - 2.0)
+        W = gather_csr(grid, grid.mass_stencil(coeff=weight)).toarray()
+        M = gather_csr(grid, grid.mass_stencil()).toarray()
+        w1 = W.sum(axis=1)
+        return K + (p - 2.0) * R - q * (p - 1.0) * (W - np.outer(w1, w1) / w1.sum()), M
+
+    def check(self, section, p, u, q):
+        """The sparse and the dense smallest curvature, over q."""
+        grid = section.grid
+        H, M = self.pencil(grid, p, u, q)
+        # the best constant follows u, so H kills the constants
+        assert np.abs(H.sum(axis=1)).max() <= 1e-9 * q
+        Z = scipy.linalg.null_space((M @ np.column_stack((u, np.ones_like(u)))).T)
+        dense = scipy.linalg.eigh(Z.T @ H @ Z, Z.T @ M @ Z, eigvals_only=True)[0]
+        system = sv._FreeSystem(grid, np.zeros(grid.n_nodes, dtype=bool), np.zeros(grid.n_nodes))
+        mass = sv._dia(sv._box_stencil(grid.mass_stencil(), system.box, grid.periodic),
+                       grid.periodic)
+        lam, v = fr._smallest_curvature(system, fr._Quotient(grid, p, True), mass, u, q)
+        assert lam == pytest.approx(dense, abs=1e-6 * q)
+        # v lies in the complement and is an eigenvector there
+        assert np.abs(v @ M @ np.column_stack((u, np.ones_like(u)))).max() <= 1e-10 * np.sqrt(v @ M @ v)
+        assert (v @ H @ v) / (v @ M @ v) == pytest.approx(dense, abs=1e-6 * q)
+        return lam / q, dense / q
+
+    @staticmethod
+    def minimum(section, p):
+        res = fr.compute_frequency(section, p, fr.SECOND)
+        return res.minimizer, res.value
+
+    @pytest.mark.parametrize("cells", [4, 16])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    def test_interval(self, p, cells):
+        # four cells take the dense path, sixteen lobpcg's
+        sec = geo.interval_section(1.0, cells, "none")
+        lam, _ = self.check(sec, p, *self.minimum(sec, p))
+        assert lam > 0.5
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_second_kind_restarts(self, monkeypatch, p):
-        # on the interval every restart ends at the p = 2 start's value
-        starts, rngs = self.count_starts(monkeypatch)
-        res = fr.compute_frequency(geo.interval_section(1.0, 16), p, fr.SECOND)
-        assert [tol for tol, _ in starts] == [fr.TOL] + [fr.SCREEN_TOL] * fr.RESTARTS
-        assert rngs == [(fr.RESTART_SEED,)]
-        assert (res.value, res.iterations) == starts[0][1][::3]
-        for _, (value, _, residual, _) in starts[1:]:
-            assert value >= res.value and residual <= fr.SCREEN_TOL
+    def test_two_nodes_leave_nothing_to_test(self, p):
+        # u and the constants span a one-cell interval: its only nonconstant
+        # field is the minimizer
+        sec = geo.interval_section(1.0, 1, "none")
+        res = fr.compute_frequency(sec, p, fr.SECOND)
+        assert res.value == pytest.approx(fr.rayleigh_quotient(sec, p, [0.0, 1.0], True), rel=1e-12)
 
-    def test_a_lower_restart_goes_on_to_tol(self, monkeypatch):
-        # the rectangle of test_restarts_escape_the_p2_start: the first
-        # restart is lower, and only it is continued
-        starts, _ = self.count_starts(monkeypatch)
+    def test_rectangle_saddle_and_minimum(self, monkeypatch):
         sec = geo.rectangle_section((1.0, 1.5), (8, 12), "none")
-        res = fr.compute_frequency(sec, 4.0, fr.SECOND)
-        tols = [tol for tol, _ in starts]
-        assert tols == [fr.TOL, fr.SCREEN_TOL, fr.TOL] + [fr.SCREEN_TOL] * (fr.RESTARTS - 1)
-        screened, continued = starts[1][1], starts[2][1]
-        assert screened[0] < starts[0][1][0]
-        assert res.value == continued[0] <= screened[0] and res.residual <= fr.TOL
-        assert res.iterations == screened[3] + continued[3]
+        u, q = self.minimum(sec, 4.0)
+        lam_min, _ = self.check(sec, 4.0, u, q)
+        with monkeypatch.context() as m:
+            m.setattr(fr, "_escape", lambda *args: None)
+            saddle = fr.compute_frequency(sec, 4.0, fr.SECOND)
+        assert saddle.value == pytest.approx(14.570743, abs=1e-6)
+        lam_saddle, _ = self.check(sec, 4.0, saddle.minimizer, saddle.value)
+        assert lam_saddle == pytest.approx(-0.176, abs=1e-3)
+        assert lam_min == pytest.approx(0.319, abs=1e-3)
+
+    @staticmethod
+    def radial_section():
+        # a section of the radial-pl family at h = 1/8, periodic in angle,
+        # whose low curvature modes a coordinate start block misses
+        dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                                  alpha=1.0, beta=4.0, lateral_bc=("neumann", "neumann"))
+        return geo.build_mesh(dom, 1 / 8).cross_section(1.5)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_radial_section(self, p):
+        sec = self.radial_section()
+        lam, _ = self.check(sec, p, *self.minimum(sec, p))
+        assert 0.0 < lam < 1.0
+
+    def test_unconverged_pair_raises(self, monkeypatch):
+        # an unconverged Ritz value only bounds the curvature from above, so
+        # a saddle could pass for a minimum: lobpcg cut at one iteration
+        # leaves the smallest pair above tolerance, and the check raises
+        sec = self.radial_section()
+        u, q = self.minimum(sec, 1.5)
+        grid = sec.grid
+        system = sv._FreeSystem(grid, np.zeros(grid.n_nodes, dtype=bool), np.zeros(grid.n_nodes))
+        mass = sv._dia(sv._box_stencil(grid.mass_stencil(), system.box, grid.periodic),
+                       grid.periodic)
+        monkeypatch.setattr(fr, "spla", types.SimpleNamespace(
+            lobpcg=functools.partial(spla.lobpcg, maxiter=1), LinearOperator=spla.LinearOperator))
+        with pytest.raises(sv.SolverError, match="curvature did not converge"):
+            fr._smallest_curvature(system, fr._Quotient(grid, 1.5, True), mass, u, q)
 
 
 class TestThirdReusesFirst:

@@ -252,8 +252,8 @@ class TestRunner:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_frequencies_do_not_depend_on_seed(self, tmp_path):
-        # the p != 2 restarts use a fixed seed; the run seed reaches only
-        # the corrupt noise
+        # no frequency draws a random number; the run seed reaches only the
+        # corrupt noise
         cfg = parse_config(BASE_CONFIG.replace("p = 2", "p = 1.5") + SVP_TASK + FREQ_TASK)
         reports = []
         for seed in (0, 3):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (gather_csr, pattern_grids, reference_box_stencil, reference_galerkin,
-                      reference_gradient_s, reference_weak_residual)
+                      reference_gradient_s)
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -89,47 +89,6 @@ class TestGeneralP:
         assert f.diagnostics.converged
         assert f.diagnostics.last_decrease >= 0.0
         assert f.diagnostics.outer_iterations > 1
-
-
-class TestWeakResidual:
-    def test_constant_field(self):
-        dom, mesh, op, bc = linear_problem(2.0)
-        f = sv.solve(dom, mesh, op, bc)
-        const = f.with_values(np.zeros(mesh.n_nodes))
-        rep = sv.weak_residual(const, -1.0, 1.0)
-        assert rep.plain_form == 0.0
-        assert rep.product_form == 0.0
-
-    def test_linear_field(self):
-        dom, mesh, op, bc = linear_problem(2.0, h=1 / 8)
-        f = sv.solve(dom, mesh, op, bc)
-        rep = sv.weak_residual(f, -1.0, 1.0)
-        assert rep.plain_form <= 1e-12
-        assert rep.product_form <= 1e-12
-
-    def test_solved_cosh_field(self):
-        dom, mesh, op, bc = cosh_problem(1 / 16)
-        f = sv.solve(dom, mesh, op, bc)
-        rep = sv.weak_residual(f, -1.0, 1.0)
-        assert rep.plain_form <= 1e-8
-
-    def test_invalid_range(self):
-        dom, mesh, op, bc = linear_problem(2.0)
-        f = sv.solve(dom, mesh, op, bc)
-        with pytest.raises(ValueError):
-            sv.weak_residual(f, 0.5, 0.5)
-
-    @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_slab_coefficient_leaves_readme_report_unchanged(self, p):
-        # a(x) is now evaluated on the slab only; the report must not move
-        f = sv.solve(*readme_problem(p, 1 / 16))
-        for t, tau in ((-3.0, 3.0), (-0.5, 0.5), (2.0, 3.0), (-3.0, -2.9375)):
-            assert sv.weak_residual(f, t, tau) == reference_weak_residual(f, t, tau)
-
-    def test_slab_coefficient_leaves_oscillating_report_unchanged(self):
-        f = sv.solve(*TestOuterLoopGeometry.oscillating_problem(1.5))
-        for t, tau in ((-3.0, 3.0), (-0.5, 0.75)):
-            assert sv.weak_residual(f, t, tau) == reference_weak_residual(f, t, tau)
 
 
 class TestFluxIntegral:
