@@ -148,21 +148,17 @@ class TensorGrid:
             return np.broadcast_to(w0, (self.n_elems, self.n_quad))
         return _read_only(w0 * self.weight(self.quad_points))
 
-    @cached_property
-    def elem_nodes(self):
-        """Node ids of each element's corners, shape (n_elems, n_local),
-        elements in C order over cell_shape and corners in C order of their
-        0/1 digits.  Only the scatters and the station traces read it: the
-        values at quadrature points gather by slices (corner_values)."""
-        return self.corner_values(np.arange(self.n_nodes))
-
     def corner_values(self, u):
-        """u[elem_nodes], shape (n_elems, n_local), gathered by one slice of
-        the grid-shaped u per corner, with a wrapped copy of the first node
-        layer appended on each periodic axis.  The strided per-corner writes
-        go chunk by chunk, each chunk whole first-axis cell layers whose
-        result takes at most ASSEMBLY_CHUNK_BYTES (and at least one layer),
-        so that a chunk's rows stay in cache across its corners."""
+        """The values of the nodal vector u at each element's corners, shape
+        (n_elems, n_local), elements in C order over cell_shape and corners
+        in C order of their 0/1 digits; with corner_sums and the stencil
+        arrays, the only way between element and nodal data.  Gathered by
+        one slice of the grid-shaped u per corner, with a wrapped copy of
+        the first node layer appended on each periodic axis.  The strided
+        per-corner writes go chunk by chunk, each chunk whole first-axis
+        cell layers whose result takes at most ASSEMBLY_CHUNK_BYTES (and at
+        least one layer), so that a chunk's rows stay in cache across its
+        corners."""
         u = np.reshape(u, self.shape)
         for ax in np.flatnonzero(self.periodic):
             u = np.concatenate((u, u[(slice(None),) * ax + (slice(0, 1),)]), axis=ax)
@@ -176,6 +172,21 @@ class TensorGrid:
                 out[lo:hi, ..., m] = u[(slice(corner[0] + lo, corner[0] + hi),) + tuple(
                     slice(c, c + n) for c, n in zip(corner[1:], self.cell_shape[1:]))]
         return out.reshape(self.n_elems, self.n_local)
+
+    def corner_sums(self, entries):
+        """The adjoint of corner_values: node i sums the entries (n_elems,
+        n_local) of the element corners at it.  Corners are added by slices
+        in descending order, so a node sums in ascending element order,
+        except on the wrapped nodes of a periodic axis."""
+        entries = np.reshape(entries, self.cell_shape + (self.n_local,))
+        out = np.zeros(self.shape)
+        for m in reversed(range(self.n_local)):
+            for pieces in product(*(_wrapped_slices(0, c, corner, n, per) for c, corner, n, per in
+                                    zip(self.cell_shape, self._corners[m], self.shape,
+                                        self.periodic))):
+                out[tuple(nodes for _, nodes in pieces)] += \
+                    entries[tuple(cells for cells, _ in pieces) + (m,)]
+        return out.ravel()
 
     def vals_at_quads(self, u):
         return np.einsum("em,qm->eq", self.corner_values(u), self.basis_vals)
@@ -324,20 +335,6 @@ class TensorGrid:
             del entries  # freed before the next chunk's entries are formed
         return stencil
 
-    def assemble_gradient_form(self, flux):
-        """Nodal vector R_i = sum_q w <flux, grad phi_i> for a field flux (E, Q, dim)."""
-        re = np.einsum("eq,eqd,qdm->em", self.quad_weights, flux, self.basis_grads)
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, self.elem_nodes, re)
-        return out
-
-    def assemble_scalar_form(self, density):
-        """Nodal vector R_i = sum_q w density phi_i for density (E, Q)."""
-        re = np.einsum("eq,eq,qm->em", self.quad_weights, density, self.basis_vals)
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, self.elem_nodes, re)
-        return out
-
     def boundary_node_ids(self, axis, side):
         """Node ids on the face of a non-periodic axis; side is 'low' or 'high'."""
         if self.periodic[axis]:
@@ -473,22 +470,19 @@ class Mesh:
     def n_elems(self):
         return self.grid.n_elems
 
-    @cached_property
-    def elem_axial_cell(self):
-        """Axial cell index of every element; the axial cell comes last in
-        the elements' C order."""
-        return np.arange(self.n_elems) % self.grid.cell_shape[-1]
-
     def pk_at_quads(self):
-        """p_k at every quadrature point, shape (n_elems, n_quad).
-
-        Only the axial coordinate is formed, with the arithmetic of
-        grid.quad_points[..., -1], so the (E, Q, dim) points are not built.
-        """
+        """p_k at every quadrature point, shape (n_elems, n_quad): formed per
+        axial cell with the arithmetic of grid.quad_points[..., -1], without
+        the (E, Q, dim) points, and written over the base cells of a fresh
+        array, as the axial cell comes last in the elements' C order."""
         grid = self.grid
         half = grid.spacing[-1] / 2.0
-        centers = grid.axes[-1][self.elem_axial_cell] + half
-        return self.domain.pk_of_axial(centers[:, None] + grid._quad_local[:, -1] * half)
+        n_ax = grid.cell_shape[-1]
+        centers = grid.axes[-1][:n_ax] + half
+        out = np.empty((self.n_elems, grid.n_quad))
+        out.reshape(-1, n_ax, grid.n_quad)[:] = self.domain.pk_of_axial(
+            centers[:, None] + grid._quad_local[:, -1] * half)
+        return out
 
     def station_index(self, tau, snap_tol=None):
         """Nearest axial grid line index and the snap distance."""
@@ -532,17 +526,13 @@ class Mesh:
         Elements are numbered in C order over the cell shape with the axial
         cell last, so the slab is an axial slice of x viewed as (base cells,
         axial cells, ...).  The result is a fresh C-contiguous array equal,
-        byte for byte and in order, to x[self.slab_elements(t, tau)].
+        byte for byte and in order, to x indexed by the slab's element ids.
         """
         jt, jtau = self._slab_cells(t, tau, snap_tol)
         x = np.asarray(x)
         tail = x.shape[1:]
         layers = x.reshape((-1, self.grid.cell_shape[-1]) + tail)
         return np.array(layers[:, jt:jtau], order="C").reshape((-1,) + tail)
-
-    def slab_elements(self, t, tau):
-        """Element ids of the slab between the grid lines nearest t < tau."""
-        return self.slab_rows(np.arange(self.n_elems), t, tau)
 
     def cap_node_ids(self, which):
         """Node ids of the low/high axial cap."""
@@ -613,25 +603,25 @@ class Mesh:
     def station_edge_tables(self, j, side):
         """One-sided trace data at axial grid line j.
 
-        Returns (elem_ids, points, weights, vals_table, grads_table) where
-        elem_ids is the adjacent element layer on the requested side
-        ('below' or 'above'), ordered like the base grid's elements;
-        points/weights are the section quadrature (weights carry the
-        radial measure factor in radial mode); vals_table (Qb, m) and
-        grads_table (Qb, dim, m) evaluate the volume basis on the edge.
-        The tables are shared by every station of the mesh and read-only.
+        Returns (cell, points, weights, vals_table, grads_table) where cell
+        is the axial cell index of the adjacent element layer on the
+        requested side ('below' or 'above'): its elements are the axial
+        slice [:, cell] of a per-element array viewed as (base cells, axial
+        cells, ...), ordered like the base grid's elements.  points/weights
+        are the section quadrature (weights carry the radial measure factor
+        in radial mode); vals_table (Qb, m) and grads_table (Qb, dim, m)
+        evaluate the volume basis on the edge.  The tables are shared by
+        every station of the mesh and read-only.
         """
-        n_ax_cells = self.grid.cell_shape[-1]
         if side == "below":
-            c = j - 1
+            cell = j - 1
         elif side == "above":
-            c = j
+            cell = j
         else:
             raise ValueError("side must be 'below' or 'above'")
-        if c < 0 or c >= n_ax_cells:
+        if cell < 0 or cell >= self.grid.cell_shape[-1]:
             raise ValueError(f"no element layer on side {side!r} of station {j}")
         tables, pts_base, w0 = self._section_tables
-        elem_ids = np.arange(c, self.n_elems, n_ax_cells)
         tau = self.stations[j]
         pts = np.concatenate(
             [pts_base, np.full(pts_base.shape[:-1] + (1,), tau)], axis=-1
@@ -639,7 +629,7 @@ class Mesh:
         w = np.full(pts.shape[:-1], w0)
         if self.domain.axial_kind == RADIAL:
             w = w * (2.0 * math.pi * tau)
-        return (elem_ids, pts, w) + tables[side]
+        return (cell, pts, w) + tables[side]
 
 
 @dataclass(frozen=True)

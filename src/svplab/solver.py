@@ -145,13 +145,14 @@ class SolverDiagnostics:
 class ScalarField:
     """Nodal solution with its boundary data and solver diagnostics.
 
-    The field also keeps a quadrature ledger: whole-mesh values, gradients
-    and the weighted |grad f|^p density at every quadrature point, plus
-    each one-sided station trace.  Each is built on first read, so slab
-    and section integrals slice these arrays instead of re-evaluating the
-    field on the whole mesh.  The ledger arrays are read-only, and values
-    must not change in place once the ledger is read: with_values starts
-    a fresh ledger.
+    The field also keeps a quadrature ledger, each entry built on first
+    read: its values at every element's corners (the field's one gather)
+    and, formed from them, whole-mesh values, gradients and the weighted
+    |grad f|^p density at every quadrature point.  Slab integrals slice
+    these arrays, and a station trace reads the axial slice of its element
+    layer from the corners, instead of re-evaluating the field on the whole
+    mesh.  The ledger arrays are read-only, and values must not change in
+    place once the ledger is read: with_values starts a fresh ledger.
     """
 
     mesh: Mesh
@@ -164,24 +165,25 @@ class ScalarField:
         return replace(self, values=np.asarray(values, dtype=float))
 
     @cached_property
+    def corners(self):
+        """Values at every element's corners, shape (n_elems, n_local)."""
+        return _read_only(self.mesh.grid.corner_values(self.values))
+
+    @cached_property
     def quad_values(self):
         """Values at every quadrature point, shape (n_elems, n_quad)."""
-        return _read_only(self.mesh.grid.vals_at_quads(self.values))
+        return _read_only(np.einsum("em,qm->eq", self.corners, self.mesh.grid.basis_vals))
 
     @cached_property
     def quad_grads(self):
         """Gradients at every quadrature point, shape (n_elems, n_quad, dim)."""
-        return _read_only(self.mesh.grid.grads_at_quads(self.values))
+        return _read_only(np.einsum("em,qdm->eqd", self.corners, self.mesh.grid.basis_grads))
 
     @cached_property
     def energy_density(self):
         """Quadrature weight times |grad f|^p, shape (n_elems, n_quad)."""
         s = squared_norm(self.quad_grads)
         return _read_only(self.mesh.grid.quad_weights * s ** (0.5 * self.op.p))
-
-    @cached_property
-    def _traces(self):
-        return {}
 
     def slab_values(self, t, tau):
         """Quadrature values and weights over the slab between t < tau."""
@@ -191,14 +193,10 @@ class ScalarField:
 
     def trace(self, j, side):
         """One-sided (points, weights, f, grad f) on station j from 'below' or 'above'."""
-        key = (j, side)
-        if key not in self._traces:
-            elem_ids, pts, w, vals_tab, grads_tab = self.mesh.station_edge_tables(j, side)
-            ue = self.values[self.mesh.grid.elem_nodes[elem_ids]]
-            self._traces[key] = tuple(_read_only(a) for a in (
-                pts, w, np.einsum("em,qm->eq", ue, vals_tab),
-                np.einsum("em,qdm->eqd", ue, grads_tab)))
-        return self._traces[key]
+        cell, pts, w, vals_tab, grads_tab = self.mesh.station_edge_tables(j, side)
+        grid = self.mesh.grid
+        ue = self.corners.reshape(-1, grid.cell_shape[-1], grid.n_local)[:, cell]
+        return pts, w, np.einsum("em,qm->eq", ue, vals_tab), np.einsum("em,qdm->eqd", ue, grads_tab)
 
 
 def dirichlet_data(mesh, bc):

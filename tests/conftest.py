@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -132,10 +133,10 @@ def reference_gradient_s(grid, u, eps):
 
 
 def reference_elem_nodes(grid):
-    """The element connectivity (n_elems, n_local) as TensorGrid built it
-    eagerly before elem_nodes became a cached gather: per corner, the cell
-    indices shifted by the corner's digits, wrapped on periodic axes, and
-    raveled."""
+    """The element connectivity (n_elems, n_local), the node ids of each
+    element's corners in the order of TensorGrid.corner_values: per corner,
+    the cell indices shifted by the corner's digits, wrapped on periodic
+    axes, and raveled."""
     cell_idx = np.indices(grid.cell_shape).reshape(grid.dim, -1)  # (dim, E)
     conn = np.empty((grid.n_elems, grid.n_local), dtype=np.int64)
     for m, off in enumerate(itertools.product((0, 1), repeat=grid.dim)):
@@ -149,13 +150,31 @@ def reference_elem_nodes(grid):
     return conn
 
 
+def reference_gradient_form(grid, flux):
+    """Nodal vector R_i = sum_q w <flux, grad phi_i> for a field flux (E, Q,
+    dim), scattered through the connectivity by np.add.at."""
+    re = np.einsum("eq,eqd,qdm->em", grid.quad_weights, flux, grid.basis_grads)
+    out = np.zeros(grid.n_nodes)
+    np.add.at(out, reference_elem_nodes(grid), re)
+    return out
+
+
+def reference_scalar_form(grid, density):
+    """Nodal vector R_i = sum_q w density phi_i for density (E, Q), scattered
+    through the connectivity by np.add.at."""
+    re = np.einsum("eq,eq,qm->em", grid.quad_weights, density, grid.basis_vals)
+    out = np.zeros(grid.n_nodes)
+    np.add.at(out, reference_elem_nodes(grid), re)
+    return out
+
+
 def reference_csr_pattern(grid):
     """The CSR pattern (indptr, indices) of the matrices that gather_csr
     gathers, and the map slots (n_elems, m*m) from each local entry (i, j),
     flattened row-major, to its position in the CSR data, built by one
     stable argsort of the element entries' (row, col) keys."""
     n, m = grid.n_nodes, grid.n_local
-    conn = grid.elem_nodes
+    conn = reference_elem_nodes(grid)
     keys = (conn[:, :, None] * n + conn[:, None, :]).ravel()
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -208,6 +227,20 @@ def slab_meshes():
     }
 
 
+def station_meshes():
+    """The README mesh at h = 1/16, its k = 2 variant at h = 1/8 and the
+    radial benchmark mesh at h = 1/8, for the trace and section-form tests."""
+    readme = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer", alpha=1.0,
+                                 beta=7.0, lateral_bc=("dirichlet0",) * 2)
+    k2 = dataclasses.replace(readme, n=3, k=2, base=((0.0, 1.0), (0.0, 1.0)),
+                             lateral_bc=("dirichlet0",) * 4)
+    radial = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial", alpha=1.0,
+                                 beta=4.0, lateral_bc=("neumann", "neumann"))
+    return {"readme-h16": geo.build_mesh(readme, 1 / 16),
+            "readme-k2-h8": geo.build_mesh(k2, 1 / 8),
+            "radial-h8": geo.build_mesh(radial, 1 / 8)}
+
+
 def reference_slab_elements(mesh, t, tau):
     """Slab element ids by a mask over every element's axial cell."""
     jt, _ = mesh.station_index(t)
@@ -236,6 +269,24 @@ def reference_station_edge_tables(mesh, j, side):
     if mesh.domain.axial_kind == geo.RADIAL:
         w = w * (2.0 * math.pi * tau)
     return elem_ids, pts, w, vals, grads
+
+
+def reference_trace(mesh, values, j, side):
+    """ScalarField.trace from reference_station_edge_tables, the element
+    layer's corners gathered through the connectivity table."""
+    elem_ids, pts, w, vals, grads = reference_station_edge_tables(mesh, j, side)
+    ue = values[reference_elem_nodes(mesh.grid)[elem_ids]]
+    return pts, w, np.einsum("em,qm->eq", ue, vals), np.einsum("em,qdm->eqd", ue, grads)
+
+
+def reference_pk_at_quads(mesh):
+    """Mesh.pk_at_quads by per-element arithmetic: each element's axial cell,
+    its center and the axial Gauss points, as grid.quad_points[..., -1]."""
+    grid = mesh.grid
+    half = grid.spacing[-1] / 2.0
+    cell = np.arange(mesh.n_elems) % grid.cell_shape[-1]
+    centers = grid.axes[-1][cell] + half
+    return mesh.domain.pk_of_axial(centers[:, None] + grid._quad_local[:, -1] * half)
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse.linalg as spla
 
-from conftest import count_compute_calls, gather_csr
+from conftest import (count_compute_calls, gather_csr, reference_gradient_form,
+                      reference_scalar_form, station_meshes)
 from svplab import frequency as fr
 from svplab import geometry as geo
 from svplab import solver as sv
@@ -785,3 +786,28 @@ class TestResidualStop:
         monkeypatch.setattr(fr, "MAX_ITER", 1)
         with pytest.raises(sv.SolverError, match="did not converge in 1 iterations"):
             fr.compute_frequency(geo.interval_section(1.0, 16), 1.5, fr.FIRST)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("name", ["readme-h16", "readme-k2-h8", "radial-h8"])
+def test_forms_equal_connectivity_scatter(name, p):
+    """The iteration's residual forms, summed onto the nodes by slices: the
+    bytes of np.add.at through the connectivity on the interval and the
+    rectangle sections, and within 1e-14 of them on the periodic radial
+    section, whose wrapped nodes sum in another order.  q is the
+    numerator."""
+    mesh = station_meshes()[name]
+    grid = mesh.cross_section(mesh.stations[mesh.stations.size // 2]).grid
+    u = np.random.default_rng(4).normal(size=grid.n_nodes)
+    quot = fr._Quotient(grid, p, recenter=False)
+    q, flux, load = quot.forms(u)
+    g = grid.grads_at_quads(u)
+    c = (st.squared_norm(g) + fr.SECTION_EPS**2) ** (0.5 * (p - 2.0))
+    vq = grid.vals_at_quads(u)
+    assert q == quot.numerator(u)
+    for got, want in ((flux, reference_gradient_form(grid, c[..., None] * g)),
+                      (load, reference_scalar_form(grid, st.guarded_power(np.abs(vq), p - 2.0) * vq))):
+        if any(grid.periodic):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        else:
+            assert got.tobytes() == want.tobytes()

