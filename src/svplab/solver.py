@@ -3,9 +3,9 @@
 The solver minimizes sum_q w a(x) |grad f|^p / p over nodal fields
 matching Dirichlet cap data, with lateral faces either natural (Neumann)
 or pinned to zero.  It starts from the solve with the coefficient a(x)
-alone (exact for p = 2); each outer step then solves one symmetric
-positive-definite system built from c = a(x) s^((p-2)/2), s = |grad f|^2
-+ eps^2, at the current iterate:
+alone (exact for p = 2), the cold solve; each outer step then solves one
+symmetric positive-definite system built from c = a(x) s^((p-2)/2), s =
+|grad f|^2 + eps^2, at the current iterate:
 
 * p <= 2: the Kacanov (lagged-coefficient) matrix K(c), which majorizes
   the Hessian of the regularized energy, so the step lowers the energy;
@@ -29,9 +29,22 @@ node (a second-kind section) has a singular step matrix H, so each of
 its steps adds the proximal term delta M (f_hat - f), delta =
 PROXIMAL_REL max diag H, which vanishes at the fixed point.
 
-Every inner system (K(c), with R added to it for p > 2) is assembled as
-a grid stencil array, which holds each node's matrix entry at each
-neighbour offset in {-1, 0, 1}^dim (TensorGrid.stiffness_stencil).  Cap
+The cold solve is direct, by separation of variables (_separable_solve).
+A canonical domain is a cross-section times an axis, and a(x) and the
+radial weight 2 pi r depend on the axial coordinate alone, so the cold
+system's matrix is a Kronecker sum of 1-D Q1 stiffness and mass matrices
+(_line_stencils), and its free block the Kronecker sum of their free
+blocks.  The generalized eigenbases of the base axes' pairs turn it into
+one tridiagonal axial system per base mode, and all of them are solved
+as one banded system (fast diagonalization: Lynch, Rice & Thomas, Numer.
+Math. 6, 1964; Deville, Fischer & Mund, High-Order Methods for
+Incompressible Fluid Flow, 2002, sec. 4.5).  It builds no grid stencil,
+multigrid hierarchy or CG, and a factorization that fails raises
+SolverError.
+
+Every outer step's system (K(c), with R added to it for p > 2) is
+assembled as a grid stencil array, which holds each node's matrix entry
+at each neighbour offset in {-1, 0, 1}^dim (TensorGrid.stiffness_stencil).  Cap
 data and Dirichlet-zero laterals mark whole faces, so the free nodes form
 a box of the grid, and the free-node block is the stencil restricted to
 that box, with the entries that leave the box masked, as a DIA matrix
@@ -48,11 +61,10 @@ so the box block lives in the step stencil's buffer and _FreeSystem.solve
 works on it alone.  solve, _step and the section frequencies pass
 temporaries, and the outer loop keeps no reference to the iterate's
 gradient terms once the step's box system is formed, so they die before
-the V-cycle is built.  Every system
-with free nodes is solved by conjugate gradients preconditioned by a
-symmetric geometric-multigrid V-cycle (Briggs, Henson & McCormick, A
-Multigrid Tutorial, 2000).  Its hierarchy is fixed
-once per solve from the box: per axis, linear interpolation coarsens by
+the V-cycle is built.  Every such system with free nodes is solved by
+conjugate gradients preconditioned by a symmetric geometric-multigrid
+V-cycle (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Its
+hierarchy is fixed once per solve from the box: per axis, linear interpolation coarsens by
 2 where the cell count is even and is the identity elsewhere and on
 periodic axes, restricted to the box ranges (a coarse node is free when
 its fine twin is); the prolongation is the Kronecker product of the
@@ -68,19 +80,19 @@ matrix over its box; the finest one holds exactly the entries of the
 free-node block, in ascending offset order.  The V-cycle smooths with
 damped Jacobi and factors the coarsest level through factor_spd; on a
 grid of at most MG_COARSEST free nodes the hierarchy is empty, the
-V-cycle is that factor's solve, and CG takes one iteration.  A cold CG
-solve (the first solve, and every p = 2 solve) stops at CG_RTOL of the
-right-hand side.  Inside the outer loop CG solves for the correction
-from the current iterate, whose right-hand side r0 is minus the free-node
-gradient of the regularized energy there, and stops once r0 is cut by
-CG_FORCING (an inexact-Newton forcing term, Eisenstat & Walker, SIAM J.
-Sci. Comput. 17, 1996), or at CG_RTOL of the right-hand side if that is
-looser: about 2 iterations per step.  A Kacanov step stays a descent
+V-cycle is that factor's solve, and CG takes one iteration.  CG solves
+for the correction from the current iterate, whose right-hand side r0 is
+minus the free-node gradient of the regularized energy there, and stops
+once r0 is cut by CG_FORCING (an inexact-Newton forcing term, Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996), or at CG_RTOL of the right-hand
+side if that is looser: about 2 iterations per step.  A Kacanov step stays a descent
 step, since CG from the iterate lowers the quadratic majorant
 monotonically; a Newton step keeps the energy line search.  The method
-used is reported as linear_solver: 'cg-mg', or 'none' without free
-nodes, and the CG iterations of each solve as linear_iterations.  A CG
-iterate that is not finite raises SolverError at that iteration.
+used is reported as linear_solver: 'separable' for p = 2, which runs no
+CG, 'cg-mg' for p != 2, or 'none' without free nodes, and the CG
+iterations of each outer step as linear_iterations, which a p = 2 solve
+leaves empty.  A CG iterate that is not finite raises SolverError at
+that iteration.
 """
 
 from __future__ import annotations
@@ -90,10 +102,11 @@ from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import ASSEMBLY_CHUNK_BYTES, DIRICHLET0, Mesh, _read_only
+from .geometry import ASSEMBLY_CHUNK_BYTES, DIRICHLET0, Mesh, TensorGrid, _read_only
 from .structure import guarded_power, squared_norm
 
 EPS_REG_REL = 1e-8        # gradient regularization, relative to the cap-data scale
@@ -138,7 +151,7 @@ class SolverDiagnostics:
     eps_reg: float
     damping_final: float
     linear_solver: str
-    linear_iterations: tuple  # CG iterations of each linear solve
+    linear_iterations: tuple  # CG iterations of each outer step
 
 
 @dataclass(frozen=True)
@@ -520,10 +533,10 @@ class _FreeSystem:
     The free nodes form a box of the grid (see _free_box), which spans its
     periodic axes.  K comes as a grid stencil array, and restrict turns it
     into the box's right-hand side and column stencil, wrapped on the
-    periodic axes, so no CSR pattern is built.  solve then runs CG on them,
-    preconditioned by a multigrid V-cycle, whose hierarchy depends only on
-    the grid and the box, so it is built once, at the first solve.  Each
-    solve appends its CG iteration count to linear_iterations.  pinned
+    periodic axes, so no CSR pattern is built.  solve then runs CG on them
+    from an iterate, preconditioned by a multigrid V-cycle, whose hierarchy
+    depends only on the grid and the box, so it is built once, at the first
+    solve.  Each solve appends its CG iteration count to linear_iterations.  pinned
     tells whether the mask pins any node.
     """
 
@@ -578,20 +591,17 @@ class _FreeSystem:
             rhs += self._free(load)
         return rhs, _box_stencil(K, self.box, self.grid.periodic)
 
-    def solve(self, restricted, x0=None):
-        """Nodal solution of a system from restrict, (rhs, D).
-
-        A cold solve (no x0) runs CG on K_ff x = rhs to CG_RTOL of rhs.  With
-        x0, CG solves for the correction, K_ff d = r0 with r0 = rhs - K_ff
-        x0[free], and stops once ||r0 - K_ff d|| <= max(CG_RTOL ||rhs||,
-        CG_FORCING ||r0||); the solution is x0[free] + d.
+    def solve(self, restricted, x0):
+        """Nodal solution of a system from restrict, (rhs, D), from the
+        iterate x0.  CG solves for the correction, K_ff d = r0 with r0 = rhs
+        - K_ff x0[free], and stops once ||r0 - K_ff d|| <= max(CG_RTOL
+        ||rhs||, CG_FORCING ||r0||); the solution is x0[free] + d.
         """
         out = self.vals.copy()
         if restricted is None:
             return out
         rhs, D = restricted
-        periodic = self.grid.periodic
-        cycle = _VCycle(D, self.hierarchy, periodic)
+        cycle = _VCycle(D, self.hierarchy, self.grid.periodic)
         A = cycle.matrix
         M = spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
         iterations = 0
@@ -603,26 +613,94 @@ class _FreeSystem:
             if not np.isfinite(xk).all():
                 raise SolverError(f"conjugate gradient iterate not finite at iteration {iterations}")
 
-        if x0 is None:
-            b, rtol, atol = rhs, CG_RTOL, 0.0
-        else:
-            # inexact inner solve: r0 is minus the free-node gradient of
-            # the regularized energy at the iterate, and CG only cuts it by
-            # CG_FORCING
-            xf0 = self._free(x0)
-            b = rhs - A @ xf0
-            rtol = 0.0
-            atol = max(CG_RTOL * float(np.linalg.norm(rhs)),
-                       CG_FORCING * float(np.linalg.norm(b)))
-        xf, info = spla.cg(A, b, rtol=rtol, atol=atol,
+        # inexact inner solve: r0 is minus the free-node gradient of the
+        # regularized energy at the iterate, and CG only cuts it by CG_FORCING
+        xf0 = self._free(x0)
+        b = rhs - A @ xf0
+        atol = max(CG_RTOL * float(np.linalg.norm(rhs)), CG_FORCING * float(np.linalg.norm(b)))
+        xf, info = spla.cg(A, b, rtol=0.0, atol=atol,
                            maxiter=CG_MAXITER_PER_UNKNOWN * rhs.size, M=M, callback=count)
         self.linear_iterations.append(iterations)
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
-        if x0 is not None:
-            xf += xf0
+        xf += xf0
         out.reshape(self.grid.shape)[self.box] = xf.reshape([sl.stop - sl.start for sl in self.box])
         return out
+
+
+def _line_stencils(grid, a_q):
+    """Per axis of a canonical mesh's grid, the stencil arrays (S, M) of the
+    1-D Q1 stiffness and mass of that axis alone, whose Kronecker sum is the
+    grid's stiffness with the coefficient a_q:
+
+        K = sum_ax M_0 x ... x S_ax x ... x M_last.
+
+    The quadrature is the tensor product of each axis's 2-point Gauss rule,
+    and a(x) and the 2 pi r measure factor depend on the axial coordinate
+    alone, so the axial pair carries both: a_q on the first base cell's
+    axial column, which holds every axial Gauss point, and the grid's
+    measure factor on the axial line.
+    """
+    lines = [(TensorGrid([axis]), None) for axis in grid.axes[:-1]]
+    lines.append((TensorGrid([grid.axes[-1]], weight=grid.weight), a_q[:grid.cell_shape[-1], :2]))
+    return [(line.stiffness_stencil(coeff=a), line.mass_stencil(coeff=a)) for line, a in lines]
+
+
+def _line_block(stencil, b):
+    """The block [b, b] of a 1-D stencil array's matrix, dense."""
+    s = stencil[:, b]
+    return np.diag(s[1]) + np.diag(s[2, :-1], 1) + np.diag(s[0, 1:], -1)
+
+
+def _along(mats, x):
+    """x with mats[ax] applied along each leading axis ax."""
+    for ax, A in enumerate(mats):
+        x = np.moveaxis(np.tensordot(A, x, axes=(1, ax)), 0, ax)
+    return x
+
+
+def _separable_solve(system, a_q):
+    """Nodal solution of K_ff x = -K_fc g for the stiffness with the
+    coefficient a_q, by separation of variables (fast diagonalization:
+    Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+
+    K is the Kronecker sum of _line_stencils, and the free box is one range
+    per axis, so K_ff is the Kronecker sum of the 1-D free blocks.  On each
+    base axis, the M-orthonormal eigenbasis V of S V = M V diag(lambda)
+    turns it into one axial system (S_z + Lambda_k M_z) y_k = b_k per base
+    mode k, Lambda_k the sum of the mode's base eigenvalues.  The caps pin
+    both axial ends, and the cap data g vanish on Dirichlet-zero laterals,
+    so -K_fc g only enters the first and last free axial rows, as the
+    mode's end values V^T M g of the cap data times that system's
+    couplings to the caps.  All axial systems are tridiagonal and solved
+    as one block-diagonal banded system; x is V y on every base axis.  A
+    factorization that fails raises SolverError.
+    """
+    out = system.vals.copy()
+    if system.box is None:
+        return out
+    grid, box = system.grid, system.box
+    *base, (S, M) = _line_stencils(grid, a_q)
+    bz = box[-1]
+    blocks = [(_line_block(Sb, b), _line_block(Mb, b)) for (Sb, Mb), b in zip(base, box)]
+    try:
+        pairs = [sla.eigh(Sb, Mb) for Sb, Mb in blocks]
+        lam = reduce(np.add.outer, [w for w, _ in pairs]).ravel()[:, None]
+        caps = np.reshape(system.vals, grid.shape)[box[:-1] + ([bz.start - 1, bz.stop],)]
+        ends = _along([V.T @ Mb for (_, V), (_, Mb) in zip(pairs, blocks)], caps).reshape(-1, 2)
+        # row j of a mode's axial system couples to row j - 1 through [0, j]
+        off = S[0, bz] + lam * M[0, bz]
+        rhs = np.zeros(off.shape)
+        rhs[:, 0] -= ends[:, 0] * off[:, 0]
+        rhs[:, -1] -= ends[:, 1] * (S[2, bz.stop - 1] + lam[:, 0] * M[2, bz.stop - 1])
+        off[:, 0] = 0.0  # the modes do not couple
+        y = sla.solveh_banded(np.stack((off.ravel(), (S[1, bz] + lam * M[1, bz]).ravel())),
+                              rhs.ravel())
+    except sla.LinAlgError as exc:
+        raise SolverError(f"separable solve failed: {exc}") from exc
+    shape = [b.stop - b.start for b in box]
+    out.reshape(grid.shape)[box] = _along([V for _, V in pairs], y.reshape(shape))
+    return out
 
 
 def _gradient_terms(grid, values, eps, p):
@@ -751,14 +829,15 @@ def solve(domain, mesh, op, bc):
 
     a_q = op.a(mesh.pk_at_quads())
     system = _FreeSystem(mesh.grid, mask, vals)
-    f = system.solve(system.restrict(mesh.grid.stiffness_stencil(coeff=a_q)))
+    f = _separable_solve(system, a_q)
     exact = op.p == 2.0
     f, energy, steps, converged, decrease, theta = _minimize(
         system, a_q, op.p, f, eps, steps=0 if exact else MAX_OUTER - 1)
     diag = SolverDiagnostics(
         outer_iterations=1 + steps, converged=exact or converged, energy=energy,
         last_decrease=decrease, eps_reg=eps, damping_final=theta,
-        linear_solver=system.method, linear_iterations=tuple(system.linear_iterations))
+        linear_solver="separable" if exact and system.box is not None else system.method,
+        linear_iterations=tuple(system.linear_iterations))
     return ScalarField(mesh=mesh, values=f, op=op, bc=bc, diagnostics=diag)
 
 

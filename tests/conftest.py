@@ -289,6 +289,20 @@ def reference_pk_at_quads(mesh):
     return mesh.domain.pk_of_axial(centers[:, None] + grid._quad_local[:, -1] * half)
 
 
+def cg_from_zero(mesh, op, bc):
+    """The field and CG iteration counts of multigrid CG on the stiffness with
+    op's a(x), from zero on the free nodes to CG_RTOL of the right-hand
+    side: the p = 2 solve as a cold CG solve ran it, which a warm solve
+    from the Dirichlet data with CG_FORCING = 0 repeats step for step."""
+    mask, vals = sv.dirichlet_data(mesh, bc)
+    system = sv._FreeSystem(mesh.grid, mask, vals)
+    K = mesh.grid.stiffness_stencil(coeff=op.a(mesh.pk_at_quads()))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sv, "CG_FORCING", 0.0)
+        x = system.solve(system.restrict(K), vals)
+    return x, tuple(system.linear_iterations)
+
+
 @pytest.fixture
 def vcycle_levels(monkeypatch):
     """Coarse-level count of every multigrid V-cycle built during the test."""

@@ -480,10 +480,10 @@ class TestSolverFailurePath:
 
         cg = sv_mod.spla.cg
         monkeypatch.setattr(sv_mod.spla, "cg",
-                            lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 2}))
+                            lambda A, b, **kwargs: cg(A, b, **{**kwargs, "maxiter": 1}))
         # at h = 1/16 the V-cycle has a coarse level, so it is not an exact
-        # solve and CG needs more than two iterations
-        text = LAYER3D_CONFIG.replace("h = 0.25\n", "h = 0.0625\n")
+        # solve and an outer step's CG (p = 1.5) needs more than one iteration
+        text = LAYER3D_CONFIG.replace("h = 0.25\n", "h = 0.0625\n").replace("p = 2\n", "p = 1.5\n")
         text += "\n[task solve]\nsnapshot = false\n"
         result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
         assert result.exit_code == 3
@@ -494,7 +494,7 @@ class TestSolverFailurePath:
         # TestNonFiniteCG bounds the stop at two CG iterations; this loose
         # bound only rules out a run that iterates to maxiter (minutes)
         start = time.perf_counter()
-        result = run(parse_config(readme_config(2, 0.03125)), out_dir=str(tmp_path), seed=0)
+        result = run(parse_config(readme_config(1.5, 0.03125)), out_dir=str(tmp_path), seed=0)
         assert time.perf_counter() - start < 60.0
         assert result.exit_code == 3
         assert "not finite" in result.report["error"]
