@@ -45,19 +45,17 @@ bracketed regula falsi.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import product
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .geometry import DIRICHLET0, TensorGrid
 from .solver import (SolverError, _box_stencil, _dia, _free_box, _FreeSystem, _minimize,
                      _VCycle, factor_spd)
-from .structure import guarded_power, squared_norm
+from .structure import guarded_power
 
 FIRST = "first"
 SECOND = "second"
@@ -66,6 +64,8 @@ SECTION_SYSTEM = "section system"
 MAX_ITER = 500      # inverse-iteration steps per frequency
 TOL = 1e-9          # the iteration stops at this residual
 SECTION_EPS = 1e-7  # gradient regularization at unit denominator
+CURVATURE_MAXITER = 40  # LOBPCG iterations of the second kind's curvature test
+BASIS_DROP = 1e-10  # Gram eigenvalues below this, relative, leave the LOBPCG basis
 
 
 @dataclass(frozen=True)
@@ -148,46 +148,59 @@ class _Quotient:
         self.recenter = recenter
         self.w = grid.quad_weights
 
-    def numerator(self, u):
-        s = squared_norm(self.grid.grads_at_quads(u))
-        return float(np.sum(self.w * s ** (0.5 * self.p)))
+    def center(self, vq):
+        """The best constant of the quadrature values vq; 0 unless recentered."""
+        return optimal_constant(vq, self.w, self.p) if self.recenter else 0.0
 
-    def center(self, u):
-        if not self.recenter:
-            return 0.0
-        vq = self.grid.vals_at_quads(u)
-        return optimal_constant(vq, self.w, self.p)
-
-    def denominator(self, u, c):
-        vq = self.grid.vals_at_quads(u)
+    def denominator(self, vq, c):
         return float(np.sum(self.w * np.abs(vq - c) ** self.p))
 
-    def normalize(self, u):
-        """u minus its best constant (recentering) and scaled to unit
-        denominator; subtracting the constant makes the new one exactly 0
-        (translation invariance), and scaling preserves it."""
-        u = u - self.center(u)
-        den = self.denominator(u, 0.0)
+    def numerator(self, s):
+        return float(np.sum(self.w * s ** (0.5 * self.p)))
+
+    def parts(self, u):
+        """The numerator and the (recentered) denominator of u's quotient,
+        from one pass of the kernel."""
+        vq, _, s = self.grid.quad_terms(u, vals=True, square_plus=0.0)
+        return self.numerator(s), self.denominator(vq, self.center(vq))
+
+    def normalize(self, v):
+        """(u, terms): v minus its best constant (recentering) and scaled to
+        unit denominator, and u's values, gradients and |grad u|^2 at the
+        quadrature points.  The values are v's, from one kernel pass over v
+        (which the constant and the denominator read), shifted and scaled
+        as u is; the gradients come from a kernel pass over u itself, so
+        that their rounding is that of the nodal u the next step starts
+        from (scaled from v's, they stalled the 128-cell interval's second
+        kind at p = 1.2 at residual 4e-9).  The kernel's cost is per output,
+        so the two passes together cost about one pass for all three.
+        Subtracting the constant makes the new one exactly 0 (translation
+        invariance), and scaling preserves it."""
+        vq = self.grid.vals_at_quads(v)
+        c = self.center(vq)
+        vq = vq - c
+        den = self.denominator(vq, 0.0)
         if not den > 0.0:
             raise SolverError("section iterate has no denominator")
-        return u / den ** (1.0 / self.p)
+        r = den ** (1.0 / self.p)
+        u = (v - c) / r
+        _, g, s = self.grid.quad_terms(u, grads=True, square_plus=0.0)
+        return u, (vq / r, g, s)
 
-    def forms(self, u):
+    def forms(self, terms):
         """The numerator q of a centered u and the nodal forms <c grad u,
         grad phi_i>, c = (|grad u|^2 + SECTION_EPS^2)^((p-2)/2), and
         <|u|^(p-2) u, phi_i> (the regularized numerator's and the
-        denominator's gradients over p), from one corner gather.  The flux
-        c grad u is tested against the basis, rather than K(c) u formed: at
-        p < 2, c reaches SECTION_EPS^(p-2) where grad u vanishes, and K(c) u
-        would cancel terms of size c |u| / h there (on a 129-node interval
-        at p = 1.2, to a residual floor of 3e-9 to 8e-9, above TOL)."""
+        denominator's gradients over p), from u's terms (see normalize).  The
+        flux c grad u is tested against the basis, rather than K(c) u
+        formed: at p < 2, c reaches SECTION_EPS^(p-2) where grad u
+        vanishes, and K(c) u would cancel terms of size c |u| / h there (on
+        a 129-node interval at p = 1.2, to a residual floor of 3e-9 to
+        8e-9, above TOL)."""
         p, grid = self.p, self.grid
-        ue = grid.corner_values(u)
-        g = np.einsum("em,qdm->eqd", ue, grid.basis_grads)
-        s = squared_norm(g)
-        q = float(np.sum(self.w * s ** (0.5 * p)))
+        vq, g, s = terms
+        q = self.numerator(s)
         flux = ((s + SECTION_EPS**2) ** (0.5 * (p - 2.0)))[..., None] * g
-        vq = np.einsum("em,qm->eq", ue, grid.basis_vals)
         density = guarded_power(np.abs(vq), p - 2.0) * vq
         return (q,
                 grid.corner_sums(np.einsum("eq,eqd,qdm->em", self.w, flux, grid.basis_grads)),
@@ -248,18 +261,18 @@ def _inverse_iteration(system, quot, u, steps):
     p = quot.p
     a_q = np.ones_like(quot.w)
 
-    def state(u):
-        q, flux, load = quot.forms(u)
+    def state(terms):
+        q, flux, load = quot.forms(terms)
         return q, load, float(np.max(np.abs(system._free(flux - q * load)))) / q
 
-    u = quot.normalize(u)
-    q, load, residual = state(u)
+    u, terms = quot.normalize(u)
+    q, load, residual = state(terms)
     iterations = 0
     while residual > TOL and iterations < steps:
         scale = q ** (-1.0 / (p - 1.0))
         v = _minimize(system, a_q, p, scale * u, scale * SECTION_EPS, load=load)[0]
-        u = quot.normalize(v)
-        q, load, residual = state(u)
+        u, terms = quot.normalize(v)
+        q, load, residual = state(terms)
         iterations += 1
     return q, u, residual, iterations
 
@@ -277,6 +290,60 @@ def _low_modes(grid):
                             for digits in product(range(3), repeat=grid.dim) if any(digits)])
 
 
+def _smallest_pair(H, mass, precondition, Y, X, tol):
+    """Smallest eigenpair (lam, v) of the pencil (H, mass) on the
+    mass-orthogonal complement of the columns of Y, by block LOBPCG
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001) from the block X, until the
+    pair's residual |P^T H v - lam mass v| / |v|_mass is at most tol, P the
+    projection onto the complement; still above it after
+    CURVATURE_MAXITER iterations, it raises SolverError.
+
+    Each Rayleigh-Ritz step runs on a mass-orthonormal basis of the span of
+    the iterates, the preconditioned residuals and the previous updates,
+    all projected onto the complement.  The basis comes from the
+    eigendecomposition of their Gram matrix, columns scaled to unit mass
+    norm, with the directions whose eigenvalue is below BASIS_DROP times
+    the largest left out (basis selection: Hetmaniuk & Lehoucq, J. Comput.
+    Phys. 218, 2006; Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40,
+    2018).  A block whose columns fall linearly dependent, as a near-exact
+    preconditioner makes them, thus loses those directions instead of
+    breaking the orthonormalization, where scipy's lobpcg stopped with a
+    failed Cholesky factorization.
+    """
+    MY = mass @ Y
+    G = Y.T @ MY
+
+    def project(Z):  # onto the mass-orthogonal complement of Y
+        return Z - Y @ np.linalg.solve(G, MY.T @ Z)
+
+    k = X.shape[1]
+    X, W, P = project(X), None, None
+    for _ in range(CURVATURE_MAXITER):
+        S = np.column_stack([B for B in (X, W, P) if B is not None])
+        MS = mass @ S
+        d = np.sqrt(np.einsum("ij,ij->j", S, MS))
+        d[d == 0.0] = 1.0  # a zero column leaves with its zero eigenvalue
+        e, Q = scipy.linalg.eigh(S.T @ MS / np.outer(d, d))
+        keep = e > BASIS_DROP * e[-1]
+        basis = Q[:, keep] / np.sqrt(e[keep]) / d[:, None]  # S @ basis is mass-orthonormal
+        V = project(S @ basis)
+        HV = H(V)
+        lam, C = scipy.linalg.eigh(0.5 * (V.T @ HV + HV.T @ V))
+        coef = basis @ C[:, :k]
+        X_new = V @ C[:, :k]
+        R = HV @ C[:, :k]
+        R -= MY @ np.linalg.solve(G, Y.T @ R)  # P^T H X_new
+        R -= (mass @ X_new) * lam[:k]
+        residual = np.linalg.norm(R[:, 0]) / math.sqrt(X_new[:, 0] @ (mass @ X_new[:, 0]))
+        if residual <= tol:
+            return lam[0], X_new[:, 0]
+        W = project(np.column_stack([precondition(r) for r in R.T]))
+        P = S[:, k:] @ coef[k:] if S.shape[1] > k else None  # the update beyond X
+        X = X_new
+    raise SolverError(f"smallest section curvature did not converge (residual "
+                      f"{residual:.3e} against {tol:.3e})")
+
+
 def _smallest_curvature(system, quot, mass, u, q):
     """Smallest eigenpair (lam, v) of the second kind's Hessian H = K(c) +
     (p-2) R - q (p-1) (W - W1 (W1)^T / 1.W1) at its critical point u of
@@ -285,19 +352,18 @@ def _smallest_curvature(system, quot, mass, u, q):
     |u|^(p-2), and the rank-one term the best constant C following u.  The
     quotient is invariant under scaling and constants (H u = H 1 = 0), so
     lam is the smallest eigenvalue of (H, mass) on the mass-orthogonal
-    complement of Y = {u, 1}.  lobpcg runs on P^T H P, P the projection
-    onto it, from _low_modes, preconditioned by the V-cycle of K(c) + (p-2)
-    R + q (p-1) W, to residual sqrt(TOL) q; a pair it returns above that
-    residual raises SolverError, and a section too small for its block is
-    solved dense.  The second kind's box is the whole grid, so v is
+    complement of Y = {u, 1}: _smallest_pair, from _low_modes,
+    preconditioned by the V-cycle of K(c) + (p-2) R + q (p-1) W, to
+    residual sqrt(TOL) q.  The second kind's box is the whole grid, so v is
     nodal."""
     grid, p, box = system.grid, quot.p, system.box
-    g = grid.grads_at_quads(u)
-    s = squared_norm(g) + SECTION_EPS**2
+    if u.size <= 2:  # u and 1 span a section of two nodes
+        return math.inf, None
+    vq, g, s = grid.quad_terms(u, vals=True, grads=True, square_plus=SECTION_EPS**2)
     c = s ** (0.5 * (p - 2.0))
     A = grid.stiffness_stencil(coeff=c)
     A += (p - 2.0) * grid.directional_stencil(g * np.sqrt(c / s)[..., None])
-    W = grid.mass_stencil(coeff=guarded_power(np.abs(grid.vals_at_quads(u)), p - 2.0))
+    W = grid.mass_stencil(coeff=guarded_power(np.abs(vq), p - 2.0))
     W *= q * (p - 1.0)
     w1 = W.reshape(W.shape[0], -1).sum(axis=0)
     Hc = _dia(_box_stencil(A - W, box, grid.periodic), grid.periodic)  # H with C held fixed
@@ -305,34 +371,9 @@ def _smallest_curvature(system, quot, mass, u, q):
     def H(x):
         return Hc @ x + np.multiply.outer(w1, w1 @ x) / w1.sum()
 
-    Y = np.column_stack((u, np.ones_like(u)))
-    MY = mass @ Y
-    X = _low_modes(grid)
-    if u.size - 2 < 5 * X.shape[1]:  # lobpcg's own bound for its block
-        Z = scipy.linalg.null_space(MY.T)
-        lam, V = scipy.linalg.eigh(Z.T @ H(Z), Z.T @ (mass @ Z))
-        if not lam.size:  # u and 1 span a section of two nodes
-            return math.inf, None
-        return lam[0], Z @ V[:, 0]
-
-    def projected(x):
-        y = H(x - Y @ np.linalg.solve(Y.T @ MY, MY.T @ x))
-        return y - MY @ np.linalg.solve(Y.T @ MY, Y.T @ y)
-
     cycle = _VCycle(_box_stencil(A + W, box, grid.periodic), system.hierarchy, grid.periodic)
-    tol = math.sqrt(TOL) * q
-    with warnings.catch_warnings():  # columns above the smallest may stop short of tol
-        warnings.filterwarnings("ignore", "Exited", UserWarning)
-        lam, V = spla.lobpcg(
-            spla.LinearOperator(Hc.shape, matvec=projected, matmat=projected, dtype=float), X,
-            B=mass, M=spla.LinearOperator(Hc.shape, matvec=cycle, dtype=float), Y=Y,
-            tol=tol, largest=False)
-    lam, v = lam.min(), V[:, lam.argmin()]
-    residual = np.linalg.norm(projected(v) - lam * (mass @ v)) / math.sqrt(v @ (mass @ v))
-    if not residual <= tol:
-        raise SolverError(f"smallest section curvature did not converge (residual "
-                          f"{residual:.3e} against {tol:.3e})")
-    return lam, v
+    return _smallest_pair(H, mass, cycle, np.column_stack((u, np.ones_like(u))),
+                          _low_modes(grid), math.sqrt(TOL) * q)
 
 
 def _escape(system, quot, mass, u, q):
@@ -341,10 +382,11 @@ def _escape(system, quot, mass, u, q):
     the curvature is at least -sqrt(TOL) q or no such t exists."""
     lam, v = _smallest_curvature(system, quot, mass, u, q)
     if lam < -math.sqrt(TOL) * q:
-        v = v / quot.denominator(v, 0.0) ** (1.0 / quot.p)
+        v = v / quot.denominator(quot.grid.vals_at_quads(v), 0.0) ** (1.0 / quot.p)
         for t in 0.5 ** np.arange(31):
             w = u + t * v
-            if quot.numerator(w) < q * quot.denominator(w, quot.center(w)):
+            num, den = quot.parts(w)
+            if num < q * den:
                 return w
     return None
 
@@ -371,7 +413,7 @@ def compute_frequency(section, p, kind):
     elif kind == THIRD:
         pinned = section.dirichlet_ids
         if pinned.size == 0:
-            u = _Quotient(grid, p, recenter=False).normalize(np.ones(grid.n_nodes))
+            u = _Quotient(grid, p, recenter=False).normalize(np.ones(grid.n_nodes))[0]
             return FrequencyResult(kind=THIRD, value=0.0, minimizer=u, dirichlet_ids=pinned,
                                    residual=0.0, iterations=0, degenerate=True)
     elif kind == SECOND:
@@ -440,7 +482,5 @@ def frequency_profile(mesh, p, kind, stations, memo):
 
 def rayleigh_quotient(section, p, u, recenter=False):
     """Recompute the quotient of a nodal field (diagnostic helper)."""
-    quot = _Quotient(section.grid, p, recenter)
-    u = np.asarray(u, dtype=float)
-    den = quot.denominator(u, quot.center(u))
-    return quot.numerator(u) / den if den else math.inf
+    num, den = _Quotient(section.grid, p, recenter).parts(np.asarray(u, dtype=float))
+    return num / den if den else math.inf

@@ -56,6 +56,107 @@ def _wrapped_slices(lo, hi, corner, n, periodic):
     return [pair for pair in pairs if pair[1].stop > pair[1].start]
 
 
+# the weight of a cell's upper node at each of its two Gauss points
+_GAUSS_UPPER = np.array([0.5 * (1.0 + xi) for xi in _GAUSS])
+
+
+def _along(A, ax, at):
+    """A, of shape (points, nodes...), taken from nodes to cells along the
+    node axis ax: to the cell's two Gauss points, a + w (b - a) from its
+    lower and upper node values a and b with w in _GAUSS_UPPER, each point
+    a new last point index; or, for at 0 or 1, to the cell's lower or upper
+    node, a slice."""
+    pre = (slice(None),) * (ax + 1)
+    if at is not None:
+        return A[pre + (slice(at, A.shape[ax + 1] - 1 + at),)]
+    lower = A[pre + (slice(0, -1),)][:, None]
+    out = A[pre + (slice(1, None),)][:, None] - lower
+    out = out * _GAUSS_UPPER.reshape((1, 2) + (1,) * (A.ndim - 1))
+    out += lower
+    return out.reshape((-1,) + out.shape[2:])
+
+
+def _tensor_terms(u, spacing, at, vals, grads, square_plus):
+    """Values (cells, points), gradients (cells, points, dim) and |grad u|^2
+    + square_plus (cells, points) of the multilinear field of the
+    grid-shaped node values u, each None unless asked for (see
+    TensorGrid.quad_terms).  Every axis of u holds its cells' both nodes
+    (periodic axes come wrapped), and at[ax] picks an axis's points: None
+    for its two Gauss points, 0 or 1 for the cell's lower or upper node.
+    Cells and points are numbered in C order of their per-axis indices.
+
+    Sum factorization: in a cell, the derivative along an axis d is the
+    node difference along d times 1/h_d, the same at each point of d, and
+    it is taken to the points of every other axis by _along; values go
+    through _along on every axis.  Chunks of whole first-axis cell layers
+    are formed in turn, each with the points as leading axes, and written
+    into the outputs by one strided copy.
+    """
+    dim = u.ndim
+    cells = tuple(n - 1 for n in u.shape)
+    npts = tuple(2 if a is None else 1 for a in at)
+    nq = math.prod(npts)
+    v_out = np.empty(cells + (nq,)) if vals else None
+    g_out = np.empty(cells + (nq, dim)) if grads else None
+    s_out = np.empty(cells + (nq,)) if square_plus is not None else None
+    # a chunk's (points, cells) arrays take half the budget each, as about two
+    # are alive at a time
+    step = max(1, ASSEMBLY_CHUNK_BYTES // (16 * nq * math.prod(cells[1:])))
+    points_first = tuple(range(dim, 2 * dim)) + tuple(range(dim))
+    for lo in range(0, cells[0], step):
+        hi = min(lo + step, cells[0])
+        block = u[None, lo:hi + 1]
+        chunk = (hi - lo,) + cells[1:]
+
+        def rows(out):  # the chunk's rows of out, as (points..., cells...)
+            return out[lo:hi].reshape(chunk + npts).transpose(points_first)
+
+        if vals:
+            A = block
+            for ax in range(dim):
+                A = _along(A, ax, at[ax])
+            np.copyto(rows(v_out), A.reshape(npts + chunk))
+        if not grads and square_plus is None:
+            continue
+        s = None
+        for d in range(dim):
+            pre = (slice(None),) * (d + 1)
+            A = block[pre + (slice(1, None),)] - block[pre + (slice(0, -1),)]
+            A *= 1.0 / spacing[d]
+            for ax in range(dim):
+                if ax != d:
+                    A = _along(A, ax, at[ax])
+            A = A.reshape(npts[:d] + (1,) + npts[d + 1:] + chunk)
+            if grads:
+                np.copyto(rows(g_out[..., d]), A)
+            if square_plus is not None:
+                np.multiply(A, A, out=A)
+                if s is None:
+                    s = np.empty(npts + chunk)
+                    np.copyto(s, A)
+                else:
+                    s += A
+        if s is not None:
+            s += square_plus
+            np.copyto(rows(s_out), s)
+    flat = (math.prod(cells), nq)
+    return (None if v_out is None else v_out.reshape(flat),
+            None if g_out is None else g_out.reshape(flat + (dim,)),
+            None if s_out is None else s_out.reshape(flat))
+
+
+def _shift_slices(o, n, periodic):
+    """(target, source) slice pairs along an axis of n nodes that place
+    node r + o at node r; on a periodic axis r + o wraps, elsewhere the
+    nodes whose r + o leaves the axis are not targets."""
+    if o == 0:
+        return [(slice(0, n), slice(0, n))]
+    if not periodic:
+        return [(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n - max(0, -o)))]
+    o %= n
+    return [(slice(0, n - o), slice(o, n)), (slice(n - o, n), slice(0, o))]
+
+
 class TensorGrid:
     """Uniform tensor-product grid of multilinear elements.
 
@@ -148,20 +249,26 @@ class TensorGrid:
             return np.broadcast_to(w0, (self.n_elems, self.n_quad))
         return _read_only(w0 * self.weight(self.quad_points))
 
-    def corner_values(self, u):
-        """The values of the nodal vector u at each element's corners, shape
-        (n_elems, n_local), elements in C order over cell_shape and corners
-        in C order of their 0/1 digits; with corner_sums and the stencil
-        arrays, the only way between element and nodal data.  Gathered by
-        one slice of the grid-shaped u per corner, with a wrapped copy of
-        the first node layer appended on each periodic axis.  The strided
-        per-corner writes go chunk by chunk, each chunk whole first-axis
-        cell layers whose result takes at most ASSEMBLY_CHUNK_BYTES (and at
-        least one layer), so that a chunk's rows stay in cache across its
-        corners."""
+    def _wrapped(self, u):
+        """u grid-shaped, with a copy of the first node layer appended on each
+        periodic axis, so that every cell has its two nodes on every axis."""
         u = np.reshape(u, self.shape)
         for ax in np.flatnonzero(self.periodic):
             u = np.concatenate((u, u[(slice(None),) * ax + (slice(0, 1),)]), axis=ax)
+        return u
+
+    def corner_values(self, u):
+        """The values of the nodal vector u at each element's corners, shape
+        (n_elems, n_local), elements in C order over cell_shape and corners
+        in C order of their 0/1 digits: the adjoint of corner_sums, and
+        the gather that tests hold quad_terms against.  No quadrature data
+        in the package pass through it (see quad_terms).  Gathered
+        by one slice of the grid-shaped u per corner, wrapped on periodic
+        axes (_wrapped).  The strided per-corner writes go chunk by chunk,
+        each chunk whole first-axis cell layers whose result takes at most
+        ASSEMBLY_CHUNK_BYTES (and at least one layer), so that a chunk's
+        rows stay in cache across its corners."""
+        u = self._wrapped(u)
         out = np.empty(self.cell_shape + (self.n_local,), dtype=u.dtype)
         n_layers = self.cell_shape[0]
         layer_bytes = out.nbytes // n_layers
@@ -188,11 +295,68 @@ class TensorGrid:
                     entries[tuple(cells for cells, _ in pieces) + (m,)]
         return out.ravel()
 
+    def quad_terms(self, u, vals=False, grads=False, square_plus=None):
+        """(values, gradients, squares) of the nodal vector u at the
+        quadrature points: values (n_elems, n_quad) if vals, gradients
+        (n_elems, n_quad, dim) if grads, and |grad u|^2 + square_plus
+        (n_elems, n_quad) unless square_plus is None; each None unless
+        asked for.
+
+        The one evaluation of nodal data at quadrature points, by sum
+        factorization (Orszag, J. Comput. Phys. 37, 1980) on the grid-shaped
+        u (_tensor_terms): no element corners are gathered.  The squares
+        add in axis order and then square_plus, as squared_norm(gradients)
+        + square_plus does, to the bit.  The work goes chunk by chunk, each
+        chunk whole first-axis cell layers whose (n_quad, cells) arrays take
+        at most half of ASSEMBLY_CHUNK_BYTES (and at least one layer), so
+        that a chunk's temporaries stay within it.
+        """
+        return _tensor_terms(self._wrapped(u), self.spacing, (None,) * self.dim,
+                             vals, grads, square_plus)
+
+    def face_terms(self, u, at):
+        """Values (n_elems, n_quad / 2) and gradients (n_elems, n_quad / 2,
+        dim) of the nodal vector u on one node plane of every element: its
+        lower (at 0) or upper (at 1) plane across the last axis, at the
+        Gauss points of the other axes, with the element's one-sided
+        gradient.  The kernel is quad_terms'; elements and points are in C
+        order."""
+        vals, grads, _ = _tensor_terms(self._wrapped(u), self.spacing,
+                                       (None,) * (self.dim - 1) + (at,), True, True, None)
+        return vals, grads
+
     def vals_at_quads(self, u):
-        return np.einsum("em,qm->eq", self.corner_values(u), self.basis_vals)
+        return self.quad_terms(u, vals=True)[0]
 
     def grads_at_quads(self, u):
-        return np.einsum("em,qdm->eqd", self.corner_values(u), self.basis_grads)
+        return self.quad_terms(u, grads=True)[1]
+
+    def _stored_offset(self, digits):
+        """The stencil plane of the offset digits in {-1, 0, 1}^dim, stored as
+        _axis_offsets does."""
+        k = 0
+        for d, n, per in zip(digits, self.shape, self.periodic):
+            k = 3 * k + int(_axis_offsets(n, per)[d + 1]) + 1
+        return k
+
+    @cached_property
+    def _mirror_plan(self):
+        """The lower half of the stencil offsets, filled by _assemble_local
+        from the upper half: per offset o whose mirror -o is stored in a
+        later plane, (o's plane, -o's plane, the (target, source) slices by
+        which plane o is plane -o shifted by o).  A symmetric matrix's entry
+        at row r and offset o is its entry at row r + o and offset -o.  An
+        offset that a periodic axis of 2 nodes stores in another plane has
+        no entry of its own."""
+        plan = []
+        for k, digits in enumerate(product((-1, 0, 1), repeat=self.dim)):
+            mirror = self._stored_offset([-d for d in digits])
+            if self._stored_offset(digits) == k and mirror > k:
+                pieces = product(*(_shift_slices(o, n, per)
+                                   for o, n, per in zip(digits, self.shape, self.periodic)))
+                plan.append((k, mirror, [(tuple(dst for dst, _ in piece),
+                                          tuple(src for _, src in piece)) for piece in pieces]))
+        return plan
 
     @cached_property
     def _fill_plan(self):
@@ -205,17 +369,17 @@ class TensorGrid:
         source) index pairs of the slice adds, with local pairs (i, j) in
         order of descending i.  The target of pair (i, j) is the stencil
         slice at offset corner_j - corner_i, stored as _axis_offsets does,
-        and at the nodes of corner i.
+        and at the nodes of corner i.  Only the pairs whose offset lies in
+        the upper half (the centre included) are added; _mirror_plan fills
+        the rest.
         """
         m, n_layers = self.n_local, self.cell_shape[0]
         layer = self.n_elems // n_layers
         step = max(1, ASSEMBLY_CHUNK_BYTES // (layer * m * m * 8))
-        corners = np.asarray(self._corners)
-        pair_offsets = np.zeros((m, m), dtype=int)
-        for ax, (n, per) in enumerate(zip(self.shape, self.periodic)):
-            delta = corners[None, :, ax] - corners[:, None, ax]
-            pair_offsets = 3 * pair_offsets + _axis_offsets(n, per)[delta + 1] + 1
-        pair_offsets = pair_offsets.tolist()
+        corners = self._corners
+        pair_offsets = [[self._stored_offset([b - a for a, b in zip(corners[i], corners[j])])
+                         for j in range(m)] for i in range(m)]
+        lower = {k for k, _, _ in self._mirror_plan}
         # per local node: its (cells, nodes) slices on the axes after the first
         tails = [[(tuple(cells for cells, _ in pieces), tuple(nodes for _, nodes in pieces))
                   for pieces in product(*(
@@ -233,8 +397,9 @@ class TensorGrid:
                 places = [((cells,) + cells_tail, (nodes,) + nodes_tail)
                           for cells, nodes in first for cells_tail, nodes_tail in tails[i]]
                 for j in range(m):
-                    adds.extend(((pair_offsets[i][j],) + nodes, (i * m + j,) + cells)
-                                for cells, nodes in places)
+                    if pair_offsets[i][j] not in lower:
+                        adds.extend(((pair_offsets[i][j],) + nodes, (i * m + j,) + cells)
+                                    for cells, nodes in places)
             plan.append((slice(lo * layer, hi * layer), (m * m, hi - lo) + self.cell_shape[1:],
                          adds))
         return plan
@@ -318,14 +483,19 @@ class TensorGrid:
         return self._assemble_local(local)
 
     def _assemble_local(self, local):
-        """Stencil array (see stiffness_stencil) summed from local entries.
+        """Stencil array (see stiffness_stencil) summed from symmetric local
+        entries.
 
         local(rows) gives the entries (m*m, E_rows) of the elements in the
-        slice rows, their pairs (i, j) row-major.  Chunk by chunk, each
-        pair's entries are added to a slice of the stencil array (see
-        _fill_plan).  An entry's terms are thus summed in ascending element
-        order, as a bincount over the elements would sum them, except on
-        the wrapped rows of a periodic axis.
+        slice rows, their pairs (i, j) row-major, with entry (j, i) equal to
+        (i, j).  Chunk by chunk, the entries of each pair whose offset lies
+        in the upper half are added to a slice of the stencil array, and
+        then each lower offset's plane is one shifted copy of its mirror's
+        (see _fill_plan and _mirror_plan).  An entry's terms are thus summed in ascending
+        element order, as a bincount over the elements would sum them,
+        except on the wrapped rows of a periodic axis; an entry and its
+        mirror are equal, except where a periodic axis of 2 nodes stores
+        two offsets in one plane.
         """
         stencil = np.zeros((3**self.dim,) + self.shape)
         for rows, shape, adds in self._fill_plan:
@@ -333,6 +503,9 @@ class TensorGrid:
             for target, source in adds:
                 stencil[target] += entries[source]
             del entries  # freed before the next chunk's entries are formed
+        for k, mirror, pieces in self._mirror_plan:
+            for dst, src in pieces:
+                stencil[k][dst] = stencil[mirror][src]
         return stencil
 
     def boundary_node_ids(self, axis, side):
@@ -573,23 +746,14 @@ class Mesh:
         return key
 
     @cached_property
-    def _section_tables(self):
-        """Section quadrature shared by every station, built once.
-
-        Returns ({side: (vals_table, grads_table)}, base_points, w0): the
-        volume basis on the upper ('below') and lower ('above') face of an
-        element layer, the base-quadrature points (base cells, Qb, dim - 1)
-        and the unweighted section quadrature weight.
-        """
+    def _section_points(self):
+        """Section quadrature shared by every station, built once: the
+        base-quadrature points (base cells, Qb, dim - 1) and the unweighted
+        section quadrature weight."""
         grid = self.grid
         d = grid.dim
         base_q = list(product(_GAUSS, repeat=d - 1))
         nq = len(base_q)
-        tables = {
-            side: tuple(_read_only(a) for a in grid.basis_tables(
-                [xib + (xi_ax,) for xib in base_q]))
-            for side, xi_ax in (("below", 1.0), ("above", -1.0))
-        }
         # physical points: tensor over base cells
         cell_idx = np.indices(grid.cell_shape[:-1]).reshape(d - 1, -1)
         lows = np.stack([grid.axes[ax][cell_idx[ax]] for ax in range(d - 1)], axis=-1)
@@ -598,20 +762,18 @@ class Mesh:
         qb = np.asarray(base_q).reshape(nq, d - 1)
         pts_base = _read_only(centers[:, None, :] + qb[None, :, :] * half[None, None, :])
         w0 = np.prod(grid.spacing[: d - 1]) / nq if d > 1 else 1.0
-        return tables, pts_base, w0
+        return pts_base, w0
 
     def station_edge_tables(self, j, side):
         """One-sided trace data at axial grid line j.
 
-        Returns (cell, points, weights, vals_table, grads_table) where cell
-        is the axial cell index of the adjacent element layer on the
-        requested side ('below' or 'above'): its elements are the axial
-        slice [:, cell] of a per-element array viewed as (base cells, axial
-        cells, ...), ordered like the base grid's elements.  points/weights
-        are the section quadrature (weights carry the radial measure factor
-        in radial mode); vals_table (Qb, m) and grads_table (Qb, dim, m)
-        evaluate the volume basis on the edge.  The tables are shared by
-        every station of the mesh and read-only.
+        Returns (cell, points, weights) where cell is the axial cell index
+        of the adjacent element layer on the requested side ('below' or
+        'above'): its elements are the axial slice [:, cell] of a
+        per-element array viewed as (base cells, axial cells, ...), ordered
+        like the base grid's elements, and grid.face_terms evaluates a field
+        on their faces.  points/weights are the section quadrature (weights carry
+        the radial measure factor in radial mode).
         """
         if side == "below":
             cell = j - 1
@@ -621,7 +783,7 @@ class Mesh:
             raise ValueError("side must be 'below' or 'above'")
         if cell < 0 or cell >= self.grid.cell_shape[-1]:
             raise ValueError(f"no element layer on side {side!r} of station {j}")
-        tables, pts_base, w0 = self._section_tables
+        pts_base, w0 = self._section_points
         tau = self.stations[j]
         pts = np.concatenate(
             [pts_base, np.full(pts_base.shape[:-1] + (1,), tau)], axis=-1
@@ -629,7 +791,7 @@ class Mesh:
         w = np.full(pts.shape[:-1], w0)
         if self.domain.axial_kind == RADIAL:
             w = w * (2.0 * math.pi * tau)
-        return (cell, pts, w) + tables[side]
+        return cell, pts, w
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ rises by no more than rounding (ENERGY_ROUNDING, relative).  A step that
 still raises it at theta = 2^-30, or gives a non-finite energy, is
 rejected, and the loop stops unconverged at the previous iterate.  It
 has converged once the relative energy decrease of a step falls below
-TOL_ENERGY.  The gradient and s that an accepted iterate's energy is
-computed from also build the next step's matrix, so each iterate's
-gradient is formed once; at p <= 2 no step reads the gradient, and only s
-is formed, one axis at a time.  This loop (_minimize) is the one nonlinear
+TOL_ENERGY.  Each iterate's terms come from one pass of the grid's
+sum-factorized kernel (TensorGrid.quad_terms): s, and grad f only at p >
+2, as only a Newton step reads it.  Each iterate takes one fractional
+power, t = s^((p-2)/2) (none at p = 2): the coefficient c = a t gives
+the energy, sum_q w c s / p, and the next step's matrix, so an accepted
+iterate's terms build that step.  This loop (_minimize) is the one nonlinear
 kernel: section frequencies run it with a nodal load b, the energy then
 less b . f, and the load added to each step's.  A system that pins no
 node (a second-kind section) has a singular step matrix H, so each of
@@ -158,14 +160,16 @@ class SolverDiagnostics:
 class ScalarField:
     """Nodal solution with its boundary data and solver diagnostics.
 
-    The field also keeps a quadrature ledger, each entry built on first
-    read: its values at every element's corners (the field's one gather)
-    and, formed from them, whole-mesh values, gradients and the weighted
-    |grad f|^p density at every quadrature point.  Slab integrals slice
-    these arrays, and a station trace reads the axial slice of its element
-    layer from the corners, instead of re-evaluating the field on the whole
-    mesh.  The ledger arrays are read-only, and values must not change in
-    place once the ledger is read: with_values starts a fresh ledger.
+    The field also keeps a quadrature ledger, built on first read: one
+    pass of the grid's kernel (TensorGrid.quad_terms) gives the field's
+    values and |grad f|^2 at every quadrature point, from which the
+    weighted |grad f|^p density is formed, and one pass per side gives its
+    values and one-sided gradients on the node planes of every element
+    (TensorGrid.face_terms).  Slab integrals slice the quadrature arrays,
+    and a station trace reads the axial slice of its element layer from
+    the face arrays, instead of re-evaluating the field on the whole mesh.
+    The ledger arrays are read-only, and values must not change in place
+    once the ledger is read: with_values starts a fresh ledger.
     """
 
     mesh: Mesh
@@ -178,25 +182,21 @@ class ScalarField:
         return replace(self, values=np.asarray(values, dtype=float))
 
     @cached_property
-    def corners(self):
-        """Values at every element's corners, shape (n_elems, n_local)."""
-        return _read_only(self.mesh.grid.corner_values(self.values))
+    def _quad_ledger(self):
+        """The field's values and |grad f|^2 at every quadrature point, shape
+        (n_elems, n_quad) each, from one pass of the kernel."""
+        vals, _, s = self.mesh.grid.quad_terms(self.values, vals=True, square_plus=0.0)
+        return _read_only(vals), s
 
-    @cached_property
+    @property
     def quad_values(self):
         """Values at every quadrature point, shape (n_elems, n_quad)."""
-        return _read_only(np.einsum("em,qm->eq", self.corners, self.mesh.grid.basis_vals))
-
-    @cached_property
-    def quad_grads(self):
-        """Gradients at every quadrature point, shape (n_elems, n_quad, dim)."""
-        return _read_only(np.einsum("em,qdm->eqd", self.corners, self.mesh.grid.basis_grads))
+        return self._quad_ledger[0]
 
     @cached_property
     def energy_density(self):
         """Quadrature weight times |grad f|^p, shape (n_elems, n_quad)."""
-        s = squared_norm(self.quad_grads)
-        return _read_only(self.mesh.grid.quad_weights * s ** (0.5 * self.op.p))
+        return _read_only(self.mesh.grid.quad_weights * self._quad_ledger[1] ** (0.5 * self.op.p))
 
     def slab_values(self, t, tau):
         """Quadrature values and weights over the slab between t < tau."""
@@ -204,12 +204,21 @@ class ScalarField:
         return (mesh.slab_rows(self.quad_values, t, tau),
                 mesh.slab_rows(mesh.grid.quad_weights, t, tau))
 
+    @cached_property
+    def _faces(self):
+        """Per side, 'below' or 'above' a station, the field's values and
+        one-sided gradients on that node plane of every element, from one
+        pass of the kernel each (TensorGrid.face_terms)."""
+        grid = self.mesh.grid
+        return {side: tuple(_read_only(a) for a in grid.face_terms(self.values, at))
+                for side, at in (("below", 1), ("above", 0))}
+
     def trace(self, j, side):
         """One-sided (points, weights, f, grad f) on station j from 'below' or 'above'."""
-        cell, pts, w, vals_tab, grads_tab = self.mesh.station_edge_tables(j, side)
-        grid = self.mesh.grid
-        ue = self.corners.reshape(-1, grid.cell_shape[-1], grid.n_local)[:, cell]
-        return pts, w, np.einsum("em,qm->eq", ue, vals_tab), np.einsum("em,qdm->eqd", ue, grads_tab)
+        cell, pts, w = self.mesh.station_edge_tables(j, side)
+        n_axial = self.mesh.grid.cell_shape[-1]
+        return (pts, w) + tuple(a.reshape((-1, n_axial) + a.shape[1:])[:, cell]
+                                for a in self._faces[side])
 
 
 def dirichlet_data(mesh, bc):
@@ -703,35 +712,37 @@ def _separable_solve(system, a_q):
     return out
 
 
-def _gradient_terms(grid, values, eps, p):
-    """grad f and s = |grad f|^2 + eps^2 at every quadrature point.
-
-    At p <= 2 no step reads grad f, so it is None, and s is summed one axis
-    at a time from that axis's derivative, in squared_norm's order, without
-    the (E, Q, dim) gradient: to the bit the s of the gradient.
-    """
-    if p > 2.0:
-        g = grid.grads_at_quads(values)
-        return g, squared_norm(g) + eps**2
-    ue = grid.corner_values(values)
-    s = np.einsum("em,qm->eq", ue, grid.basis_grads[:, 0, :])
-    s *= s  # x * x is x ** 2 to the bit
-    term = np.empty_like(s)
-    for d in range(1, grid.dim):
-        np.einsum("em,qm->eq", ue, grid.basis_grads[:, d, :], out=term)
-        term *= term
-        s += term
-    s += eps**2
-    return None, s
+def _gradient_terms(grid, values, eps, p, a_q):
+    """(grad f, s, c) at every quadrature point: s = |grad f|^2 + eps^2 and
+    the step coefficient c = a s^((p-2)/2), the iterate's one fractional
+    power, which is a_q itself at p = 2.  At p <= 2 no step reads grad f,
+    so it is None, and the kernel forms s alone (TensorGrid.quad_terms)."""
+    _, g, s = grid.quad_terms(values, grads=p > 2.0, square_plus=eps**2)
+    c = a_q if p == 2.0 else a_q * s ** (0.5 * (p - 2.0))
+    return g, s, c
 
 
-def _regularized_energy(grid, p, a_q, s):
-    """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p, from a_q = a and s = |grad
-    f|^2 + eps^2 at the quadrature points."""
-    return float(np.sum(grid.quad_weights * a_q * s ** (0.5 * p) / p))
+def _regularized_energy(grid, p, terms):
+    """sum_q w a (|grad f|^2 + eps^2)^(p/2) / p, as sum_q w c s / p from the
+    terms (grad f, s, c) of _gradient_terms.  The products are formed and
+    summed block by block in one buffer, each block whole elements whose
+    products take at most ASSEMBLY_CHUNK_BYTES, so that no temporary grows
+    past a block; np.sum sums each block pairwise, which keeps the rounding
+    of the energy well below ENERGY_ROUNDING (a running sum, as einsum's,
+    does not)."""
+    _, s, c = terms
+    w = grid.quad_weights
+    rows = max(1, ASSEMBLY_CHUNK_BYTES // (8 * s.shape[1]))
+    buffer = np.empty((min(rows, len(s)), s.shape[1]))
+    total = 0.0
+    for lo in range(0, len(s), rows):
+        block = np.multiply(c[lo:lo + rows], s[lo:lo + rows], out=buffer[:len(s[lo:lo + rows])])
+        block *= w[lo:lo + rows]
+        total += float(block.sum())
+    return total / p
 
 
-def _step_system(grid, a_q, f, p, terms):
+def _step_system(grid, f, p, terms):
     """Matrix, as a grid stencil array, and extra load of one outer step at
     the iterate f.
 
@@ -741,10 +752,9 @@ def _step_system(grid, a_q, f, p, terms):
     K(c) + (p-2) R, R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad
     phi_j), and the load (p-2) R f makes the solve
     return the Newton iterate f - H_ff^-1 (K(c) f)_f.  terms is (grad f,
-    s) at f, from _gradient_terms; grad f is read only for p > 2.
+    s, c) at f, from _gradient_terms; grad f is read only for p > 2.
     """
-    g, s = terms
-    coeff = a_q * s ** (0.5 * (p - 2.0))
+    g, s, coeff = terms
     if p <= 2.0:
         return grid.stiffness_stencil(coeff=coeff), None
     # (p-2) R is the directional stiffness along sqrt((p-2) c/s) grad f,
@@ -756,14 +766,14 @@ def _step_system(grid, a_q, f, p, terms):
     return H, grid.apply_stencil(pR, f)
 
 
-def _step(system, a_q, f, p, terms, load, mass):
+def _step(system, f, p, terms, load, mass):
     """The free-box system (see _FreeSystem.restrict) of one outer step at
     the iterate f: _step_system's matrix and load, the nodal load b added,
     and on an unpinned system the proximal term of the mass stencil.  The
     step's matrix becomes the buffer of the box block; its other stencil
     arrays die when it returns."""
     grid = system.grid
-    H, step_load = _step_system(grid, a_q, f, p, terms)
+    H, step_load = _step_system(grid, f, p, terms)
     loads = [x for x in (step_load, load) if x is not None]
     if mass is not None:
         delta = PROXIMAL_REL * float(H[len(H) // 2].max())
@@ -781,15 +791,15 @@ def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
     grid = system.grid
     mass = None if system.pinned else grid.mass_stencil()
 
-    def evaluate(values):  # the accepted iterate's grad f and s build the next step
-        terms = _gradient_terms(grid, values, eps, p)
-        energy = _regularized_energy(grid, p, a_q, terms[1])
+    def evaluate(values):  # the accepted iterate's terms build the next step
+        terms = _gradient_terms(grid, values, eps, p, a_q)
+        energy = _regularized_energy(grid, p, terms)
         return terms, energy if load is None else energy - float(load @ values)
 
     terms, energy = evaluate(f)
     theta, decrease, taken, converged = 1.0, 0.0, 0, False
     while not converged and taken < steps:
-        step = _step(system, a_q, f, p, terms, load, mass)
+        step = _step(system, f, p, terms, load, mass)
         terms = terms_new = None  # an accepted iterate brings its own
         f_hat = system.solve(step, x0=f)
         step = None  # the box block dies with the V-cycle, not at the next step

@@ -132,6 +132,42 @@ def reference_gradient_s(grid, u, eps):
     return st.squared_norm(grid.grads_at_quads(u)) + eps**2
 
 
+def reference_quad_terms(grid, u):
+    """Values (E, Q) and gradients (E, Q, dim) at the quadrature points by
+    the element-gather einsum that TensorGrid.quad_terms replaced: each
+    element's corner values (TensorGrid.corner_values, which
+    TestCornerGather holds to the connectivity), contracted with the basis
+    tables."""
+    ue = grid.corner_values(u)
+    return (np.einsum("em,qm->eq", ue, grid.basis_vals),
+            np.einsum("em,qdm->eqd", ue, grid.basis_grads))
+
+
+def reference_assemble_local(grid, local):
+    """TensorGrid._assemble_local as it was before the half stencil: every
+    local pair (i, j), in order of descending i, added to the stencil plane
+    of its offset at the nodes of corner i, chunk by chunk."""
+    m = grid.n_local
+    stencil = np.zeros((3**grid.dim,) + grid.shape)
+    for rows, shape, _ in grid._fill_plan:
+        entries = local(rows).reshape(shape)
+        lo = rows.start // (grid.n_elems // grid.cell_shape[0])
+        hi = lo + shape[1]
+        for i in reversed(range(m)):
+            places = [((cells,) + tuple(c for c, _ in rest), (nodes,) + tuple(n for _, n in rest))
+                      for cells, nodes in geo._wrapped_slices(
+                          lo, hi, grid._corners[i][0], grid.shape[0], grid.periodic[0])
+                      for rest in itertools.product(*(
+                          geo._wrapped_slices(0, c, corner, n, per) for c, corner, n, per in zip(
+                              grid.cell_shape[1:], grid._corners[i][1:], grid.shape[1:],
+                              grid.periodic[1:])))]
+            for j in range(m):
+                k = grid._stored_offset([b - a for a, b in zip(grid._corners[i], grid._corners[j])])
+                for cells, nodes in places:
+                    stencil[(k,) + nodes] += entries[(i * m + j,) + cells]
+    return stencil
+
+
 def reference_elem_nodes(grid):
     """The element connectivity (n_elems, n_local), the node ids of each
     element's corners in the order of TensorGrid.corner_values: per corner,
@@ -277,6 +313,19 @@ def reference_trace(mesh, values, j, side):
     elem_ids, pts, w, vals, grads = reference_station_edge_tables(mesh, j, side)
     ue = values[reference_elem_nodes(mesh.grid)[elem_ids]]
     return pts, w, np.einsum("em,qm->eq", ue, vals), np.einsum("em,qdm->eqd", ue, grads)
+
+
+def reference_kernel_trace(mesh, values, j, side):
+    """ScalarField.trace by the kernel over the whole mesh: every axial cell
+    layer's values and gradients on the node plane of station j's side, in
+    one pass, and the station's layer sliced from them."""
+    grid = mesh.grid
+    cell, at = (j - 1, 1) if side == "below" else (j, 0)
+    vals, grads = grid.face_terms(values, at)
+    layers = (-1, grid.cell_shape[-1], vals.shape[1])
+    _, pts, w, _, _ = reference_station_edge_tables(mesh, j, side)
+    return (pts, w, vals.reshape(layers)[:, cell],
+            grads.reshape(layers + (grid.dim,))[:, cell])
 
 
 def reference_pk_at_quads(mesh):

@@ -1,13 +1,10 @@
-import functools
 import math
-import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-import scipy.sparse.linalg as spla
 
 from conftest import (count_compute_calls, gather_csr, reference_gradient_form,
                       reference_scalar_form, station_meshes)
@@ -621,9 +618,43 @@ class TestSmallestCurvature:
         lam, _ = self.check(sec, p, *self.minimum(sec, p))
         assert 0.0 < lam < 1.0
 
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    @pytest.mark.parametrize("name", ["rectangle", "radial"])
+    def test_stable_under_rounding(self, monkeypatch, name, p):
+        """s multiplied by 1 + 4e-16 N(0, 1) (seeded) inside the curvature
+        test: the second kind still converges on the 8 x 12 rectangle and
+        the radial section, to values within 1e-10 of the unperturbed one.
+        scipy's lobpcg, which stopped there with a failed Cholesky
+        factorization, lost the rectangle in 8 of 16 such runs."""
+        sec = (geo.rectangle_section((1.0, 1.5), (8, 12), "none") if name == "rectangle"
+               else self.radial_section())
+        quad_terms, smallest = geo.TensorGrid.quad_terms, fr._smallest_curvature
+        rng = [None]
+
+        def perturbed(self, u, **kwargs):
+            vals, grads, s = quad_terms(self, u, **kwargs)
+            if rng[0] is not None and s is not None:
+                s = s * (1.0 + 4e-16 * rng[0].normal(size=s.shape))
+            return vals, grads, s
+
+        def seeded(seed):
+            def curvature(*args):
+                rng[0] = np.random.default_rng(seed)
+                try:
+                    return smallest(*args)
+                finally:
+                    rng[0] = None
+            return curvature
+
+        monkeypatch.setattr(geo.TensorGrid, "quad_terms", perturbed)
+        value = fr.compute_frequency(sec, p, fr.SECOND).value
+        for seed in range(4):
+            monkeypatch.setattr(fr, "_smallest_curvature", seeded(seed))
+            assert fr.compute_frequency(sec, p, fr.SECOND).value == pytest.approx(value, rel=1e-10)
+
     def test_unconverged_pair_raises(self, monkeypatch):
         # an unconverged Ritz value only bounds the curvature from above, so
-        # a saddle could pass for a minimum: lobpcg cut at one iteration
+        # a saddle could pass for a minimum: LOBPCG cut at one iteration
         # leaves the smallest pair above tolerance, and the check raises
         sec = self.radial_section()
         u, q = self.minimum(sec, 1.5)
@@ -631,8 +662,7 @@ class TestSmallestCurvature:
         system = sv._FreeSystem(grid, np.zeros(grid.n_nodes, dtype=bool), np.zeros(grid.n_nodes))
         mass = sv._dia(sv._box_stencil(grid.mass_stencil(), system.box, grid.periodic),
                        grid.periodic)
-        monkeypatch.setattr(fr, "spla", types.SimpleNamespace(
-            lobpcg=functools.partial(spla.lobpcg, maxiter=1), LinearOperator=spla.LinearOperator))
+        monkeypatch.setattr(fr, "CURVATURE_MAXITER", 1)
         with pytest.raises(sv.SolverError, match="curvature did not converge"):
             fr._smallest_curvature(system, fr._Quotient(grid, 1.5, True), mass, u, q)
 
@@ -800,11 +830,11 @@ def test_forms_equal_connectivity_scatter(name, p):
     grid = mesh.cross_section(mesh.stations[mesh.stations.size // 2]).grid
     u = np.random.default_rng(4).normal(size=grid.n_nodes)
     quot = fr._Quotient(grid, p, recenter=False)
-    q, flux, load = quot.forms(u)
+    q, flux, load = quot.forms(grid.quad_terms(u, vals=True, grads=True, square_plus=0.0))
     g = grid.grads_at_quads(u)
     c = (st.squared_norm(g) + fr.SECTION_EPS**2) ** (0.5 * (p - 2.0))
     vq = grid.vals_at_quads(u)
-    assert q == quot.numerator(u)
+    assert q == quot.numerator(st.squared_norm(g))
     for got, want in ((flux, reference_gradient_form(grid, c[..., None] * g)),
                       (load, reference_scalar_form(grid, st.guarded_power(np.abs(vq), p - 2.0) * vq))):
         if any(grid.periodic):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (gather_csr, pattern_grids, reference_csr_pattern, reference_elem_nodes,
-                      reference_pk_at_quads, reference_slab_elements,
+from conftest import (gather_csr, pattern_grids, reference_assemble_local,
+                      reference_csr_pattern, reference_elem_nodes, reference_pk_at_quads,
+                      reference_kernel_trace, reference_quad_terms, reference_slab_elements,
                       reference_station_edge_tables, reference_trace, slab_meshes,
                       station_meshes)
 from svplab import geometry as geo
@@ -299,15 +300,21 @@ class TestAxialSlabsAndSections:
             mesh.station_edge_tables(1, "left")
 
     def test_tracing_every_station_builds_section_tables_once(self, name, monkeypatch):
+        """The section points are built once per mesh and cached, and the
+        traces slice the field's face arrays, one kernel pass per side: no
+        basis table is built and no corner is gathered."""
         mesh = slab_meshes()[name]
         calls = []
         tables = geo.TensorGrid.basis_tables
         monkeypatch.setattr(geo.TensorGrid, "basis_tables",
                             lambda self, points: calls.append(self) or tables(self, points))
-        gathers = []
+        gathers, faces = [], []
         corner_values = geo.TensorGrid.corner_values
         monkeypatch.setattr(geo.TensorGrid, "corner_values",
                             lambda self, u: gathers.append(1) or corner_values(self, u))
+        face_terms = geo.TensorGrid.face_terms
+        monkeypatch.setattr(geo.TensorGrid, "face_terms",
+                            lambda self, u, at: faces.append(at) or face_terms(self, u, at))
         values = np.random.default_rng(1).normal(size=mesh.n_nodes)
         field = sv.ScalarField(mesh=mesh, values=values, op=st.constant_operator(2.0),
                                bc=None, diagnostics=None)
@@ -316,8 +323,8 @@ class TestAxialSlabsAndSections:
             for side, has_layer in (("below", j > 0), ("above", j < last)):
                 if has_layer:
                     field.trace(j, side)
-        assert len(gathers) == 1  # every trace slices the field's one corner gather
-        assert len(calls) <= 2
+        assert not gathers and sorted(faces) == [0, 1]  # one pass per side
+        assert not calls and "_section_points" in mesh.__dict__  # built once, cached
 
 
 @pytest.mark.parametrize("name", list(pattern_grids()))
@@ -353,7 +360,8 @@ class TestCornerGather:
         assert same_bytes(grid.corner_values(np.arange(grid.n_nodes)), reference_elem_nodes(grid))
 
     def test_corner_values_equal_connectivity_gather(self, name):
-        """So the quadrature values and gradients keep their bytes too."""
+        """The quadrature values and gradients no longer come from the
+        corners: TestQuadKernel compares them with this gather's einsum."""
         grid = pattern_grids()[name]
         u = np.random.default_rng(2).normal(size=grid.n_nodes)
         ue = u[reference_elem_nodes(grid)]
@@ -363,9 +371,6 @@ class TestCornerGather:
         with pytest.MonkeyPatch.context() as mp:  # one first-axis cell layer a chunk
             mp.setattr(geo, "ASSEMBLY_CHUNK_BYTES", 1)
             assert same_bytes(grid.corner_values(u), ue)
-        assert same_bytes(grid.vals_at_quads(u), np.einsum("em,qm->eq", ue, grid.basis_vals))
-        assert same_bytes(grid.grads_at_quads(u),
-                          np.einsum("em,qdm->eqd", ue, grid.basis_grads))
 
     def test_corner_sums_equal_connectivity_scatter(self, name):
         """The bytes of np.add.at through the connectivity, except on a
@@ -381,11 +386,114 @@ class TestCornerGather:
             assert same_bytes(got, want)
 
 
+def kernel_grids():
+    """The assembly tests' grids (1-, 2- and 3-D, a radial volume grid with
+    its 2 pi r weight, periodic sections, periodic axes of two and three
+    nodes, and periodic first axes), and the README grid at h = 1/64 and
+    the k = 2 layer at h = 1/32, which the kernel takes in several chunks."""
+    readme = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer", alpha=1.0,
+                                 beta=7.0, lateral_bc=("dirichlet0",) * 2)
+    k2 = replace(readme, n=3, k=2, base=((0.0, 1.0), (0.0, 1.0)), lateral_bc=("dirichlet0",) * 4)
+    return {**pattern_grids(), "readme-h64": geo.build_mesh(readme, 1 / 64).grid,
+            "k2-h32": geo.build_mesh(k2, 1 / 32).grid}
+
+
+@pytest.mark.parametrize("name", list(kernel_grids()))
+class TestQuadKernel:
+    """The sum-factorized kernel (TensorGrid.quad_terms) against the
+    element-gather einsum it replaced, and on fields it must get exactly."""
+
+    def test_matches_the_element_gather(self, name):
+        grid = kernel_grids()[name]
+        u = np.random.default_rng(2).normal(size=grid.n_nodes)
+        vals, grads = reference_quad_terms(grid, u)
+        for chunk_bytes in (geo.ASSEMBLY_CHUNK_BYTES, 1):  # 1: one cell layer a chunk
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geo, "ASSEMBLY_CHUNK_BYTES", chunk_bytes)
+                v, g, s = grid.quad_terms(u, vals=True, grads=True, square_plus=0.25)
+            assert v.flags.c_contiguous and g.flags.c_contiguous and s.flags.c_contiguous
+            assert v.shape == vals.shape and g.shape == grads.shape
+            assert np.max(np.abs(v - vals)) <= 1e-13 * np.max(np.abs(vals))
+            assert np.max(np.abs(g - grads)) <= 1e-13 * np.max(np.abs(grads))
+            # the squares add in axis order, then the shift: squared_norm's sum
+            assert same_bytes(s, st.squared_norm(g) + 0.25)
+            assert same_bytes(v, grid.vals_at_quads(u)) and same_bytes(g, grid.grads_at_quads(u))
+        assert grid.quad_terms(u) == (None, None, None)
+        _, none, alone = grid.quad_terms(u, square_plus=0.25)
+        assert none is None and same_bytes(alone, s)
+
+    def test_constant_field_is_exact(self, name):
+        """A constant's differences vanish and its interpolation is a + w 0:
+        exact zeros, where a BLAS contraction leaves rounding."""
+        grid = kernel_grids()[name]
+        v, g, s = grid.quad_terms(np.full(grid.n_nodes, 0.7), vals=True, grads=True,
+                                  square_plus=0.0)
+        assert np.all(v == 0.7) and not g.any() and not s.any()
+
+
+@pytest.mark.parametrize("name", [name for name, grid in kernel_grids().items()
+                              if not any(grid.periodic)])
+def test_multilinear_field_is_the_closed_form(name):
+    """A multilinear field (periodic axes wrap, so only on grids without
+    them) is the element's own: its values and gradients
+    at the quadrature points are the closed form's, to rounding, and
+    the gradient of an affine field with dyadic slopes on a dyadic grid
+    is exact."""
+    grid = kernel_grids()[name]
+    x = grid.nodes
+    slopes = np.array([2.0, -0.5, 4.0])[:grid.dim]
+    coupling = np.prod(x, axis=-1)  # x0 x1 ..., multilinear
+    v, g, _ = grid.quad_terms(1.0 + x @ slopes + 3.0 * coupling, vals=True, grads=True)
+    pts = grid.quad_points
+    want_v = 1.0 + pts @ slopes + 3.0 * np.prod(pts, axis=-1)
+    want_g = slopes + 3.0 * np.stack([np.prod(np.delete(pts, d, axis=-1), axis=-1)
+                                      for d in range(grid.dim)], axis=-1)
+    assert np.max(np.abs(v - want_v)) <= 1e-14 * np.max(np.abs(want_v))
+    assert np.max(np.abs(g - want_g)) <= 1e-14 * np.max(np.abs(want_g))
+    dyadic = geo.TensorGrid([np.arange(n) * 0.25 for n in grid.shape])
+    _, g, _ = dyadic.quad_terms(dyadic.nodes @ slopes, grads=True)
+    assert np.array_equal(g, np.broadcast_to(slopes, g.shape))
+
+
+@pytest.mark.parametrize("name", list(pattern_grids()))
+def test_half_stencil_equals_the_full_plan(name):
+    """Assembly adds the upper half of the offsets and copies each lower
+    plane from its mirror: the stiffness, mass and directional stencils of
+    the plan that added every local pair, bit for bit, except where a
+    periodic axis of 2 nodes stores both of its neighbours' entries in one
+    plane, summed in another order for a row and its mirror."""
+    grid = pattern_grids()[name]
+    rng = np.random.default_rng(9)
+    coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
+    direction = rng.normal(size=grid.quad_weights.shape + (grid.dim,))
+    sqrt_w = np.sqrt(grid.quad_weights)
+
+    def gram(rows):
+        u = np.einsum("eqd,qdm->eqm", direction[rows], grid.basis_grads)
+        u *= sqrt_w[rows][..., None]
+        return np.einsum("eqi,eqj->eij", u, u).reshape(u.shape[0], -1).T
+
+    cases = ((grid.stiffness_stencil(coeff=coeff),
+              lambda rows: grid._stiffness_table.T @ (grid.quad_weights[rows] * coeff[rows]).T),
+             (grid.mass_stencil(), lambda rows: grid._mass_table.T @ grid.quad_weights[rows].T),
+             (grid.directional_stencil(direction), gram))
+    two_node_wrap = 2 in [n for n, per in zip(grid.shape, grid.periodic) if per]
+    for stencil, local in cases:
+        full = reference_assemble_local(grid, local)
+        if two_node_wrap:
+            assert np.max(np.abs(stencil - full)) <= 1e-15 * np.max(np.abs(full))
+        else:
+            assert same_bytes(stencil, full)
+    assert len(grid._mirror_plan) == (3**grid.dim - 1) // 2 or two_node_wrap
+
+
 @pytest.mark.parametrize("name", ["readme-h16", "readme-k2-h8", "radial-h8"])
 def test_traces_equal_connectivity_gather(name):
     """A station trace reads its element layer as an axial slice of the
-    field's corners: the bytes of the gather through the connectivity of
-    the per-station element ids, at every station and side."""
+    field's face arrays: the bytes of the kernel over every layer of the
+    mesh, sliced at the station's layer, and within 1e-13 of the gather
+    through the connectivity of the per-station element ids, at every
+    station and side; points and weights keep their bytes."""
     mesh = station_meshes()[name]
     values = np.random.default_rng(3).normal(size=mesh.n_nodes)
     field = sv.ScalarField(mesh=mesh, values=values, op=st.constant_operator(2.0), bc=None,
@@ -397,8 +505,13 @@ def test_traces_equal_connectivity_gather(name):
                 with pytest.raises(ValueError, match="no element layer"):
                     field.trace(j, side)
                 continue
+            got = field.trace(j, side)
+            assert all(same_bytes(a, b) for a, b in zip(got, reference_kernel_trace(
+                mesh, values, j, side)))
             want = reference_trace(mesh, values, j, side)
-            assert all(same_bytes(a, b) for a, b in zip(field.trace(j, side), want))
+            assert all(same_bytes(a, b) for a, b in zip(got[:2], want[:2]))
+            for a, b in zip(got[2:], want[2:]):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     with pytest.raises(ValueError, match="side must be"):
         field.trace(1, "left")
 

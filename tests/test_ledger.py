@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_strip, reference_slab_elements, reference_trace
+from conftest import make_strip, reference_kernel_trace, reference_slab_elements
 from svplab import asymptotics as asym
 from svplab import energetics as en
 from svplab import geometry as geo
@@ -32,7 +32,7 @@ def ref_energy(f, t, tau):
 
 
 def ref_trace(f, j, side):
-    return reference_trace(f.mesh, f.values, j, side)[1:]
+    return reference_kernel_trace(f.mesh, f.values, j, side)[1:]
 
 
 def ref_section_energy(f, j):
@@ -80,15 +80,17 @@ def test_with_values_starts_a_fresh_ledger():
 
 
 def test_post_processing_evaluates_the_field_once(monkeypatch):
-    """Values, gradients and traces of the ledger come from one corner gather."""
+    """Values and |grad f|^2 of the ledger come from one pass of the kernel,
+    the traces from one face pass per side, and no corner is gathered."""
     f = solve_small(2.0)
-    calls = {"corner_values": 0, "grads_at_quads": 0, "vals_at_quads": 0}
+    calls = {"corner_values": 0, "grads_at_quads": 0, "vals_at_quads": 0, "quad_terms": 0,
+             "face_terms": 0}
     for name in calls:
         orig = getattr(geo.TensorGrid, name)
 
-        def counted(self, u, _orig=orig, _name=name):
+        def counted(self, u, *args, _orig=orig, _name=name, **kwargs):
             calls[_name] += 1
-            return _orig(self, u)
+            return _orig(self, u, *args, **kwargs)
 
         monkeypatch.setattr(geo.TensorGrid, name, counted)
     stations = [s for s in f.mesh.stations if s > 0]
@@ -99,4 +101,5 @@ def test_post_processing_evaluates_the_field_once(monkeypatch):
         zn.lp_zone(f, s, C5=1.0, rate_profile=rate, tau_outer=0.875)
         zn.sup_zone(f, s, C6=1.0, rate_profile=rate, tau_outer=0.875)
     asym.cutoff_bound(f, 0.0, 0.25, 0.75)
-    assert calls == {"corner_values": 1, "grads_at_quads": 0, "vals_at_quads": 0}
+    assert calls == {"corner_values": 0, "grads_at_quads": 0, "vals_at_quads": 0, "quad_terms": 1,
+                     "face_terms": 2}

@@ -345,8 +345,8 @@ snapshot = false
 
 def regularized_energy(mesh, op, values, eps):
     """The solver's regularized energy of a nodal field."""
-    _, s = sv._gradient_terms(mesh.grid, values, eps, op.p)
-    return sv._regularized_energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s)
+    terms = sv._gradient_terms(mesh.grid, values, eps, op.p, op.a(mesh.pk_at_quads()))
+    return sv._regularized_energy(mesh.grid, op.p, terms)
 
 
 def readme_problem(p, h):
@@ -433,8 +433,9 @@ class TestRejectedStep:
         assert len(calls) == 32  # the first iterate, then theta = 1, 1/2, ..., 2^-30
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
-        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p)
-        assert d.energy == energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s) + 1
+        terms = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p,
+                                   op.a(mesh.pk_at_quads()))
+        assert d.energy == energy(mesh.grid, op.p, terms) + 1
 
     def test_nonfinite_energy_is_rejected(self, monkeypatch, tmp_path):
         dom, mesh, op, bc = general_p_problem(3.0)
@@ -452,8 +453,9 @@ class TestRejectedStep:
         assert not d.converged
         assert d.outer_iterations == 2
         assert np.array_equal(f.values, first.values)
-        _, s = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p)
-        assert d.energy == energy(mesh.grid, op.p, op.a(mesh.pk_at_quads()), s)
+        terms = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p,
+                                   op.a(mesh.pk_at_quads()))
+        assert d.energy == energy(mesh.grid, op.p, terms)
         calls.clear()
         result = run(parse_config(README_SOLVE.format(p=3, h=0.125)), out_dir=str(tmp_path), seed=0)
         assert result.exit_code == 3
@@ -616,7 +618,7 @@ class TestNewtonHessian:
             s = np.sum(grid.grads_at_quads(u) ** 2, axis=-1) + eps**2
             return gather_csr(grid, grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (p - 2.0)))) @ u
 
-        stencil, load = sv._step_system(grid, a_q, f, p, sv._gradient_terms(grid, f, eps, p))
+        stencil, load = sv._step_system(grid, f, p, sv._gradient_terms(grid, f, eps, p, a_q))
         H = gather_csr(grid, stencil)
         step = 1e-5
         fd = np.empty((grid.n_nodes,) * 2)
@@ -687,18 +689,18 @@ def outer_loop_reference(dom, mesh, op, bc):
     a_q = op.a(mesh.pk_at_quads())
     system = sv._FreeSystem(grid, mask, vals)
     f = sv._separable_solve(system, a_q)
-    terms = sv._gradient_terms(grid, f, eps, op.p)
-    energy = sv._regularized_energy(grid, op.p, a_q, terms[1])
+    terms = sv._gradient_terms(grid, f, eps, op.p, a_q)
+    energy = sv._regularized_energy(grid, op.p, terms)
     iters, converged = 1, op.p == 2.0
     while not converged and iters < sv.MAX_OUTER:
-        H, load = sv._step_system(grid, a_q, f, op.p, terms)
+        H, load = sv._step_system(grid, f, op.p, terms)
         f_hat = system.solve(system.restrict(H, load), x0=f)
         iters += 1
         theta = 1.0
         while True:
             f_new = f + theta * (f_hat - f)
-            terms_new = sv._gradient_terms(grid, f_new, eps, op.p)
-            e_new = sv._regularized_energy(grid, op.p, a_q, terms_new[1])
+            terms_new = sv._gradient_terms(grid, f_new, eps, op.p, a_q)
+            e_new = sv._regularized_energy(grid, op.p, terms_new)
             if e_new <= energy or theta <= 2**-30:
                 break
             theta *= 0.5
@@ -803,8 +805,8 @@ class TestInexactInnerSolve:
         system = sv._FreeSystem(mesh.grid, mask, vals)
         a_q = op.a(mesh.pk_at_quads())
         f = sv._separable_solve(system, a_q)
-        terms = sv._gradient_terms(mesh.grid, f, sv.EPS_REG_REL, op.p)
-        stencil, _ = sv._step_system(mesh.grid, a_q, f, op.p, terms)
+        terms = sv._gradient_terms(mesh.grid, f, sv.EPS_REG_REL, op.p, a_q)
+        stencil, _ = sv._step_system(mesh.grid, f, op.p, terms)
         cg_calls.clear()
         f_hat = system.solve(system.restrict(stencil.copy()), x0=f)  # restrict consumes
         H = gather_csr(mesh.grid, stencil)
@@ -821,25 +823,26 @@ class TestInexactInnerSolve:
 class TestGradientOncePerIterate:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_one_gradient_per_energy_evaluation(self, monkeypatch, p):
-        """Each energy evaluation forms |grad f|^2 once, from one corner
-        gather; the (E, Q, dim) gradient is formed only where a Newton step
-        reads it, above p = 2."""
+        """Each energy evaluation forms |grad f|^2 once, from one pass of the
+        kernel and no corner gather; the (E, Q, dim) gradient is formed only
+        where a Newton step reads it, above p = 2."""
         problem = readme_problem(p, 1 / 16)
-        gathers, grads, energies = [], [], []
+        gathers, passes, energies = [], [], []
         corner_values = geo.TensorGrid.corner_values
-        grads_at_quads = geo.TensorGrid.grads_at_quads
+        quad_terms = geo.TensorGrid.quad_terms
         energy = sv._regularized_energy
         monkeypatch.setattr(geo.TensorGrid, "corner_values",
                             lambda self, u: gathers.append(1) or corner_values(self, u))
-        monkeypatch.setattr(geo.TensorGrid, "grads_at_quads",
-                            lambda self, u: grads.append(1) or grads_at_quads(self, u))
+        monkeypatch.setattr(geo.TensorGrid, "quad_terms",
+                            lambda self, u, **kw: passes.append(kw) or quad_terms(self, u, **kw))
         monkeypatch.setattr(sv, "_regularized_energy",
                             lambda *args: energies.append(1) or energy(*args))
         d = sv.solve(*problem).diagnostics
         assert d.converged and d.outer_iterations > 2
         assert len(energies) >= d.outer_iterations
-        assert len(gathers) == len(energies)
-        assert len(grads) == (len(energies) if p > 2.0 else 0)
+        assert not gathers and len(passes) == len(energies)
+        assert all(kw["square_plus"] == d.eps_reg**2 and not kw.get("vals") for kw in passes)
+        assert sum(bool(kw.get("grads")) for kw in passes) == (len(energies) if p > 2.0 else 0)
 
 
 def face_mask(grid, faces):
@@ -1165,18 +1168,21 @@ class TestWorkingSet:
     """A solve holds little more than one grid-sized stencil: restrict
     writes the free-box block over the step's stencil, the Galerkin passes
     run block by block, the quadrature weights and a constant a(x) are
-    broadcasts of one value, and at p <= 2 |grad f|^2 is summed without the
-    gradient; the outer loop keeps neither the step's stencil nor the
+    broadcasts of one value, and at p <= 2 the kernel forms |grad f|^2
+    without the gradient, chunk by chunk; the outer loop keeps neither the step's stencil nor the
     previous iterate's gradient terms through the step's solve.  A p = 2
     solve is separable and builds no grid stencil at all."""
 
-    @pytest.mark.parametrize("h, p, bound", [(1 / 16, 2.0, 1.0), (1 / 16, 3.0, 4.6),
-                                             (1 / 32, 2.0, 1.0)],
+    @pytest.mark.parametrize("h, p, bound", [(1 / 16, 2.0, 0.9), (1 / 16, 3.0, 4.6),
+                                             (1 / 32, 2.0, 0.45)],
                              ids=["h16-p2", "h16-p3", "h32-p2"])
     def test_3d_solve_peak_in_grid_stencils(self, h, p, bound):
         """Traced peaks of a k = 2 solve, in grid stencils of 3^3 values per
-        node: 0.85 at h = 1/16, p = 2, 4.40 at h = 1/16, p = 3 and 0.90 at
-        h = 1/32, p = 2.  With the p = 2 solve by multigrid CG they were
+        node: 0.85 at h = 1/16, p = 2, 4.40 at h = 1/16, p = 3 and 0.42 at
+        h = 1/32, p = 2, where a p = 2 solve's peak is its one energy
+        evaluation, s and the kernel's chunk temporaries.  With |grad f|^2
+        summed from the element corners they were 0.85, 4.40 and 0.90, and
+        with the p = 2 solve by multigrid CG
         1.97, 4.43 and 1.74, and 2.39, 4.94 and 2.61 with the box block
         copied out of the stencil, the passes over whole levels, the
         weights and a(x) materialized and the gradient formed at p = 2
@@ -1196,8 +1202,9 @@ class TestWorkingSet:
 
 
 class TestSquaredGradient:
-    """s = |grad f|^2 + eps^2 summed one axis at a time, without the
-    gradient, where no step reads it."""
+    """s = |grad f|^2 + eps^2 from the kernel alone, without the gradient,
+    where no step reads it, and the step coefficient c = a s^((p-2)/2) from
+    the iterate's one fractional power."""
 
     @pytest.mark.parametrize("name", list(pattern_grids()) + ["readme-h64", "k2-h32"])
     def test_per_axis_s_is_the_gradient_s(self, name):
@@ -1207,14 +1214,18 @@ class TestSquaredGradient:
             grid = layer3d(1 / 32)[1].grid
         else:
             grid = pattern_grids()[name]
-        u = np.random.default_rng(6).normal(size=grid.n_nodes)
+        rng = np.random.default_rng(6)
+        u = rng.normal(size=grid.n_nodes)
+        a_q = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
         ref = reference_gradient_s(grid, u, 0.1)
         for p in (1.2, 2.0):
-            g, s = sv._gradient_terms(grid, u, 0.1, p)
+            g, s, c = sv._gradient_terms(grid, u, 0.1, p, a_q)
             assert g is None and s.tobytes() == ref.tobytes()
-        g, s = sv._gradient_terms(grid, u, 0.1, 3.0)  # a Newton step reads grad f
+            assert c is a_q if p == 2.0 else c.tobytes() == (a_q * ref ** (0.5 * (p - 2.0))).tobytes()
+        g, s, c = sv._gradient_terms(grid, u, 0.1, 3.0, a_q)  # a Newton step reads grad f
         assert g.tobytes() == grid.grads_at_quads(u).tobytes()
         assert s.tobytes() == ref.tobytes()
+        assert c.tobytes() == (a_q * ref ** 0.5).tobytes()
 
 
 class TestScaleInvariance:
