@@ -145,16 +145,17 @@ def _tensor_terms(u, spacing, at, vals, grads, square_plus):
             None if s_out is None else s_out.reshape(flat))
 
 
-def _shift_slices(o, n, periodic):
-    """(target, source) slice pairs along an axis of n nodes that place
-    node r + o at node r; on a periodic axis r + o wraps, elsewhere the
-    nodes whose r + o leaves the axis are not targets."""
+def _box_pieces(o, b, n, periodic):
+    """(box, grid) slice pairs along one axis that place stencil rows j - o
+    of the grid axis of n nodes onto box columns j of the range b; on a
+    periodic axis, which the box spans, j - o wraps, as np.roll by o."""
+    if not periodic:
+        return [(slice(max(0, o), b.stop - b.start - max(0, -o)),
+                 slice(b.start + max(0, -o), b.stop - max(0, o)))]
+    o %= n
     if o == 0:
         return [(slice(0, n), slice(0, n))]
-    if not periodic:
-        return [(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n - max(0, -o)))]
-    o %= n
-    return [(slice(0, n - o), slice(o, n)), (slice(n - o, n), slice(0, o))]
+    return [(slice(o, n), slice(0, n - o)), (slice(0, o), slice(n - o, n))]
 
 
 class TensorGrid:
@@ -314,14 +315,15 @@ class TensorGrid:
         return _tensor_terms(self._wrapped(u), self.spacing, (None,) * self.dim,
                              vals, grads, square_plus)
 
-    def face_terms(self, u, at):
-        """Values (n_elems, n_quad / 2) and gradients (n_elems, n_quad / 2,
-        dim) of the nodal vector u on one node plane of every element: its
-        lower (at 0) or upper (at 1) plane across the last axis, at the
-        Gauss points of the other axes, with the element's one-sided
-        gradient.  The kernel is quad_terms'; elements and points are in C
-        order."""
-        vals, grads, _ = _tensor_terms(self._wrapped(u), self.spacing,
+    def face_terms(self, u, at, layers=slice(None)):
+        """Values (elements, n_quad / 2) and gradients (elements, n_quad / 2,
+        dim) of the nodal vector u on one node plane of every element in the
+        range layers of cell layers across the last axis: its lower (at 0)
+        or upper (at 1) plane, at the Gauss points of the other axes, with
+        the element's one-sided gradient.  The kernel is quad_terms', on
+        the layers' node planes only; elements and points are in C order."""
+        lo, hi, _ = layers.indices(self.cell_shape[-1])
+        vals, grads, _ = _tensor_terms(self._wrapped(u)[..., lo:hi + 1], self.spacing,
                                        (None,) * (self.dim - 1) + (at,), True, True, None)
         return vals, grads
 
@@ -352,7 +354,8 @@ class TensorGrid:
         for k, digits in enumerate(product((-1, 0, 1), repeat=self.dim)):
             mirror = self._stored_offset([-d for d in digits])
             if self._stored_offset(digits) == k and mirror > k:
-                pieces = product(*(_shift_slices(o, n, per)
+                # plane k at node r is plane mirror at node r + o: rows r + o onto columns r
+                pieces = product(*(_box_pieces(-o, slice(0, n), n, per)
                                    for o, n, per in zip(digits, self.shape, self.periodic)))
                 plan.append((k, mirror, [(tuple(dst for dst, _ in piece),
                                           tuple(src for _, src in piece)) for piece in pieces]))
@@ -491,11 +494,11 @@ class TensorGrid:
         (i, j).  Chunk by chunk, the entries of each pair whose offset lies
         in the upper half are added to a slice of the stencil array, and
         then each lower offset's plane is one shifted copy of its mirror's
-        (see _fill_plan and _mirror_plan).  An entry's terms are thus summed in ascending
-        element order, as a bincount over the elements would sum them,
-        except on the wrapped rows of a periodic axis; an entry and its
-        mirror are equal, except where a periodic axis of 2 nodes stores
-        two offsets in one plane.
+        (see _fill_plan and _mirror_plan).  An entry's terms are thus summed
+        in ascending element order, as a bincount over the elements would
+        sum them, except on the wrapped rows of a periodic axis; an entry
+        and its mirror are equal, except where a periodic axis of 2 nodes
+        stores two offsets in one plane.
         """
         stencil = np.zeros((3**self.dim,) + self.shape)
         for rows, shape, adds in self._fill_plan:
@@ -772,8 +775,8 @@ class Mesh:
         'above'): its elements are the axial slice [:, cell] of a
         per-element array viewed as (base cells, axial cells, ...), ordered
         like the base grid's elements, and grid.face_terms evaluates a field
-        on their faces.  points/weights are the section quadrature (weights carry
-        the radial measure factor in radial mode).
+        on their faces.  points/weights are the section quadrature (weights
+        carry the radial measure factor in radial mode).
         """
         if side == "below":
             cell = j - 1

@@ -108,7 +108,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import ASSEMBLY_CHUNK_BYTES, DIRICHLET0, Mesh, TensorGrid, _read_only
+from .geometry import (ASSEMBLY_CHUNK_BYTES, DIRICHLET0, Mesh, TensorGrid, _box_pieces,
+                       _read_only)
 from .structure import guarded_power, squared_norm
 
 EPS_REG_REL = 1e-8        # gradient regularization, relative to the cap-data scale
@@ -162,14 +163,14 @@ class ScalarField:
 
     The field also keeps a quadrature ledger, built on first read: one
     pass of the grid's kernel (TensorGrid.quad_terms) gives the field's
-    values and |grad f|^2 at every quadrature point, from which the
-    weighted |grad f|^p density is formed, and one pass per side gives its
-    values and one-sided gradients on the node planes of every element
-    (TensorGrid.face_terms).  Slab integrals slice the quadrature arrays,
-    and a station trace reads the axial slice of its element layer from
-    the face arrays, instead of re-evaluating the field on the whole mesh.
-    The ledger arrays are read-only, and values must not change in place
-    once the ledger is read: with_values starts a fresh ledger.
+    values and the weighted |grad f|^p density at every quadrature point
+    (|grad f|^2 is not kept), and one more gives its values and one-sided
+    gradients on every node plane across the axis (TensorGrid.face_terms).
+    Slab integrals slice the quadrature arrays, and a station trace reads
+    its plane from the plane arrays, instead of re-evaluating the field on
+    the whole mesh.  The ledger arrays are read-only, and values must not
+    change in place once the ledger is read: with_values starts a fresh
+    ledger.
     """
 
     mesh: Mesh
@@ -183,20 +184,20 @@ class ScalarField:
 
     @cached_property
     def _quad_ledger(self):
-        """The field's values and |grad f|^2 at every quadrature point, shape
-        (n_elems, n_quad) each, from one pass of the kernel."""
+        """The field's values and weighted |grad f|^p at every quadrature
+        point, shape (n_elems, n_quad) each, from one pass of the kernel."""
         vals, _, s = self.mesh.grid.quad_terms(self.values, vals=True, square_plus=0.0)
-        return _read_only(vals), s
+        return _read_only(vals), _read_only(self.mesh.grid.quad_weights * s ** (0.5 * self.op.p))
 
     @property
     def quad_values(self):
         """Values at every quadrature point, shape (n_elems, n_quad)."""
         return self._quad_ledger[0]
 
-    @cached_property
+    @property
     def energy_density(self):
         """Quadrature weight times |grad f|^p, shape (n_elems, n_quad)."""
-        return _read_only(self.mesh.grid.quad_weights * self._quad_ledger[1] ** (0.5 * self.op.p))
+        return self._quad_ledger[1]
 
     def slab_values(self, t, tau):
         """Quadrature values and weights over the slab between t < tau."""
@@ -205,20 +206,32 @@ class ScalarField:
                 mesh.slab_rows(mesh.grid.quad_weights, t, tau))
 
     @cached_property
-    def _faces(self):
-        """Per side, 'below' or 'above' a station, the field's values and
-        one-sided gradients on that node plane of every element, from one
-        pass of the kernel each (TensorGrid.face_terms)."""
+    def _planes(self):
+        """The field's values and one-sided gradients on the lower node plane
+        of every element and on the upper plane of the top cell layer
+        (TensorGrid.face_terms, one pass each), as (base cells, layers,
+        ...): every station's plane once."""
         grid = self.mesh.grid
-        return {side: tuple(_read_only(a) for a in grid.face_terms(self.values, at))
-                for side, at in (("below", 1), ("above", 0))}
+        lower = grid.face_terms(self.values, 0)
+        top = grid.face_terms(self.values, 1, slice(-1, None))
+        return [tuple(_read_only(a.reshape((-1, n) + a.shape[1:])) for a in pair)
+                for pair, n in ((lower, grid.cell_shape[-1]), (top, 1))]
 
     def trace(self, j, side):
-        """One-sided (points, weights, f, grad f) on station j from 'below' or 'above'."""
+        """One-sided (points, weights, f, grad f) on station j from 'below' or
+        'above'.  Station j's plane is the lower plane of layer j, and from
+        below, the upper plane of layer j - 1: the two share its values and
+        tangential derivatives, and the gradient from below takes the axial
+        derivative of layer j - 1, which is constant across the layer."""
         cell, pts, w = self.mesh.station_edge_tables(j, side)
-        n_axial = self.mesh.grid.cell_shape[-1]
-        return (pts, w) + tuple(a.reshape((-1, n_axial) + a.shape[1:])[:, cell]
-                                for a in self._faces[side])
+        (vals, grads), top = self._planes
+        if side == "above":
+            return pts, w, vals[:, cell], grads[:, cell]
+        if j == vals.shape[1]:  # the top station has no layer above it
+            return (pts, w) + tuple(a[:, 0] for a in top)
+        below = grads[:, j].copy()
+        below[..., -1] = grads[:, cell, :, -1]
+        return pts, w, vals[:, j], below
 
 
 def dirichlet_data(mesh, bc):
@@ -328,19 +341,6 @@ def _hierarchy(shape, box, periodic=None):
         levels.append((P, tuple(axes)))
         shape, box = tuple(coarse_shape), tuple(coarse_box)
     return levels
-
-
-def _box_pieces(o, b, n, periodic):
-    """(box, grid) slice pairs along one axis that place stencil rows j - o
-    of the grid axis of n nodes onto box columns j of the range b; on a
-    periodic axis, which the box spans, j - o wraps, as np.roll by o."""
-    if not periodic:
-        return [(slice(max(0, o), b.stop - b.start - max(0, -o)),
-                 slice(b.start + max(0, -o), b.stop - max(0, o)))]
-    o %= n
-    if o == 0:
-        return [(slice(0, n), slice(0, n))]
-    return [(slice(o, n), slice(0, n - o)), (slice(0, o), slice(n - o, n))]
 
 
 def _box_stencil(stencil, box, periodic=None):
@@ -736,7 +736,7 @@ def _regularized_energy(grid, p, terms):
     buffer = np.empty((min(rows, len(s)), s.shape[1]))
     total = 0.0
     for lo in range(0, len(s), rows):
-        block = np.multiply(c[lo:lo + rows], s[lo:lo + rows], out=buffer[:len(s[lo:lo + rows])])
+        block = np.multiply(c[lo:lo + rows], s[lo:lo + rows], out=buffer[:min(rows, len(s) - lo)])
         block *= w[lo:lo + rows]
         total += float(block.sum())
     return total / p

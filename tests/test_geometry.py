@@ -301,8 +301,9 @@ class TestAxialSlabsAndSections:
 
     def test_tracing_every_station_builds_section_tables_once(self, name, monkeypatch):
         """The section points are built once per mesh and cached, and the
-        traces slice the field's face arrays, one kernel pass per side: no
-        basis table is built and no corner is gathered."""
+        traces slice the field's node-plane arrays, one kernel pass on the
+        lower planes and one on the top layer's upper plane: no basis table
+        is built and no corner is gathered."""
         mesh = slab_meshes()[name]
         calls = []
         tables = geo.TensorGrid.basis_tables
@@ -314,7 +315,8 @@ class TestAxialSlabsAndSections:
                             lambda self, u: gathers.append(1) or corner_values(self, u))
         face_terms = geo.TensorGrid.face_terms
         monkeypatch.setattr(geo.TensorGrid, "face_terms",
-                            lambda self, u, at: faces.append(at) or face_terms(self, u, at))
+                            lambda self, u, at, *layers: faces.append(at)
+                            or face_terms(self, u, at, *layers))
         values = np.random.default_rng(1).normal(size=mesh.n_nodes)
         field = sv.ScalarField(mesh=mesh, values=values, op=st.constant_operator(2.0),
                                bc=None, diagnostics=None)
@@ -323,7 +325,7 @@ class TestAxialSlabsAndSections:
             for side, has_layer in (("below", j > 0), ("above", j < last)):
                 if has_layer:
                     field.trace(j, side)
-        assert not gathers and sorted(faces) == [0, 1]  # one pass per side
+        assert not gathers and faces == [0, 1]  # the lower planes, then the top
         assert not calls and "_section_points" in mesh.__dict__  # built once, cached
 
 

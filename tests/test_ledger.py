@@ -81,7 +81,8 @@ def test_with_values_starts_a_fresh_ledger():
 
 def test_post_processing_evaluates_the_field_once(monkeypatch):
     """Values and |grad f|^2 of the ledger come from one pass of the kernel,
-    the traces from one face pass per side, and no corner is gathered."""
+    the traces from one pass on the lower node planes and one on the top
+    layer's upper plane, and no corner is gathered."""
     f = solve_small(2.0)
     calls = {"corner_values": 0, "grads_at_quads": 0, "vals_at_quads": 0, "quad_terms": 0,
              "face_terms": 0}
