@@ -6,7 +6,7 @@ Three quotients on a section mesh O:
 * third:  the same with u pinned only on the Dirichlet-zero faces P,
 * second: inf over nonconstant u of |grad u|_p^p / min_C |u - C|_p^p.
 
-Each kind starts from its p = 2 eigenvector (deflated inverse iteration;
+Each kind starts from its p = 2 eigenvector (in closed form, _p2_start;
 at p = 2 it is the discrete minimizer) and runs inverse power iteration
 for -Delta_p (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009;
 Hein & Buehler, NeurIPS 2010): with u centered (its best constant C
@@ -53,14 +53,12 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import DIRICHLET0, TensorGrid
-from .solver import (SolverError, _box_stencil, _dia, _free_box, _FreeSystem, _minimize,
-                     _VCycle, factor_spd)
+from .solver import (SolverError, _box_stencil, _dia, _free_box, _FreeSystem, _minimize, _VCycle)
 from .structure import guarded_power
 
 FIRST = "first"
 SECOND = "second"
 THIRD = "third"
-SECTION_SYSTEM = "section system"
 MAX_ITER = 500      # inverse-iteration steps per frequency
 TOL = 1e-9          # the iteration stops at this residual
 SECTION_EPS = 1e-7  # gradient regularization at unit denominator
@@ -207,53 +205,6 @@ class _Quotient:
                 grid.corner_sums(np.einsum("eq,eq,qm->em", self.w, density, grid.basis_vals)))
 
 
-def _p2_eigenpair(grid, Kff, Mff, box, neumann):
-    """Smallest nontrivial p = 2 eigenpair by deflated inverse iteration.
-
-    Dirichlet case: smallest eigenvalue of the pencil (Kff, Mff), the
-    section's stiffness and mass on the free box, as DIA blocks.
-    Neumann case: smallest nonzero eigenvalue, deflating constants in the
-    M-inner product each sweep; the factorization uses a small mass shift
-    to keep the singular stiffness SPD.  Returns the eigenvalue and the
-    nodal eigenvector.
-    """
-    A = Kff + 1e-6 * float(Kff.diagonal().max()) * Mff if neumann else Kff
-    lu = factor_spd(A.tocsc(), SECTION_SYSTEM)
-    if neumann:
-        # coordinate ramp: nonzero overlap with the lowest nonconstant mode,
-        # and nonconstant, since every axis has two increasing nodes
-        x = np.sum(grid.nodes, axis=-1).reshape(grid.shape)[box].ravel()
-        ones = np.ones_like(x)
-        m_ones = Mff @ ones
-        denom = float(ones @ m_ones)
-
-        def deflate(v):
-            return v - (float(m_ones @ v) / denom) * ones
-
-        x = deflate(x)
-    else:
-        x = np.ones(Kff.shape[0])
-    x /= math.sqrt(float(x @ (Mff @ x)))
-    lam = float(x @ (Kff @ x))
-    for _ in range(400):
-        y = lu.solve(Mff @ x)
-        if neumann:
-            y = deflate(y)
-        nrm = math.sqrt(float(y @ (Mff @ y)))
-        if nrm == 0.0:
-            break
-        y /= nrm
-        lam_new = float(y @ (Kff @ y)) / float(y @ (Mff @ y))
-        x = y
-        if abs(lam_new - lam) <= 1e-14 * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    out = np.zeros(grid.shape)
-    out[box] = x.reshape(out[box].shape)
-    return lam, out.ravel()
-
-
 def _inverse_iteration(system, quot, u, steps):
     """Inverse power iteration for -Delta_p (see the module docstring) from
     the start u, until the residual is at most TOL or for `steps` steps.
@@ -277,15 +228,60 @@ def _inverse_iteration(system, quot, u, steps):
     return q, u, residual, iterations
 
 
-def _low_modes(grid):
-    """Start block of _smallest_curvature: the products of each axis's modes
-    1, cos(pi t) and cos(2 pi t), t = x / length (1, cos and sin of 2 pi t
-    on a periodic axis, t = x / circumference), leaving out the constant,
-    so that every reflection class of the section has a column."""
-    modes = []
+def _axis_modes(grid):
+    """Per axis of a section grid, its angle t = pi x / length (2 pi x /
+    circumference on a periodic axis, x from the first node) and its lowest
+    modes with no pinned end: 1, cos t and cos 2t (1, cos t and sin t on a
+    periodic axis).  Nodal sines and cosines are exact eigenvectors of the
+    1-D Q1 stiffness and 2-point Gauss mass on a uniform axis."""
+    out = []
     for x, h, periodic in zip(grid.axes, grid.spacing, grid.periodic):
         t = math.pi * (x - x[0]) / (0.5 * x.size * h if periodic else x[-1] - x[0])
-        modes.append((np.ones_like(t), np.cos(t), np.sin(t) if periodic else np.cos(2.0 * t)))
+        out.append((t, (np.ones_like(t), np.cos(t), np.sin(t) if periodic else np.cos(2.0 * t))))
+    return out
+
+
+def _p2_start(grid, box, neumann):
+    """The p = 2 eigenvector that each kind starts from, nodal and zero off
+    the free box: a section's pencil (a = 1) is the Kronecker sum of its
+    axes' (_axis_modes), so products of axis modes are its eigenvectors.
+
+    First and third kinds: sin t on an axis pinned at both ends, sin(t/2)
+    or cos(t/2) on one pinned at its low or high end only, 1 on one with no
+    pinned end.  Second kind (neumann): cos t (and sin t if periodic) on the
+    axis of smallest lambda = 6 (1 - cos theta) / (h^2 (2 + cos theta)),
+    theta its angle step, 1 on the others.  Modes within TOL of the
+    smallest lambda, relative, are tied (a periodic axis's pair, equal
+    axes), and the start is the mass-projection onto them of the coordinate
+    ramp, where inverse iteration from the ramp converges."""
+    axes = _axis_modes(grid)
+    if neumann:
+        lam = [6.0 * (1.0 - m[1][1]) / (h * h * (2.0 + m[1][1]))
+               for (_, m), h in zip(axes, grid.spacing)]
+        tied = [reduce(np.multiply.outer, [m[j if a == ax else 0] for a, (_, m) in enumerate(axes)])
+                for ax, periodic in enumerate(grid.periodic) for j in ((1, 2) if periodic else (1,))
+                if lam[ax] <= min(lam) * (1.0 + TOL)]
+        ramp = np.sum(grid.nodes, axis=-1)
+
+        def inner(u, v):  # the mass inner product, by the quadrature that builds M
+            return float(np.sum(grid.quad_weights * grid.vals_at_quads(u) * grid.vals_at_quads(v)))
+
+        return sum(inner(v, ramp) / inner(v, v) * v.ravel() for v in tied)
+    factors = []
+    for (t, m), b, n in zip(axes, box, grid.shape):
+        low, high = b.start > 0, b.stop < n  # the axis's pinned ends
+        factors.append(np.sin(t) if low and high else np.sin(0.5 * t) if low else
+                       np.cos(0.5 * t) if high else m[0])
+    out = np.zeros(grid.shape)
+    out[box] = reduce(np.multiply.outer, factors)[box]
+    return out.ravel()
+
+
+def _low_modes(grid):
+    """Start block of _smallest_curvature: the products of each axis's modes
+    (_axis_modes), leaving out the constant, so that every reflection class
+    of the section has a column."""
+    modes = [m for _, m in _axis_modes(grid)]
     return np.column_stack([reduce(np.multiply.outer, [m[j] for m, j in zip(modes, digits)]).ravel()
                             for digits in product(range(3), repeat=grid.dim) if any(digits)])
 
@@ -344,17 +340,17 @@ def _smallest_pair(H, mass, precondition, Y, X, tol):
                       f"{residual:.3e} against {tol:.3e})")
 
 
-def _smallest_curvature(system, quot, mass, u, q):
+def _smallest_curvature(system, quot, u, q):
     """Smallest eigenpair (lam, v) of the second kind's Hessian H = K(c) +
     (p-2) R - q (p-1) (W - W1 (W1)^T / 1.W1) at its critical point u of
     value q: c = s^((p-2)/2) and s = |grad u|^2 + SECTION_EPS^2 as in the
     iteration, R the solver's Newton term, W the mass matrix of weight
     |u|^(p-2), and the rank-one term the best constant C following u.  The
     quotient is invariant under scaling and constants (H u = H 1 = 0), so
-    lam is the smallest eigenvalue of (H, mass) on the mass-orthogonal
-    complement of Y = {u, 1}: _smallest_pair, from _low_modes,
-    preconditioned by the V-cycle of K(c) + (p-2) R + q (p-1) W, to
-    residual sqrt(TOL) q.  The second kind's box is the whole grid, so v is
+    lam is the smallest eigenvalue of (H, M), M the section's mass matrix,
+    on the M-orthogonal complement of Y = {u, 1}: _smallest_pair, from
+    _low_modes, preconditioned by the V-cycle of K(c) + (p-2) R + q (p-1)
+    W, to residual sqrt(TOL) q.  The second kind's box is the whole grid, so v is
     nodal."""
     grid, p, box = system.grid, quot.p, system.box
     if u.size <= 2:  # u and 1 span a section of two nodes
@@ -365,6 +361,7 @@ def _smallest_curvature(system, quot, mass, u, q):
     A += (p - 2.0) * grid.directional_stencil(g * np.sqrt(c / s)[..., None])
     W = grid.mass_stencil(coeff=guarded_power(np.abs(vq), p - 2.0))
     W *= q * (p - 1.0)
+    mass = _dia(_box_stencil(grid.mass_stencil(), box, grid.periodic), grid.periodic)
     w1 = W.reshape(W.shape[0], -1).sum(axis=0)
     Hc = _dia(_box_stencil(A - W, box, grid.periodic), grid.periodic)  # H with C held fixed
 
@@ -376,11 +373,11 @@ def _smallest_curvature(system, quot, mass, u, q):
                           _low_modes(grid), math.sqrt(TOL) * q)
 
 
-def _escape(system, quot, mass, u, q):
+def _escape(system, quot, u, q):
     """u + t v, v the eigenvector of _smallest_curvature at unit denominator
     and t the first of 1, 1/2, ... 2^-30 whose quotient is below q; None if
     the curvature is at least -sqrt(TOL) q or no such t exists."""
-    lam, v = _smallest_curvature(system, quot, mass, u, q)
+    lam, v = _smallest_curvature(system, quot, u, q)
     if lam < -math.sqrt(TOL) * q:
         v = v / quot.denominator(quot.grid.vals_at_quads(v), 0.0) ** (1.0 / quot.p)
         for t in 0.5 ** np.arange(31):
@@ -426,16 +423,11 @@ def compute_frequency(section, p, kind):
     box = _free_box(grid, mask)
     if box is None:
         raise ValueError("section has empty interior")
-    Kff = _dia(_box_stencil(grid.stiffness_stencil(), box, grid.periodic), grid.periodic)
-    Mff = _dia(_box_stencil(grid.mass_stencil(), box, grid.periodic), grid.periodic)
-    _, u0 = _p2_eigenpair(grid, Kff, Mff, box, neumann=recenter)
-    if not recenter and np.sum(u0) < 0:  # positive first eigenvector
-        u0 = -u0
     system = _FreeSystem(grid, mask, np.zeros(grid.n_nodes))
     quot = _Quotient(grid, p, recenter)
-    q, u, res, iters = _inverse_iteration(system, quot, u0, MAX_ITER)
+    q, u, res, iters = _inverse_iteration(system, quot, _p2_start(grid, box, recenter), MAX_ITER)
     while recenter and p != 2.0 and res <= TOL:  # restart below a saddle
-        start = _escape(system, quot, Mff, u, q)
+        start = _escape(system, quot, u, q)
         if start is None:
             break
         cand = _inverse_iteration(system, quot, start, MAX_ITER - iters)

@@ -258,34 +258,12 @@ class TensorGrid:
             u = np.concatenate((u, u[(slice(None),) * ax + (slice(0, 1),)]), axis=ax)
         return u
 
-    def corner_values(self, u):
-        """The values of the nodal vector u at each element's corners, shape
-        (n_elems, n_local), elements in C order over cell_shape and corners
-        in C order of their 0/1 digits: the adjoint of corner_sums, and
-        the gather that tests hold quad_terms against.  No quadrature data
-        in the package pass through it (see quad_terms).  Gathered
-        by one slice of the grid-shaped u per corner, wrapped on periodic
-        axes (_wrapped).  The strided per-corner writes go chunk by chunk,
-        each chunk whole first-axis cell layers whose result takes at most
-        ASSEMBLY_CHUNK_BYTES (and at least one layer), so that a chunk's
-        rows stay in cache across its corners."""
-        u = self._wrapped(u)
-        out = np.empty(self.cell_shape + (self.n_local,), dtype=u.dtype)
-        n_layers = self.cell_shape[0]
-        layer_bytes = out.nbytes // n_layers
-        step = max(1, ASSEMBLY_CHUNK_BYTES // max(1, layer_bytes))
-        for lo in range(0, n_layers, step):
-            hi = min(lo + step, n_layers)
-            for m, corner in enumerate(self._corners):
-                out[lo:hi, ..., m] = u[(slice(corner[0] + lo, corner[0] + hi),) + tuple(
-                    slice(c, c + n) for c, n in zip(corner[1:], self.cell_shape[1:]))]
-        return out.reshape(self.n_elems, self.n_local)
-
     def corner_sums(self, entries):
-        """The adjoint of corner_values: node i sums the entries (n_elems,
-        n_local) of the element corners at it.  Corners are added by slices
-        in descending order, so a node sums in ascending element order,
-        except on the wrapped nodes of a periodic axis."""
+        """Node i sums the entries (n_elems, n_local) of the element corners
+        at it, elements in C order over cell_shape and corners in C order of
+        their 0/1 digits.  Corners are added by slices in descending order,
+        so a node sums in ascending element order, except on the wrapped
+        nodes of a periodic axis."""
         entries = np.reshape(entries, self.cell_shape + (self.n_local,))
         out = np.zeros(self.shape)
         for m in reversed(range(self.n_local)):

@@ -261,8 +261,8 @@ def factor_spd(A, what):
 
     SuperLU runs in symmetric mode with a minimum-degree ordering of
     A + A^T, which keeps the fill of an SPD matrix close to a Cholesky
-    factor's.  It factors the coarsest level of the multigrid V-cycle and
-    the section-frequency systems.  A singular factor is a numerical
+    factor's.  It factors the coarsest level of the multigrid V-cycle, the
+    package's only sparse factorization.  A singular factor is a numerical
     failure, not bad input.
     """
     try:

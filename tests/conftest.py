@@ -74,8 +74,8 @@ def cosh_section_mass(tau, beta_star=BS):
 
 def gather_csr(grid, stencil):
     """The CSR matrix of a stencil array over the whole grid: the full-box DIA
-    matrix of solver._box_stencil and solver._dia, as the section
-    frequencies gather theirs, as CSR with sorted indices.  It gathers from
+    matrix of solver._box_stencil and solver._dia, as the second kind's
+    curvature test gathers its blocks, as CSR with sorted indices.  It gathers from
     a copy, since _box_stencil consumes its argument."""
     box = tuple(slice(0, n) for n in grid.shape)
     A = sv._dia(sv._box_stencil(stencil.copy(), box, grid.periodic), grid.periodic).tocsr()
@@ -132,13 +132,33 @@ def reference_gradient_s(grid, u, eps):
     return st.squared_norm(grid.grads_at_quads(u)) + eps**2
 
 
+def corner_values(grid, u):
+    """The values of the nodal vector u at each element's corners, shape
+    (n_elems, n_local), elements in C order over cell_shape and corners in
+    C order of their 0/1 digits: the reference gather, which corner_sums
+    scatters back.  Gathered by one slice of the grid-shaped u per corner,
+    wrapped on periodic axes (TensorGrid._wrapped).  The strided per-corner
+    writes go chunk by chunk, each chunk whole first-axis cell layers whose
+    result takes at most geo.ASSEMBLY_CHUNK_BYTES (and at least one
+    layer)."""
+    u = grid._wrapped(u)
+    out = np.empty(grid.cell_shape + (grid.n_local,), dtype=u.dtype)
+    n_layers = grid.cell_shape[0]
+    step = max(1, geo.ASSEMBLY_CHUNK_BYTES // max(1, out.nbytes // n_layers))
+    for lo in range(0, n_layers, step):
+        hi = min(lo + step, n_layers)
+        for m, corner in enumerate(grid._corners):
+            out[lo:hi, ..., m] = u[(slice(corner[0] + lo, corner[0] + hi),) + tuple(
+                slice(c, c + n) for c, n in zip(corner[1:], grid.cell_shape[1:]))]
+    return out.reshape(grid.n_elems, grid.n_local)
+
+
 def reference_quad_terms(grid, u):
     """Values (E, Q) and gradients (E, Q, dim) at the quadrature points by
     the element-gather einsum that TensorGrid.quad_terms replaced: each
-    element's corner values (TensorGrid.corner_values, which
-    TestCornerGather holds to the connectivity), contracted with the basis
-    tables."""
-    ue = grid.corner_values(u)
+    element's corner values (corner_values, which TestCornerGather holds to
+    the connectivity), contracted with the basis tables."""
+    ue = corner_values(grid, u)
     return (np.einsum("em,qm->eq", ue, grid.basis_vals),
             np.einsum("em,qdm->eqd", ue, grid.basis_grads))
 
@@ -170,7 +190,7 @@ def reference_assemble_local(grid, local):
 
 def reference_elem_nodes(grid):
     """The element connectivity (n_elems, n_local), the node ids of each
-    element's corners in the order of TensorGrid.corner_values: per corner,
+    element's corners in the order of corner_values: per corner,
     the cell indices shifted by the corner's digits, wrapped on periodic
     axes, and raveled."""
     cell_idx = np.indices(grid.cell_shape).reshape(grid.dim, -1)  # (dim, E)

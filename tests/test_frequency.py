@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -246,12 +247,92 @@ class TestRadialSectionOracle:
             oracle = dense_eigs(K[np.ix_(free, free)], M[np.ix_(free, free)])[index]
             assert res.value == pytest.approx(oracle, rel=1e-10)
             # the value is the quotient of the p = 2 start, so check the
-            # gathered blocks through the p = 2 eigenvalue they give alone
+            # start alone through its quotient on the gathered blocks
             box, periodic = sv._free_box(sec.grid, ~free), sec.grid.periodic
-            blocks = [sv._dia(sv._box_stencil(s, box, periodic), periodic)
+            Kb, Mb = [sv._dia(sv._box_stencil(s, box, periodic), periodic)
                       for s in (sec.grid.stiffness_stencil(), sec.grid.mass_stencil())]
-            lam, _ = fr._p2_eigenpair(sec.grid, *blocks, box, neumann=kind == fr.SECOND)
-            assert lam == pytest.approx(oracle, rel=1e-10)
+            x = fr._p2_start(sec.grid, box, kind == fr.SECOND).reshape(sec.grid.shape)[box].ravel()
+            assert (x @ (Kb @ x)) / (x @ (Mb @ x)) == pytest.approx(oracle, rel=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def p2_start_sections():
+    """Sections of every kind of axis end: intervals pinned at both ends
+    and at one, rectangles with unequal and equal (tied) axes, and radial
+    sections, whose periodic angle axis ties its cos and sin modes."""
+    out = {f"interval-{d}": geo.interval_section(1.0, 16, d) for d in ("both", "low", "high")}
+    for cells in ((8, 12), (8, 8)):
+        for d in ("all", "none"):
+            lengths = tuple(c / 8 for c in cells)
+            out[f"rectangle-{cells[0]}x{cells[1]}-{d}"] = geo.rectangle_section(lengths, cells, d)
+    for lateral in ("DD", "DN", "NN"):
+        bc = tuple({"D": "dirichlet0", "N": "neumann"}[c] for c in lateral)
+        dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                                  alpha=1.0, beta=5.0, lateral_bc=bc)
+        mesh = geo.build_mesh(dom, 1 / 8)
+        for r in (1.5, 4.0):
+            out[f"radial-{lateral}-r{r}"] = mesh.cross_section(r)
+    return out
+
+
+P2_START_CASES = [(name, kind) for name, sec in p2_start_sections().items()
+                  for kind in (fr.FIRST, fr.THIRD, fr.SECOND)
+                  if kind != fr.THIRD or sec.dirichlet_ids.size]
+
+
+DENSE_PENCILS = {}
+
+
+def dense_section_pencil(name, kind):
+    """The section's pencil (K, M) on the free nodes of the kind, dense and
+    gathered from the grid's stencils, with its four lowest eigenpairs."""
+    sec = p2_start_sections()[name]
+    grid = sec.grid
+    pinned = {fr.FIRST: grid.all_boundary_ids(), fr.THIRD: sec.dirichlet_ids,
+              fr.SECOND: np.empty(0, dtype=np.int64)}[kind]
+    free = np.ones(grid.n_nodes, dtype=bool)
+    free[pinned] = False
+    # the radial sections of one radius share their grid and pinned sets
+    key = (grid.shape, grid.spacing, grid.periodic, free.tobytes())
+    if key not in DENSE_PENCILS:
+        K, M = (gather_csr(grid, s)[free][:, free].toarray()
+                for s in (grid.stiffness_stencil(), grid.mass_stencil()))
+        DENSE_PENCILS[key] = K, M, scipy.linalg.eigh(K, M, subset_by_index=[0, 3])
+    return (free,) + DENSE_PENCILS[key]
+
+
+class TestP2Start:
+    """The closed-form p = 2 start of each kind against a dense eigh of the
+    section's pencil: an eigenvector of its smallest eigenvalue (smallest
+    nonzero for the second kind), positive for the first and third kinds,
+    and for the second the mass-projection of the coordinate ramp onto
+    that eigenvalue's eigenspace, which the tied square and radial
+    sections make two-dimensional."""
+
+    @pytest.mark.parametrize("name, kind", P2_START_CASES)
+    def test_start_is_the_lowest_mode(self, name, kind):
+        sec = p2_start_sections()[name]
+        grid = sec.grid
+        free, K, M, (lam, V) = dense_section_pencil(name, kind)
+        box = sv._free_box(grid, ~free)
+        u = fr._p2_start(grid, box, kind == fr.SECOND)
+        assert np.all(u[~free] == 0.0)
+        x = u[free]
+        q = (x @ K @ x) / (x @ M @ x)
+        # relative to the size of the terms, |K| |x|, as Kx cancels at low q
+        scale = np.abs(K).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(K @ x - q * (M @ x)).max() <= 1e-12 * scale
+        index = 1 if kind == fr.SECOND else 0  # the second skips the constant
+        assert q == pytest.approx(lam[index], rel=1e-12)
+        if kind != fr.SECOND:
+            assert np.all(x > 0.0)
+            return
+        tied = np.abs(lam - lam[1]) <= 1e-8 * lam[1]
+        ramp = np.sum(grid.nodes, axis=-1)
+        projection = V[:, tied] @ (V[:, tied].T @ (M @ ramp))
+        assert np.abs(x - projection).max() <= 1e-10 * np.abs(projection).max()
+        square_or_circle = name.startswith(("rectangle-8x8", "radial"))
+        assert np.count_nonzero(tied) == (2 if square_or_circle else 1)
 
 
 class TestOptimalConstant:
@@ -503,8 +584,8 @@ class TestRestartsSecondKindOnly:
         tests = []
         smallest = fr._smallest_curvature
 
-        def counting(system, quot, mass, u, q):
-            out = smallest(system, quot, mass, u, q)
+        def counting(system, quot, u, q):
+            out = smallest(system, quot, u, q)
             tests.append(out[0] / q)
             return out
 
@@ -562,9 +643,7 @@ class TestSmallestCurvature:
         Z = scipy.linalg.null_space((M @ np.column_stack((u, np.ones_like(u)))).T)
         dense = scipy.linalg.eigh(Z.T @ H @ Z, Z.T @ M @ Z, eigvals_only=True)[0]
         system = sv._FreeSystem(grid, np.zeros(grid.n_nodes, dtype=bool), np.zeros(grid.n_nodes))
-        mass = sv._dia(sv._box_stencil(grid.mass_stencil(), system.box, grid.periodic),
-                       grid.periodic)
-        lam, v = fr._smallest_curvature(system, fr._Quotient(grid, p, True), mass, u, q)
+        lam, v = fr._smallest_curvature(system, fr._Quotient(grid, p, True), u, q)
         assert lam == pytest.approx(dense, abs=1e-6 * q)
         # v lies in the complement and is an eigenvector there
         assert np.abs(v @ M @ np.column_stack((u, np.ones_like(u)))).max() <= 1e-10 * np.sqrt(v @ M @ v)
@@ -660,11 +739,9 @@ class TestSmallestCurvature:
         u, q = self.minimum(sec, 1.5)
         grid = sec.grid
         system = sv._FreeSystem(grid, np.zeros(grid.n_nodes, dtype=bool), np.zeros(grid.n_nodes))
-        mass = sv._dia(sv._box_stencil(grid.mass_stencil(), system.box, grid.periodic),
-                       grid.periodic)
         monkeypatch.setattr(fr, "CURVATURE_MAXITER", 1)
         with pytest.raises(sv.SolverError, match="curvature did not converge"):
-            fr._smallest_curvature(system, fr._Quotient(grid, 1.5, True), mass, u, q)
+            fr._smallest_curvature(system, fr._Quotient(grid, 1.5, True), u, q)
 
 
 class TestThirdReusesFirst:
@@ -715,12 +792,12 @@ class TestThirdReusesFirst:
 
 
 class TestFactorOnce:
-    """At p = 2 each kind factors one matrix per section, the pinned
-    stiffness or the shifted pencil of its p = 2 eigenpair: that start's
-    residual is below TOL, so no inverse-iteration step builds a V-cycle."""
+    """At p = 2 no kind factors a matrix: each section starts from its
+    closed-form p = 2 eigenvector (_p2_start), whose residual is below TOL,
+    so no inverse-iteration step builds a V-cycle and its coarse factor."""
 
-    @pytest.mark.parametrize("kind, factors", [(fr.FIRST, 1), (fr.THIRD, 1), (fr.SECOND, 1)])
-    def test_factorizations_per_section(self, monkeypatch, kind, factors):
+    @pytest.mark.parametrize("kind, sections", [(fr.FIRST, 1), (fr.THIRD, 1), (fr.SECOND, 1)])
+    def test_factorizations_per_section(self, monkeypatch, kind, sections):
         shapes = []
         splu = sv.spla.splu
 
@@ -729,9 +806,10 @@ class TestFactorOnce:
             return splu(A, *args, **kwargs)
 
         monkeypatch.setattr(sv.spla, "splu", counting)
+        calls = count_compute_calls(monkeypatch)
         for h in (1 / 32, 1 / 64):  # the two meshes of a README refine run
             fr.frequency_profile(readme_mesh(h), 2.0, kind, [0.0, 1.0, 2.0], {})
-        assert len(shapes) == 2 * factors
+        assert len(calls) == 2 * sections and shapes == []
 
 
 class TestIntervalOracleOrder:

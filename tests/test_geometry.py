@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (gather_csr, pattern_grids, reference_assemble_local,
+from conftest import (corner_values, gather_csr, pattern_grids, reference_assemble_local,
                       reference_csr_pattern, reference_elem_nodes, reference_pk_at_quads,
                       reference_kernel_trace, reference_quad_terms, reference_slab_elements,
                       reference_station_edge_tables, reference_trace, slab_meshes,
@@ -303,16 +303,13 @@ class TestAxialSlabsAndSections:
         """The section points are built once per mesh and cached, and the
         traces slice the field's node-plane arrays, one kernel pass on the
         lower planes and one on the top layer's upper plane: no basis table
-        is built and no corner is gathered."""
+        is built."""
         mesh = slab_meshes()[name]
         calls = []
         tables = geo.TensorGrid.basis_tables
         monkeypatch.setattr(geo.TensorGrid, "basis_tables",
                             lambda self, points: calls.append(self) or tables(self, points))
-        gathers, faces = [], []
-        corner_values = geo.TensorGrid.corner_values
-        monkeypatch.setattr(geo.TensorGrid, "corner_values",
-                            lambda self, u: gathers.append(1) or corner_values(self, u))
+        faces = []
         face_terms = geo.TensorGrid.face_terms
         monkeypatch.setattr(geo.TensorGrid, "face_terms",
                             lambda self, u, at, *layers: faces.append(at)
@@ -325,7 +322,7 @@ class TestAxialSlabsAndSections:
             for side, has_layer in (("below", j > 0), ("above", j < last)):
                 if has_layer:
                     field.trace(j, side)
-        assert not gathers and faces == [0, 1]  # the lower planes, then the top
+        assert faces == [0, 1]  # the lower planes, then the top
         assert not calls and "_section_points" in mesh.__dict__  # built once, cached
 
 
@@ -359,7 +356,7 @@ class TestCornerGather:
 
     def test_corner_values_of_node_ids_are_the_connectivity(self, name):
         grid = pattern_grids()[name]
-        assert same_bytes(grid.corner_values(np.arange(grid.n_nodes)), reference_elem_nodes(grid))
+        assert same_bytes(corner_values(grid, np.arange(grid.n_nodes)), reference_elem_nodes(grid))
 
     def test_corner_values_equal_connectivity_gather(self, name):
         """The quadrature values and gradients no longer come from the
@@ -367,12 +364,12 @@ class TestCornerGather:
         grid = pattern_grids()[name]
         u = np.random.default_rng(2).normal(size=grid.n_nodes)
         ue = u[reference_elem_nodes(grid)]
-        gathered = grid.corner_values(u)
+        gathered = corner_values(grid, u)
         assert gathered.flags.c_contiguous
         assert same_bytes(gathered, ue)
         with pytest.MonkeyPatch.context() as mp:  # one first-axis cell layer a chunk
             mp.setattr(geo, "ASSEMBLY_CHUNK_BYTES", 1)
-            assert same_bytes(grid.corner_values(u), ue)
+            assert same_bytes(corner_values(grid, u), ue)
 
     def test_corner_sums_equal_connectivity_scatter(self, name):
         """The bytes of np.add.at through the connectivity, except on a

@@ -399,16 +399,33 @@ class TestSolverFailurePath:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
 
     def test_frequency_factorization_failure_exits_three(self, tmp_path, monkeypatch):
+        # the p = 2 start needs no factor, so the only factorization of a
+        # section frequency is the coarse level of a p != 2 step's V-cycle;
+        # splu fails inside the frequency task alone, after the field solve
+        import svplab.frequency as fr_mod
         import svplab.solver as sv_mod
 
+        splu, compute = sv_mod.spla.splu, fr_mod.compute_frequency
+        in_task = []
+
         def failing_splu(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+            if in_task:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        def frequency_task(*args, **kwargs):
+            in_task.append(1)
+            try:
+                return compute(*args, **kwargs)
+            finally:
+                in_task.pop()
 
         monkeypatch.setattr(sv_mod.spla, "splu", failing_splu)
-        text = BASE_CONFIG + FREQ_TASK
+        monkeypatch.setattr(fr_mod, "compute_frequency", frequency_task)
+        text = BASE_CONFIG.replace("p = 2\n", "p = 1.5\n") + FREQ_TASK
         result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)
         assert result.exit_code == 3
-        assert "singular section system" in result.report["error"]
+        assert "singular coarse multigrid system" in result.report["error"]
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3

@@ -82,10 +82,9 @@ def test_with_values_starts_a_fresh_ledger():
 def test_post_processing_evaluates_the_field_once(monkeypatch):
     """Values and |grad f|^2 of the ledger come from one pass of the kernel,
     the traces from one pass on the lower node planes and one on the top
-    layer's upper plane, and no corner is gathered."""
+    layer's upper plane."""
     f = solve_small(2.0)
-    calls = {"corner_values": 0, "grads_at_quads": 0, "vals_at_quads": 0, "quad_terms": 0,
-             "face_terms": 0}
+    calls = {"grads_at_quads": 0, "vals_at_quads": 0, "quad_terms": 0, "face_terms": 0}
     for name in calls:
         orig = getattr(geo.TensorGrid, name)
 
@@ -102,5 +101,4 @@ def test_post_processing_evaluates_the_field_once(monkeypatch):
         zn.lp_zone(f, s, C5=1.0, rate_profile=rate, tau_outer=0.875)
         zn.sup_zone(f, s, C6=1.0, rate_profile=rate, tau_outer=0.875)
     asym.cutoff_bound(f, 0.0, 0.25, 0.75)
-    assert calls == {"corner_values": 0, "grads_at_quads": 0, "vals_at_quads": 0, "quad_terms": 1,
-                     "face_terms": 2}
+    assert calls == {"grads_at_quads": 0, "vals_at_quads": 0, "quad_terms": 1, "face_terms": 2}

@@ -824,15 +824,12 @@ class TestGradientOncePerIterate:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_one_gradient_per_energy_evaluation(self, monkeypatch, p):
         """Each energy evaluation forms |grad f|^2 once, from one pass of the
-        kernel and no corner gather; the (E, Q, dim) gradient is formed only
-        where a Newton step reads it, above p = 2."""
+        kernel; the (E, Q, dim) gradient is formed only where a Newton step
+        reads it, above p = 2."""
         problem = readme_problem(p, 1 / 16)
-        gathers, passes, energies = [], [], []
-        corner_values = geo.TensorGrid.corner_values
+        passes, energies = [], []
         quad_terms = geo.TensorGrid.quad_terms
         energy = sv._regularized_energy
-        monkeypatch.setattr(geo.TensorGrid, "corner_values",
-                            lambda self, u: gathers.append(1) or corner_values(self, u))
         monkeypatch.setattr(geo.TensorGrid, "quad_terms",
                             lambda self, u, **kw: passes.append(kw) or quad_terms(self, u, **kw))
         monkeypatch.setattr(sv, "_regularized_energy",
@@ -840,7 +837,7 @@ class TestGradientOncePerIterate:
         d = sv.solve(*problem).diagnostics
         assert d.converged and d.outer_iterations > 2
         assert len(energies) >= d.outer_iterations
-        assert not gathers and len(passes) == len(energies)
+        assert len(passes) == len(energies)
         assert all(kw["square_plus"] == d.eps_reg**2 and not kw.get("vals") for kw in passes)
         assert sum(bool(kw.get("grads")) for kw in passes) == (len(energies) if p > 2.0 else 0)
 
