@@ -134,8 +134,8 @@ def section_flux_constants(field_, tau, side="auto"):
     section; c2 is the f-weighted flux.
     """
     mesh = field_.mesh
-    pts, w, fvals, _ = section_quad_trace(field_, tau, side=side)
-    a = field_.op.a(mesh.domain.pk_of_axial(pts[..., -1]))
+    z, w, fvals, _ = section_quad_trace(field_, tau, side=side)
+    a = field_.op.a(mesh.domain.pk_of_axial(z))
     c_opt = optimal_constant(fvals, w, field_.op.p)
     c1 = float(np.sum(w * np.abs(fvals - c_opt) * a))
     c2 = flux_integral(field_, tau, weight="f", side=side).value

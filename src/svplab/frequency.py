@@ -26,10 +26,12 @@ keeps its start's symmetries, so away from p = 2 the second kind can stop
 at a saddle, where its Hessian has a negative eigenvalue
 (_smallest_curvature); it then steps along the eigenvector and iterates
 again, while the value falls (More & Sorensen, Math. Prog. 16, 1979).  A
-frequency depends only on the section, p and the kind.  Section
-matrices leave the grid's stencil arrays only through the solver's
-free-box path (_free_box, _box_stencil, _dia): pinned nodes are whole
-faces, periodic axes wrap.
+frequency depends only on the section, p and the kind.  A kind pins
+whole faces, one (low, high) pair of flags per section axis (the third
+kind's are SectionDescriptor.pinned), so its free nodes are a box, and
+section matrices leave the grid's stencil arrays only through the
+solver's free-box path (_free_box, _box_stencil, _dia); periodic axes
+wrap.
 
 ``frequency_profile`` computes each distinct section once per memo that
 its caller owns, keyed on what the section is built from
@@ -53,7 +55,7 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import DIRICHLET0, TensorGrid
-from .solver import (SolverError, _box_stencil, _dia, _free_box, _FreeSystem, _minimize, _VCycle)
+from .solver import SolverError, _box_stencil, _dia, _FreeSystem, _minimize, _VCycle
 from .structure import guarded_power
 
 FIRST = "first"
@@ -71,7 +73,6 @@ class FrequencyResult:
     kind: str
     value: float
     minimizer: np.ndarray      # nodal, normalized to unit denominator
-    dirichlet_ids: np.ndarray
     residual: float
     iterations: int
     degenerate: bool = False
@@ -391,11 +392,12 @@ def _escape(system, quot, u, q):
 def compute_frequency(section, p, kind):
     """Frequency of the given kind (FIRST, SECOND or THIRD) on a section.
 
-    The first and third kinds pin u on the whole section boundary and on
-    the section's Dirichlet-zero trace set P.  An empty P is degenerate
-    for the third kind (constants are admissible) and returns value 0
-    flagged; a pinned set that holds every node leaves no admissible u
-    and raises ValueError.  The second kind takes nonconstant u with the
+    The first kind pins u on both faces of every non-periodic section
+    axis, and the third on the faces flagged in section.pinned, the
+    Dirichlet-zero trace set P.  An empty P is degenerate for the third
+    kind (constants are admissible) and returns value 0 flagged; pinned
+    faces that hold every node leave no admissible u and raise
+    ValueError.  The second kind takes nonconstant u with the
     recentered denominator min_C sum w |u - C|^p (tensor sections are
     connected).  A frequency whose residual is still above TOL after
     MAX_ITER steps raises SolverError.
@@ -404,28 +406,26 @@ def compute_frequency(section, p, kind):
         raise ValueError("p must be > 1")
     grid = section.grid
     if kind == FIRST:
-        pinned = grid.all_boundary_ids()
-        if pinned.size == 0:
+        if all(grid.periodic):
             raise ValueError("section has no boundary to pin")
+        pinned = tuple((not per, not per) for per in grid.periodic)
     elif kind == THIRD:
-        pinned = section.dirichlet_ids
-        if pinned.size == 0:
+        pinned = section.pinned
+        if not any(map(any, pinned)):
             u = _Quotient(grid, p, recenter=False).normalize(np.ones(grid.n_nodes))[0]
-            return FrequencyResult(kind=THIRD, value=0.0, minimizer=u, dirichlet_ids=pinned,
-                                   residual=0.0, iterations=0, degenerate=True)
+            return FrequencyResult(kind=THIRD, value=0.0, minimizer=u, residual=0.0,
+                                   iterations=0, degenerate=True)
     elif kind == SECOND:
-        pinned = np.empty(0, dtype=np.int64)
+        pinned = ((False, False),) * grid.dim
     else:
         raise ValueError(f"unknown frequency kind {kind!r}")
     recenter = kind == SECOND
-    mask = np.zeros(grid.n_nodes, dtype=bool)
-    mask[pinned] = True
-    box = _free_box(grid, mask)
-    if box is None:
+    system = _FreeSystem(grid, pinned, np.zeros(grid.n_nodes))
+    if system.box is None:
         raise ValueError("section has empty interior")
-    system = _FreeSystem(grid, mask, np.zeros(grid.n_nodes))
     quot = _Quotient(grid, p, recenter)
-    q, u, res, iters = _inverse_iteration(system, quot, _p2_start(grid, box, recenter), MAX_ITER)
+    q, u, res, iters = _inverse_iteration(system, quot, _p2_start(grid, system.box, recenter),
+                                          MAX_ITER)
     while recenter and p != 2.0 and res <= TOL:  # restart below a saddle
         start = _escape(system, quot, u, q)
         if start is None:
@@ -438,8 +438,7 @@ def compute_frequency(section, p, kind):
     if not res <= TOL:
         raise SolverError(f"{kind} section frequency did not converge in {iters} "
                           f"iterations (residual {res:.3e})")
-    return FrequencyResult(kind=kind, value=q, minimizer=u, dirichlet_ids=pinned,
-                           residual=res, iterations=iters)
+    return FrequencyResult(kind=kind, value=q, minimizer=u, residual=res, iterations=iters)
 
 
 def frequency_profile(mesh, p, kind, stations, memo):

@@ -308,9 +308,6 @@ class TensorGrid:
     def vals_at_quads(self, u):
         return self.quad_terms(u, vals=True)[0]
 
-    def grads_at_quads(self, u):
-        return self.quad_terms(u, grads=True)[1]
-
     def _stored_offset(self, digits):
         """The stencil plane of the offset digits in {-1, 0, 1}^dim, stored as
         _axis_offsets does."""
@@ -489,26 +486,6 @@ class TensorGrid:
                 stencil[k][dst] = stencil[mirror][src]
         return stencil
 
-    def boundary_node_ids(self, axis, side):
-        """Node ids on the face of a non-periodic axis; side is 'low' or 'high'."""
-        if self.periodic[axis]:
-            raise ValueError("periodic axis has no boundary")
-        idx = [np.arange(n) for n in self.shape]
-        idx[axis] = np.asarray([0 if side == "low" else self.shape[axis] - 1])
-        grids = np.meshgrid(*idx, indexing="ij")
-        return np.ravel_multi_index([g.ravel() for g in grids], self.shape)
-
-    def all_boundary_ids(self):
-        ids = []
-        for ax in range(self.dim):
-            if self.periodic[ax]:
-                continue
-            ids.append(self.boundary_node_ids(ax, "low"))
-            ids.append(self.boundary_node_ids(ax, "high"))
-        if not ids:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(ids))
-
 
 @dataclass(frozen=True)
 class CanonicalDomain:
@@ -569,6 +546,14 @@ class CanonicalDomain:
     def dim(self):
         """Dimension of the (possibly reduced) computational mesh."""
         return self.k + 1
+
+    @property
+    def lateral_pinned(self):
+        """One (low, high) pair per cross-section axis, True on a
+        Dirichlet-zero face."""
+        bc = self.lateral_bc
+        return tuple((bc[2 * ax] == DIRICHLET0, bc[2 * ax + 1] == DIRICHLET0)
+                     for ax in range(self.k))
 
     def pk_of_axial(self, s):
         """Map the mesh axial coordinate to the distance p_k."""
@@ -656,12 +641,6 @@ class Mesh:
         span = self.stations[-1] - self.stations[0]
         return 1e-9 * span
 
-    def station_node_ids(self, j):
-        idx = [np.arange(n) for n in self.grid.shape]
-        idx[-1] = np.asarray([j])
-        grids = np.meshgrid(*idx, indexing="ij")
-        return np.ravel_multi_index([g.ravel() for g in grids], self.grid.shape)
-
     def _slab_cells(self, t, tau, snap_tol=None):
         """Axial cell range [jt, jtau) of the slab between the grid lines nearest
         t < tau; with snap_tol, a bound off-grid by more than it is rejected."""
@@ -688,30 +667,13 @@ class Mesh:
         layers = x.reshape((-1, self.grid.cell_shape[-1]) + tail)
         return np.array(layers[:, jt:jtau], order="C").reshape((-1,) + tail)
 
-    def cap_node_ids(self, which):
-        """Node ids of the low/high axial cap."""
-        j = 0 if which == "low" else self.grid.shape[-1] - 1
-        return self.station_node_ids(j)
-
     def cap_points(self, which):
-        """Coordinates of the low/high cap nodes, shape (N, dim), in the order
-        of cap_node_ids: grid.nodes[cap_node_ids(which)], taken from the axes."""
+        """Coordinates of the low/high cap nodes, shape (N, dim), in C order
+        of the base axes: the rows of grid.nodes on that end plane, taken
+        from the axes."""
         axial = self.stations[[0 if which == "low" else -1]]
         grids = np.meshgrid(*self.grid.axes[:-1], axial, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
-
-    def lateral_node_ids(self, kind=None):
-        """Node ids on lateral faces, optionally only those of one bc kind."""
-        ids = []
-        for ax in range(self.domain.k):
-            for s, side in enumerate(("low", "high")):
-                face_kind = self.domain.lateral_bc[2 * ax + s]
-                if kind is not None and face_kind != kind:
-                    continue
-                ids.append(self.grid.boundary_node_ids(ax, side))
-        if not ids:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(ids))
 
     def cross_section(self, tau):
         return cross_section(self, tau)
@@ -726,35 +688,17 @@ class Mesh:
             key += (float(self.stations[j]), self.grid.spacing[-1])
         return key
 
-    @cached_property
-    def _section_points(self):
-        """Section quadrature shared by every station, built once: the
-        base-quadrature points (base cells, Qb, dim - 1) and the unweighted
-        section quadrature weight."""
-        grid = self.grid
-        d = grid.dim
-        base_q = list(product(_GAUSS, repeat=d - 1))
-        nq = len(base_q)
-        # physical points: tensor over base cells
-        cell_idx = np.indices(grid.cell_shape[:-1]).reshape(d - 1, -1)
-        lows = np.stack([grid.axes[ax][cell_idx[ax]] for ax in range(d - 1)], axis=-1)
-        half = np.asarray(grid.spacing[: d - 1]) / 2.0
-        centers = lows + half
-        qb = np.asarray(base_q).reshape(nq, d - 1)
-        pts_base = _read_only(centers[:, None, :] + qb[None, :, :] * half[None, None, :])
-        w0 = np.prod(grid.spacing[: d - 1]) / nq if d > 1 else 1.0
-        return pts_base, w0
-
     def station_edge_tables(self, j, side):
         """One-sided trace data at axial grid line j.
 
-        Returns (cell, points, weights) where cell is the axial cell index
-        of the adjacent element layer on the requested side ('below' or
-        'above'): its elements are the axial slice [:, cell] of a
-        per-element array viewed as (base cells, axial cells, ...), ordered
-        like the base grid's elements, and grid.face_terms evaluates a field
-        on their faces.  points/weights are the section quadrature (weights
-        carry the radial measure factor in radial mode).
+        Returns (cell, weights) where cell is the axial cell index of the
+        adjacent element layer on the requested side ('below' or 'above'):
+        its elements are the axial slice [:, cell] of a per-element array
+        viewed as (base cells, axial cells, ...), ordered like the base
+        grid's elements, and grid.face_terms evaluates a field on their
+        faces.  weights, shape (base cells, base Gauss points), are the
+        section quadrature weights, which carry the radial measure factor
+        in radial mode.
         """
         if side == "below":
             cell = j - 1
@@ -762,17 +706,14 @@ class Mesh:
             cell = j
         else:
             raise ValueError("side must be 'below' or 'above'")
-        if cell < 0 or cell >= self.grid.cell_shape[-1]:
+        grid = self.grid
+        if cell < 0 or cell >= grid.cell_shape[-1]:
             raise ValueError(f"no element layer on side {side!r} of station {j}")
-        pts_base, w0 = self._section_points
-        tau = self.stations[j]
-        pts = np.concatenate(
-            [pts_base, np.full(pts_base.shape[:-1] + (1,), tau)], axis=-1
-        )
-        w = np.full(pts.shape[:-1], w0)
+        nq = 2 ** (grid.dim - 1)
+        w = np.full((math.prod(grid.cell_shape[:-1]), nq), np.prod(grid.spacing[:-1]) / nq)
         if self.domain.axial_kind == RADIAL:
-            w = w * (2.0 * math.pi * tau)
-        return cell, pts, w
+            w = w * (2.0 * math.pi * self.stations[j])
+        return cell, w
 
 
 @dataclass(frozen=True)
@@ -781,13 +722,14 @@ class SectionDescriptor:
 
     grid is the section mesh used for frequency computations (for radial
     domains an interval-times-circle grid with circumference 2*pi*tau).
-    dirichlet_ids are the section-grid nodes on lateral faces carrying
-    the Dirichlet-zero condition.
+    pinned holds one (low, high) pair of flags per section axis, True on
+    a face that carries the Dirichlet-zero condition; a periodic axis has
+    no faces and holds (False, False).
     """
 
     tau: float
     grid: TensorGrid
-    dirichlet_ids: np.ndarray
+    pinned: tuple[tuple[bool, bool], ...]
 
 
 def build_mesh(domain, resolution):
@@ -830,44 +772,26 @@ def cross_section(mesh, tau):
         m = max(8, int(math.ceil(2.0 * math.pi * radius / h_ax)))
         arc = np.arange(m) * (2.0 * math.pi * radius / m)
         section = TensorGrid([base_axes[0], arc], periodic=(False, True))
-    dir_ids = []
-    for ax in range(dom.k):
-        for s, side in enumerate(("low", "high")):
-            if dom.lateral_bc[2 * ax + s] == DIRICHLET0:
-                dir_ids.append(section.boundary_node_ids(ax, side))
-    dir_ids = (
-        np.unique(np.concatenate(dir_ids)) if dir_ids else np.empty(0, dtype=np.int64)
-    )
-    return SectionDescriptor(
-        tau=tau_snapped,
-        grid=section,
-        dirichlet_ids=dir_ids,
-    )
+    pinned = dom.lateral_pinned + ((False, False),) * (section.dim - dom.k)
+    return SectionDescriptor(tau=tau_snapped, grid=section, pinned=pinned)
 
 
 def interval_section(length, cells, dirichlet="both"):
-    """Standalone 1-D section mesh, mainly for frequency studies."""
+    """Standalone 1-D section mesh, mainly for frequency studies; dirichlet
+    ('both', 'low', 'high' or 'none') names its pinned ends."""
+    ends = {"both": (True, True), "low": (True, False), "high": (False, True),
+            "none": (False, False)}
+    if dirichlet not in ends:
+        raise ValueError(f"dirichlet must be one of {', '.join(map(repr, ends))}, "
+                         f"got {dirichlet!r}")
     grid = TensorGrid([np.linspace(0.0, length, cells + 1)])
-    ids = {
-        "both": np.asarray([0, cells]),
-        "low": np.asarray([0]),
-        "high": np.asarray([cells]),
-        "none": np.empty(0, dtype=np.int64),
-    }[dirichlet]
-    return SectionDescriptor(
-        tau=0.0,
-        grid=grid,
-        dirichlet_ids=ids,
-    )
+    return SectionDescriptor(tau=0.0, grid=grid, pinned=(ends[dirichlet],))
 
 
 def rectangle_section(lengths, cells, dirichlet="all"):
-    """Standalone 2-D rectangular section mesh."""
-    axes = [np.linspace(0.0, L, c + 1) for L, c in zip(lengths, cells)]
-    grid = TensorGrid(axes)
-    ids = grid.all_boundary_ids() if dirichlet == "all" else np.empty(0, dtype=np.int64)
-    return SectionDescriptor(
-        tau=0.0,
-        grid=grid,
-        dirichlet_ids=ids,
-    )
+    """Standalone 2-D rectangular section mesh; dirichlet ('all' or 'none')
+    tells whether its four sides are pinned."""
+    if dirichlet not in ("all", "none"):
+        raise ValueError(f"dirichlet must be 'all' or 'none', got {dirichlet!r}")
+    grid = TensorGrid([np.linspace(0.0, L, c + 1) for L, c in zip(lengths, cells)])
+    return SectionDescriptor(tau=0.0, grid=grid, pinned=((dirichlet == "all",) * 2,) * 2)

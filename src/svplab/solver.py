@@ -47,12 +47,14 @@ SolverError.
 Every outer step's system (K(c), with R added to it for p > 2) is
 assembled as a grid stencil array, which holds each node's matrix entry
 at each neighbour offset in {-1, 0, 1}^dim (TensorGrid.stiffness_stencil).  Cap
-data and Dirichlet-zero laterals mark whole faces, so the free nodes form
-a box of the grid, and the free-node block is the stencil restricted to
-that box, with the entries that leave the box masked, as a DIA matrix
-(_free_box, _box_stencil, _dia).  That is the one way a matrix leaves a
-stencil array: section frequencies gather their blocks through it too,
-and on their periodic axes, which the box spans, the block wraps.  The
+data and Dirichlet-zero laterals are whole faces, named by one (low,
+high) pair of pinned flags per axis (dirichlet_data), so the free nodes
+are the box that the flags cut from the grid, and the free-node block is
+the stencil restricted to that box, with the entries that leave the box
+masked, as a DIA matrix (_free_box, _box_stencil, _dia).  That is the
+one way a matrix leaves a stencil array: section frequencies gather
+their blocks through it too, and on their periodic axes, which the box
+spans, the block wraps.  The
 Newton load is a stencil product over the whole grid; -K_fc g is summed
 on the box layers next to a Dirichlet face only, the rows that meet a
 nonzero value.  A solve holds one grid-sized stencil at a time:
@@ -108,8 +110,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (ASSEMBLY_CHUNK_BYTES, DIRICHLET0, Mesh, TensorGrid, _box_pieces,
-                       _read_only)
+from .geometry import ASSEMBLY_CHUNK_BYTES, Mesh, TensorGrid, _box_pieces, _read_only
 from .structure import guarded_power, squared_norm
 
 EPS_REG_REL = 1e-8        # gradient regularization, relative to the cap-data scale
@@ -218,42 +219,47 @@ class ScalarField:
                 for pair, n in ((lower, grid.cell_shape[-1]), (top, 1))]
 
     def trace(self, j, side):
-        """One-sided (points, weights, f, grad f) on station j from 'below' or
-        'above'.  Station j's plane is the lower plane of layer j, and from
-        below, the upper plane of layer j - 1: the two share its values and
-        tangential derivatives, and the gradient from below takes the axial
-        derivative of layer j - 1, which is constant across the layer."""
-        cell, pts, w = self.mesh.station_edge_tables(j, side)
+        """One-sided (z, weights, f, grad f) on station j from 'below' or
+        'above', z the station's axial coordinate.  Station j's plane is the
+        lower plane of layer j, and from below, the upper plane of layer j -
+        1: the two share its values and tangential derivatives, and the
+        gradient from below takes the axial derivative of layer j - 1, which
+        is constant across the layer."""
+        cell, w = self.mesh.station_edge_tables(j, side)
+        z = self.mesh.stations[j]
         (vals, grads), top = self._planes
         if side == "above":
-            return pts, w, vals[:, cell], grads[:, cell]
+            return z, w, vals[:, cell], grads[:, cell]
         if j == vals.shape[1]:  # the top station has no layer above it
-            return (pts, w) + tuple(a[:, 0] for a in top)
+            return (z, w) + tuple(a[:, 0] for a in top)
         below = grads[:, j].copy()
         below[..., -1] = grads[:, cell, :, -1]
-        return pts, w, vals[:, j], below
+        return z, w, vals[:, j], below
 
 
 def dirichlet_data(mesh, bc):
-    """Boolean Dirichlet mask and prescribed values (zero elsewhere)."""
+    """Pinned faces and prescribed values (zero elsewhere).
+
+    pinned holds one (low, high) pair of flags per grid axis: the
+    Dirichlet-zero lateral faces, and both caps on the axial axis.  The
+    values carry the cap data on the two axial end planes, and then 0 on
+    every Dirichlet-zero lateral face.
+    """
     if tuple(bc.lateral) != tuple(mesh.domain.lateral_bc):
         raise ValueError("boundary spec lateral kinds do not match the domain partition")
-    mask = np.zeros(mesh.n_nodes, dtype=bool)
-    vals = np.zeros(mesh.n_nodes)
-    low = mesh.cap_node_ids("low")
-    high = mesh.cap_node_ids("high")
     g_low = np.asarray(bc.g_low(mesh.cap_points("low")), dtype=float)
     g_high = np.asarray(bc.g_high(mesh.cap_points("high")), dtype=float)
     if not (np.all(np.isfinite(g_low)) and np.all(np.isfinite(g_high))):
         raise ValueError("cap data must be finite on all cap nodes")
-    mask[low] = True
-    vals[low] = g_low
-    mask[high] = True
-    vals[high] = g_high
-    lat0 = mesh.lateral_node_ids(kind=DIRICHLET0)
-    mask[lat0] = True
-    vals[lat0] = 0.0
-    return mask, vals
+    pinned = mesh.domain.lateral_pinned + ((True, True),)
+    vals = np.zeros(mesh.grid.shape)
+    vals[..., 0] = g_low.reshape(vals.shape[:-1])
+    vals[..., -1] = g_high.reshape(vals.shape[:-1])
+    for ax, ends in enumerate(pinned[:-1]):
+        for end, is_pinned in zip((0, -1), ends):
+            if is_pinned:
+                vals[(slice(None),) * ax + (end,)] = 0.0
+    return pinned, vals.ravel()
 
 
 def factor_spd(A, what):
@@ -286,27 +292,13 @@ def _interpolation_1d(n):
     return sp.csr_matrix((weights, (rows, cols)), shape=(n, n // 2 + 1))
 
 
-def _free_box(grid, mask):
-    """The free nodes of a Dirichlet mask as a box of the grid: one slice
-    [lo, hi) per axis, or None when every node is Dirichlet.
-
-    Cap data and Dirichlet-zero laterals mark whole faces, so the free
-    nodes of a solve form a box.  A periodic axis has no faces, so the box
-    spans it.  A mask whose free nodes do not form such a box raises
-    ValueError.
-    """
-    free = ~np.reshape(mask, grid.shape)
-    if not free.any():
-        return None
-    box = []
-    for ax in range(grid.dim):
-        hit = np.flatnonzero(free.any(axis=tuple(b for b in range(grid.dim) if b != ax)))
-        box.append(slice(0, grid.shape[ax]) if grid.periodic[ax]
-                   else slice(int(hit[0]), int(hit[-1]) + 1))
-    box = tuple(box)
-    if np.count_nonzero(free) != free[box].size:
-        raise ValueError("the free nodes must form a box of the grid")
-    return box
+def _free_box(grid, pinned):
+    """The free nodes of a grid whose faces flagged in pinned, one (low,
+    high) pair per axis, are Dirichlet: the box of one slice [lo, hi) per
+    axis, or None when it is empty.  A periodic axis has no faces, so the
+    box spans it."""
+    box = tuple(slice(int(lo), n - int(hi)) for (lo, hi), n in zip(pinned, grid.shape))
+    return None if any(b.start >= b.stop for b in box) else box
 
 
 def _hierarchy(shape, box, periodic=None):
@@ -545,15 +537,16 @@ class _FreeSystem:
     periodic axes, so no CSR pattern is built.  solve then runs CG on them
     from an iterate, preconditioned by a multigrid V-cycle, whose hierarchy
     depends only on the grid and the box, so it is built once, at the first
-    solve.  Each solve appends its CG iteration count to linear_iterations.  pinned
-    tells whether the mask pins any node.
+    solve.  Each solve appends its CG iteration count to linear_iterations.
+    pinned, one (low, high) pair of flags per axis, names the Dirichlet
+    faces, and the attribute pinned tells whether there is any.
     """
 
-    def __init__(self, grid, mask, vals):
-        self.box = _free_box(grid, mask)
+    def __init__(self, grid, pinned, vals):
+        self.box = _free_box(grid, pinned)
         self.vals = vals
         self.grid = grid
-        self.pinned = bool(np.any(mask))
+        self.pinned = any(map(any, pinned))
         self.linear_iterations = []
         self.method = "cg-mg" if self.box is not None else "none"
 
@@ -832,13 +825,13 @@ def solve(domain, mesh, op, bc):
     """
     if mesh.domain is not domain and mesh.domain != domain:
         raise ValueError("mesh was built on a different domain")
-    mask, vals = dirichlet_data(mesh, bc)
+    pinned, vals = dirichlet_data(mesh, bc)
     # f = 0 when every cap value is 0, and then the unit scale serves
     scale = float(np.max(np.abs(vals), initial=0.0))
     eps = EPS_REG_REL * (scale if scale > 0.0 else 1.0)
 
     a_q = op.a(mesh.pk_at_quads())
-    system = _FreeSystem(mesh.grid, mask, vals)
+    system = _FreeSystem(mesh.grid, pinned, vals)
     f = _separable_solve(system, a_q)
     exact = op.p == 2.0
     f, energy, steps, converged, decrease, theta = _minimize(
@@ -880,8 +873,8 @@ def flux_integral(field, tau, weight="one", side="auto", C=0.0):
     """
     mesh = field.mesh
     j, side = _station(field, tau, side)
-    pts, w, fvals, fgrads = field.trace(j, side)
-    a = field.op.a(mesh.domain.pk_of_axial(pts[..., -1]))
+    z, w, fvals, fgrads = field.trace(j, side)
+    a = field.op.a(mesh.domain.pk_of_axial(z))
     fac = guarded_power(squared_norm(fgrads), 0.5 * (field.op.p - 2.0))
     axial_flux = a * fac * fgrads[..., -1]
     if weight == "one":
@@ -897,5 +890,6 @@ def flux_integral(field, tau, weight="one", side="auto", C=0.0):
 
 
 def section_quad_trace(field, tau, side="auto"):
-    """Section quadrature (points, weights, f, grad f) with one-sided gradients."""
+    """Section quadrature (z, weights, f, grad f) with one-sided gradients, z
+    the snapped station."""
     return field.trace(*_station(field, tau, side))

@@ -127,9 +127,80 @@ def reference_galerkin(D, axes):
     return D
 
 
+def grads_at_quads(grid, u):
+    """Gradients (n_elems, n_quad, dim) of the nodal vector u at the
+    quadrature points, from one pass of the grid's kernel."""
+    return grid.quad_terms(u, grads=True)[1]
+
+
 def reference_gradient_s(grid, u, eps):
     """s = |grad f|^2 + eps^2 from the whole (E, Q, dim) gradient."""
-    return st.squared_norm(grid.grads_at_quads(u)) + eps**2
+    return st.squared_norm(grads_at_quads(grid, u)) + eps**2
+
+
+def pin(dim, faces):
+    """The per-axis (low, high) pinned flags of the faces (axis, side) of a
+    grid of dimension dim, side 0 or -1."""
+    return tuple(((ax, 0) in faces, (ax, -1) in faces) for ax in range(dim))
+
+
+def face_mask(grid, pinned):
+    """Dirichlet mask of the faces flagged in pinned, one (low, high) pair
+    per axis: the mask form of a Dirichlet set, for CSR references."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for ax, ends in enumerate(pinned):
+        for end, flagged in zip((0, -1), ends):
+            if flagged:
+                mask[(slice(None),) * ax + (end,)] = True
+    return mask.ravel()
+
+
+def reference_free_box(grid, mask):
+    """solver._free_box as it was built from a Dirichlet mask: per axis the
+    range of the free nodes (the whole axis if periodic), or None when
+    every node is Dirichlet; free nodes that do not form that box raise
+    ValueError."""
+    free = ~np.reshape(mask, grid.shape)
+    if not free.any():
+        return None
+    box = []
+    for ax in range(grid.dim):
+        hit = np.flatnonzero(free.any(axis=tuple(b for b in range(grid.dim) if b != ax)))
+        box.append(slice(0, grid.shape[ax]) if grid.periodic[ax]
+                   else slice(int(hit[0]), int(hit[-1]) + 1))
+    box = tuple(box)
+    if np.count_nonzero(free) != free[box].size:
+        raise ValueError("the free nodes must form a box of the grid")
+    return box
+
+
+def face_node_ids(grid, axis, side):
+    """Node ids on the face of a non-periodic axis; side is 'low' or 'high'."""
+    idx = [np.arange(n) for n in grid.shape]
+    idx[axis] = np.asarray([0 if side == "low" else grid.shape[axis] - 1])
+    grids = np.meshgrid(*idx, indexing="ij")
+    return np.ravel_multi_index([g.ravel() for g in grids], grid.shape)
+
+
+def reference_dirichlet_data(mesh, bc):
+    """solver.dirichlet_data as it was built from node ids: a boolean mask
+    and the values, the cap data written to the ids of the two axial end
+    planes (evaluated at their rows of grid.nodes), and then 0 to the ids
+    of every Dirichlet-zero lateral face."""
+    grid = mesh.grid
+    mask = np.zeros(grid.n_nodes, dtype=bool)
+    vals = np.zeros(grid.n_nodes)
+    for side, g in (("low", bc.g_low), ("high", bc.g_high)):
+        ids = face_node_ids(grid, grid.dim - 1, side)
+        mask[ids] = True
+        vals[ids] = np.asarray(g(grid.nodes[ids]), dtype=float)
+    for ax in range(mesh.domain.k):
+        for s, side in enumerate(("low", "high")):
+            if mesh.domain.lateral_bc[2 * ax + s] == geo.DIRICHLET0:
+                ids = face_node_ids(grid, ax, side)
+                mask[ids] = True
+                vals[ids] = 0.0
+    return mask, vals
 
 
 def corner_values(grid, u):
@@ -306,7 +377,10 @@ def reference_slab_elements(mesh, t, tau):
 
 
 def reference_station_edge_tables(mesh, j, side):
-    """Mesh.station_edge_tables built from scratch for station j alone."""
+    """Mesh.station_edge_tables built from scratch for station j alone: the
+    element ids of the layer, the section quadrature points with the
+    station as last coordinate, the weights, and the basis tables on the
+    layer's face."""
     grid = mesh.grid
     c, xi_ax = (j - 1, 1.0) if side == "below" else (j, -1.0)
     elem_ids = np.flatnonzero(
@@ -329,10 +403,12 @@ def reference_station_edge_tables(mesh, j, side):
 
 def reference_trace(mesh, values, j, side):
     """ScalarField.trace from reference_station_edge_tables, the element
-    layer's corners gathered through the connectivity table."""
+    layer's corners gathered through the connectivity table; z is the one
+    axial coordinate of the section points."""
     elem_ids, pts, w, vals, grads = reference_station_edge_tables(mesh, j, side)
+    (z,) = np.unique(pts[..., -1])
     ue = values[reference_elem_nodes(mesh.grid)[elem_ids]]
-    return pts, w, np.einsum("em,qm->eq", ue, vals), np.einsum("em,qdm->eqd", ue, grads)
+    return z, w, np.einsum("em,qm->eq", ue, vals), np.einsum("em,qdm->eqd", ue, grads)
 
 
 def reference_kernel_trace(mesh, values, j, side):
@@ -344,7 +420,8 @@ def reference_kernel_trace(mesh, values, j, side):
     vals, grads = grid.face_terms(values, at)
     layers = (-1, grid.cell_shape[-1], vals.shape[1])
     _, pts, w, _, _ = reference_station_edge_tables(mesh, j, side)
-    return (pts, w, vals.reshape(layers)[:, cell],
+    (z,) = np.unique(pts[..., -1])
+    return (z, w, vals.reshape(layers)[:, cell],
             grads.reshape(layers + (grid.dim,))[:, cell])
 
 
@@ -363,8 +440,8 @@ def cg_from_zero(mesh, op, bc):
     op's a(x), from zero on the free nodes to CG_RTOL of the right-hand
     side: the p = 2 solve as a cold CG solve ran it, which a warm solve
     from the Dirichlet data with CG_FORCING = 0 repeats step for step."""
-    mask, vals = sv.dirichlet_data(mesh, bc)
-    system = sv._FreeSystem(mesh.grid, mask, vals)
+    pinned, vals = sv.dirichlet_data(mesh, bc)
+    system = sv._FreeSystem(mesh.grid, pinned, vals)
     K = mesh.grid.stiffness_stencil(coeff=op.a(mesh.pk_at_quads()))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sv, "CG_FORCING", 0.0)

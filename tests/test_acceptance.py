@@ -19,6 +19,8 @@ import scipy.optimize
 from conftest import (
     BS,
     cosh_energy,
+    face_mask,
+    grads_at_quads,
     make_strip,
     numeric_cutoff_minimum,
     solve_cosh_dirichlet,
@@ -155,13 +157,12 @@ def test_criterion_3_general_p_frequency():
     res = fr.compute_frequency(sec, 3.0, fr.FIRST)
     grid = sec.grid
     w = grid.quad_weights
-    free = np.ones(grid.n_nodes, dtype=bool)
-    free[sec.dirichlet_ids] = False
+    free = ~face_mask(grid, sec.pinned)
 
     def quotient(ufree):
         u = np.zeros(grid.n_nodes)
         u[free] = ufree
-        g = grid.grads_at_quads(u)
+        g = grads_at_quads(grid, u)
         num = float(np.sum(w * np.sum(g**2, axis=-1) ** 1.5))
         den = float(np.sum(w * np.abs(grid.vals_at_quads(u)) ** 3))
         return num / den

@@ -7,14 +7,24 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from conftest import (count_compute_calls, gather_csr, reference_gradient_form,
-                      reference_scalar_form, station_meshes)
+from conftest import (count_compute_calls, face_mask, gather_csr, grads_at_quads,
+                      reference_gradient_form, reference_scalar_form, station_meshes)
 from svplab import frequency as fr
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
 
 PI2 = math.pi**2
+
+
+def kind_pinned(section, kind):
+    """The (low, high) pinned flags per section axis of a frequency kind:
+    every face for the first kind, the section's for the third, none for
+    the second."""
+    grid = section.grid
+    return {fr.FIRST: tuple((not per, not per) for per in grid.periodic),
+            fr.THIRD: section.pinned,
+            fr.SECOND: ((False, False),) * grid.dim}[kind]
 
 
 def dense_interval_matrices(length, cells, bc):
@@ -92,21 +102,19 @@ class TestFirstFrequency:
     def test_minimizer_pinned(self):
         sec = geo.interval_section(1.0, 64)
         res = fr.compute_frequency(sec, 2.5, fr.FIRST)
-        assert np.all(res.minimizer[res.dirichlet_ids] == 0.0)
+        assert np.all(res.minimizer[face_mask(sec.grid, kind_pinned(sec, fr.FIRST))] == 0.0)
 
 
 def brute_force_quotient_min(section, p):
     """Dense quotient minimization by L-BFGS from a generic start."""
     grid = section.grid
     w = grid.quad_weights
-    pinned = section.dirichlet_ids
-    free = np.ones(grid.n_nodes, dtype=bool)
-    free[pinned] = False
+    free = ~face_mask(grid, section.pinned)
 
     def quotient(ufree):
         u = np.zeros(grid.n_nodes)
         u[free] = ufree
-        g = grid.grads_at_quads(u)
+        g = grads_at_quads(grid, u)
         num = float(np.sum(w * np.sum(g**2, axis=-1) ** (p / 2)))
         vq = grid.vals_at_quads(u)
         den = float(np.sum(w * np.abs(vq) ** p))
@@ -241,14 +249,14 @@ class TestRadialSectionOracle:
                  (fr.SECOND, np.empty(0, dtype=int), 1))  # the second skips the constant
         for kind, pinned, index in cases:
             res = fr.compute_frequency(sec, 2.0, kind)
-            assert np.array_equal(res.dirichlet_ids, pinned)
             free = np.ones(sec.grid.n_nodes, dtype=bool)
             free[pinned] = False
+            assert np.array_equal(face_mask(sec.grid, kind_pinned(sec, kind)), ~free)
             oracle = dense_eigs(K[np.ix_(free, free)], M[np.ix_(free, free)])[index]
             assert res.value == pytest.approx(oracle, rel=1e-10)
             # the value is the quotient of the p = 2 start, so check the
             # start alone through its quotient on the gathered blocks
-            box, periodic = sv._free_box(sec.grid, ~free), sec.grid.periodic
+            box, periodic = sv._free_box(sec.grid, kind_pinned(sec, kind)), sec.grid.periodic
             Kb, Mb = [sv._dia(sv._box_stencil(s, box, periodic), periodic)
                       for s in (sec.grid.stiffness_stencil(), sec.grid.mass_stencil())]
             x = fr._p2_start(sec.grid, box, kind == fr.SECOND).reshape(sec.grid.shape)[box].ravel()
@@ -277,7 +285,7 @@ def p2_start_sections():
 
 P2_START_CASES = [(name, kind) for name, sec in p2_start_sections().items()
                   for kind in (fr.FIRST, fr.THIRD, fr.SECOND)
-                  if kind != fr.THIRD or sec.dirichlet_ids.size]
+                  if kind != fr.THIRD or any(map(any, sec.pinned))]
 
 
 DENSE_PENCILS = {}
@@ -288,10 +296,7 @@ def dense_section_pencil(name, kind):
     gathered from the grid's stencils, with its four lowest eigenpairs."""
     sec = p2_start_sections()[name]
     grid = sec.grid
-    pinned = {fr.FIRST: grid.all_boundary_ids(), fr.THIRD: sec.dirichlet_ids,
-              fr.SECOND: np.empty(0, dtype=np.int64)}[kind]
-    free = np.ones(grid.n_nodes, dtype=bool)
-    free[pinned] = False
+    free = ~face_mask(grid, kind_pinned(sec, kind))
     # the radial sections of one radius share their grid and pinned sets
     key = (grid.shape, grid.spacing, grid.periodic, free.tobytes())
     if key not in DENSE_PENCILS:
@@ -314,7 +319,7 @@ class TestP2Start:
         sec = p2_start_sections()[name]
         grid = sec.grid
         free, K, M, (lam, V) = dense_section_pencil(name, kind)
-        box = sv._free_box(grid, ~free)
+        box = sv._free_box(grid, kind_pinned(sec, kind))
         u = fr._p2_start(grid, box, kind == fr.SECOND)
         assert np.all(u[~free] == 0.0)
         x = u[free]
@@ -452,8 +457,7 @@ def same_result(a, b):
     return (a.kind == b.kind and a.value == b.value
             and a.residual == b.residual and a.iterations == b.iterations
             and a.degenerate == b.degenerate
-            and np.array_equal(a.minimizer, b.minimizer)
-            and np.array_equal(a.dirichlet_ids, b.dirichlet_ids))
+            and np.array_equal(a.minimizer, b.minimizer))
 
 
 def layer_mesh(h=0.25):
@@ -623,7 +627,7 @@ class TestSmallestCurvature:
 
     @staticmethod
     def pencil(grid, p, u, q):
-        g = grid.grads_at_quads(u)
+        g = grads_at_quads(grid, u)
         s = np.sum(g**2, axis=-1) + fr.SECTION_EPS**2
         c = s ** (0.5 * (p - 2.0))
         K = gather_csr(grid, grid.stiffness_stencil(coeff=c)).toarray()
@@ -642,7 +646,7 @@ class TestSmallestCurvature:
         assert np.abs(H.sum(axis=1)).max() <= 1e-9 * q
         Z = scipy.linalg.null_space((M @ np.column_stack((u, np.ones_like(u)))).T)
         dense = scipy.linalg.eigh(Z.T @ H @ Z, Z.T @ M @ Z, eigvals_only=True)[0]
-        system = sv._FreeSystem(grid, np.zeros(grid.n_nodes, dtype=bool), np.zeros(grid.n_nodes))
+        system = sv._FreeSystem(grid, ((False, False),) * grid.dim, np.zeros(grid.n_nodes))
         lam, v = fr._smallest_curvature(system, fr._Quotient(grid, p, True), u, q)
         assert lam == pytest.approx(dense, abs=1e-6 * q)
         # v lies in the complement and is an eigenvector there
@@ -738,7 +742,7 @@ class TestSmallestCurvature:
         sec = self.radial_section()
         u, q = self.minimum(sec, 1.5)
         grid = sec.grid
-        system = sv._FreeSystem(grid, np.zeros(grid.n_nodes, dtype=bool), np.zeros(grid.n_nodes))
+        system = sv._FreeSystem(grid, ((False, False),) * grid.dim, np.zeros(grid.n_nodes))
         monkeypatch.setattr(fr, "CURVATURE_MAXITER", 1)
         with pytest.raises(sv.SolverError, match="curvature did not converge"):
             fr._smallest_curvature(system, fr._Quotient(grid, 1.5, True), u, q)
@@ -909,7 +913,7 @@ def test_forms_equal_connectivity_scatter(name, p):
     u = np.random.default_rng(4).normal(size=grid.n_nodes)
     quot = fr._Quotient(grid, p, recenter=False)
     q, flux, load = quot.forms(grid.quad_terms(u, vals=True, grads=True, square_plus=0.0))
-    g = grid.grads_at_quads(u)
+    g = grads_at_quads(grid, u)
     c = (st.squared_norm(g) + fr.SECTION_EPS**2) ** (0.5 * (p - 2.0))
     vq = grid.vals_at_quads(u)
     assert q == quot.numerator(st.squared_norm(g))

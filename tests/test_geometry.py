@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (corner_values, gather_csr, pattern_grids, reference_assemble_local,
-                      reference_csr_pattern, reference_elem_nodes, reference_pk_at_quads,
-                      reference_kernel_trace, reference_quad_terms, reference_slab_elements,
+from conftest import (corner_values, face_mask, face_node_ids, gather_csr, grads_at_quads,
+                      pattern_grids, reference_assemble_local, reference_csr_pattern,
+                      reference_elem_nodes, reference_pk_at_quads, reference_kernel_trace,
+                      reference_quad_terms, reference_slab_elements,
                       reference_station_edge_tables, reference_trace, slab_meshes,
                       station_meshes)
 from svplab import geometry as geo
@@ -102,11 +103,11 @@ class TestBuildMesh:
 
 
 def same_section(a, b):
-    """Equal section axes (byte for byte), periodicity and Dirichlet nodes."""
+    """Equal section axes (byte for byte), periodicity and pinned faces."""
     return (len(a.grid.axes) == len(b.grid.axes)
             and all(x.tobytes() == y.tobytes() for x, y in zip(a.grid.axes, b.grid.axes))
             and a.grid.periodic == b.grid.periodic
-            and np.array_equal(a.dirichlet_ids, b.dirichlet_ids))
+            and a.pinned == b.pinned)
 
 
 class TestCrossSection:
@@ -141,7 +142,27 @@ class TestCrossSection:
     def test_dirichlet_trace_set(self):
         mesh = geo.build_mesh(strip_domain(lateral=("dirichlet0", "neumann")), 0.25)
         sec = mesh.cross_section(0.0)
-        assert sec.dirichlet_ids.tolist() == [0]
+        assert sec.pinned == ((True, False),)
+        assert np.flatnonzero(face_mask(sec.grid, sec.pinned)).tolist() == [0]
+
+    def test_radial_section_pins_its_dirichlet_end_only(self):
+        dom = replace(radial_domain(), lateral_bc=("neumann", "dirichlet0"))
+        sec = geo.build_mesh(dom, 0.25).cross_section(2.0)
+        assert sec.pinned == ((False, True), (False, False))
+
+    def test_interval_section_rejects_unknown_dirichlet(self):
+        ends = {"both": (True, True), "low": (True, False), "high": (False, True),
+                "none": (False, False)}
+        for name, pair in ends.items():
+            assert geo.interval_section(1.0, 4, dirichlet=name).pinned == (pair,)
+        with pytest.raises(ValueError, match="'both', 'low', 'high', 'none'.*'Both'"):
+            geo.interval_section(1.0, 4, dirichlet="Both")
+
+    def test_rectangle_section_rejects_unknown_dirichlet(self):
+        assert geo.rectangle_section((1, 1), (4, 4)).pinned == ((True, True),) * 2
+        assert geo.rectangle_section((1, 1), (4, 4), "none").pinned == ((False, False),) * 2
+        with pytest.raises(ValueError, match="'all' or 'none'.*'both'"):
+            geo.rectangle_section((1, 1), (4, 4), dirichlet="both")
 
     def test_radial_section_is_periodic_cylinder(self):
         mesh = geo.build_mesh(radial_domain(), 0.25)
@@ -291,19 +312,18 @@ class TestAxialSlabsAndSections:
                     with pytest.raises(ValueError, match="no element layer"):
                         mesh.station_edge_tables(j, side)
                     continue
-                cell, *got = mesh.station_edge_tables(j, side)
-                elem_ids, *want = reference_station_edge_tables(mesh, j, side)
+                cell, w = mesh.station_edge_tables(j, side)
+                elem_ids, _, want, _, _ = reference_station_edge_tables(mesh, j, side)
                 layers = np.arange(mesh.n_elems).reshape(-1, mesh.grid.cell_shape[-1])
                 assert same_bytes(layers[:, cell], elem_ids)
-                assert all(same_bytes(a, b) for a, b in zip(got, want))
+                assert same_bytes(w, want)
         with pytest.raises(ValueError, match="side must be"):
             mesh.station_edge_tables(1, "left")
 
     def test_tracing_every_station_builds_section_tables_once(self, name, monkeypatch):
-        """The section points are built once per mesh and cached, and the
-        traces slice the field's node-plane arrays, one kernel pass on the
-        lower planes and one on the top layer's upper plane: no basis table
-        is built."""
+        """The traces slice the field's node-plane arrays, one kernel pass on
+        the lower planes and one on the top layer's upper plane: no basis
+        table is built."""
         mesh = slab_meshes()[name]
         calls = []
         tables = geo.TensorGrid.basis_tables
@@ -323,7 +343,7 @@ class TestAxialSlabsAndSections:
                 if has_layer:
                     field.trace(j, side)
         assert faces == [0, 1]  # the lower planes, then the top
-        assert not calls and "_section_points" in mesh.__dict__  # built once, cached
+        assert not calls
 
 
 @pytest.mark.parametrize("name", list(pattern_grids()))
@@ -416,7 +436,7 @@ class TestQuadKernel:
             assert np.max(np.abs(g - grads)) <= 1e-13 * np.max(np.abs(grads))
             # the squares add in axis order, then the shift: squared_norm's sum
             assert same_bytes(s, st.squared_norm(g) + 0.25)
-            assert same_bytes(v, grid.vals_at_quads(u)) and same_bytes(g, grid.grads_at_quads(u))
+            assert same_bytes(v, grid.vals_at_quads(u)) and same_bytes(g, grads_at_quads(grid, u))
         assert grid.quad_terms(u) == (None, None, None)
         _, none, alone = grid.quad_terms(u, square_plus=0.25)
         assert none is None and same_bytes(alone, s)
@@ -492,7 +512,8 @@ def test_traces_equal_connectivity_gather(name):
     field's face arrays: the bytes of the kernel over every layer of the
     mesh, sliced at the station's layer, and within 1e-13 of the gather
     through the connectivity of the per-station element ids, at every
-    station and side; points and weights keep their bytes."""
+    station and side; the station's axial coordinate z and the weights
+    keep their bytes."""
     mesh = station_meshes()[name]
     values = np.random.default_rng(3).normal(size=mesh.n_nodes)
     field = sv.ScalarField(mesh=mesh, values=values, op=st.constant_operator(2.0), bc=None,
@@ -539,16 +560,20 @@ class TestMeshTablesWithoutNodes:
         points = {which: mesh.cap_points(which) for which in ("low", "high")}
         assert "nodes" not in mesh.grid.__dict__
         for which, pts in points.items():
-            assert same_bytes(pts, mesh.grid.nodes[mesh.cap_node_ids(which)])
+            ids = face_node_ids(mesh.grid, mesh.grid.dim - 1, which)
+            assert same_bytes(pts, mesh.grid.nodes[ids])
 
 
 class TestSliceIndex:
     def test_stations_cover_all_nodes_once(self):
+        # every node lies on the one station its axial coordinate snaps to
         mesh = geo.build_mesh(strip_domain(), 0.25)
-        seen = np.zeros(mesh.n_nodes, dtype=int)
-        for j in range(mesh.stations.size):
-            seen[mesh.station_node_ids(j)] += 1
-        assert np.all(seen == 1)
+        seen = np.zeros(mesh.stations.size, dtype=int)
+        for node in mesh.grid.nodes:
+            j, snap = mesh.station_index(node[-1])
+            assert snap == 0.0
+            seen[j] += 1
+        assert np.all(seen == mesh.n_nodes // mesh.stations.size)
 
 
 def coo_reference(grid, local):
@@ -659,10 +684,9 @@ class TestFixedPatternAssembly:
         reference, with distinct offsets in ascending order."""
         grid = grids[name]
         coeff = np.random.default_rng(8).uniform(0.5, 2.0, size=grid.quad_weights.shape)
-        mask = np.zeros(grid.n_nodes, dtype=bool)
-        for ax in np.flatnonzero(~np.asarray(grid.periodic)):
-            mask[grid.boundary_node_ids(ax, "low")] = True
-        box = sv._free_box(grid, mask)
+        pinned = tuple((not per, False) for per in grid.periodic)
+        mask = face_mask(grid, pinned)
+        box = sv._free_box(grid, pinned)
         assert all(b == slice(0, n) for b, n, per in zip(box, grid.shape, grid.periodic) if per)
         cases = ((grid.stiffness_stencil(coeff=coeff), reference_stiffness(grid, coeff)),
                  (grid.mass_stencil(), reference_mass(grid)))
@@ -670,11 +694,6 @@ class TestFixedPatternAssembly:
             A = sv._dia(sv._box_stencil(stencil, box, grid.periodic), grid.periodic)
             assert np.all(np.diff(A.offsets) > 0)
             self.assert_matches(A.tocsr(), ref[~mask][:, ~mask])
-        # a periodic axis has no faces: a node plane pinned across it leaves no box
-        plane = np.zeros(grid.shape, dtype=bool)
-        plane[(slice(None),) * grid.periodic.index(True) + (0,)] = True
-        with pytest.raises(ValueError, match="box"):
-            sv._free_box(grid, plane.ravel())
 
     def test_one_assembly_peaks_below_its_local_entries(self):
         """A stiffness assembly on the k = 2 layer at h = 1/16 holds less than

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import (cg_from_zero, gather_csr, pattern_grids, reference_box_stencil,
-                      reference_galerkin, reference_gradient_s)
+from conftest import (cg_from_zero, face_mask, face_node_ids, gather_csr, grads_at_quads, pin,
+                      pattern_grids, reference_box_stencil, reference_dirichlet_data,
+                      reference_free_box, reference_galerkin, reference_gradient_s)
 from svplab import energetics as en
 from svplab import geometry as geo
 from svplab import solver as sv
@@ -173,8 +175,7 @@ class TestBoundaryHandling:
                              g_high=lambda x: np.ones(len(x)),
                              lateral=("dirichlet0", "neumann"))
         f = sv.solve(dom, mesh, st.constant_operator(2.0), bc)
-        lat = mesh.lateral_node_ids(kind="dirichlet0")
-        assert np.all(f.values[lat] == 0.0)
+        assert np.all(f.values[face_node_ids(mesh.grid, 0, "low")] == 0.0)
 
 
 class TestRadialSolve:
@@ -235,9 +236,11 @@ class TestLinearLayer:
         dom, mesh, op, bc = cosh_problem(1 / 8)
         assert sv.solve(dom, mesh, op, bc).diagnostics.linear_solver == "separable"
         assert sv.solve(*general_p_problem(3.0)).diagnostics.linear_solver == "cg-mg"
-        # every node Dirichlet: nothing to solve
-        _, vals = sv.dirichlet_data(mesh, bc)
-        system = sv._FreeSystem(mesh.grid, np.ones(mesh.n_nodes, dtype=bool), vals)
+        # every node Dirichlet: one axial cell, whose two node planes are the caps
+        dom, mesh, op, bc = cosh_problem(1 / 8, beta_star=1 / 16)
+        assert mesh.grid.shape[-1] == 2
+        pinned, vals = sv.dirichlet_data(mesh, bc)
+        system = sv._FreeSystem(mesh.grid, pinned, vals)
         assert system.method == "none"
         assert system.restrict(mesh.grid.stiffness_stencil()) is None
         assert np.array_equal(system.solve(None, vals), vals)
@@ -250,8 +253,8 @@ class TestLinearLayer:
         assert len(iterations) == 1
         assert 0 < iterations[0] <= 12
         # reference: a sparse LU of the same free-node block
-        mask, vals = sv.dirichlet_data(mesh, bc)
-        free = ~mask
+        pinned, vals = sv.dirichlet_data(mesh, bc)
+        free = ~face_mask(mesh.grid, pinned)
         K = gather_csr(mesh.grid, mesh.grid.stiffness_stencil(coeff=op.a(mesh.pk_at_quads())))
         lu = sv.factor_spd(K[free][:, free].tocsc(), "reference system")
         direct = vals.copy()
@@ -263,8 +266,8 @@ class TestLinearLayer:
         # at most MG_COARSEST free nodes: no coarse level, so the V-cycle is
         # an exact solve and every outer step's CG takes one iteration
         dom, mesh, op, bc = general_p_problem(1.5)
-        mask, _ = sv.dirichlet_data(mesh, bc)
-        assert np.count_nonzero(~mask) <= sv.MG_COARSEST
+        pinned, _ = sv.dirichlet_data(mesh, bc)
+        assert np.count_nonzero(~face_mask(mesh.grid, pinned)) <= sv.MG_COARSEST
         d = sv.solve(dom, mesh, op, bc).diagnostics
         assert d.linear_solver == "cg-mg" and d.outer_iterations > 2
         assert d.linear_iterations == (1,) * (d.outer_iterations - 1)
@@ -513,13 +516,14 @@ class TestSeparableSolve:
     @pytest.mark.parametrize("name", list(SEPARABLE_PROBLEMS))
     def test_cold_solve_is_the_sparse_lu(self, name):
         dom, mesh, op, bc = SEPARABLE_PROBLEMS[name]
-        mask, vals = sv.dirichlet_data(mesh, bc)
+        pinned, vals = sv.dirichlet_data(mesh, bc)
+        mask = face_mask(mesh.grid, pinned)
         a_q = op.a(mesh.pk_at_quads())
         K = gather_csr(mesh.grid, mesh.grid.stiffness_stencil(coeff=a_q))
         direct = vals.copy()
         direct[~mask] = sv.factor_spd(K[~mask][:, ~mask].tocsc(), "reference").solve(
             -(K @ vals)[~mask])
-        x = sv._separable_solve(sv._FreeSystem(mesh.grid, mask, vals), a_q)
+        x = sv._separable_solve(sv._FreeSystem(mesh.grid, pinned, vals), a_q)
         assert np.array_equal(x[mask], vals[mask])
         assert np.max(np.abs(x - direct)) <= 1e-12 * np.max(np.abs(direct))
         field = sv.solve(dom, mesh, op, bc)
@@ -615,7 +619,7 @@ class TestNewtonHessian:
         eps = 0.1
 
         def gradient(u):  # K(c(u)) u, the gradient of the regularized energy
-            s = np.sum(grid.grads_at_quads(u) ** 2, axis=-1) + eps**2
+            s = np.sum(grads_at_quads(grid, u) ** 2, axis=-1) + eps**2
             return gather_csr(grid, grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (p - 2.0)))) @ u
 
         stencil, load = sv._step_system(grid, f, p, sv._gradient_terms(grid, f, eps, p, a_q))
@@ -658,14 +662,14 @@ class TestNewtonConvergence:
 
 def kacanov_reference(dom, mesh, op, bc):
     """The undamped Kacanov loop: each step solves with K(a s^((p-2)/2))."""
-    mask, vals = sv.dirichlet_data(mesh, bc)
+    pinned, vals = sv.dirichlet_data(mesh, bc)
     eps = sv.EPS_REG_REL * float(np.max(np.abs(vals)))
     a_q = op.a(mesh.pk_at_quads())
-    system = sv._FreeSystem(mesh.grid, mask, vals)
+    system = sv._FreeSystem(mesh.grid, pinned, vals)
     f = sv._separable_solve(system, a_q)
     energy = regularized_energy(mesh, op, f, eps)
     for _ in range(sv.MAX_OUTER - 1):
-        g = mesh.grid.grads_at_quads(f)
+        g = grads_at_quads(mesh.grid, f)
         s = np.sum(g**2, axis=-1) + eps**2
         K = mesh.grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (op.p - 2.0)))
         f_hat = system.solve(system.restrict(K), x0=f)
@@ -684,10 +688,10 @@ def outer_loop_reference(dom, mesh, op, bc):
     from the separable cold solve: damped Kacanov or Newton steps to
     TOL_ENERGY."""
     grid = mesh.grid
-    mask, vals = sv.dirichlet_data(mesh, bc)
+    pinned, vals = sv.dirichlet_data(mesh, bc)
     eps = sv.EPS_REG_REL * float(np.max(np.abs(vals)))
     a_q = op.a(mesh.pk_at_quads())
-    system = sv._FreeSystem(grid, mask, vals)
+    system = sv._FreeSystem(grid, pinned, vals)
     f = sv._separable_solve(system, a_q)
     terms = sv._gradient_terms(grid, f, eps, op.p, a_q)
     energy = sv._regularized_energy(grid, op.p, terms)
@@ -747,8 +751,8 @@ def global_residual(field):
     """max |K(c) f| over max (|K(c)| |f|) on the free nodes: the
     Euler-Lagrange residual of the regularized energy at the field."""
     mesh, op = field.mesh, field.op
-    mask, _ = sv.dirichlet_data(mesh, field.bc)
-    s = np.sum(mesh.grid.grads_at_quads(field.values) ** 2, axis=-1) \
+    mask = face_mask(mesh.grid, sv.dirichlet_data(mesh, field.bc)[0])
+    s = np.sum(grads_at_quads(mesh.grid, field.values) ** 2, axis=-1) \
         + field.diagnostics.eps_reg**2
     K = gather_csr(mesh.grid, mesh.grid.stiffness_stencil(
         coeff=op.a(mesh.pk_at_quads()) * s ** (0.5 * (op.p - 2.0))))
@@ -801,8 +805,9 @@ class TestInexactInnerSolve:
 
     def test_warm_stop_is_forcing_times_initial_residual(self, cg_calls):
         dom, mesh, op, bc = readme_problem(1.5, 1 / 16)
-        mask, vals = sv.dirichlet_data(mesh, bc)
-        system = sv._FreeSystem(mesh.grid, mask, vals)
+        pinned, vals = sv.dirichlet_data(mesh, bc)
+        mask = face_mask(mesh.grid, pinned)
+        system = sv._FreeSystem(mesh.grid, pinned, vals)
         a_q = op.a(mesh.pk_at_quads())
         f = sv._separable_solve(system, a_q)
         terms = sv._gradient_terms(mesh.grid, f, sv.EPS_REG_REL, op.p, a_q)
@@ -842,35 +847,26 @@ class TestGradientOncePerIterate:
         assert sum(bool(kw.get("grads")) for kw in passes) == (len(energies) if p > 2.0 else 0)
 
 
-def face_mask(grid, faces):
-    """Dirichlet mask of the faces (axis, side) of a grid, side 0 or -1."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for ax, side in faces:
-        mask[(slice(None),) * ax + (side,)] = True
-    return mask.ravel()
-
-
 def galerkin_grids():
-    """Non-periodic grids with face masks: 2-D and 3-D, Dirichlet and
+    """Non-periodic grids with pinned faces: 2-D and 3-D, Dirichlet and
     Neumann laterals (the caps are the last axis), and an axis of odd cell
     count."""
     strip = geo.TensorGrid([np.linspace(0, 1, 17), np.linspace(0, 2, 33)])
     box3 = geo.TensorGrid([np.linspace(0, 1, 9), np.linspace(0, 1, 8), np.linspace(0, 2, 17)])
     caps = [(1, 0), (1, -1)]
     return {
-        "2d-dirichlet": (strip, face_mask(strip, caps + [(0, 0), (0, -1)])),
-        "2d-neumann": (strip, face_mask(strip, caps)),
-        "2d-mixed": (strip, face_mask(strip, caps + [(0, -1)])),
-        "3d-dirichlet-odd": (box3, face_mask(box3, [(2, 0), (2, -1), (0, 0), (0, -1),
-                                                    (1, 0), (1, -1)])),
-        "3d-neumann-odd": (box3, face_mask(box3, [(2, 0), (2, -1)])),
+        "2d-dirichlet": (strip, pin(2, caps + [(0, 0), (0, -1)])),
+        "2d-neumann": (strip, pin(2, caps)),
+        "2d-mixed": (strip, pin(2, caps + [(0, -1)])),
+        "3d-dirichlet-odd": (box3, pin(3, [(2, 0), (2, -1), (0, 0), (0, -1), (1, 0), (1, -1)])),
+        "3d-neumann-odd": (box3, pin(3, [(2, 0), (2, -1)])),
     }
 
 
 class TestMultigrid:
     def test_prolongation_is_restricted_kronecker(self, monkeypatch):
-        # axes of 5, 4 (odd cell count: identity) and 9 nodes, with box masks
-        # of one Dirichlet face, of two, and of none
+        # axes of 5, 4 (odd cell count: identity) and 9 nodes, with one
+        # Dirichlet face pinned, two, and none
         monkeypatch.setattr(sv, "MG_COARSEST", 0)
         grid = geo.TensorGrid([np.linspace(0, 1, 5), np.linspace(0, 1, 4), np.linspace(0, 2, 9)])
 
@@ -886,8 +882,9 @@ class TestMultigrid:
 
         full = np.kron(np.kron(interp(5), interp(4)), interp(9))
         for faces in ([(0, 0)], [(0, 0), (2, -1)], []):
-            mask = face_mask(grid, faces)
-            P, axes = sv._hierarchy(grid.shape, sv._free_box(grid, mask))[0]
+            pinned = pin(3, faces)
+            mask = face_mask(grid, pinned)
+            P, axes = sv._hierarchy(grid.shape, sv._free_box(grid, pinned))[0]
             # a coarse node is free when its fine twin is
             twins = (~mask).reshape(grid.shape)[::2, :, ::2]
             assert axes[1] is None
@@ -900,8 +897,9 @@ class TestMultigrid:
                                          lambda: layer3d(1 / 24)], ids=["2d", "3d"])
     def test_vcycle_symmetric_positive_definite(self, problem):
         dom, mesh, op, bc = problem()
-        mask, vals = sv.dirichlet_data(mesh, bc)
-        system = sv._FreeSystem(mesh.grid, mask, vals)
+        pinned, vals = sv.dirichlet_data(mesh, bc)
+        mask = face_mask(mesh.grid, pinned)
+        system = sv._FreeSystem(mesh.grid, pinned, vals)
         assert len(system.hierarchy) >= 2
         rng = np.random.default_rng(7)
         # a rough positive coefficient, spanning four decades
@@ -922,8 +920,7 @@ class TestMultigrid:
         """Each level keeps P^T, the CSC view of P's arrays, so a V-cycle
         transposes nothing, and its product has the bytes of P.T's."""
         dom, mesh, op, bc = readme_problem(2.0, 1 / 64)
-        mask, vals = sv.dirichlet_data(mesh, bc)
-        system = sv._FreeSystem(mesh.grid, mask, vals)
+        system = sv._FreeSystem(mesh.grid, *sv.dirichlet_data(mesh, bc))
         M = sv._VCycle(sv._box_stencil(mesh.grid.stiffness_stencil(), system.box),
                        system.hierarchy)
         assert len(M.levels) >= 2
@@ -973,6 +970,60 @@ class TestMultigrid:
         assert max(worst) <= 12 and worst[-1] <= worst[1] + 2, worst
 
 
+def dirichlet_meshes():
+    """Meshes with cap data that do not vanish on the laterals: the README
+    strip with each lateral pair, a k = 2 layer with mixed laterals and a
+    radial mesh with a Dirichlet-zero inner face."""
+    def strip_case(lateral):
+        return geo.build_mesh(strip(lateral, 3.0), 1 / 16), lateral
+
+    k2 = geo.CanonicalDomain(n=3, k=2, base=((0.0, 1.0), (0.0, 1.5)), axial_kind="layer",
+                             alpha=1.0, beta=3.0,
+                             lateral_bc=("dirichlet0", "neumann", "neumann", "dirichlet0"))
+    radial = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial", alpha=1.0,
+                                 beta=3.0, lateral_bc=("dirichlet0", "neumann"))
+    cases = {f"readme-{a[0].upper()}{b[0].upper()}": strip_case((a, b))
+             for a in ("dirichlet0", "neumann") for b in ("dirichlet0", "neumann")}
+    cases["k2-mixed"] = geo.build_mesh(k2, 1 / 8), k2.lateral_bc
+    cases["radial"] = geo.build_mesh(radial, 1 / 8), radial.lateral_bc
+    return {name: (mesh, sv.BoundarySpec(g_low=lambda x: 1.0 + np.sum(x[:, :-1], axis=1),
+                                         g_high=lambda x: np.cos(np.pi * x[:, 0]) - 2.0,
+                                         lateral=lateral))
+            for name, (mesh, lateral) in cases.items()}
+
+
+class TestFreeBoxFromFaces:
+    """A Dirichlet set is whole faces, one (low, high) pair of pinned flags
+    per axis: the free box and the prescribed values come from the flags,
+    with the box and the bytes of the mask analysis and the node-id
+    construction that they replaced."""
+
+    @pytest.mark.parametrize("name", list(pattern_grids()) + ["two-node"])
+    def test_every_flag_combination_is_the_mask_box(self, name):
+        if name == "two-node":  # pinned at both faces, its box is empty
+            grid = geo.TensorGrid([np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 2)])
+        else:
+            grid = pattern_grids()[name]
+        ends = list(product((False, True), repeat=2))
+        boxes = []
+        for pinned in product(*([(False, False)] if per else ends for per in grid.periodic)):
+            box = sv._free_box(grid, pinned)
+            assert box == reference_free_box(grid, face_mask(grid, pinned))
+            boxes.append(box)
+        assert (None in boxes) == (name == "two-node")
+
+    @pytest.mark.parametrize("name", list(dirichlet_meshes()))
+    def test_dirichlet_data_is_the_id_construction(self, name):
+        mesh, bc = dirichlet_meshes()[name]
+        pinned, vals = sv.dirichlet_data(mesh, bc)
+        mask, ref = reference_dirichlet_data(mesh, bc)
+        assert pinned == mesh.domain.lateral_pinned + ((True, True),)
+        assert np.array_equal(face_mask(mesh.grid, pinned), mask)
+        assert vals.dtype == ref.dtype and vals.shape == ref.shape
+        assert vals.tobytes() == ref.tobytes()
+        assert np.any(vals[mask] == 0.0) == ("dirichlet0" in bc.lateral)
+
+
 class TestStencilLevels:
     """The V-cycle's levels are DIA matrices over the free box, the coarse
     ones formed by stencil slice adds."""
@@ -981,12 +1032,12 @@ class TestStencilLevels:
     @pytest.mark.parametrize("name", list(galerkin_grids()))
     def test_galerkin_matches_sparse_products(self, monkeypatch, name, mg_coarsest):
         monkeypatch.setattr(sv, "MG_COARSEST", mg_coarsest)
-        grid, mask = galerkin_grids()[name]
+        grid, pinned = galerkin_grids()[name]
         coeff = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, grid.quad_weights.shape)
         stencil = grid.stiffness_stencil(coeff=coeff)
-        free = ~mask
+        free = ~face_mask(grid, pinned)
         A = gather_csr(grid, stencil)[free][:, free]
-        box = sv._free_box(grid, mask)
+        box = sv._free_box(grid, pinned)
         D = sv._box_stencil(stencil, box)
         hierarchy = sv._hierarchy(grid.shape, box)
         assert len(hierarchy) >= (1 if mg_coarsest else 3)
@@ -1001,11 +1052,12 @@ class TestStencilLevels:
 
     @pytest.mark.parametrize("name", list(galerkin_grids()))
     def test_finest_level_is_the_csr_block(self, name):
-        grid, mask = galerkin_grids()[name]
+        grid, pinned = galerkin_grids()[name]
+        free = ~face_mask(grid, pinned)
         rng = np.random.default_rng(4)
         stencil = grid.stiffness_stencil(coeff=rng.uniform(0.5, 2.0, grid.quad_weights.shape))
-        block = gather_csr(grid, stencil)[~mask][:, ~mask]
-        A = sv._dia(sv._box_stencil(stencil, sv._free_box(grid, mask)))
+        block = gather_csr(grid, stencil)[free][:, free]
+        A = sv._dia(sv._box_stencil(stencil, sv._free_box(grid, pinned)))
         assert np.all(np.diff(A.offsets) > 0)
         assert np.array_equal(A.toarray(), block.toarray())
         x = rng.standard_normal(A.shape[0])
@@ -1015,9 +1067,10 @@ class TestStencilLevels:
         # a box two nodes wide after the first axis: offsets of different
         # digits coincide, and the merged diagonals keep the block exactly
         grid = geo.TensorGrid([np.linspace(0, 1, 5), np.linspace(0, 1, 3), np.linspace(0, 1, 4)])
-        mask = face_mask(grid, [(1, 0), (2, 0), (2, -1)])
+        pinned = pin(3, [(1, 0), (2, 0), (2, -1)])
+        mask = face_mask(grid, pinned)
         stencil = grid.stiffness_stencil()
-        A = sv._dia(sv._box_stencil(stencil.copy(), sv._free_box(grid, mask)))
+        A = sv._dia(sv._box_stencil(stencil.copy(), sv._free_box(grid, pinned)))
         assert np.all(np.diff(A.offsets) > 0) and len(A.offsets) < 27
         assert np.array_equal(A.toarray(), gather_csr(grid, stencil)[~mask][:, ~mask].toarray())
 
@@ -1030,11 +1083,12 @@ class TestStencilLevels:
         stencil = rng.standard_normal((3**grid.dim,) + grid.shape)
         sides = [(ax, side) for ax in np.flatnonzero(~np.asarray(grid.periodic))
                  for side in (0, -1)]
-        masks = [face_mask(grid, sides)] + [face_mask(grid, [face]) for face in sides]
-        masks += [face_mask(grid, [(ax, 0), (ax, -1)]) for ax, _ in sides[::2]]
-        for mask in masks:
+        cases = [pin(grid.dim, sides)] + [pin(grid.dim, [face]) for face in sides]
+        cases += [pin(grid.dim, [(ax, 0), (ax, -1)]) for ax, _ in sides[::2]]
+        for pinned in cases:
+            mask = face_mask(grid, pinned)
             vals = np.where(mask, rng.uniform(-1.0, 1.0, grid.n_nodes), 0.0)
-            system = sv._FreeSystem(grid, mask, vals)
+            system = sv._FreeSystem(grid, pinned, vals)
             rhs, _ = system.restrict(stencil.copy())  # restrict consumes its stencil
             whole = -grid.apply_stencil(stencil, vals)[~mask]
             assert rhs.tobytes() == whole.tobytes()
@@ -1050,11 +1104,11 @@ class TestStencilLevels:
         stencil = rng.standard_normal((3**grid.dim,) + grid.shape)
         sides = [(ax, side) for ax in np.flatnonzero(~np.asarray(grid.periodic))
                  for side in (0, -1)]
-        masks = [face_mask(grid, []), face_mask(grid, sides)]
-        masks += [face_mask(grid, [face]) for face in sides]
-        masks += [face_mask(grid, [(ax, 0), (ax, -1)]) for ax, _ in sides[::2]]
-        for mask in masks:
-            box = sv._free_box(grid, mask)
+        cases = [pin(grid.dim, []), pin(grid.dim, sides)]
+        cases += [pin(grid.dim, [face]) for face in sides]
+        cases += [pin(grid.dim, [(ax, 0), (ax, -1)]) for ax, _ in sides[::2]]
+        for pinned in cases:
+            box = sv._free_box(grid, pinned)
             ref = reference_box_stencil(stencil, box, grid.periodic)
             work = stencil.copy()
             D = sv._box_stencil(work, box, grid.periodic)
@@ -1072,11 +1126,11 @@ class TestStencilLevels:
         monkeypatch.setattr(sv, "ASSEMBLY_CHUNK_BYTES", chunk)
         if name == "3d-thin":  # box (15, 9, 17): coarse axes of 7, 1 and 0 nodes
             grid = geo.TensorGrid([np.linspace(0, 1, n) for n in (17, 11, 19)])
-            mask = face_mask(grid, [(ax, side) for ax in range(3) for side in (0, -1)])
+            pinned = ((True, True),) * 3
         else:
-            grid, mask = galerkin_grids()[name]
+            grid, pinned = galerkin_grids()[name]
         coeff = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, grid.quad_weights.shape)
-        box = sv._free_box(grid, mask)
+        box = sv._free_box(grid, pinned)
         D = sv._box_stencil(grid.stiffness_stencil(coeff=coeff), box)
         hierarchy = sv._hierarchy(grid.shape, box)
         assert len(hierarchy) >= (3 if mg_coarsest == 0 else 0)
@@ -1088,19 +1142,6 @@ class TestStencilLevels:
             sizes |= {spec[1] for spec in axes if spec is not None}
         if name == "3d-thin" and mg_coarsest == 0:
             assert {0, 1, 7} <= sizes
-
-    def test_mask_that_is_not_a_box_raises(self):
-        grid = geo.TensorGrid([np.linspace(0, 1, 5), np.linspace(0, 2, 9)])
-        mask = face_mask(grid, [(1, 0), (1, -1)])
-        mask[np.ravel_multi_index((2, 4), grid.shape)] = True
-        with pytest.raises(ValueError, match="box"):
-            sv._FreeSystem(grid, mask, np.zeros(grid.n_nodes))
-        # a periodic axis has no faces: one pinned node on it is not a box
-        periodic = geo.TensorGrid([np.linspace(0, 1, 5), np.arange(8.0)], periodic=(False, True))
-        mask = face_mask(periodic, [(0, 0)])
-        mask[np.ravel_multi_index((2, 3), periodic.shape)] = True
-        with pytest.raises(ValueError, match="box"):
-            sv._FreeSystem(periodic, mask, np.zeros(periodic.n_nodes))
 
     @pytest.mark.parametrize("mg_coarsest", [sv.MG_COARSEST, 0])
     @pytest.mark.parametrize("lateral", [("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann")],
@@ -1115,9 +1156,8 @@ class TestStencilLevels:
                                   beta=3.0, lateral_bc=lateral)
         sec = geo.build_mesh(dom, 1 / 8).cross_section(2.0)
         grid = sec.grid
-        mask = np.zeros(grid.n_nodes, dtype=bool)
-        mask[sec.dirichlet_ids] = True
-        box = sv._free_box(grid, mask)
+        mask = face_mask(grid, sec.pinned)
+        box = sv._free_box(grid, sec.pinned)
         assert box[1] == slice(0, grid.shape[1])
         hierarchy = sv._hierarchy(grid.shape, box, grid.periodic)
         assert len(hierarchy) >= (1 if mg_coarsest == 0 else 0)
@@ -1126,7 +1166,7 @@ class TestStencilLevels:
         stencil = grid.stiffness_stencil(coeff=rng.uniform(0.5, 2.0, grid.quad_weights.shape))
         vals = np.where(mask, rng.uniform(-1.0, 1.0, grid.n_nodes), 0.0)
         load = rng.standard_normal(grid.n_nodes)
-        system = sv._FreeSystem(grid, mask, vals)
+        system = sv._FreeSystem(grid, sec.pinned, vals)
         # restrict and _box_stencil consume their stencil: each gets a copy
         monkeypatch.setattr(sv, "CG_FORCING", 0.0)  # CG from zero to CG_RTOL
         x = system.solve(system.restrict(stencil.copy(), load), vals)
@@ -1224,7 +1264,7 @@ class TestSquaredGradient:
             else:
                 assert c.tobytes() == (a_q * ref ** (0.5 * (p - 2.0))).tobytes()
         g, s, c = sv._gradient_terms(grid, u, 0.1, 3.0, a_q)  # a Newton step reads grad f
-        assert g.tobytes() == grid.grads_at_quads(u).tobytes()
+        assert g.tobytes() == grads_at_quads(grid, u).tobytes()
         assert s.tobytes() == ref.tobytes()
         assert c.tobytes() == (a_q * ref ** 0.5).tobytes()
 
