@@ -354,6 +354,7 @@ def _build_payload(config, seed, results, results2, checks_payload, cutoff_paylo
             "energy": results["solver"].energy,
             "eps_reg": results["solver"].eps_reg,
             "linear_solver": results["solver"].linear_solver,
+            "mirrored": results["solver"].mirrored,
         }
     prof = results.get("profile")
     if prof is not None:

@@ -44,6 +44,20 @@ Incompressible Fluid Flow, 2002, sec. 4.5).  It builds no grid stencil,
 multigrid hierarchy or CG, and a factorization that fails raises
 SolverError.
 
+A layer problem that is mirror-symmetric about t = 0 is solved on its
+upper half layer (_half_layer): the mesh is in layer mode (no measure
+factor), its axial cell count is even, the two cap planes carry the same
+values and a(x) at the quadrature points equals its axial mirror, all bit
+for bit.  Its minimizer is then even in t, so it is the half layer's
+minimizer, with the cap end pinned and the centre plane natural, mirrored
+(Bossavit, SIAM J. Appl. Math. 53, 1993).  solve runs the cold solve and
+the outer loop, unchanged, on the half grid, whose spacing is the full
+grid's to the bit, and one concatenation mirrors the half field into the
+whole one.  The diagnostics then read mirrored: energy is twice the half
+layer's, and the outer and CG counts are the half solve's.  Every other
+input (radial meshes, unequal caps, an a(x) that is not even about the
+centre, an odd axial cell count) is solved on the whole mesh.
+
 Every outer step's system (K(c), with R added to it for p > 2) is
 assembled as a grid stencil array, which holds each node's matrix entry
 at each neighbour offset in {-1, 0, 1}^dim (TensorGrid.stiffness_stencil).  Cap
@@ -156,6 +170,7 @@ class SolverDiagnostics:
     damping_final: float
     linear_solver: str
     linear_iterations: tuple  # CG iterations of each outer step
+    mirrored: bool  # solved on the upper half layer and mirrored (see solve)
 
 
 @dataclass(frozen=True)
@@ -670,12 +685,13 @@ def _separable_solve(system, a_q):
     per axis, so K_ff is the Kronecker sum of the 1-D free blocks.  On each
     base axis, the M-orthonormal eigenbasis V of S V = M V diag(lambda)
     turns it into one axial system (S_z + Lambda_k M_z) y_k = b_k per base
-    mode k, Lambda_k the sum of the mode's base eigenvalues.  The caps pin
-    both axial ends, and the cap data g vanish on Dirichlet-zero laterals,
-    so -K_fc g only enters the first and last free axial rows, as the
-    mode's end values V^T M g of the cap data times that system's
-    couplings to the caps.  All axial systems are tridiagonal and solved
-    as one block-diagonal banded system; x is V y on every base axis.  A
+    mode k, Lambda_k the sum of the mode's base eigenvalues.  A cap pins an
+    axial end, and a natural end (the centre plane of a half layer) adds
+    nothing; the cap data g vanish on Dirichlet-zero laterals, so -K_fc g
+    only enters the free axial row next to each pinned end, as the mode's
+    end value V^T M g of that cap's data times that system's coupling to
+    the cap.  All axial systems are tridiagonal and solved as one
+    block-diagonal banded system; x is V y on every base axis.  A
     factorization that fails raises SolverError.
     """
     out = system.vals.copy()
@@ -684,17 +700,23 @@ def _separable_solve(system, a_q):
     grid, box = system.grid, system.box
     *base, (S, M) = _line_stencils(grid, a_q)
     bz = box[-1]
+    # per pinned axial end: its cap plane, the free node next to it, and the
+    # stencil plane of the offset from that node to the cap
+    ends = [end for end, pinned in (((bz.start - 1, bz.start, 0), bz.start > 0),
+                                    ((bz.stop, bz.stop - 1, 2), bz.stop < grid.shape[-1]))
+            if pinned]
     blocks = [(_line_block(Sb, b), _line_block(Mb, b)) for (Sb, Mb), b in zip(base, box)]
     try:
         pairs = [sla.eigh(Sb, Mb) for Sb, Mb in blocks]
         lam = reduce(np.add.outer, [w for w, _ in pairs]).ravel()[:, None]
-        caps = np.reshape(system.vals, grid.shape)[box[:-1] + ([bz.start - 1, bz.stop],)]
-        ends = _along([V.T @ Mb for (_, V), (_, Mb) in zip(pairs, blocks)], caps).reshape(-1, 2)
+        caps = np.reshape(system.vals, grid.shape)[box[:-1] + ([plane for plane, _, _ in ends],)]
+        modal = _along([V.T @ Mb for (_, V), (_, Mb) in zip(pairs, blocks)], caps).reshape(
+            -1, len(ends))
         # row j of a mode's axial system couples to row j - 1 through [0, j]
         off = S[0, bz] + lam * M[0, bz]
         rhs = np.zeros(off.shape)
-        rhs[:, 0] -= ends[:, 0] * off[:, 0]
-        rhs[:, -1] -= ends[:, 1] * (S[2, bz.stop - 1] + lam[:, 0] * M[2, bz.stop - 1])
+        for (_, node, k), cap in zip(ends, modal.T):
+            rhs[:, node - bz.start] -= cap * (S[k, node] + lam[:, 0] * M[k, node])
         off[:, 0] = 0.0  # the modes do not couple
         y = sla.solveh_banded(np.stack((off.ravel(), (S[1, bz] + lam * M[1, bz]).ravel())),
                               rhs.ravel())
@@ -813,6 +835,34 @@ def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
     return f, energy, taken, converged, decrease, theta
 
 
+def _half_layer(mesh, vals, a_q):
+    """The upper half of a mirror-symmetric layer problem, or None.
+
+    A layer mesh (no measure factor) of an even axial cell count, whose two
+    cap planes carry the same values and whose a_q equals its axial mirror
+    (cells reversed and the two axial Gauss points swapped), all bit for
+    bit, has a minimizer that is even in t.  It is then the minimizer on
+    the upper half layer, with the cap end pinned and the centre plane
+    natural, mirrored (Bossavit, SIAM J. Appl. Math. 53, 1993).  Returns
+    (grid, pinned, vals, a_q) of that half: the base axes and the axial
+    nodes j h, j = 0..n/2, so its spacing is the full grid's, bit for bit.
+    """
+    grid = mesh.grid
+    n = grid.cell_shape[-1]
+    if grid.weight is not None or n % 2:
+        return None
+    planes = np.reshape(vals, grid.shape)
+    if planes[..., 0].tobytes() != planes[..., -1].tobytes():
+        return None
+    cells = np.reshape(a_q, (-1, n, grid.n_quad // 2, 2))
+    if not np.array_equal(cells.view(np.uint64), cells[:, ::-1, :, ::-1].view(np.uint64)):
+        return None
+    half = TensorGrid(grid.axes[:-1] + (grid.spacing[-1] * np.arange(n // 2 + 1),))
+    pinned = mesh.domain.lateral_pinned + ((False, True),)
+    return (half, pinned, planes[..., n // 2:].ravel(),
+            cells[:, n // 2:].reshape(-1, grid.n_quad))
+
+
 def solve(domain, mesh, op, bc):
     """Minimize the p-Dirichlet energy for the given caps and laterals.
 
@@ -822,6 +872,11 @@ def solve(domain, mesh, op, bc):
     eps is EPS_REG_REL times the largest |cap value| (times 1 when all are
     0), so that cap data s g give s times the field of g and s^p times its
     energy, up to rounding.
+
+    A mirror-symmetric layer problem (see _half_layer) is solved on its
+    upper half, and the half field is mirrored into the whole one; the
+    diagnostics then read mirrored, the energy is twice the half layer's,
+    and the outer and CG counts are the half solve's.
     """
     if mesh.domain is not domain and mesh.domain != domain:
         raise ValueError("mesh was built on a different domain")
@@ -831,16 +886,24 @@ def solve(domain, mesh, op, bc):
     eps = EPS_REG_REL * (scale if scale > 0.0 else 1.0)
 
     a_q = op.a(mesh.pk_at_quads())
-    system = _FreeSystem(mesh.grid, pinned, vals)
+    half = _half_layer(mesh, vals, a_q)
+    grid = mesh.grid
+    if half is not None:
+        grid, pinned, vals, a_q = half
+    system = _FreeSystem(grid, pinned, vals)
     f = _separable_solve(system, a_q)
     exact = op.p == 2.0
     f, energy, steps, converged, decrease, theta = _minimize(
         system, a_q, op.p, f, eps, steps=0 if exact else MAX_OUTER - 1)
+    if half is not None:
+        f = f.reshape(grid.shape)
+        f = np.concatenate((f[..., :0:-1], f), axis=-1).ravel()
+        energy *= 2.0
     diag = SolverDiagnostics(
         outer_iterations=1 + steps, converged=exact or converged, energy=energy,
         last_decrease=decrease, eps_reg=eps, damping_final=theta,
         linear_solver="separable" if exact and system.box is not None else system.method,
-        linear_iterations=tuple(system.linear_iterations))
+        linear_iterations=tuple(system.linear_iterations), mirrored=half is not None)
     return ScalarField(mesh=mesh, values=f, op=op, bc=bc, diagnostics=diag)
 
 

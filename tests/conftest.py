@@ -449,6 +449,55 @@ def cg_from_zero(mesh, op, bc):
     return x, tuple(system.linear_iterations)
 
 
+def whole_layer_solve(domain, mesh, op, bc):
+    """solver.solve as it was before the half-layer path: the cold solve and
+    the outer loop on the whole mesh, whatever the symmetry of the data."""
+    pinned, vals = sv.dirichlet_data(mesh, bc)
+    scale = float(np.max(np.abs(vals), initial=0.0))
+    eps = sv.EPS_REG_REL * (scale if scale > 0.0 else 1.0)
+    a_q = op.a(mesh.pk_at_quads())
+    system = sv._FreeSystem(mesh.grid, pinned, vals)
+    f = sv._separable_solve(system, a_q)
+    exact = op.p == 2.0
+    f, energy, steps, converged, decrease, theta = sv._minimize(
+        system, a_q, op.p, f, eps, steps=0 if exact else sv.MAX_OUTER - 1)
+    diag = sv.SolverDiagnostics(
+        outer_iterations=1 + steps, converged=exact or converged, energy=energy,
+        last_decrease=decrease, eps_reg=eps, damping_final=theta,
+        linear_solver="separable" if exact and system.box is not None else system.method,
+        linear_iterations=tuple(system.linear_iterations), mirrored=False)
+    return sv.ScalarField(mesh=mesh, values=f, op=op, bc=bc, diagnostics=diag)
+
+
+def half_layer_reduction(mesh, op, bc):
+    """The upper half of a mirror-symmetric layer problem, built from its
+    definition: (grid, pinned, vals, a_q, mirror).  The grid has the base
+    axes and the axial nodes 0, h, ..., (n/2) h, with the full grid's
+    spacing to the bit; the cap end is pinned and the centre plane is
+    natural; vals and a_q are the upper halves of the whole problem's; and
+    mirror(f) indexes the whole field from a half one, node plane |j - n/2|
+    of the half at whole plane j."""
+    grid = mesh.grid
+    m = grid.cell_shape[-1] // 2
+    half = geo.TensorGrid(list(grid.axes[:-1]) + [np.arange(m + 1) * grid.spacing[-1]])
+    assert half.spacing == grid.spacing
+    pinned, vals = sv.dirichlet_data(mesh, bc)
+    a_q = op.a(mesh.pk_at_quads())
+    planes = np.abs(np.arange(-m, m + 1))
+    return (half, pinned[:-1] + ((False, True),),
+            np.reshape(vals, grid.shape)[..., m:].ravel(),
+            np.reshape(a_q, (-1, 2 * m, grid.n_quad))[:, m:].reshape(-1, grid.n_quad),
+            lambda f: np.reshape(f, half.shape)[..., planes].ravel())
+
+
+def unequal_caps(problem):
+    """The problem (domain, mesh, op, bc) with g_high = 2 g_low, which the
+    half-layer path declines."""
+    dom, mesh, op, bc = problem
+    g = bc.g_low
+    return dom, mesh, op, dataclasses.replace(bc, g_high=lambda x: 2.0 * g(x))
+
+
 @pytest.fixture
 def vcycle_levels(monkeypatch):
     """Coarse-level count of every multigrid V-cycle built during the test."""

@@ -6,9 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import (cg_from_zero, face_mask, face_node_ids, gather_csr, grads_at_quads, pin,
-                      pattern_grids, reference_box_stencil, reference_dirichlet_data,
-                      reference_free_box, reference_galerkin, reference_gradient_s)
+from conftest import (cg_from_zero, face_mask, face_node_ids, gather_csr, grads_at_quads,
+                      half_layer_reduction, pattern_grids, pin, reference_box_stencil,
+                      reference_dirichlet_data, reference_free_box, reference_galerkin,
+                      reference_gradient_s, unequal_caps, whole_layer_solve)
 from svplab import energetics as en
 from svplab import geometry as geo
 from svplab import solver as sv
@@ -416,51 +417,76 @@ class TestOuterLoopGeometry:
             == f.diagnostics.energy
 
 
+def iterate_energy(mesh, op, bc, values, eps, mirrored, energy):
+    """energy(grid, p, terms) of the nodal field values on the grid that
+    solve iterates on: the whole mesh, or for a mirrored solve the upper
+    half layer (conftest.half_layer_reduction), whose energy counts twice."""
+    grid, a_q = mesh.grid, op.a(mesh.pk_at_quads())
+    if mirrored:
+        grid, _, _, a_q, _ = half_layer_reduction(mesh, op, bc)
+        values = np.reshape(values, mesh.grid.shape)[..., mesh.grid.cell_shape[-1] // 2:].ravel()
+    e = energy(grid, op.p, sv._gradient_terms(grid, values, eps, op.p, a_q))
+    return 2.0 * e if mirrored else e
+
+
 class TestRejectedStep:
-    def test_rejected_step_keeps_iterate_and_is_not_convergence(self, monkeypatch):
-        dom, mesh, op, bc = general_p_problem(3.0)
-        # the first iterate solves with the p = 2 coefficient
-        first = sv.solve(dom, mesh, st.constant_operator(2.0), bc)
-        energy = sv._regularized_energy
-        calls = []
+    """Each test runs the half-layer path (equal caps) and the whole-layer
+    path (g_high = 2 g_low) of general_p_problem(3)."""
 
-        def rising(*args):
-            calls.append(args)
-            return energy(*args) + len(calls)  # every later evaluation is higher
+    @staticmethod
+    def problems():
+        problem = general_p_problem(3.0)
+        return {True: problem, False: unequal_caps(problem)}
 
-        monkeypatch.setattr(sv, "_regularized_energy", rising)
-        f = sv.solve(dom, mesh, op, bc)
-        d = f.diagnostics
-        assert not d.converged
-        assert d.damping_final == 2.0**-30
-        assert len(calls) == 32  # the first iterate, then theta = 1, 1/2, ..., 2^-30
-        assert d.outer_iterations == 2
-        assert np.array_equal(f.values, first.values)
-        terms = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p,
-                                   op.a(mesh.pk_at_quads()))
-        assert d.energy == energy(mesh.grid, op.p, terms) + 1
+    def test_rejected_step_keeps_iterate_and_is_not_convergence(self):
+        for mirrored, (dom, mesh, op, bc) in self.problems().items():
+            # the first iterate solves with the p = 2 coefficient
+            first = sv.solve(dom, mesh, st.constant_operator(2.0), bc)
+            energy = sv._regularized_energy
+            calls = []
 
-    def test_nonfinite_energy_is_rejected(self, monkeypatch, tmp_path):
-        dom, mesh, op, bc = general_p_problem(3.0)
-        first = sv.solve(dom, mesh, st.constant_operator(2.0), bc)
-        energy = sv._regularized_energy
-        calls = []
+            def rising(*args):
+                calls.append(args)
+                return energy(*args) + len(calls)  # every later evaluation is higher
 
-        def nan_after_first(*args):
-            calls.append(args)
-            return energy(*args) if len(calls) == 1 else math.nan
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(sv, "_regularized_energy", rising)
+                f = sv.solve(dom, mesh, op, bc)
+            d = f.diagnostics
+            assert d.mirrored == mirrored
+            assert not d.converged
+            assert d.damping_final == 2.0**-30
+            assert len(calls) == 32  # the first iterate, then theta = 1, 1/2, ..., 2^-30
+            assert d.outer_iterations == 2
+            assert np.array_equal(f.values, first.values)
+            assert d.energy == iterate_energy(mesh, op, bc, first.values, d.eps_reg, mirrored,
+                                              lambda *args: energy(*args) + 1)
 
-        monkeypatch.setattr(sv, "_regularized_energy", nan_after_first)
-        f = sv.solve(dom, mesh, op, bc)
-        d = f.diagnostics
-        assert not d.converged
-        assert d.outer_iterations == 2
-        assert np.array_equal(f.values, first.values)
-        terms = sv._gradient_terms(mesh.grid, first.values, d.eps_reg, op.p,
-                                   op.a(mesh.pk_at_quads()))
-        assert d.energy == energy(mesh.grid, op.p, terms)
+    def test_nonfinite_energy_is_rejected(self, tmp_path):
+        for mirrored, (dom, mesh, op, bc) in self.problems().items():
+            first = sv.solve(dom, mesh, st.constant_operator(2.0), bc)
+            energy = sv._regularized_energy
+            calls = []
+
+            def nan_after_first(*args):
+                calls.append(args)
+                return energy(*args) if len(calls) == 1 else math.nan
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(sv, "_regularized_energy", nan_after_first)
+                f = sv.solve(dom, mesh, op, bc)
+            d = f.diagnostics
+            assert d.mirrored == mirrored
+            assert not d.converged
+            assert d.outer_iterations == 2
+            assert np.array_equal(f.values, first.values)
+            assert d.energy == iterate_energy(mesh, op, bc, first.values, d.eps_reg, mirrored,
+                                              energy)
         calls.clear()
-        result = run(parse_config(README_SOLVE.format(p=3, h=0.125)), out_dir=str(tmp_path), seed=0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sv, "_regularized_energy", nan_after_first)
+            result = run(parse_config(README_SOLVE.format(p=3, h=0.125)),
+                         out_dir=str(tmp_path), seed=0)
         assert result.exit_code == 3
         assert "did not converge" in result.report["error"]
 
@@ -513,22 +539,36 @@ class TestSeparableSolve:
         ref = gather_csr(grid, grid.stiffness_stencil(coeff=a_q)).toarray()
         assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("name", list(SEPARABLE_PROBLEMS))
+    # the half-layer systems of the DD, DN and NN constant problems, whose
+    # low axial end (the centre plane) is natural
+    @pytest.mark.parametrize("name", list(SEPARABLE_PROBLEMS) + ["DD-half", "DN-half", "NN-half"])
     def test_cold_solve_is_the_sparse_lu(self, name):
-        dom, mesh, op, bc = SEPARABLE_PROBLEMS[name]
+        dom, mesh, op, bc = SEPARABLE_PROBLEMS[name.replace("-half", "-constant")]
+        grid = mesh.grid
         pinned, vals = sv.dirichlet_data(mesh, bc)
-        mask = face_mask(mesh.grid, pinned)
         a_q = op.a(mesh.pk_at_quads())
-        K = gather_csr(mesh.grid, mesh.grid.stiffness_stencil(coeff=a_q))
+        if name.endswith("-half"):
+            grid, pinned, vals, a_q, _ = half_layer_reduction(mesh, op, bc)
+        mask = face_mask(grid, pinned)
+        K = gather_csr(grid, grid.stiffness_stencil(coeff=a_q))
         direct = vals.copy()
         direct[~mask] = sv.factor_spd(K[~mask][:, ~mask].tocsc(), "reference").solve(
             -(K @ vals)[~mask])
-        x = sv._separable_solve(sv._FreeSystem(mesh.grid, pinned, vals), a_q)
+        x = sv._separable_solve(sv._FreeSystem(grid, pinned, vals), a_q)
         assert np.array_equal(x[mask], vals[mask])
         assert np.max(np.abs(x - direct)) <= 1e-12 * np.max(np.abs(direct))
+        if name.endswith("-half"):
+            return
         field = sv.solve(dom, mesh, op, bc)
         d = field.diagnostics
         assert (d.linear_solver, d.linear_iterations, d.outer_iterations) == ("separable", (), 1)
+        # the layers with constant a(x) and the same caps on both ends
+        assert d.mirrored == (name in ("DD-constant", "DN-constant", "NN-constant"))
+        if d.mirrored:
+            half, pinned, vals, a_q, mirror = half_layer_reduction(mesh, op, bc)
+            x_half = mirror(sv._separable_solve(sv._FreeSystem(half, pinned, vals), a_q))
+            assert np.max(np.abs(x_half - direct)) <= 1e-12 * np.max(np.abs(direct))
+            x = x_half
         assert field.values.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("part", ["base-mass", "axial"])
@@ -660,38 +700,49 @@ class TestNewtonConvergence:
         assert d.outer_iterations <= 12
 
 
-def kacanov_reference(dom, mesh, op, bc):
-    """The undamped Kacanov loop: each step solves with K(a s^((p-2)/2))."""
+def reference_system(mesh, op, bc, half):
+    """(grid, system, a_q, eps, mirror) of the whole-layer problem, or with
+    half of its upper half layer (conftest.half_layer_reduction); mirror
+    maps the system's field to the whole mesh's."""
     pinned, vals = sv.dirichlet_data(mesh, bc)
     eps = sv.EPS_REG_REL * float(np.max(np.abs(vals)))
-    a_q = op.a(mesh.pk_at_quads())
-    system = sv._FreeSystem(mesh.grid, pinned, vals)
+    grid, a_q, mirror = mesh.grid, op.a(mesh.pk_at_quads()), lambda f: f
+    if half:
+        grid, pinned, vals, a_q, mirror = half_layer_reduction(mesh, op, bc)
+    return grid, sv._FreeSystem(grid, pinned, vals), a_q, eps, mirror
+
+
+def kacanov_reference(dom, mesh, op, bc, half=False):
+    """The undamped Kacanov loop: each step solves with K(a s^((p-2)/2)),
+    on the whole layer or, with half, on its upper half, mirrored."""
+    grid, system, a_q, eps, mirror = reference_system(mesh, op, bc, half)
+
+    def energy(f):
+        return sv._regularized_energy(grid, op.p, sv._gradient_terms(grid, f, eps, op.p, a_q))
+
     f = sv._separable_solve(system, a_q)
-    energy = regularized_energy(mesh, op, f, eps)
+    e = energy(f)
     for _ in range(sv.MAX_OUTER - 1):
-        g = grads_at_quads(mesh.grid, f)
+        g = grads_at_quads(grid, f)
         s = np.sum(g**2, axis=-1) + eps**2
-        K = mesh.grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (op.p - 2.0)))
+        K = grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (op.p - 2.0)))
         f_hat = system.solve(system.restrict(K), x0=f)
         f_new = f + 1.0 * (f_hat - f)
-        e_new = regularized_energy(mesh, op, f_new, eps)
-        assert e_new <= energy  # K(c) majorizes the Hessian for p < 2
-        decrease = (energy - e_new) / abs(energy)
-        f, energy = f_new, e_new
+        e_new = energy(f_new)
+        assert e_new <= e  # K(c) majorizes the Hessian for p < 2
+        decrease = (e - e_new) / abs(e)
+        f, e = f_new, e_new
         if decrease < sv.TOL_ENERGY:
-            return f
+            return mirror(f)
     raise AssertionError("reference Kacanov loop did not converge")
 
 
-def outer_loop_reference(dom, mesh, op, bc):
+def outer_loop_reference(dom, mesh, op, bc, half=False):
     """The outer loop of solve as it was written before the shared kernel,
     from the separable cold solve: damped Kacanov or Newton steps to
-    TOL_ENERGY."""
-    grid = mesh.grid
-    pinned, vals = sv.dirichlet_data(mesh, bc)
-    eps = sv.EPS_REG_REL * float(np.max(np.abs(vals)))
-    a_q = op.a(mesh.pk_at_quads())
-    system = sv._FreeSystem(grid, pinned, vals)
+    TOL_ENERGY, on the whole layer or, with half, on its upper half, the
+    field mirrored and the energy doubled."""
+    grid, system, a_q, eps, mirror = reference_system(mesh, op, bc, half)
     f = sv._separable_solve(system, a_q)
     terms = sv._gradient_terms(grid, f, eps, op.p, a_q)
     energy = sv._regularized_energy(grid, op.p, terms)
@@ -713,25 +764,40 @@ def outer_loop_reference(dom, mesh, op, bc):
         f, energy, terms = f_new, e_new, terms_new
         converged = decrease < sv.TOL_ENERGY
     assert converged
-    return f, energy, iters, tuple(system.linear_iterations)
+    return mirror(f), 2.0 * energy if half else energy, iters, tuple(system.linear_iterations)
 
 
 class TestSharedKernel:
     """solve is its cold solve followed by the shared outer loop
-    (_minimize), with the arithmetic of the loop that it replaced."""
+    (_minimize), with the arithmetic of the loop that it replaced: on the
+    upper half layer of the README and k = 2 problems, whose caps are
+    equal, and on the whole layer once g_high = 2 g_low."""
+
+    @staticmethod
+    def check(problem, half):
+        dom, mesh, op, bc = problem
+        field = sv.solve(dom, mesh, op, bc)
+        f, energy, iters, linear = outer_loop_reference(dom, mesh, op, bc, half)
+        assert field.values.tobytes() == f.tobytes()
+        d = field.diagnostics
+        assert d.converged and (d.energy, d.outer_iterations, d.linear_iterations, d.mirrored) \
+            == (energy, iters, linear, half)
+        assert (iters == 1) == (op.p == 2.0) and len(linear) == iters - 1
+
+    @staticmethod
+    def problem(k, p):
+        dom, mesh, _, bc = readme_problem(p, 1 / 16) if k == 1 else layer3d(1 / 8)
+        return dom, mesh, st.constant_operator(p), bc
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("k", [1, 2])
     def test_bitwise_the_reference_loop(self, k, p):
-        dom, mesh, _, bc = readme_problem(p, 1 / 16) if k == 1 else layer3d(1 / 8)
-        op = st.constant_operator(p)
-        field = sv.solve(dom, mesh, op, bc)
-        f, energy, iters, linear = outer_loop_reference(dom, mesh, op, bc)
-        assert field.values.tobytes() == f.tobytes()
-        d = field.diagnostics
-        assert d.converged and (d.energy, d.outer_iterations, d.linear_iterations) \
-            == (energy, iters, linear)
-        assert (iters == 1) == (p == 2.0) and len(linear) == iters - 1
+        self.check(self.problem(k, p), half=True)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_whole_layer_bitwise_the_reference_loop(self, k, p):
+        self.check(unequal_caps(self.problem(k, p)), half=False)
 
 
 class TestKacanovUnchanged:
@@ -740,11 +806,72 @@ class TestKacanovUnchanged:
     @pytest.mark.parametrize("mg_coarsest", [0, 20000])
     def test_p_below_two_is_plain_kacanov(self, monkeypatch, mg_coarsest):
         monkeypatch.setattr(sv, "MG_COARSEST", mg_coarsest)
-        problem = readme_problem(1.5, 1 / 16)
-        f = sv.solve(*problem)
-        assert f.diagnostics.linear_solver == "cg-mg"
-        assert f.diagnostics.converged and f.diagnostics.damping_final == 1.0
-        assert np.array_equal(f.values, kacanov_reference(*problem))
+        # the half-layer path, and the whole layer under unequal caps
+        for half, problem in ((True, readme_problem(1.5, 1 / 16)),
+                              (False, unequal_caps(readme_problem(1.5, 1 / 16)))):
+            f = sv.solve(*problem)
+            assert f.diagnostics.linear_solver == "cg-mg"
+            assert f.diagnostics.mirrored == half
+            assert f.diagnostics.converged and f.diagnostics.damping_final == 1.0
+            assert np.array_equal(f.values, kacanov_reference(*problem, half=half))
+
+
+class TestHalfLayer:
+    """A mirror-symmetric layer problem is solved on its upper half layer
+    and mirrored; every other input keeps the whole-layer path, the
+    solve as it was before (conftest.whole_layer_solve)."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mirrored_field_matches_the_whole_layer(self, k, p):
+        dom, mesh, _, bc = readme_problem(p, 1 / 32) if k == 1 else layer3d(1 / 8)
+        problem = dom, mesh, st.constant_operator(p), bc
+        field = sv.solve(*problem)
+        ref = whole_layer_solve(*problem)
+        d, dr = field.diagnostics, ref.diagnostics
+        assert d.mirrored and not dr.mirrored
+        planes = field.values.reshape(mesh.grid.shape)
+        assert planes.tobytes() == planes[..., ::-1].tobytes()
+        assert d.converged and dr.converged
+        assert d.outer_iterations == dr.outer_iterations
+        assert np.max(np.abs(field.values - ref.values)) <= (1e-13 if p == 2.0 else 1e-7)
+        assert d.energy == pytest.approx(dr.energy, rel=1e-11)
+
+    @staticmethod
+    def declined_problem(case):
+        if case == "radial":  # equal caps, but the 2 pi r measure
+            lateral = ("neumann", "dirichlet0")
+            dom = geo.CanonicalDomain(n=3, k=1, base=((0.0, 1.0),), axial_kind="radial",
+                                      alpha=1.0, beta=3.0, lateral_bc=lateral)
+            g = lambda x: np.cos(np.pi * x[:, 0])
+            bc = sv.BoundarySpec(g_low=g, g_high=g, lateral=lateral)
+            return dom, geo.build_mesh(dom, 1 / 8), st.constant_operator(1.5), bc
+        if case == "unequal-caps":
+            return unequal_caps(readme_problem(1.5, 1 / 8))
+        if case == "oscillation":
+            return TestOuterLoopGeometry.oscillating_problem(1.5)
+        # 45 axial cells over the README band of width 6
+        return readme_problem(1.5, 2 / 15)
+
+    @pytest.mark.parametrize("case", ["radial", "unequal-caps", "oscillation", "odd-cells"])
+    def test_selector_declines(self, case):
+        problem = self.declined_problem(case)
+        if case == "odd-cells":
+            assert problem[1].grid.cell_shape[-1] == 45
+        field = sv.solve(*problem)
+        ref = whole_layer_solve(*problem)
+        assert not field.diagnostics.mirrored
+        assert field.values.tobytes() == ref.values.tobytes()
+        assert field.diagnostics == ref.diagnostics
+
+    def test_report_records_the_path(self, tmp_path):
+        text = README_SOLVE.format(p=1.5, h=0.125)
+        unequal = text.replace("g_high = sin(pi*x1)", "g_high = 2*sin(pi*x1)")
+        assert unequal != text
+        for cfg, mirrored in ((text, True), (unequal, False)):
+            result = run(parse_config(cfg), out_dir=str(tmp_path / str(mirrored)), seed=0)
+            assert result.exit_code == 0
+            assert result.report["solver"]["mirrored"] is mirrored
 
 
 def global_residual(field):
@@ -1197,8 +1324,14 @@ class TestStencilLevels:
             return tocsr(self, copy=copy)
 
         monkeypatch.setattr(sv.sp.dia_matrix, "tocsr", coarsest_only)
-        assert sv.solve(*readme_problem(p, 1 / 16)).diagnostics.converged
-        assert min(vcycle_levels) >= 1
+        # the half layer at h = 1/32 (31 x 96 free nodes) and the whole
+        # layer at h = 1/16 (15 x 95) both have a coarse level
+        for mirrored, problem in ((True, readme_problem(p, 1 / 32)),
+                                  (False, unequal_caps(readme_problem(p, 1 / 16)))):
+            d = sv.solve(*problem).diagnostics
+            assert d.converged and d.mirrored == mirrored
+            assert min(vcycle_levels) >= 1
+            vcycle_levels.clear()
 
 
 class TestWorkingSet:
