@@ -151,7 +151,6 @@ class CutoffBoundResult:
     c7: float
     lhs: float
     rhs: float
-    tol_disc: float
     degenerate: bool
 
     @property
@@ -160,7 +159,7 @@ class CutoffBoundResult:
 
     @property
     def passed(self):
-        return self.margin >= -self.tol_disc
+        return self.margin >= 0.0
 
     def as_dict(self):
         return {
@@ -172,13 +171,13 @@ class CutoffBoundResult:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "margin": self.margin,
-            "tol_disc": self.tol_disc,
+            "tol_disc": 0.0,  # uncalibrated: runner._calibrated_entries sets it
             "passed": bool(self.passed),
             "degenerate": self.degenerate,
         }
 
 
-def cutoff_bound(field_, C, tau1, tau2, tol_disc=0.0):
+def cutoff_bound(field_, C, tau1, tau2):
     """Inner-energy bound I(-tau1, tau1) <= C7 max{A_left, A_right}.
 
     A_left / A_right come from optimal_cutoff over [-tau2, -tau1] and
@@ -206,7 +205,7 @@ def cutoff_bound(field_, C, tau1, tau2, tol_disc=0.0):
     return CutoffBoundResult(
         tau1=tau1, tau2=tau2,
         a_left=cut_l.value, a_right=cut_r.value,
-        c7=c7, lhs=lhs, rhs=rhs, tol_disc=tol_disc,
+        c7=c7, lhs=lhs, rhs=rhs,
         degenerate=cut_l.degenerate and cut_r.degenerate,
     )
 

@@ -8,9 +8,11 @@ mu_p^{1/p} for all-Neumann laterals; trapezoid quadrature on the station
 grid evaluates the integral (exact in layer mode, where section
 frequencies are station-independent).
 
-Verdicts always carry a discretization tolerance: the inequalities are
-exact only in the continuum, so pass means margin >= -tol_disc with
-tol_disc calibrated from a two-resolution run.
+Reported verdicts always carry a discretization tolerance: the
+inequalities are exact only in the continuum, so pass means margin >=
+-tol_disc with tol_disc calibrated from a two-resolution run
+(runner._calibrated_entries).  A check object alone is uncalibrated: its
+passed is margin >= 0.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class InequalityCheck:
     params: dict
     lhs: float
     rhs: float
-    tol_disc: float
     extra: dict = field(default_factory=dict)
 
     @property
@@ -89,7 +90,7 @@ class InequalityCheck:
 
     @property
     def passed(self):
-        return self.margin >= -self.tol_disc
+        return self.margin >= 0.0
 
     def as_dict(self):
         return {
@@ -98,7 +99,7 @@ class InequalityCheck:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "margin": self.margin,
-            "tol_disc": self.tol_disc,
+            "tol_disc": 0.0,  # uncalibrated: runner._calibrated_entries sets it
             "passed": bool(self.passed),
             "extra": self.extra,
         }
@@ -237,7 +238,7 @@ def _require_lateral(field_, what):
         raise ValueError("check requires a Dirichlet-zero lateral subset")
 
 
-def svp_check_neumann(field_, mu_profile, t, tau1, tau2, tol_disc=0.0):
+def svp_check_neumann(field_, mu_profile, t, tau1, tau2):
     """Decay check for the all-Neumann lateral family.
 
     lhs = I(t, tau1) + C1(t)/nu1, rhs = (I(t, tau2) + C1(t)/nu1) times the
@@ -258,12 +259,11 @@ def svp_check_neumann(field_, mu_profile, t, tau1, tau2, tol_disc=0.0):
         params={"t": t, "tau1": tau1, "tau2": tau2},
         lhs=lhs,
         rhs=rhs,
-        tol_disc=tol_disc,
         extra={"C1": c1, "C_opt": cc["C_opt"], "factor": fac, "rate_kind": mu_profile.kind},
     )
 
 
-def svp_check_dirichlet(field_, lambda_profile, t, tau1, tau2, tol_disc=0.0):
+def svp_check_dirichlet(field_, lambda_profile, t, tau1, tau2):
     """Decay check for the Dirichlet-zero lateral family (lambda rate, C2 flux)."""
     _require_lateral(field_, "dirichlet")
     if not (t <= tau1 <= tau2):
@@ -278,12 +278,11 @@ def svp_check_dirichlet(field_, lambda_profile, t, tau1, tau2, tol_disc=0.0):
         params={"t": t, "tau1": tau1, "tau2": tau2},
         lhs=lhs,
         rhs=rhs,
-        tol_disc=tol_disc,
         extra={"C2": c2, "factor": fac, "rate_kind": lambda_profile.kind},
     )
 
 
-def svp_symmetric_check(field_, profile, tau1, tau2, tol_disc=0.0):
+def svp_symmetric_check(field_, profile, tau1, tau2):
     """Symmetric-band decay check I(-tau1, tau1) <= I(-tau2, tau2) max{factors}.
 
     profile carries the family's rate (mu for Neumann laterals, lambda for
@@ -305,7 +304,6 @@ def svp_symmetric_check(field_, profile, tau1, tau2, tol_disc=0.0):
         params={"tau1": tau1, "tau2": tau2},
         lhs=lhs,
         rhs=rhs,
-        tol_disc=tol_disc,
         extra={
             "outer_energy": outer,
             "factor_left": fac_left,

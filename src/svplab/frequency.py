@@ -420,7 +420,7 @@ def compute_frequency(section, p, kind):
     else:
         raise ValueError(f"unknown frequency kind {kind!r}")
     recenter = kind == SECOND
-    system = _FreeSystem(grid, pinned, np.zeros(grid.n_nodes))
+    system = _FreeSystem(grid, pinned)
     if system.box is None:
         raise ValueError("section has empty interior")
     quot = _Quotient(grid, p, recenter)

@@ -38,14 +38,6 @@ def _read_only(a):
     return a
 
 
-def _axis_offsets(n, periodic):
-    """The offsets -1, 0, 1 along an axis of n nodes, as the stencil array
-    stores them: on a periodic axis of 2 nodes, -1 and 1 reach the same
-    node, and both are stored at -1."""
-    off = np.array([-1, 0, 1], dtype=np.int32)
-    return (off + 1) % n - 1 if periodic else off
-
-
 def _wrapped_slices(lo, hi, corner, n, periodic):
     """(cell, node) slice pairs that place the cells lo..hi-1 of an axis of
     n nodes, counted from lo, onto their nodes at corner (0 or 1); the last
@@ -168,7 +160,8 @@ class TensorGrid:
         stores its distinct nodes only (no duplicated endpoint); the last
         cell wraps around.
     periodic : tuple of bool, optional
-        Periodicity flag per axis.
+        Periodicity flag per axis.  A periodic axis needs at least three
+        nodes, so that its offsets -1, 0 and 1 reach distinct nodes.
     weight : callable, optional
         Extra measure factor, evaluated on point arrays of shape
         (..., dim).  Used for the 2*pi*r factor of axisymmetric meshes.
@@ -179,9 +172,11 @@ class TensorGrid:
         self.dim = len(self.axes)
         self.periodic = tuple(periodic) if periodic is not None else (False,) * self.dim
         self.weight = weight
-        for a in self.axes:
+        for a, per in zip(self.axes, self.periodic):
             if a.size < 2:
                 raise ValueError("each axis needs at least two nodes")
+            if per and a.size < 3:
+                raise ValueError("a periodic axis needs at least three nodes")
         self.spacing = tuple(float(a[1] - a[0]) for a in self.axes)
         self.shape = tuple(a.size for a in self.axes)
         self.cell_shape = tuple(
@@ -308,12 +303,13 @@ class TensorGrid:
     def vals_at_quads(self, u):
         return self.quad_terms(u, vals=True)[0]
 
-    def _stored_offset(self, digits):
-        """The stencil plane of the offset digits in {-1, 0, 1}^dim, stored as
-        _axis_offsets does."""
+    @staticmethod
+    def _stored_offset(digits):
+        """The stencil plane of the offset digits in {-1, 0, 1}^dim: their
+        C-order index."""
         k = 0
-        for d, n, per in zip(digits, self.shape, self.periodic):
-            k = 3 * k + int(_axis_offsets(n, per)[d + 1]) + 1
+        for d in digits:
+            k = 3 * k + d + 1
         return k
 
     @cached_property
@@ -322,13 +318,11 @@ class TensorGrid:
         from the upper half: per offset o whose mirror -o is stored in a
         later plane, (o's plane, -o's plane, the (target, source) slices by
         which plane o is plane -o shifted by o).  A symmetric matrix's entry
-        at row r and offset o is its entry at row r + o and offset -o.  An
-        offset that a periodic axis of 2 nodes stores in another plane has
-        no entry of its own."""
+        at row r and offset o is its entry at row r + o and offset -o."""
         plan = []
         for k, digits in enumerate(product((-1, 0, 1), repeat=self.dim)):
-            mirror = self._stored_offset([-d for d in digits])
-            if self._stored_offset(digits) == k and mirror > k:
+            mirror = 3**self.dim - 1 - k  # the plane of -o
+            if mirror > k:
                 # plane k at node r is plane mirror at node r + o: rows r + o onto columns r
                 pieces = product(*(_box_pieces(-o, slice(0, n), n, per)
                                    for o, n, per in zip(digits, self.shape, self.periodic)))
@@ -346,10 +340,9 @@ class TensorGrid:
         shape (m*m, layers, cells...) of its entries, and adds the (target,
         source) index pairs of the slice adds, with local pairs (i, j) in
         order of descending i.  The target of pair (i, j) is the stencil
-        slice at offset corner_j - corner_i, stored as _axis_offsets does,
-        and at the nodes of corner i.  Only the pairs whose offset lies in
-        the upper half (the centre included) are added; _mirror_plan fills
-        the rest.
+        slice at offset corner_j - corner_i and at the nodes of corner i.
+        Only the pairs whose offset lies in the upper half (the centre
+        included) are added; _mirror_plan fills the rest.
         """
         m, n_layers = self.n_local, self.cell_shape[0]
         layer = self.n_elems // n_layers
@@ -390,10 +383,9 @@ class TensorGrid:
         (3**dim,) + shape: [o, r] holds the entry of row node r at offset o
         in {-1, 0, 1}**dim, the column r + o (wrapped on periodic axes), and
         o is numbered in C order of its per-axis digits.  Entries whose
-        column leaves a non-periodic axis are zero.  On a periodic axis of
-        2 nodes the offsets -1 and 1 reach the same node, and the entry is
-        stored at -1 (see _axis_offsets).  A matrix leaves the stencil array
-        only as a free-box DIA block (solver._box_stencil and solver._dia).
+        column leaves a non-periodic axis are zero.  A matrix leaves the
+        stencil array only as a free-box DIA block (solver._box_stencil and
+        solver._dia).
         """
         return self._assemble(self._stiffness_table, coeff)
 
@@ -408,9 +400,7 @@ class TensorGrid:
 
         Each element's entries are a Gram matrix of sqrt(w) v.grad(phi_i),
         formed per chunk of first-axis cell layers, so the matrix is
-        symmetric to the last bit, except on a periodic axis of 2 nodes,
-        whose two wraps add to one entry in a different order for its row
-        and for its column.
+        symmetric to the last bit.
         """
         m = self.n_local
 
@@ -428,23 +418,16 @@ class TensorGrid:
         non-periodic grid is the ascending column order of a CSR product;
         a periodic axis wraps.
         """
-        return self._product_rows(stencil, x, tuple(slice(0, n) for n in self.shape))
-
-    def _product_rows(self, stencil, x, rows):
-        """The rows of apply_stencil(stencil, x) picked by rows, one slice per
-        axis (whose step may pick layers), in C order and with the same
-        arithmetic."""
         padded = np.pad(np.reshape(x, self.shape), 1, mode="wrap")
         for ax, per in enumerate(self.periodic):
             if not per:
                 padded[(slice(None),) * ax + (0,)] = 0.0
                 padded[(slice(None),) * ax + (-1,)] = 0.0
-        shape = stencil[0][rows].shape
-        y = np.zeros(shape)
-        term = np.empty(shape)
+        y = np.zeros(self.shape)
+        term = np.empty(self.shape)
         for k, digits in enumerate(product(range(3), repeat=self.dim)):
-            y += np.multiply(stencil[k][rows], padded[tuple(slice(r.start + d, r.stop + d, r.step)
-                                                            for d, r in zip(digits, rows))],
+            y += np.multiply(stencil[k], padded[tuple(slice(d, d + n)
+                                                      for d, n in zip(digits, self.shape))],
                              out=term)
         return y.ravel()
 
@@ -471,9 +454,8 @@ class TensorGrid:
         then each lower offset's plane is one shifted copy of its mirror's
         (see _fill_plan and _mirror_plan).  An entry's terms are thus summed
         in ascending element order, as a bincount over the elements would
-        sum them, except on the wrapped rows of a periodic axis; an entry
-        and its mirror are equal, except where a periodic axis of 2 nodes
-        stores two offsets in one plane.
+        sum them, except on the wrapped rows of a periodic axis, and an entry
+        and its mirror are equal.
         """
         stencil = np.zeros((3**self.dim,) + self.shape)
         for rows, shape, adds in self._fill_plan:

@@ -14,22 +14,29 @@ symmetric positive-definite system built from c = a(x) s^((p-2)/2), s =
   step is a Newton step.  Kacanov stalls here, because K(c) alone
   underestimates the curvature.
 
-Each step starts at damping theta = 1 and halves theta until the energy
-rises by no more than rounding (ENERGY_ROUNDING, relative).  A step that
-still raises it at theta = 2^-30, or gives a non-finite energy, is
-rejected, and the loop stops unconverged at the previous iterate.  It
-has converged once the relative energy decrease of a step falls below
-TOL_ENERGY.  Each iterate's terms come from one pass of the grid's
+Each step is posed as its correction d from the iterate f, the textbook
+inexact-Newton form (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996;
+Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM,
+1995): H d = -grad E(f) on the free nodes and d = 0 on the pinned ones,
+H the step's matrix.  Its right-hand side is one stencil product, r = b
+- K(c) f (b a nodal load, see below), taken before (p-2) R joins K(c).
+The step then searches along f + theta d: theta starts at 1 and halves
+until the energy rises by no more than rounding (ENERGY_ROUNDING,
+relative).  A step that still raises it at theta = 2^-30, or gives a
+non-finite energy, is rejected, and the loop stops unconverged at the
+previous iterate.  It has converged once the relative energy decrease of
+a step falls below TOL_ENERGY.  Each iterate's terms come from one pass of the grid's
 sum-factorized kernel (TensorGrid.quad_terms): s, and grad f only at p >
 2, as only a Newton step reads it.  Each iterate takes one fractional
 power, t = s^((p-2)/2) (none at p = 2): the coefficient c = a t gives
 the energy, sum_q w c s / p, and the next step's matrix, so an accepted
 iterate's terms build that step.  This loop (_minimize) is the one nonlinear
 kernel: section frequencies run it with a nodal load b, the energy then
-less b . f, and the load added to each step's.  A system that pins no
-node (a second-kind section) has a singular step matrix H, so each of
-its steps adds the proximal term delta M (f_hat - f), delta =
-PROXIMAL_REL max diag H, which vanishes at the fixed point.
+less b . f; solve runs it with b = 0.  A system that pins no node (a
+second-kind section) has a singular step matrix H, so each of its steps
+solves (H + delta M) d = r, delta = PROXIMAL_REL max diag H, M the mass
+matrix: a proximal step, whose term delta M d vanishes with d at the
+fixed point.
 
 The cold solve is direct, by separation of variables (_separable_solve).
 A canonical domain is a cross-section times an axis, and a(x) and the
@@ -68,14 +75,11 @@ the stencil restricted to that box, with the entries that leave the box
 masked, as a DIA matrix (_free_box, _box_stencil, _dia).  That is the
 one way a matrix leaves a stencil array: section frequencies gather
 their blocks through it too, and on their periodic axes, which the box
-spans, the block wraps.  The
-Newton load is a stencil product over the whole grid; -K_fc g is summed
-on the box layers next to a Dirichlet face only, the rows that meet a
-nonzero value.  A solve holds one grid-sized stencil at a time:
-_FreeSystem.restrict sums the right-hand side from a step's stencil and
-then writes the box block over the stencil's own buffer, plane by plane
-through one box-sized scratch plane (_box_stencil consumes its argument),
-so the box block lives in the step stencil's buffer and _FreeSystem.solve
+spans, the block wraps.  A solve holds one grid-sized stencil at a time:
+_FreeSystem.restrict takes the step's right-hand side on the box and
+writes the box block over the stencil's own buffer, plane by plane through
+one box-sized scratch plane (_box_stencil consumes its argument), so the
+box block lives in the step stencil's buffer and _FreeSystem.solve
 works on it alone.  solve, _step and the section frequencies pass
 temporaries, and the outer loop keeps no reference to the iterate's
 gradient terms once the step's box system is formed, so they die before
@@ -98,19 +102,17 @@ matrix over its box; the finest one holds exactly the entries of the
 free-node block, in ascending offset order.  The V-cycle smooths with
 damped Jacobi and factors the coarsest level through factor_spd; on a
 grid of at most MG_COARSEST free nodes the hierarchy is empty, the
-V-cycle is that factor's solve, and CG takes one iteration.  CG solves
-for the correction from the current iterate, whose right-hand side r0 is
-minus the free-node gradient of the regularized energy there, and stops
-once r0 is cut by CG_FORCING (an inexact-Newton forcing term, Eisenstat &
-Walker, SIAM J. Sci. Comput. 17, 1996), or at CG_RTOL of the right-hand
-side if that is looser: about 2 iterations per step.  A Kacanov step stays a descent
-step, since CG from the iterate lowers the quadratic majorant
-monotonically; a Newton step keeps the energy line search.  The method
-used is reported as linear_solver: 'separable' for p = 2, which runs no
-CG, 'cg-mg' for p != 2, or 'none' without free nodes, and the CG
-iterations of each outer step as linear_iterations, which a p = 2 solve
-leaves empty.  A CG iterate that is not finite raises SolverError at
-that iteration.
+V-cycle is that factor's solve, and CG takes one iteration.  CG runs
+from d = 0 on the correction, whose right-hand side r is minus the
+free-node gradient of the regularized energy at the iterate, and stops
+once r is cut by CG_FORCING (the inexact-Newton forcing term): about 2
+iterations per step.  A Kacanov step stays a descent step, since CG from
+d = 0 lowers the quadratic majorant monotonically; a Newton step keeps
+the energy line search.  The method used is reported as linear_solver:
+'separable' for p = 2, which runs no CG, 'cg-mg' for p != 2, or 'none'
+without free nodes, and the CG iterations of each outer step as
+linear_iterations, which a p = 2 solve leaves empty.  A CG iterate that
+is not finite raises SolverError at that iteration.
 """
 
 from __future__ import annotations
@@ -131,8 +133,7 @@ EPS_REG_REL = 1e-8        # gradient regularization, relative to the cap-data sc
 TOL_ENERGY = 1e-10        # stop once the relative energy decrease falls below this
 ENERGY_ROUNDING = 1e-14   # a relative energy rise below this is rounding, not a rise
 MAX_OUTER = 200
-CG_RTOL = 1e-12
-CG_FORCING = 1e-2         # warm CG stops once its initial residual is cut by this factor
+CG_FORCING = 1e-2         # CG stops once the step's right-hand side is cut by this factor
 CG_MAXITER_PER_UNKNOWN = 40
 MG_JACOBI_WEIGHT = 0.6    # damped-Jacobi smoothing weight of the V-cycle
 MG_SWEEPS = 2             # smoothing sweeps before and after each coarse correction
@@ -543,23 +544,22 @@ class _VCycle:
 
 
 class _FreeSystem:
-    """Free-node system K_ff x = -K_fc g + b_f of one Dirichlet split of a
-    grid, with an optional nodal load b.
+    """The free-node block of one Dirichlet split of a grid, on which each
+    outer step solves for its correction.
 
     The free nodes form a box of the grid (see _free_box), which spans its
-    periodic axes.  K comes as a grid stencil array, and restrict turns it
-    into the box's right-hand side and column stencil, wrapped on the
-    periodic axes, so no CSR pattern is built.  solve then runs CG on them
-    from an iterate, preconditioned by a multigrid V-cycle, whose hierarchy
+    periodic axes.  A step's matrix comes as a grid stencil array, and
+    restrict turns it into the box's column stencil, wrapped on the
+    periodic axes, so no CSR pattern is built.  solve then runs CG on it
+    from zero, preconditioned by a multigrid V-cycle, whose hierarchy
     depends only on the grid and the box, so it is built once, at the first
     solve.  Each solve appends its CG iteration count to linear_iterations.
     pinned, one (low, high) pair of flags per axis, names the Dirichlet
     faces, and the attribute pinned tells whether there is any.
     """
 
-    def __init__(self, grid, pinned, vals):
+    def __init__(self, grid, pinned):
         self.box = _free_box(grid, pinned)
-        self.vals = vals
         self.grid = grid
         self.pinned = any(map(any, pinned))
         self.linear_iterations = []
@@ -569,55 +569,27 @@ class _FreeSystem:
     def hierarchy(self):
         return _hierarchy(self.grid.shape, self.box, self.grid.periodic)
 
-    @cached_property
-    def _faces(self):
-        """The box layers next to a Dirichlet face, the only rows of K_fc g
-        that meet a nonzero value: per axis with such a face, (grid rows,
-        the same rows in box coordinates), one slice per axis, whose step
-        picks both layers of an axis pinned on both sides."""
-        faces = []
-        for ax, (b, n) in enumerate(zip(self.box, self.grid.shape)):
-            layers = [i for i, pinned in ((b.start, b.start > 0), (b.stop - 1, b.stop < n))
-                      if pinned]
-            if layers:
-                step = max(layers[-1] - layers[0], 1)
-                rows = self.box[:ax] + (slice(layers[0], layers[-1] + 1, step),) + self.box[ax + 1:]
-                faces.append((rows, tuple(slice(r.start - c.start, r.stop - c.start, r.step)
-                                          for r, c in zip(rows, self.box))))
-        return faces
-
     def _free(self, x):
         """The free-box entries of the nodal vector x, in C order."""
         return np.reshape(x, self.grid.shape)[self.box].ravel()
 
-    def restrict(self, K, load=None):
-        """The free-box system of the stencil array K: the right-hand side
-        -K_fc g + b_f, for an optional nodal load b, and the column stencil
-        of K_ff (see _box_stencil); None without free nodes.  It consumes K:
-        the column stencil is written over K's buffer, and the right-hand
-        side is summed from K first."""
+    def restrict(self, K, r):
+        """The free-box system of the stencil array K and the nodal
+        right-hand side r: r on the box, and the column stencil of K_ff (see
+        _box_stencil); None without free nodes.  It consumes K: the column
+        stencil is written over K's buffer."""
         if self.method == "none":
             return None
-        # vals vanish on the box, so -K_fc g is nonzero only on the face
-        # layers; the other rows stay -0.0, as the whole product left them
-        y = np.zeros([b.stop - b.start for b in self.box])
-        for rows, within in self._faces:
-            y[within].flat = self.grid._product_rows(K, self.vals, rows)
-        rhs = -y.ravel()
-        if load is not None:
-            rhs += self._free(load)
-        return rhs, _box_stencil(K, self.box, self.grid.periodic)
+        return self._free(r), _box_stencil(K, self.box, self.grid.periodic)
 
-    def solve(self, restricted, x0):
-        """Nodal solution of a system from restrict, (rhs, D), from the
-        iterate x0.  CG solves for the correction, K_ff d = r0 with r0 = rhs
-        - K_ff x0[free], and stops once ||r0 - K_ff d|| <= max(CG_RTOL
-        ||rhs||, CG_FORCING ||r0||); the solution is x0[free] + d.
-        """
-        out = self.vals.copy()
+    def solve(self, restricted):
+        """Nodal correction d, zero off the free box, of a system from
+        restrict, (r, D): CG runs from zero on D d = r and stops once ||r -
+        D d|| <= CG_FORCING ||r||."""
+        d = np.zeros(self.grid.n_nodes)
         if restricted is None:
-            return out
-        rhs, D = restricted
+            return d
+        r, D = restricted
         cycle = _VCycle(D, self.hierarchy, self.grid.periodic)
         A = cycle.matrix
         M = spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
@@ -630,19 +602,15 @@ class _FreeSystem:
             if not np.isfinite(xk).all():
                 raise SolverError(f"conjugate gradient iterate not finite at iteration {iterations}")
 
-        # inexact inner solve: r0 is minus the free-node gradient of the
+        # inexact inner solve: r is minus the free-node gradient of the
         # regularized energy at the iterate, and CG only cuts it by CG_FORCING
-        xf0 = self._free(x0)
-        b = rhs - A @ xf0
-        atol = max(CG_RTOL * float(np.linalg.norm(rhs)), CG_FORCING * float(np.linalg.norm(b)))
-        xf, info = spla.cg(A, b, rtol=0.0, atol=atol,
-                           maxiter=CG_MAXITER_PER_UNKNOWN * rhs.size, M=M, callback=count)
+        x, info = spla.cg(A, r, rtol=0.0, atol=CG_FORCING * float(np.linalg.norm(r)),
+                          maxiter=CG_MAXITER_PER_UNKNOWN * r.size, M=M, callback=count)
         self.linear_iterations.append(iterations)
         if info != 0:
             raise SolverError(f"conjugate gradient did not converge (info={info})")
-        xf += xf0
-        out.reshape(self.grid.shape)[self.box] = xf.reshape([sl.stop - sl.start for sl in self.box])
-        return out
+        d.reshape(self.grid.shape)[self.box] = x.reshape([sl.stop - sl.start for sl in self.box])
+        return d
 
 
 def _line_stencils(grid, a_q):
@@ -676,10 +644,12 @@ def _along(mats, x):
     return x
 
 
-def _separable_solve(system, a_q):
-    """Nodal solution of K_ff x = -K_fc g for the stiffness with the
-    coefficient a_q, by separation of variables (fast diagonalization:
-    Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+def _separable_solve(system, vals, a_q):
+    """Nodal solution of K_ff x = -K_fc g, with x = g, the Dirichlet values
+    vals, on the pinned nodes, for the stiffness with the coefficient a_q,
+    by separation of variables (fast diagonalization: Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964).  The cold solve is the only reader of
+    the Dirichlet values: every outer step solves for a correction.
 
     K is the Kronecker sum of _line_stencils, and the free box is one range
     per axis, so K_ff is the Kronecker sum of the 1-D free blocks.  On each
@@ -694,7 +664,7 @@ def _separable_solve(system, a_q):
     block-diagonal banded system; x is V y on every base axis.  A
     factorization that fails raises SolverError.
     """
-    out = system.vals.copy()
+    out = vals.copy()
     if system.box is None:
         return out
     grid, box = system.grid, system.box
@@ -709,7 +679,7 @@ def _separable_solve(system, a_q):
     try:
         pairs = [sla.eigh(Sb, Mb) for Sb, Mb in blocks]
         lam = reduce(np.add.outer, [w for w, _ in pairs]).ravel()[:, None]
-        caps = np.reshape(system.vals, grid.shape)[box[:-1] + ([plane for plane, _, _ in ends],)]
+        caps = np.reshape(vals, grid.shape)[box[:-1] + ([plane for plane, _, _ in ends],)]
         modal = _along([V.T @ Mb for (_, V), (_, Mb) in zip(pairs, blocks)], caps).reshape(
             -1, len(ends))
         # row j of a mode's axial system couples to row j - 1 through [0, j]
@@ -758,43 +728,43 @@ def _regularized_energy(grid, p, terms):
 
 
 def _step_system(grid, f, p, terms):
-    """Matrix, as a grid stencil array, and extra load of one outer step at
-    the iterate f.
+    """Matrix, as a grid stencil array, and right-hand side -K(c) f of one
+    outer step at the iterate f.
 
     With c = a s^((p-2)/2) and s = |grad f|^2 + eps^2, K(c) f is the
-    gradient of the regularized energy.  For p <= 2 the matrix is the
-    Kacanov matrix K(c) and there is no load.  For p > 2 it is the Hessian
+    gradient of the regularized energy, and the right-hand side is its one
+    stencil product, taken before (p-2) R joins the matrix.  For p <= 2
+    the matrix is the Kacanov matrix K(c).  For p > 2 it is the Hessian
     K(c) + (p-2) R, R = sum_q w (c/s) (grad f . grad phi_i)(grad f . grad
-    phi_j), and the load (p-2) R f makes the solve
-    return the Newton iterate f - H_ff^-1 (K(c) f)_f.  terms is (grad f,
-    s, c) at f, from _gradient_terms; grad f is read only for p > 2.
+    phi_j), so the correction is a Newton step.  terms is (grad f, s, c) at
+    f, from _gradient_terms; grad f is read only for p > 2.
     """
     g, s, coeff = terms
-    if p <= 2.0:
-        return grid.stiffness_stencil(coeff=coeff), None
     # (p-2) R is the directional stiffness along sqrt((p-2) c/s) grad f,
     # assembled before K(c), so that its (E, Q, dim) direction is freed
     # before the two stencils are alive together
-    pR = grid.directional_stencil(g * np.sqrt((p - 2.0) * coeff / s)[..., None])
+    newton = p > 2.0
+    pR = grid.directional_stencil(g * np.sqrt((p - 2.0) * coeff / s)[..., None]) if newton else None
     H = grid.stiffness_stencil(coeff=coeff)
-    H += pR
-    return H, grid.apply_stencil(pR, f)
+    r = -grid.apply_stencil(H, f)
+    if newton:
+        H += pR
+    return H, r
 
 
 def _step(system, f, p, terms, load, mass):
-    """The free-box system (see _FreeSystem.restrict) of one outer step at
-    the iterate f: _step_system's matrix and load, the nodal load b added,
-    and on an unpinned system the proximal term of the mass stencil.  The
-    step's matrix becomes the buffer of the box block; its other stencil
-    arrays die when it returns."""
-    grid = system.grid
-    H, step_load = _step_system(grid, f, p, terms)
-    loads = [x for x in (step_load, load) if x is not None]
+    """The free-box system (see _FreeSystem.restrict) of one outer step's
+    correction at the iterate f: _step_system's matrix and right-hand side,
+    the nodal load b added to the latter, and on an unpinned system the
+    proximal term of the mass stencil added to the former.  The step's
+    matrix becomes the buffer of the box block; its other stencil arrays
+    die when it returns."""
+    H, r = _step_system(system.grid, f, p, terms)
+    if load is not None:
+        r += load
     if mass is not None:
-        delta = PROXIMAL_REL * float(H[len(H) // 2].max())
-        H += delta * mass
-        loads.append(delta * grid.apply_stencil(mass, f))
-    return system.restrict(H, sum(loads) if loads else None)
+        H += PROXIMAL_REL * float(H[len(H) // 2].max()) * mass
+    return system.restrict(H, r)
 
 
 def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
@@ -816,13 +786,13 @@ def _minimize(system, a_q, p, f, eps, load=None, steps=MAX_OUTER - 1):
     while not converged and taken < steps:
         step = _step(system, f, p, terms, load, mass)
         terms = terms_new = None  # an accepted iterate brings its own
-        f_hat = system.solve(step, x0=f)
+        d = system.solve(step)
         step = None  # the box block dies with the V-cycle, not at the next step
         taken += 1
         theta = 1.0
         ceiling = energy + ENERGY_ROUNDING * abs(energy)  # a smaller rise is rounding
         while True:
-            f_new = f + theta * (f_hat - f)
+            f_new = f + theta * d
             terms_new, e_new = evaluate(f_new)
             if e_new <= ceiling or theta <= 2**-30:
                 break
@@ -890,8 +860,8 @@ def solve(domain, mesh, op, bc):
     grid = mesh.grid
     if half is not None:
         grid, pinned, vals, a_q = half
-    system = _FreeSystem(grid, pinned, vals)
-    f = _separable_solve(system, a_q)
+    system = _FreeSystem(grid, pinned)
+    f = _separable_solve(system, vals, a_q)
     exact = op.p == 2.0
     f, energy, steps, converged, decrease, theta = _minimize(
         system, a_q, op.p, f, eps, steps=0 if exact else MAX_OUTER - 1)

@@ -329,13 +329,13 @@ def pattern_grids():
         "3d": geo.build_mesh(k2, 1 / 4).grid,
         "radial-volume": radial.grid,
         "periodic-section": radial.cross_section(2.0).grid,
-        # an odd cell count, and periodic axes whose wrap repeats entries
+        # an odd cell count, and the shortest periodic axes, of 3 nodes
         "short-periodic": geo.TensorGrid(
-            [np.linspace(0.0, 1.0, 4), np.arange(2.0), np.arange(3.0)],
+            [np.linspace(0.0, 1.0, 4), np.arange(3.0), np.arange(3.0)],
             periodic=(False, True, True)),
         # periodic first axes: assembly chunks wrap onto node 0
         "periodic-first": geo.TensorGrid(
-            [np.arange(2.0), np.arange(3.0), np.linspace(0.0, 1.0, 3)],
+            [np.arange(3.0), np.arange(4.0), np.linspace(0.0, 1.0, 3)],
             periodic=(True, True, False)),
     }
 
@@ -437,15 +437,16 @@ def reference_pk_at_quads(mesh):
 
 def cg_from_zero(mesh, op, bc):
     """The field and CG iteration counts of multigrid CG on the stiffness with
-    op's a(x), from zero on the free nodes to CG_RTOL of the right-hand
-    side: the p = 2 solve as a cold CG solve ran it, which a warm solve
-    from the Dirichlet data with CG_FORCING = 0 repeats step for step."""
+    op's a(x), from zero on the free nodes to 1e-12 of the right-hand side
+    -K_fc g: the p = 2 solve as a cold CG solve ran it, which the
+    correction from the Dirichlet data g with CG_FORCING = 1e-12 repeats
+    step for step."""
     pinned, vals = sv.dirichlet_data(mesh, bc)
-    system = sv._FreeSystem(mesh.grid, pinned, vals)
+    system = sv._FreeSystem(mesh.grid, pinned)
     K = mesh.grid.stiffness_stencil(coeff=op.a(mesh.pk_at_quads()))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(sv, "CG_FORCING", 0.0)
-        x = system.solve(system.restrict(K), vals)
+        m.setattr(sv, "CG_FORCING", 1e-12)
+        x = vals + system.solve(system.restrict(K, -mesh.grid.apply_stencil(K, vals)))
     return x, tuple(system.linear_iterations)
 
 
@@ -456,8 +457,8 @@ def whole_layer_solve(domain, mesh, op, bc):
     scale = float(np.max(np.abs(vals), initial=0.0))
     eps = sv.EPS_REG_REL * (scale if scale > 0.0 else 1.0)
     a_q = op.a(mesh.pk_at_quads())
-    system = sv._FreeSystem(mesh.grid, pinned, vals)
-    f = sv._separable_solve(system, a_q)
+    system = sv._FreeSystem(mesh.grid, pinned)
+    f = sv._separable_solve(system, vals, a_q)
     exact = op.p == 2.0
     f, energy, steps, converged, decrease, theta = sv._minimize(
         system, a_q, op.p, f, eps, steps=0 if exact else sv.MAX_OUTER - 1)

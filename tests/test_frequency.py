@@ -646,7 +646,7 @@ class TestSmallestCurvature:
         assert np.abs(H.sum(axis=1)).max() <= 1e-9 * q
         Z = scipy.linalg.null_space((M @ np.column_stack((u, np.ones_like(u)))).T)
         dense = scipy.linalg.eigh(Z.T @ H @ Z, Z.T @ M @ Z, eigvals_only=True)[0]
-        system = sv._FreeSystem(grid, ((False, False),) * grid.dim, np.zeros(grid.n_nodes))
+        system = sv._FreeSystem(grid, ((False, False),) * grid.dim)
         lam, v = fr._smallest_curvature(system, fr._Quotient(grid, p, True), u, q)
         assert lam == pytest.approx(dense, abs=1e-6 * q)
         # v lies in the complement and is an eigenvector there
@@ -742,7 +742,7 @@ class TestSmallestCurvature:
         sec = self.radial_section()
         u, q = self.minimum(sec, 1.5)
         grid = sec.grid
-        system = sv._FreeSystem(grid, ((False, False),) * grid.dim, np.zeros(grid.n_nodes))
+        system = sv._FreeSystem(grid, ((False, False),) * grid.dim)
         monkeypatch.setattr(fr, "CURVATURE_MAXITER", 1)
         with pytest.raises(sv.SolverError, match="curvature did not converge"):
             fr._smallest_curvature(system, fr._Quotient(grid, 1.5, True), u, q)

@@ -173,6 +173,14 @@ class TestCrossSection:
         circumference = m * sec.grid.spacing[1]
         assert circumference == pytest.approx(2.0 * math.pi * 2.0, rel=1e-12)
 
+    def test_periodic_axis_needs_three_nodes(self):
+        # offsets -1 and 1 of a 2-node periodic axis reach the same node;
+        # cross_section builds at least 8 angle nodes
+        with pytest.raises(ValueError, match="periodic axis needs at least three nodes"):
+            geo.TensorGrid([np.linspace(0.0, 1.0, 4), np.arange(2.0)], periodic=(False, True))
+        grid = geo.TensorGrid([np.linspace(0.0, 1.0, 2), np.arange(3.0)], periodic=(False, True))
+        assert grid.cell_shape == (1, 3)
+
 
 def readme_domain():
     """The README example's domain: the band (-3, 3) over the unit interval."""
@@ -407,8 +415,8 @@ class TestCornerGather:
 
 def kernel_grids():
     """The assembly tests' grids (1-, 2- and 3-D, a radial volume grid with
-    its 2 pi r weight, periodic sections, periodic axes of two and three
-    nodes, and periodic first axes), and the README grid at h = 1/64 and
+    its 2 pi r weight, periodic sections, periodic axes of three nodes, and
+    periodic first axes), and the README grid at h = 1/64 and
     the k = 2 layer at h = 1/32, which the kernel takes in several chunks."""
     readme = geo.CanonicalDomain(n=2, k=1, base=((0.0, 1.0),), axial_kind="layer", alpha=1.0,
                                  beta=7.0, lateral_bc=("dirichlet0",) * 2)
@@ -478,9 +486,7 @@ def test_multilinear_field_is_the_closed_form(name):
 def test_half_stencil_equals_the_full_plan(name):
     """Assembly adds the upper half of the offsets and copies each lower
     plane from its mirror: the stiffness, mass and directional stencils of
-    the plan that added every local pair, bit for bit, except where a
-    periodic axis of 2 nodes stores both of its neighbours' entries in one
-    plane, summed in another order for a row and its mirror."""
+    the plan that added every local pair, bit for bit."""
     grid = pattern_grids()[name]
     rng = np.random.default_rng(9)
     coeff = rng.uniform(0.5, 2.0, size=grid.quad_weights.shape)
@@ -496,14 +502,9 @@ def test_half_stencil_equals_the_full_plan(name):
               lambda rows: grid._stiffness_table.T @ (grid.quad_weights[rows] * coeff[rows]).T),
              (grid.mass_stencil(), lambda rows: grid._mass_table.T @ grid.quad_weights[rows].T),
              (grid.directional_stencil(direction), gram))
-    two_node_wrap = 2 in [n for n, per in zip(grid.shape, grid.periodic) if per]
     for stencil, local in cases:
-        full = reference_assemble_local(grid, local)
-        if two_node_wrap:
-            assert np.max(np.abs(stencil - full)) <= 1e-15 * np.max(np.abs(full))
-        else:
-            assert same_bytes(stencil, full)
-    assert len(grid._mirror_plan) == (3**grid.dim - 1) // 2 or two_node_wrap
+        assert same_bytes(stencil, reference_assemble_local(grid, local))
+    assert len(grid._mirror_plan) == (3**grid.dim - 1) // 2
 
 
 @pytest.mark.parametrize("name", ["readme-h16", "readme-k2-h8", "radial-h8"])

@@ -11,6 +11,7 @@ from conftest import (cg_from_zero, face_mask, face_node_ids, gather_csr, grads_
                       reference_dirichlet_data, reference_free_box, reference_galerkin,
                       reference_gradient_s, unequal_caps, whole_layer_solve)
 from svplab import energetics as en
+from svplab import frequency as fr
 from svplab import geometry as geo
 from svplab import solver as sv
 from svplab import structure as st
@@ -241,11 +242,11 @@ class TestLinearLayer:
         dom, mesh, op, bc = cosh_problem(1 / 8, beta_star=1 / 16)
         assert mesh.grid.shape[-1] == 2
         pinned, vals = sv.dirichlet_data(mesh, bc)
-        system = sv._FreeSystem(mesh.grid, pinned, vals)
+        system = sv._FreeSystem(mesh.grid, pinned)
         assert system.method == "none"
-        assert system.restrict(mesh.grid.stiffness_stencil()) is None
-        assert np.array_equal(system.solve(None, vals), vals)
-        assert np.array_equal(sv._separable_solve(system, op.a(mesh.pk_at_quads())), vals)
+        assert system.restrict(mesh.grid.stiffness_stencil(), np.ones(mesh.n_nodes)) is None
+        assert np.array_equal(system.solve(None), np.zeros(mesh.n_nodes))
+        assert np.array_equal(sv._separable_solve(system, vals, op.a(mesh.pk_at_quads())), vals)
         assert system.linear_iterations == []
 
     def test_direct_and_cg_agree(self):
@@ -275,29 +276,37 @@ class TestLinearLayer:
         assert vcycle_levels == [0] * (d.outer_iterations - 1)
 
     def test_warm_and_cold_cg_agree(self, monkeypatch, cg_calls):
-        # a warm solve runs CG on the correction from the iterate; the cold
-        # reference drops the iterate for the Dirichlet data, and with
-        # CG_FORCING = 0 every CG solve starts from zero and runs to CG_RTOL
+        # every outer step runs CG from zero on its correction from the
+        # iterate f; the cold reference poses each step for the new iterate
+        # instead, K_ff x = r + K_ff f_f, runs CG from zero (the Dirichlet
+        # data) to 1e-12 of that right-hand side, and steps by x - f_f
         problem = general_p_problem(3.0)
-        solve = sv._FreeSystem.solve
-        warm_starts = []
-
-        def recording(self, restricted, x0):
-            warm_starts.append(not np.array_equal(x0, self.vals))
-            return solve(self, restricted, x0)
-
-        monkeypatch.setattr(sv._FreeSystem, "solve", recording)
         warm = sv.solve(*problem)
-        assert all(warm_starts) and len(warm_starts) == warm.diagnostics.outer_iterations - 1 > 0
-        assert len(cg_calls) == len(warm_starts)
-        assert all(c["rtol"] == 0.0 and c["atol"] > 0.0 for c in cg_calls)
-        monkeypatch.setattr(sv._FreeSystem, "solve",
-                            lambda self, restricted, x0: solve(self, restricted, self.vals))
-        monkeypatch.setattr(sv, "CG_FORCING", 0.0)
+        assert len(cg_calls) == warm.diagnostics.outer_iterations - 1 > 0
+        assert all(c["rtol"] == 0.0 and c["atol"] == sv.CG_FORCING * np.linalg.norm(c["b"]) > 0.0
+                   for c in cg_calls)
+        step, solve = sv._step, sv._FreeSystem.solve
+        iterates = []
+
+        def cold_step(system, f, *args):
+            r, D = step(system, f, *args)
+            iterates.append(system._free(f))
+            return r + sv._dia(D, system.grid.periodic) @ iterates[-1], D
+
+        def cold_solve(self, restricted):
+            x = solve(self, restricted)
+            x.reshape(self.grid.shape)[self.box] -= iterates.pop().reshape(
+                [b.stop - b.start for b in self.box])
+            return x
+
+        monkeypatch.setattr(sv, "_step", cold_step)
+        monkeypatch.setattr(sv._FreeSystem, "solve", cold_solve)
+        monkeypatch.setattr(sv, "CG_FORCING", 1e-12)
         cg_calls.clear()
         cold = sv.solve(*problem)
-        assert cg_calls and all(c["rtol"] == 0.0 and c["atol"] == sv.CG_RTOL * np.linalg.norm(c["b"])
-                                for c in cg_calls)
+        assert cg_calls and not iterates
+        assert all(c["rtol"] == 0.0 and c["atol"] == 1e-12 * np.linalg.norm(c["b"])
+                   for c in cg_calls)
         assert warm.diagnostics.converged and cold.diagnostics.converged
         assert warm.diagnostics.outer_iterations == cold.diagnostics.outer_iterations
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
@@ -554,7 +563,7 @@ class TestSeparableSolve:
         direct = vals.copy()
         direct[~mask] = sv.factor_spd(K[~mask][:, ~mask].tocsc(), "reference").solve(
             -(K @ vals)[~mask])
-        x = sv._separable_solve(sv._FreeSystem(grid, pinned, vals), a_q)
+        x = sv._separable_solve(sv._FreeSystem(grid, pinned), vals, a_q)
         assert np.array_equal(x[mask], vals[mask])
         assert np.max(np.abs(x - direct)) <= 1e-12 * np.max(np.abs(direct))
         if name.endswith("-half"):
@@ -566,7 +575,7 @@ class TestSeparableSolve:
         assert d.mirrored == (name in ("DD-constant", "DN-constant", "NN-constant"))
         if d.mirrored:
             half, pinned, vals, a_q, mirror = half_layer_reduction(mesh, op, bc)
-            x_half = mirror(sv._separable_solve(sv._FreeSystem(half, pinned, vals), a_q))
+            x_half = mirror(sv._separable_solve(sv._FreeSystem(half, pinned), vals, a_q))
             assert np.max(np.abs(x_half - direct)) <= 1e-12 * np.max(np.abs(direct))
             x = x_half
         assert field.values.tobytes() == x.tobytes()
@@ -662,7 +671,7 @@ class TestNewtonHessian:
             s = np.sum(grads_at_quads(grid, u) ** 2, axis=-1) + eps**2
             return gather_csr(grid, grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (p - 2.0)))) @ u
 
-        stencil, load = sv._step_system(grid, f, p, sv._gradient_terms(grid, f, eps, p, a_q))
+        stencil, r = sv._step_system(grid, f, p, sv._gradient_terms(grid, f, eps, p, a_q))
         H = gather_csr(grid, stencil)
         step = 1e-5
         fd = np.empty((grid.n_nodes,) * 2)
@@ -673,14 +682,10 @@ class TestNewtonHessian:
         Hd = H.toarray()
         scale = np.max(np.abs(Hd))
         assert np.max(np.abs(Hd - fd)) <= 1e-6 * scale
-        if 2 in [n for n, per in zip(grid.shape, grid.periodic) if per]:
-            # both wraps of a 2-node periodic axis add to one entry, summed in
-            # a different element order in its row and in its column
-            assert np.max(np.abs(Hd - Hd.T)) <= 1e-15 * scale
-        else:
-            assert np.array_equal(Hd, Hd.T)
-        # the load makes the solve a Newton step: load = H f - gradient
-        assert np.max(np.abs(load - (H @ f - gradient(f)))) <= 1e-12 * np.max(np.abs(H @ f))
+        assert np.array_equal(Hd, Hd.T)
+        # the right-hand side is minus the gradient, so the correction is a
+        # Newton step
+        assert np.max(np.abs(r + gradient(f))) <= 1e-12 * np.max(np.abs(gradient(f)))
         # the stencil product is the CSR product; on a non-periodic grid both
         # sum a row in ascending column order
         Hf = grid.apply_stencil(stencil, f)
@@ -701,33 +706,34 @@ class TestNewtonConvergence:
 
 
 def reference_system(mesh, op, bc, half):
-    """(grid, system, a_q, eps, mirror) of the whole-layer problem, or with
-    half of its upper half layer (conftest.half_layer_reduction); mirror
-    maps the system's field to the whole mesh's."""
+    """(grid, system, vals, a_q, eps, mirror) of the whole-layer problem, or
+    with half of its upper half layer (conftest.half_layer_reduction);
+    mirror maps the system's field to the whole mesh's."""
     pinned, vals = sv.dirichlet_data(mesh, bc)
     eps = sv.EPS_REG_REL * float(np.max(np.abs(vals)))
     grid, a_q, mirror = mesh.grid, op.a(mesh.pk_at_quads()), lambda f: f
     if half:
         grid, pinned, vals, a_q, mirror = half_layer_reduction(mesh, op, bc)
-    return grid, sv._FreeSystem(grid, pinned, vals), a_q, eps, mirror
+    return grid, sv._FreeSystem(grid, pinned), vals, a_q, eps, mirror
 
 
 def kacanov_reference(dom, mesh, op, bc, half=False):
-    """The undamped Kacanov loop: each step solves with K(a s^((p-2)/2)),
-    on the whole layer or, with half, on its upper half, mirrored."""
-    grid, system, a_q, eps, mirror = reference_system(mesh, op, bc, half)
+    """The undamped Kacanov loop: each step solves K(a s^((p-2)/2)) d = -K f
+    for its correction, on the whole layer or, with half, on its upper
+    half, mirrored."""
+    grid, system, vals, a_q, eps, mirror = reference_system(mesh, op, bc, half)
 
     def energy(f):
         return sv._regularized_energy(grid, op.p, sv._gradient_terms(grid, f, eps, op.p, a_q))
 
-    f = sv._separable_solve(system, a_q)
+    f = sv._separable_solve(system, vals, a_q)
     e = energy(f)
     for _ in range(sv.MAX_OUTER - 1):
         g = grads_at_quads(grid, f)
         s = np.sum(g**2, axis=-1) + eps**2
         K = grid.stiffness_stencil(coeff=a_q * s ** (0.5 * (op.p - 2.0)))
-        f_hat = system.solve(system.restrict(K), x0=f)
-        f_new = f + 1.0 * (f_hat - f)
+        d = system.solve(system.restrict(K, -grid.apply_stencil(K, f)))
+        f_new = f + 1.0 * d
         e_new = energy(f_new)
         assert e_new <= e  # K(c) majorizes the Hessian for p < 2
         decrease = (e - e_new) / abs(e)
@@ -742,18 +748,18 @@ def outer_loop_reference(dom, mesh, op, bc, half=False):
     from the separable cold solve: damped Kacanov or Newton steps to
     TOL_ENERGY, on the whole layer or, with half, on its upper half, the
     field mirrored and the energy doubled."""
-    grid, system, a_q, eps, mirror = reference_system(mesh, op, bc, half)
-    f = sv._separable_solve(system, a_q)
+    grid, system, vals, a_q, eps, mirror = reference_system(mesh, op, bc, half)
+    f = sv._separable_solve(system, vals, a_q)
     terms = sv._gradient_terms(grid, f, eps, op.p, a_q)
     energy = sv._regularized_energy(grid, op.p, terms)
     iters, converged = 1, op.p == 2.0
     while not converged and iters < sv.MAX_OUTER:
-        H, load = sv._step_system(grid, f, op.p, terms)
-        f_hat = system.solve(system.restrict(H, load), x0=f)
+        H, r = sv._step_system(grid, f, op.p, terms)
+        d = system.solve(system.restrict(H, r))
         iters += 1
         theta = 1.0
         while True:
-            f_new = f + theta * (f_hat - f)
+            f_new = f + theta * d
             terms_new = sv._gradient_terms(grid, f_new, eps, op.p, a_q)
             e_new = sv._regularized_energy(grid, op.p, terms_new)
             if e_new <= energy or theta <= 2**-30:
@@ -915,8 +921,8 @@ class TestInexactInnerSolve:
         # and stops at CG_FORCING of it
         assert len(warm) == inexact.diagnostics.outer_iterations - 1 > 0
         assert all("x0" not in c and c["rtol"] == 0.0 for c in warm)
-        assert all(c["atol"] >= sv.CG_FORCING * np.linalg.norm(c["b"]) > 0.0 for c in warm)
-        monkeypatch.setattr(sv, "CG_FORCING", 0.0)
+        assert all(c["atol"] == sv.CG_FORCING * np.linalg.norm(c["b"]) > 0.0 for c in warm)
+        monkeypatch.setattr(sv, "CG_FORCING", 1e-12)
         cg_calls.clear()
         exact = sv.solve(*problem)
         di, de = inexact.diagnostics, exact.diagnostics
@@ -934,13 +940,13 @@ class TestInexactInnerSolve:
         dom, mesh, op, bc = readme_problem(1.5, 1 / 16)
         pinned, vals = sv.dirichlet_data(mesh, bc)
         mask = face_mask(mesh.grid, pinned)
-        system = sv._FreeSystem(mesh.grid, pinned, vals)
+        system = sv._FreeSystem(mesh.grid, pinned)
         a_q = op.a(mesh.pk_at_quads())
-        f = sv._separable_solve(system, a_q)
+        f = sv._separable_solve(system, vals, a_q)
         terms = sv._gradient_terms(mesh.grid, f, sv.EPS_REG_REL, op.p, a_q)
-        stencil, _ = sv._step_system(mesh.grid, f, op.p, terms)
+        stencil, r = sv._step_system(mesh.grid, f, op.p, terms)
         cg_calls.clear()
-        f_hat = system.solve(system.restrict(stencil.copy()), x0=f)  # restrict consumes
+        f_hat = f + system.solve(system.restrict(stencil.copy(), r))  # restrict consumes
         H = gather_csr(mesh.grid, stencil)
         gradient = (H @ f)[~mask]  # K(c) f, the energy gradient at f
         (call,) = cg_calls
@@ -950,6 +956,58 @@ class TestInexactInnerSolve:
         atol = call["atol"]
         assert atol == pytest.approx(sv.CG_FORCING * np.linalg.norm(gradient), rel=1e-12)
         assert np.linalg.norm((H @ f_hat)[~mask]) < atol
+
+
+class TestCorrectionStep:
+    """Every outer step is posed as its correction: its right-hand side is
+    one stencil product, r = load - K(c) f, with no Dirichlet data, Newton
+    load (p-2) R f or proximal load delta M f in it."""
+
+    @staticmethod
+    def products_per_step(monkeypatch):
+        """apply_stencil calls of each outer step, and of the whole run."""
+        calls, steps = [], []
+        apply, step = geo.TensorGrid.apply_stencil, sv._step
+        monkeypatch.setattr(geo.TensorGrid, "apply_stencil",
+                            lambda self, *args: calls.append(1) or apply(self, *args))
+
+        def counted(*args):
+            before = len(calls)
+            out = step(*args)
+            steps.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(sv, "_step", counted)
+        return calls, steps
+
+    # Kacanov (p = 1.5) and Newton (p = 3) steps of the README problem
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_solve_step_makes_one_product(self, monkeypatch, p):
+        calls, steps = self.products_per_step(monkeypatch)
+        d = sv.solve(*readme_problem(p, 1 / 16)).diagnostics
+        assert d.converged and len(steps) == d.outer_iterations - 1 > 0
+        assert steps == [1] * len(steps) and len(calls) == len(steps)
+
+    def test_proximal_step_makes_one_product(self, monkeypatch):
+        """The second kind's steps on an interval with no pinned end, and
+        one such step's system at a random iterate and load: r = load - K(c)
+        f on every node, to the bit, and the matrix K(c) + delta M."""
+        sec = geo.interval_section(1.0, 16, "none")
+        calls, steps = self.products_per_step(monkeypatch)
+        fr.compute_frequency(sec, 1.5, fr.SECOND)
+        assert steps and steps == [1] * len(steps) and len(calls) == len(steps)
+        grid = sec.grid
+        system = sv._FreeSystem(grid, sec.pinned)
+        assert not system.pinned and system.box == (slice(0, grid.n_nodes),)
+        rng = np.random.default_rng(3)
+        f, load = rng.normal(size=(2, grid.n_nodes))
+        terms = sv._gradient_terms(grid, f, 0.1, 1.5, np.ones(grid.quad_weights.shape))
+        K = gather_csr(grid, grid.stiffness_stencil(coeff=terms[2]))
+        M = gather_csr(grid, grid.mass_stencil())
+        r, D = sv._step(system, f, 1.5, terms, load, grid.mass_stencil())
+        assert r.tobytes() == (load - K @ f).tobytes()
+        H = (K + sv.PROXIMAL_REL * K.diagonal().max() * M).toarray()
+        assert np.max(np.abs(sv._dia(D).toarray() - H)) <= 1e-15 * np.max(np.abs(H))
 
 
 class TestGradientOncePerIterate:
@@ -1024,9 +1082,9 @@ class TestMultigrid:
                                          lambda: layer3d(1 / 24)], ids=["2d", "3d"])
     def test_vcycle_symmetric_positive_definite(self, problem):
         dom, mesh, op, bc = problem()
-        pinned, vals = sv.dirichlet_data(mesh, bc)
+        pinned, _ = sv.dirichlet_data(mesh, bc)
         mask = face_mask(mesh.grid, pinned)
-        system = sv._FreeSystem(mesh.grid, pinned, vals)
+        system = sv._FreeSystem(mesh.grid, pinned)
         assert len(system.hierarchy) >= 2
         rng = np.random.default_rng(7)
         # a rough positive coefficient, spanning four decades
@@ -1047,7 +1105,7 @@ class TestMultigrid:
         """Each level keeps P^T, the CSC view of P's arrays, so a V-cycle
         transposes nothing, and its product has the bytes of P.T's."""
         dom, mesh, op, bc = readme_problem(2.0, 1 / 64)
-        system = sv._FreeSystem(mesh.grid, *sv.dirichlet_data(mesh, bc))
+        system = sv._FreeSystem(mesh.grid, sv.dirichlet_data(mesh, bc)[0])
         M = sv._VCycle(sv._box_stencil(mesh.grid.stiffness_stencil(), system.box),
                        system.hierarchy)
         assert len(M.levels) >= 2
@@ -1203,11 +1261,16 @@ class TestStencilLevels:
 
     @pytest.mark.parametrize("name", list(pattern_grids()))
     def test_face_layer_rhs_equals_whole_product(self, name):
-        """-K_fc g summed on the box's face layers alone is, byte for byte,
-        the free rows of the whole-grid stencil product, -0.0 included."""
+        """The right-hand side of the correction from the Dirichlet data g,
+        the free rows of the whole-grid product -K g that restrict takes,
+        is -K_fc g: nonzero only on the box layers next to a Dirichlet face
+        and -0.0 on every other row, the bytes of the face-layer sum that
+        the cold CG solve formed.  So CG from g on the correction to 1e-12
+        of it is that solve (conftest.cg_from_zero)."""
         grid = pattern_grids()[name]
         rng = np.random.default_rng(7)
         stencil = rng.standard_normal((3**grid.dim,) + grid.shape)
+        K = gather_csr(grid, stencil)
         sides = [(ax, side) for ax in np.flatnonzero(~np.asarray(grid.periodic))
                  for side in (0, -1)]
         cases = [pin(grid.dim, sides)] + [pin(grid.dim, [face]) for face in sides]
@@ -1215,11 +1278,22 @@ class TestStencilLevels:
         for pinned in cases:
             mask = face_mask(grid, pinned)
             vals = np.where(mask, rng.uniform(-1.0, 1.0, grid.n_nodes), 0.0)
-            system = sv._FreeSystem(grid, pinned, vals)
-            rhs, _ = system.restrict(stencil.copy())  # restrict consumes its stencil
-            whole = -grid.apply_stencil(stencil, vals)[~mask]
-            assert rhs.tobytes() == whole.tobytes()
-            assert np.signbit(rhs[rhs == 0.0]).all()
+            system = sv._FreeSystem(grid, pinned)
+            # restrict consumes its stencil
+            r, _ = system.restrict(stencil.copy(), -grid.apply_stencil(stencil, vals))
+            box = [b.stop - b.start for b in system.box]
+            index = np.indices(box)
+            layers = np.zeros(box, dtype=bool)
+            for ax, (b, n) in enumerate(zip(system.box, grid.shape)):
+                layers |= ((index[ax] == 0) & (b.start > 0)) | ((index[ax] == box[ax] - 1)
+                                                                 & (b.stop < n))
+            off = r[~layers.ravel()]
+            assert not off.any() and np.signbit(off).all()
+            want = -(K[~mask][:, mask] @ vals[mask])
+            if any(grid.periodic):  # the product sums a wrapped row in another order
+                assert np.max(np.abs(r - want)) <= 1e-15 * np.max(np.abs(want))
+            else:
+                assert r.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", list(pattern_grids()))
     def test_box_stencil_in_place_matches_copy(self, name):
@@ -1293,10 +1367,11 @@ class TestStencilLevels:
         stencil = grid.stiffness_stencil(coeff=rng.uniform(0.5, 2.0, grid.quad_weights.shape))
         vals = np.where(mask, rng.uniform(-1.0, 1.0, grid.n_nodes), 0.0)
         load = rng.standard_normal(grid.n_nodes)
-        system = sv._FreeSystem(grid, sec.pinned, vals)
+        system = sv._FreeSystem(grid, sec.pinned)
         # restrict and _box_stencil consume their stencil: each gets a copy
-        monkeypatch.setattr(sv, "CG_FORCING", 0.0)  # CG from zero to CG_RTOL
-        x = system.solve(system.restrict(stencil.copy(), load), vals)
+        monkeypatch.setattr(sv, "CG_FORCING", 1e-12)  # CG from zero to 1e-12 of the rhs
+        x = vals + system.solve(system.restrict(stencil.copy(),
+                                                load - grid.apply_stencil(stencil, vals)))
         block = sv._dia(sv._box_stencil(stencil.copy(), box, grid.periodic),
                         grid.periodic).tocsc()
         rhs = (load - gather_csr(grid, stencil) @ vals)[~mask]
