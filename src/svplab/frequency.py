@@ -369,7 +369,7 @@ def _smallest_curvature(system, quot, u, q):
     def H(x):
         return Hc @ x + np.multiply.outer(w1, w1 @ x) / w1.sum()
 
-    cycle = _VCycle(_box_stencil(A + W, box, grid.periodic), system.hierarchy, grid.periodic)
+    cycle = _VCycle(_box_stencil(A + W, box, grid.periodic), system)
     return _smallest_pair(H, mass, cycle, np.column_stack((u, np.ones_like(u))),
                           _low_modes(grid), math.sqrt(TOL) * q)
 

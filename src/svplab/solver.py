@@ -97,12 +97,19 @@ coarsened axis takes 13 slice adds (Trottenberg, Oosterlee & Schueller,
 Multigrid, 2001, ch. 3).  The passes are cache-blocked (Douglas, Hu,
 Kowarschik, Ruede & Weiss, ETNA 10, 2000): blocks of coarse rows of the
 first coarsened axis run through every axis pass, so no intermediate
-level is formed whole.  Every level, the finest included, is a DIA
-matrix over its box; the finest one holds exactly the entries of the
-free-node block, in ascending offset order.  The V-cycle smooths with
-damped Jacobi and factors the coarsest level through factor_spd; on a
-grid of at most MG_COARSEST free nodes the hierarchy is empty, the
-V-cycle is that factor's solve, and CG takes one iteration.  CG runs
+level is formed whole.  Every level that the V-cycle smooths, the finest
+included, is a DIA matrix over its box; the finest one holds exactly the
+entries of the free-node block, in ascending offset order.  The V-cycle
+smooths with damped Jacobi and solves the coarsest level by LAPACK's
+banded Cholesky factor (_BandPlan), scattered straight from its column
+stencil, so the package has no sparse factorization.  Its node order is
+planned once per box: the axes longest first, so the longest varies
+slowest, and each periodic axis folded as 0, n - 1, 1, n - 2, ... and
+ranked at half its length, which keeps the half-bandwidth at most about
+twice the product of the faster axes' sizes (George & Liu, Computer
+Solution of Large Sparse Positive Definite Systems, 1981).  On a grid of
+at most MG_COARSEST free nodes the hierarchy is empty, the V-cycle is
+that factor's solve, and CG takes one iteration.  CG runs
 from d = 0 on the correction, whose right-hand side r is minus the
 free-node gradient of the regularized energy at the iterate, and stops
 once r is cut by CG_FORCING (the inexact-Newton forcing term): about 2
@@ -276,21 +283,6 @@ def dirichlet_data(mesh, bc):
             if is_pinned:
                 vals[(slice(None),) * ax + (end,)] = 0.0
     return pinned, vals.ravel()
-
-
-def factor_spd(A, what):
-    """Sparse LU of a symmetric positive-definite CSC matrix.
-
-    SuperLU runs in symmetric mode with a minimum-degree ordering of
-    A + A^T, which keeps the fill of an SPD matrix close to a Cholesky
-    factor's.  It factors the coarsest level of the multigrid V-cycle, the
-    package's only sparse factorization.  A singular factor is a numerical
-    failure, not bad input.
-    """
-    try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(f"singular {what}: {exc}") from exc
 
 
 def _interpolation_1d(n):
@@ -498,41 +490,116 @@ def _dia(D, periodic=None):
     return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
+class _BandPlan:
+    """Node order and scatter of the banded Cholesky factor of a column
+    stencil on a box of node shape `shape`, wrapped on the axes flagged in
+    periodic: the plan of the V-cycle's coarsest level.
+
+    A 3^dim stencil on a box is a narrow band in a good node order (George
+    & Liu, Computer Solution of Large Sparse Positive Definite Systems,
+    1981).  The order places the axes longest first, so that the longest
+    axis varies slowest, and folds each periodic axis of n nodes as 0, n -
+    1, 1, n - 2, ..., so that its wrap joins band neighbours; a folded axis
+    ranks at half its length.  Stencil neighbours are then at most 1 apart
+    along a plain axis and 2 along a folded one, so the half-bandwidth is
+    at most the sum of those steps times the axes' strides: about twice
+    the product of the faster axes' sizes at most.  (In plain C order a
+    periodic axis's wrap makes the band about as wide as the box.)
+
+    position holds each box node's band position, C order in, and inverse
+    the box node at each band position.  LAPACK upper band storage of
+    half-bandwidth width holds A[i, j], i <= j in band positions, at [width
+    + i - j, j]; D's flat entries src go to the flat band entries dst, one
+    to one, as a periodic axis has at least three nodes.
+    """
+
+    def __init__(self, shape, periodic):
+        dim = len(shape)
+        # each axis's node positions: 0, 1, ..., or folded on a periodic axis
+        steps = [np.minimum(2 * i, 2 * (n - 1 - i) + 1) if per else i
+                 for n, per in zip(shape, periodic) for i in (np.arange(n),)]
+        strides, stride = [0] * dim, 1
+        # fastest first: the shortest axis, a folded one at half its length; ties in C order
+        for ax in sorted(range(dim), key=lambda ax: (shape[ax] / (1 + periodic[ax]), -ax)):
+            strides[ax], stride = stride, stride * shape[ax]
+        index = np.indices(shape).reshape(dim, -1)
+        col = sum(step[i] * s for step, i, s in zip(steps, index, strides))
+        n = col.size
+        src, rows, cols = [], [], []
+        for k, digits in enumerate(product((-1, 0, 1), repeat=dim)):
+            row, keep = np.zeros(n, dtype=col.dtype), np.ones(n, dtype=bool)
+            for ax, o in enumerate(digits):
+                i = index[ax] - o  # D[o, j] is the entry A[j - o, j]
+                if periodic[ax]:
+                    i %= shape[ax]
+                else:
+                    keep &= (i >= 0) & (i < shape[ax])
+                    i = np.clip(i, 0, shape[ax] - 1)
+                row += steps[ax][i] * strides[ax]
+            keep &= row <= col
+            src.append(k * n + np.flatnonzero(keep))
+            rows.append(row[keep])
+            cols.append(col[keep])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self.width = int(np.max(cols - rows, initial=0))
+        self.src = np.concatenate(src)
+        self.dst = (self.width + rows - cols) * n + cols
+        self.position, self.inverse = col, np.argsort(col)
+
+    def factor(self, D):
+        """The solve r -> A^-1 r of the matrix A of the column stencil D on
+        the plan's box, by one banded Cholesky factor; SolverError when A
+        is not positive definite."""
+        band = np.zeros((self.width + 1, self.position.size))
+        band.ravel()[self.dst] = np.take(D, self.src)
+        try:
+            chol = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        except sla.LinAlgError as exc:
+            raise SolverError(f"singular coarse multigrid system: {exc}") from exc
+        return lambda r: sla.cho_solve_banded((chol, False), r[self.inverse], overwrite_b=True,
+                                              check_finite=False)[self.position]
+
+
 class _VCycle:
     """Symmetric geometric-multigrid V-cycle for one SPD free-box matrix.
 
-    D is the finest level's column stencil (see _box_stencil) and
-    hierarchy its coarse levels (see _hierarchy).  Each level below the
-    finest is the Galerkin operator P^T A P of the level above, formed by
-    _galerkin, and every level is a DIA matrix over its box, wrapped on the
-    axes flagged in periodic, which no level coarsens; matrix is the finest
-    one.  Every level but the coarsest runs MG_SWEEPS damped-Jacobi
-    sweeps (weight MG_JACOBI_WEIGHT) before and after its coarse
-    correction, so the cycle is a symmetric positive-definite
-    preconditioner, and the coarsest level is solved through factor_spd.
-    A nonpositive diagonal entry of the finest level raises SolverError.
+    D is the finest level's column stencil (see _box_stencil) on the free
+    box of system, a _FreeSystem, whose hierarchy holds the coarse levels
+    (see _hierarchy) and whose band the plan of the coarsest one (see
+    _BandPlan).  Each level below the finest is the Galerkin operator P^T
+    A P of the level above, formed by _galerkin, and every level but the
+    coarsest is a DIA matrix over its box, wrapped on the grid's periodic
+    axes, which no level coarsens; matrix is the finest one.  Every level
+    but the coarsest runs MG_SWEEPS damped-Jacobi sweeps (weight
+    MG_JACOBI_WEIGHT) before and after its coarse correction, so the cycle
+    is a symmetric positive-definite preconditioner.  The coarsest level is
+    solved by a banded Cholesky factor, scattered straight from its column
+    stencil in the plan's narrow-band order, whose half-bandwidth is at
+    most about twice the product of the box's faster axes' sizes.  A
+    nonpositive diagonal entry of the finest level raises SolverError, and
+    so does a coarsest level that is not positive definite.
     """
 
-    def __init__(self, D, hierarchy, periodic=None):
-        diagonal = D[len(D) // 2].ravel()
-        if np.any(diagonal <= 0):
+    def __init__(self, D, system):
+        if np.any(D[len(D) // 2] <= 0):
             raise SolverError("singular inner system: nonpositive diagonal")
+        periodic = system.grid.periodic
         A = self.matrix = _dia(D, periodic)
         self.levels = []
-        for P, axes in hierarchy:
+        for level, (P, axes) in enumerate(system.hierarchy):
+            if level:
+                A = _dia(D, periodic)
             # P.T is a CSC view of P's arrays: built once, it costs no memory
-            self.levels.append((A, MG_JACOBI_WEIGHT / diagonal, P, P.T))
+            self.levels.append((A, MG_JACOBI_WEIGHT / D[len(D) // 2].ravel(), P, P.T))
             D = _galerkin(D, axes)
-            A = _dia(D, periodic)
-            diagonal = D[len(D) // 2].ravel()
-        self.coarse = factor_spd(A.tocsc(), "coarse multigrid system")
+        self.coarse = system.band.factor(D)
 
     def __call__(self, r):
         return self._cycle(0, np.asarray(r).ravel())
 
     def _cycle(self, level, r):
         if level == len(self.levels):
-            return self.coarse.solve(r)
+            return self.coarse(r)
         A, wdinv, P, R = self.levels[level]
         x = wdinv * r
         for _ in range(MG_SWEEPS - 1):
@@ -551,9 +618,10 @@ class _FreeSystem:
     periodic axes.  A step's matrix comes as a grid stencil array, and
     restrict turns it into the box's column stencil, wrapped on the
     periodic axes, so no CSR pattern is built.  solve then runs CG on it
-    from zero, preconditioned by a multigrid V-cycle, whose hierarchy
-    depends only on the grid and the box, so it is built once, at the first
-    solve.  Each solve appends its CG iteration count to linear_iterations.
+    from zero, preconditioned by a multigrid V-cycle, whose hierarchy and
+    coarsest-level band plan depend only on the grid and the box, so they
+    are built once, at the first solve.  Each solve appends its CG
+    iteration count to linear_iterations.
     pinned, one (low, high) pair of flags per axis, names the Dirichlet
     faces, and the attribute pinned tells whether there is any.
     """
@@ -568,6 +636,14 @@ class _FreeSystem:
     @cached_property
     def hierarchy(self):
         return _hierarchy(self.grid.shape, self.box, self.grid.periodic)
+
+    @cached_property
+    def band(self):
+        """The band plan of the hierarchy's coarsest box (see _BandPlan)."""
+        shape = [b.stop - b.start for b in self.box]
+        for _, axes in self.hierarchy:
+            shape = [n if spec is None else spec[1] for n, spec in zip(shape, axes)]
+        return _BandPlan(shape, self.grid.periodic)
 
     def _free(self, x):
         """The free-box entries of the nodal vector x, in C order."""
@@ -590,7 +666,7 @@ class _FreeSystem:
         if restricted is None:
             return d
         r, D = restricted
-        cycle = _VCycle(D, self.hierarchy, self.grid.periodic)
+        cycle = _VCycle(D, self)
         A = cycle.matrix
         M = spla.LinearOperator(A.shape, matvec=cycle, dtype=float)
         iterations = 0

@@ -505,8 +505,8 @@ def vcycle_levels(monkeypatch):
     levels = []
 
     class Recording(sv._VCycle):
-        def __init__(self, D, hierarchy, *periodic):
-            super().__init__(D, hierarchy, *periodic)
+        def __init__(self, D, system):
+            super().__init__(D, system)
             levels.append(len(self.levels))
 
     monkeypatch.setattr(sv, "_VCycle", Recording)

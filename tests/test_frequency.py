@@ -798,18 +798,19 @@ class TestThirdReusesFirst:
 class TestFactorOnce:
     """At p = 2 no kind factors a matrix: each section starts from its
     closed-form p = 2 eigenvector (_p2_start), whose residual is below TOL,
-    so no inverse-iteration step builds a V-cycle and its coarse factor."""
+    so no inverse-iteration step builds a V-cycle and its coarse band
+    factor."""
 
     @pytest.mark.parametrize("kind, sections", [(fr.FIRST, 1), (fr.THIRD, 1), (fr.SECOND, 1)])
     def test_factorizations_per_section(self, monkeypatch, kind, sections):
         shapes = []
-        splu = sv.spla.splu
+        cholesky_banded = sv.sla.cholesky_banded
 
-        def counting(A, *args, **kwargs):
-            shapes.append(A.shape)
-            return splu(A, *args, **kwargs)
+        def counting(band, *args, **kwargs):
+            shapes.append(band.shape)
+            return cholesky_banded(band, *args, **kwargs)
 
-        monkeypatch.setattr(sv.spla, "splu", counting)
+        monkeypatch.setattr(sv.sla, "cholesky_banded", counting)
         calls = count_compute_calls(monkeypatch)
         for h in (1 / 32, 1 / 64):  # the two meshes of a README refine run
             fr.frequency_profile(readme_mesh(h), 2.0, kind, [0.0, 1.0, 2.0], {})

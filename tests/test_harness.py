@@ -401,17 +401,18 @@ class TestSolverFailurePath:
     def test_frequency_factorization_failure_exits_three(self, tmp_path, monkeypatch):
         # the p = 2 start needs no factor, so the only factorization of a
         # section frequency is the coarse level of a p != 2 step's V-cycle;
-        # splu fails inside the frequency task alone, after the field solve
+        # its band factor fails inside the frequency task alone, after the
+        # field solve
         import svplab.frequency as fr_mod
         import svplab.solver as sv_mod
 
-        splu, compute = sv_mod.spla.splu, fr_mod.compute_frequency
+        cholesky_banded, compute = sv_mod.sla.cholesky_banded, fr_mod.compute_frequency
         in_task = []
 
-        def failing_splu(*args, **kwargs):
+        def failing_factor(*args, **kwargs):
             if in_task:
-                raise RuntimeError("Factor is exactly singular")
-            return splu(*args, **kwargs)
+                raise sv_mod.sla.LinAlgError("1-th leading minor not positive definite")
+            return cholesky_banded(*args, **kwargs)
 
         def frequency_task(*args, **kwargs):
             in_task.append(1)
@@ -420,7 +421,7 @@ class TestSolverFailurePath:
             finally:
                 in_task.pop()
 
-        monkeypatch.setattr(sv_mod.spla, "splu", failing_splu)
+        monkeypatch.setattr(sv_mod.sla, "cholesky_banded", failing_factor)
         monkeypatch.setattr(fr_mod, "compute_frequency", frequency_task)
         text = BASE_CONFIG.replace("p = 2\n", "p = 1.5\n") + FREQ_TASK
         result = run(parse_config(text), out_dir=str(tmp_path / "run"), seed=0)

@@ -258,9 +258,8 @@ class TestLinearLayer:
         pinned, vals = sv.dirichlet_data(mesh, bc)
         free = ~face_mask(mesh.grid, pinned)
         K = gather_csr(mesh.grid, mesh.grid.stiffness_stencil(coeff=op.a(mesh.pk_at_quads())))
-        lu = sv.factor_spd(K[free][:, free].tocsc(), "reference system")
         direct = vals.copy()
-        direct[free] = lu.solve(-(K @ vals)[free])
+        direct[free] = sv.spla.spsolve(K[free][:, free].tocsc(), -(K @ vals)[free])
         assert np.max(np.abs(cg - direct)) <= 1e-10
         assert np.max(np.abs(sv.solve(dom, mesh, op, bc).values - direct)) <= 1e-10
 
@@ -561,8 +560,7 @@ class TestSeparableSolve:
         mask = face_mask(grid, pinned)
         K = gather_csr(grid, grid.stiffness_stencil(coeff=a_q))
         direct = vals.copy()
-        direct[~mask] = sv.factor_spd(K[~mask][:, ~mask].tocsc(), "reference").solve(
-            -(K @ vals)[~mask])
+        direct[~mask] = sv.spla.spsolve(K[~mask][:, ~mask].tocsc(), -(K @ vals)[~mask])
         x = sv._separable_solve(sv._FreeSystem(grid, pinned), vals, a_q)
         assert np.array_equal(x[mask], vals[mask])
         assert np.max(np.abs(x - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -1090,7 +1088,7 @@ class TestMultigrid:
         # a rough positive coefficient, spanning four decades
         coeff = 10.0 ** rng.uniform(-2.0, 2.0, mesh.grid.quad_weights.shape)
         M = sv._VCycle(sv._box_stencil(mesh.grid.stiffness_stencil(coeff=coeff), system.box),
-                       system.hierarchy)
+                       system)
         n = M.matrix.shape[0]
         axial = mesh.grid.nodes[~mask, -1]
         probes = [rng.standard_normal(n) for _ in range(4)]
@@ -1106,8 +1104,7 @@ class TestMultigrid:
         transposes nothing, and its product has the bytes of P.T's."""
         dom, mesh, op, bc = readme_problem(2.0, 1 / 64)
         system = sv._FreeSystem(mesh.grid, sv.dirichlet_data(mesh, bc)[0])
-        M = sv._VCycle(sv._box_stencil(mesh.grid.stiffness_stencil(), system.box),
-                       system.hierarchy)
+        M = sv._VCycle(sv._box_stencil(mesh.grid.stiffness_stencil(), system.box), system)
         assert len(M.levels) >= 2
         rng = np.random.default_rng(9)
         for _, _, P, R in M.levels:
@@ -1390,15 +1387,14 @@ class TestStencilLevels:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_solve_never_calls_to_csr(self, p, monkeypatch, vcycle_levels):
-        """The solver's levels stay DIA matrices: only the coarsest one is
-        converted, to CSC (through CSR) for its factor."""
-        tocsr = sv.sp.dia_matrix.tocsr
+        """The solver's levels stay DIA matrices, and no level, the coarsest
+        included, is converted: the coarsest one's band factor is scattered
+        from its column stencil."""
+        def converted(self, *args, **kwargs):
+            raise AssertionError("the solver converted a DIA level")
 
-        def coarsest_only(self, copy=False):
-            assert self.shape[0] <= sv.MG_COARSEST, "the solver gathered a fine CSR matrix"
-            return tocsr(self, copy=copy)
-
-        monkeypatch.setattr(sv.sp.dia_matrix, "tocsr", coarsest_only)
+        for name in ("tocsr", "tocsc", "tocoo"):
+            monkeypatch.setattr(sv.sp.dia_matrix, name, converted)
         # the half layer at h = 1/32 (31 x 96 free nodes) and the whole
         # layer at h = 1/16 (15 x 95) both have a coarse level
         for mirrored, problem in ((True, readme_problem(p, 1 / 32)),
@@ -1407,6 +1403,84 @@ class TestStencilLevels:
             assert d.converged and d.mirrored == mirrored
             assert min(vcycle_levels) >= 1
             vcycle_levels.clear()
+
+
+def band_grids():
+    """The pattern grids, and a grid with a two-node axis."""
+    grids = pattern_grids()
+    grids["two-node"] = geo.TensorGrid([np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 2)])
+    return grids
+
+
+def face_boxes(grid):
+    """Every free box of the grid whose pinned faces are none, all, one, or
+    both faces of one non-periodic axis."""
+    sides = [(ax, side) for ax in np.flatnonzero(~np.asarray(grid.periodic)) for side in (0, -1)]
+    cases = [pin(grid.dim, []), pin(grid.dim, sides)]
+    cases += [pin(grid.dim, [face]) for face in sides]
+    cases += [pin(grid.dim, [(ax, 0), (ax, -1)]) for ax, _ in sides[::2]]
+    return [box for box in (sv._free_box(grid, pinned) for pinned in cases) if box is not None]
+
+
+def band_bound(shape, periodic):
+    """The half-bandwidth bound of the band order: with the axes ranked
+    longest first, a periodic one at half its length, twice the sum over
+    the axes after the first of the product of that axis's size and the
+    sizes of the axes after it."""
+    ranked = sorted(zip(shape, periodic), key=lambda a: a[0] / (2 if a[1] else 1), reverse=True)
+    sizes = [n for n, _ in ranked]
+    return 2 * sum(math.prod(sizes[k:]) for k in range(1, len(sizes))) + 2
+
+
+class TestBandFactor:
+    """The V-cycle's coarsest level is factored by banded Cholesky in a
+    narrow-band node order, scattered straight from its column stencil."""
+
+    @pytest.mark.parametrize("name", list(band_grids()))
+    def test_band_solve_is_the_dense_solve(self, name):
+        grid = band_grids()[name]
+        rng = np.random.default_rng(11)
+        coeff = lambda: rng.uniform(0.5, 2.0, grid.quad_weights.shape)  # noqa: E731
+        stencil = grid.stiffness_stencil(coeff=coeff()) + grid.mass_stencil(coeff=coeff())
+        for box in face_boxes(grid):
+            D = sv._box_stencil(stencil.copy(), box, grid.periodic)
+            A = sv._dia(D, grid.periodic).toarray()
+            plan = sv._BandPlan(D.shape[1:], grid.periodic)
+            r = rng.standard_normal(A.shape[0])
+            x, ref = plan.factor(D)(r), np.linalg.solve(A, r)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert plan.width <= band_bound(D.shape[1:], grid.periodic)
+
+    @pytest.mark.parametrize("shape, periodic, width", [
+        ((15, 48), (False, False), 16),
+        ((48, 15), (False, False), 16),
+        ((7, 140), (False, True), 15),  # C order: 141
+        ((5, 3, 3), (False, True, True), 17),
+        ((40, 3, 9), (False, False, True), 34),
+        ((1, 9), (False, True), 2),
+        ((1,), (False,), 0),
+        ((0, 9), (False, True), 0),
+    ])
+    def test_half_bandwidth_within_the_order_bound(self, shape, periodic, width):
+        """The order keeps the band narrow, in plain C order a periodic
+        axis's wrap made it about as wide as the box."""
+        plan = sv._BandPlan(shape, periodic)
+        assert plan.width == width <= band_bound(shape, periodic)
+        assert np.array_equal(np.sort(plan.position), np.arange(math.prod(shape)))
+        assert np.array_equal(plan.position[plan.inverse], np.arange(math.prod(shape)))
+
+    def test_indefinite_coarse_level_raises(self):
+        """A coarsest level that is not positive definite raises
+        SolverError, under a finest level of positive diagonal."""
+        dom, mesh, op, bc = readme_problem(2.0, 1 / 16)
+        grid = mesh.grid
+        system = sv._FreeSystem(grid, sv.dirichlet_data(mesh, bc)[0])
+        assert len(system.hierarchy) >= 1
+        stencil = grid.stiffness_stencil() - (1.0 / grid.spacing[-1]**2) * grid.mass_stencil()
+        D = sv._box_stencil(stencil, system.box)
+        assert np.all(D[len(D) // 2] > 0)
+        with pytest.raises(sv.SolverError, match="singular coarse multigrid system"):
+            sv._VCycle(D, system)
 
 
 class TestWorkingSet:
