@@ -1300,13 +1300,7 @@ class TestStencilLevels:
         grid = pattern_grids()[name]
         rng = np.random.default_rng(3)
         stencil = rng.standard_normal((3**grid.dim,) + grid.shape)
-        sides = [(ax, side) for ax in np.flatnonzero(~np.asarray(grid.periodic))
-                 for side in (0, -1)]
-        cases = [pin(grid.dim, []), pin(grid.dim, sides)]
-        cases += [pin(grid.dim, [face]) for face in sides]
-        cases += [pin(grid.dim, [(ax, 0), (ax, -1)]) for ax, _ in sides[::2]]
-        for pinned in cases:
-            box = sv._free_box(grid, pinned)
+        for box in face_boxes(grid):
             ref = reference_box_stencil(stencil, box, grid.periodic)
             work = stencil.copy()
             D = sv._box_stencil(work, box, grid.periodic)
